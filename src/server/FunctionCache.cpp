@@ -6,6 +6,9 @@
 
 #include "server/FunctionCache.h"
 
+#include "support/EnvKnob.h"
+
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
@@ -82,16 +85,20 @@ bool igen::server::parseHandle(std::string_view Text, uint64_t &Hash) {
   return true;
 }
 
+long igen::server::cacheCapacityFromSpec(const char *Spec,
+                                        std::string *Warning) {
+  return (long)positiveKnobFromSpec("IGEN_SERVE_CACHE", Spec,
+                                    "program count", 64, Warning);
+}
+
 FunctionCache::FunctionCache(long Capacity) {
   long C = Capacity;
   if (C <= 0) {
-    C = 64;
-    if (const char *E = std::getenv("IGEN_SERVE_CACHE")) {
-      char *End = nullptr;
-      long V = std::strtol(E, &End, 10);
-      if (End && *End == '\0' && V > 0)
-        C = V;
-    }
+    std::string Warn;
+    C = cacheCapacityFromSpec(std::getenv("IGEN_SERVE_CACHE"), &Warn);
+    static std::atomic<bool> Warned{false};
+    if (!Warn.empty() && !Warned.exchange(true))
+      std::fprintf(stderr, "igen: serve: warning: %s\n", Warn.c_str());
   }
   Cap = (size_t)C;
   S.Capacity = Cap;

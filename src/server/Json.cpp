@@ -6,20 +6,28 @@
 
 #include "server/Json.h"
 
+#include "support/JsonWriter.h"
+
+#include <bit>
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
-#include <cstdio>
 #include <cstring>
 
 using namespace igen;
 using namespace igen::server;
 
-namespace {
-
-class Parser {
+/// The parser behind parseJson(). It is JsonValue's friend so that it can
+/// fill each value in place rather than build a temporary and assign it.
+class igen::server::JsonParser {
 public:
-  Parser(std::string_view Text, const JsonLimits &Limits)
+  JsonParser(std::string_view Text, const JsonLimits &Limits)
       : Text(Text), Limits(Limits) {}
+  ~JsonParser() {
+    releaseScratch(Items);
+    releaseScratch(Members);
+    releaseScratch(Order);
+  }
 
   JsonParseResult run() {
     JsonParseResult R;
@@ -48,6 +56,22 @@ private:
   size_t Elements = 0;
   std::string Err;
   size_t ErrOff = 0;
+  /// Members of the arrays and objects still open, innermost last. A
+  /// container that closes moves its members out into one vector of its
+  /// final size and pops them. The stacks stay allocated for the thread's
+  /// next frame unless one grew past ScratchKeep entries.
+  static inline thread_local std::vector<JsonValue> Items;
+  static inline thread_local std::vector<std::pair<std::string, JsonValue>>
+      Members;
+  /// Scratch for takeObject(): member positions in key order.
+  static inline thread_local std::vector<size_t> Order;
+  static constexpr size_t ScratchKeep = 1024;
+
+  template <typename T> static void releaseScratch(std::vector<T> &V) {
+    V.clear();
+    if (V.capacity() > ScratchKeep)
+      std::vector<T>().swap(V);
+  }
 
   bool fail(const char *Msg) {
     if (Err.empty()) {
@@ -94,27 +118,17 @@ private:
     char C = peek();
     switch (C) {
     case 'n':
-      if (!literal("null"))
-        return false;
-      Out = JsonValue();
-      return true;
+      return literal("null"); // Out is already null
     case 't':
-      if (!literal("true"))
-        return false;
-      Out = JsonValue(true);
-      return true;
     case 'f':
-      if (!literal("false"))
+      if (!literal(C == 't' ? "true" : "false"))
         return false;
-      Out = JsonValue(false);
+      Out.K = JsonValue::Kind::Bool;
+      Out.BoolV = C == 't';
       return true;
-    case '"': {
-      std::string S;
-      if (!parseString(S))
-        return false;
-      Out = JsonValue(std::move(S));
-      return true;
-    }
+    case '"':
+      Out.K = JsonValue::Kind::String;
+      return parseString(Out.StrV);
     case '[':
       return parseArray(Out, Depth);
     case '{':
@@ -154,15 +168,16 @@ private:
       while (!atEnd() && peek() >= '0' && peek() <= '9')
         ++Pos;
     }
-    std::string Raw(Text.substr(Start, Pos - Start));
+    std::string &Raw = Out.StrV;
+    Raw.assign(Text.data() + Start, Pos - Start);
     errno = 0;
     char *End = nullptr;
-    double V = std::strtod(Raw.c_str(), &End);
+    Out.NumV = std::strtod(Raw.c_str(), &End);
     if (End != Raw.c_str() + Raw.size())
       return fail("invalid number");
     // Overflow to +-inf is accepted; the raw spelling is preserved so
     // callers that care can reject or re-round it themselves.
-    Out = JsonValue(V, std::move(Raw));
+    Out.K = JsonValue::Kind::Number;
     return true;
   }
 
@@ -214,6 +229,35 @@ private:
     }
   }
 
+  static bool plainStringByte(char C) {
+    return static_cast<unsigned char>(C) >= 0x20 && C != '"' && C != '\\';
+  }
+
+  /// Length of the run of plain bytes (see plainStringByte) among the
+  /// \p N at \p P, tested eight at a time.
+  static size_t plainRun(const char *P, size_t N) {
+    constexpr uint64_t Ones = 0x0101010101010101ull;
+    size_t I = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      for (; I + 8 <= N; I += 8) {
+        uint64_t W, Quote, Slash;
+        std::memcpy(&W, P + I, 8);
+        Quote = W ^ (Ones * '"');
+        Slash = W ^ (Ones * '\\');
+        // The lowest byte flagged is exact: a byte below 0x20 or equal to
+        // '"' or '\\'. Borrows only flag bytes above a true hit.
+        uint64_t Hit = ((W - Ones * 0x20) & ~W) | ((Quote - Ones) & ~Quote) |
+                       ((Slash - Ones) & ~Slash);
+        Hit &= Ones * 0x80;
+        if (Hit)
+          return I + (std::countr_zero(Hit) >> 3);
+      }
+    }
+    while (I < N && plainStringByte(P[I]))
+      ++I;
+    return I;
+  }
+
   bool parseString(std::string &Out) {
     ++Pos; // opening quote
     Out.clear();
@@ -222,6 +266,18 @@ private:
         return fail("unterminated string");
       if (Out.size() > Limits.MaxStringBytes)
         return fail("string too long");
+      // The run of bytes that need no decoding, appended in one call. It
+      // ends at most where Out first exceeds MaxStringBytes, so the checks
+      // above fail at the same byte as they would one byte at a time.
+      size_t Avail = Text.size() - Pos;
+      size_t Room = Limits.MaxStringBytes - Out.size();
+      size_t End = Pos + (Room < Avail ? Room + 1 : Avail);
+      size_t RunEnd = Pos + plainRun(Text.data() + Pos, End - Pos);
+      if (RunEnd != Pos) {
+        Out.append(Text.data() + Pos, RunEnd - Pos);
+        Pos = RunEnd;
+        continue;
+      }
       unsigned char C = (unsigned char)Text[Pos];
       if (C == '"') {
         ++Pos;
@@ -229,11 +285,6 @@ private:
       }
       if (C < 0x20)
         return fail("unescaped control character in string");
-      if (C != '\\') {
-        Out.push_back(char(C));
-        ++Pos;
-        continue;
-      }
       ++Pos;
       if (atEnd())
         return fail("unterminated escape");
@@ -277,11 +328,11 @@ private:
 
   bool parseArray(JsonValue &Out, size_t Depth) {
     ++Pos; // '['
-    JsonArray A;
+    size_t Base = Items.size();
     skipWs();
+    Out.K = JsonValue::Kind::Array;
     if (!atEnd() && peek() == ']') {
       ++Pos;
-      Out = JsonValue(std::move(A));
       return true;
     }
     while (true) {
@@ -289,7 +340,7 @@ private:
       JsonValue V;
       if (!parseValue(V, Depth + 1))
         return false;
-      A.push_back(std::move(V));
+      Items.push_back(std::move(V));
       skipWs();
       if (atEnd())
         return fail("unterminated array");
@@ -300,7 +351,9 @@ private:
       }
       if (C == ']') {
         ++Pos;
-        Out = JsonValue(std::move(A));
+        Out.ArrV.assign(std::make_move_iterator(Items.begin() + Base),
+                        std::make_move_iterator(Items.end()));
+        Items.erase(Items.begin() + Base, Items.end());
         return true;
       }
       return fail("expected ',' or ']'");
@@ -309,11 +362,11 @@ private:
 
   bool parseObject(JsonValue &Out, size_t Depth) {
     ++Pos; // '{'
-    JsonObject O;
+    size_t Base = Members.size();
     skipWs();
+    Out.K = JsonValue::Kind::Object;
     if (!atEnd() && peek() == '}') {
       ++Pos;
-      Out = JsonValue(std::move(O));
       return true;
     }
     while (true) {
@@ -331,7 +384,7 @@ private:
       JsonValue V;
       if (!parseValue(V, Depth + 1))
         return false;
-      O[std::move(Key)] = std::move(V); // last duplicate key wins
+      Members.emplace_back(std::move(Key), std::move(V));
       skipWs();
       if (atEnd())
         return fail("unterminated object");
@@ -342,40 +395,41 @@ private:
       }
       if (C == '}') {
         ++Pos;
-        Out = JsonValue(std::move(O));
+        takeObject(Base, Out.ObjV);
         return true;
       }
       return fail("expected ',' or '}'");
     }
   }
-};
 
-} // namespace
+  /// Pops the members from \p Base on into a JsonObject: sorted by key,
+  /// and of several members with one key only the last in the document.
+  void takeObject(size_t Base, JsonObject &O) {
+    size_t N = Members.size() - Base;
+    Order.resize(N);
+    for (size_t I = 0; I < N; ++I)
+      Order[I] = Base + I;
+    std::sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
+      int C = Members[A].first.compare(Members[B].first);
+      return C < 0 || (C == 0 && A < B);
+    });
+    O.reserve(N);
+    for (size_t I = 0; I < N; ++I)
+      if (I + 1 == N ||
+          Members[Order[I]].first != Members[Order[I + 1]].first)
+        O.push_back(std::move(Members[Order[I]]));
+    Members.erase(Members.begin() + Base, Members.end());
+  }
+};
 
 JsonParseResult igen::server::parseJson(std::string_view Text,
                                         const JsonLimits &Limits) {
-  return Parser(Text, Limits).run();
+  return JsonParser(Text, Limits).run();
 }
 
 std::string igen::server::jsonEscape(std::string_view S) {
   std::string Out;
   Out.reserve(S.size());
-  for (unsigned char C : S) {
-    switch (C) {
-    case '"': Out += "\\\""; break;
-    case '\\': Out += "\\\\"; break;
-    case '\n': Out += "\\n"; break;
-    case '\r': Out += "\\r"; break;
-    case '\t': Out += "\\t"; break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out.push_back(char(C));
-      }
-    }
-  }
+  appendJsonEscaped(Out, S);
   return Out;
 }

@@ -12,28 +12,32 @@
 /// trailing commas) and hardened for untrusted input: nesting depth and
 /// total element counts are capped so a hostile frame cannot stack- or
 /// heap-exhaust the daemon. Errors carry a byte offset for typed error
-/// responses.
+/// responses. Each array and object keeps its members in one vector
+/// allocated at its final size.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef IGEN_SERVER_JSON_H
 #define IGEN_SERVER_JSON_H
 
+#include <algorithm>
 #include <cstddef>
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace igen {
 namespace server {
 
 class JsonValue;
+class JsonParser;
 using JsonArray = std::vector<JsonValue>;
-/// std::map keeps member iteration deterministic, which the tests rely
-/// on when comparing rendered errors.
-using JsonObject = std::map<std::string, JsonValue, std::less<>>;
+/// Object members sorted by key, one per key (the last duplicate in the
+/// document wins). Sorted keys keep member iteration deterministic, which
+/// the tests rely on when comparing rendered errors, and let member()
+/// binary-search.
+using JsonObject = std::vector<std::pair<std::string, JsonValue>>;
 
 /// A parsed JSON value. Numbers keep both the double value and the raw
 /// spelling: eval requests may pass interval endpoints as decimal text,
@@ -42,15 +46,8 @@ class JsonValue {
 public:
   enum class Kind { Null, Bool, Number, String, Array, Object };
 
+  /// A null. parseJson() builds every other value.
   JsonValue() : K(Kind::Null) {}
-  explicit JsonValue(bool B) : K(Kind::Bool), BoolV(B) {}
-  explicit JsonValue(double D, std::string Raw = "")
-      : K(Kind::Number), NumV(D), StrV(std::move(Raw)) {}
-  explicit JsonValue(std::string S) : K(Kind::String), StrV(std::move(S)) {}
-  explicit JsonValue(JsonArray A)
-      : K(Kind::Array), ArrV(std::make_shared<JsonArray>(std::move(A))) {}
-  explicit JsonValue(JsonObject O)
-      : K(Kind::Object), ObjV(std::make_shared<JsonObject>(std::move(O))) {}
 
   Kind kind() const { return K; }
   bool isNull() const { return K == Kind::Null; }
@@ -64,26 +61,30 @@ public:
   double numberValue() const { return NumV; }
   /// Raw spelling for numbers; the decoded text for strings.
   const std::string &stringValue() const { return StrV; }
-  const JsonArray &arrayValue() const { return *ArrV; }
-  const JsonObject &objectValue() const { return *ObjV; }
+  const JsonArray &arrayValue() const { return ArrV; }
+  const JsonObject &objectValue() const { return ObjV; }
 
   /// Object member lookup; returns nullptr when absent or not an object.
   const JsonValue *member(std::string_view Name) const {
     if (K != Kind::Object)
       return nullptr;
-    auto It = ObjV->find(Name);
-    return It == ObjV->end() ? nullptr : &It->second;
+    auto It = std::lower_bound(
+        ObjV.begin(), ObjV.end(), Name,
+        [](const auto &M, std::string_view N) { return M.first < N; });
+    return It != ObjV.end() && It->first == Name ? &It->second : nullptr;
   }
 
 private:
+  friend class JsonParser; // parseJson() fills values in place
+
   Kind K;
   bool BoolV = false;
   double NumV = 0.0;
   std::string StrV;
-  // shared_ptr keeps JsonValue copyable without deep copies; parsed
-  // frames are read-only after construction.
-  std::shared_ptr<JsonArray> ArrV;
-  std::shared_ptr<JsonObject> ObjV;
+  // Held inline, so a container costs the one allocation of its members.
+  // Copies are deep; the serve path moves parsed frames, never copies.
+  JsonArray ArrV;
+  JsonObject ObjV;
 };
 
 /// Parse limits. The defaults comfortably fit every legitimate serve

@@ -51,43 +51,40 @@ bool readWholeFile(const std::string &Path, std::string &Out,
   return Ok;
 }
 
-std::string getString(const JsonObject &O, std::string_view Key) {
-  auto It = O.find(Key);
-  if (It == O.end() || !It->second.isString())
-    return "";
-  return It->second.stringValue();
+std::string getString(const JsonValue &O, std::string_view Key) {
+  const JsonValue *V = O.member(Key);
+  return V && V->isString() ? V->stringValue() : "";
 }
 
-bool getBool(const JsonObject &O, std::string_view Key) {
-  auto It = O.find(Key);
-  return It != O.end() && It->second.isBool() && It->second.boolValue();
+bool getBool(const JsonValue &O, std::string_view Key) {
+  const JsonValue *V = O.member(Key);
+  return V && V->isBool() && V->boolValue();
 }
 
 /// Reconstructs the semantic compile options from a journal entry's
 /// "options" object. Mirrors serializeOptions below and the serve
 /// protocol's parseCompileOptions: any field this forgets would make
 /// the recomputed hash diverge and the entry read as stale.
-bool optionsFromJson(const JsonValue &V, TransformOptions &Opts) {
-  if (!V.isObject())
+bool optionsFromJson(const JsonValue &O, TransformOptions &Opts) {
+  if (!O.isObject())
     return false;
-  const JsonObject &O = V.objectValue();
   if (getString(O, "precision") == "dd")
     Opts.Prec = TransformOptions::Precision::DoubleDouble;
   Opts.ScalarLibrary = getString(O, "target") == "ss";
   if (getString(O, "branch") == "join")
     Opts.Branches = TransformOptions::BranchPolicy::Join;
-  auto It = O.find("opt_level");
-  if (It != O.end() && It->second.isNumber())
-    Opts.OptLevel = (int)It->second.numberValue();
+  const JsonValue *Opt = O.member("opt_level");
+  if (Opt && Opt->isNumber())
+    Opts.OptLevel = (int)Opt->numberValue();
   Opts.EnableReductions = getBool(O, "reductions");
   Opts.EnableBatchLoops = getBool(O, "batch_loops");
   Opts.Profile = getBool(O, "profile");
   Opts.Tier = getBool(O, "tier");
   Opts.Harden = getBool(O, "harden");
   Opts.ModuleName = getString(O, "module");
-  auto Rh = O.find("runtime_header");
-  if (Rh != O.end() && Rh->second.isString())
-    Opts.RuntimeHeader = Rh->second.stringValue();
+  const JsonValue *Rh = O.member("runtime_header");
+  if (Rh && Rh->isString())
+    Opts.RuntimeHeader = Rh->stringValue();
   return true;
 }
 

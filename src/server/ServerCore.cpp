@@ -12,6 +12,7 @@
 #include "profile/ServeCounters.h"
 #include "server/Evaluator.h"
 #include "server/Json.h"
+#include "support/EnvKnob.h"
 #include "support/JsonWriter.h"
 
 #include <cerrno>
@@ -329,16 +330,20 @@ uint64_t monotonicUsOf(std::chrono::steady_clock::time_point T) {
 
 } // namespace
 
+size_t igen::server::maxFrameBytesFromSpec(const char *Spec,
+                                           std::string *Warning) {
+  return (size_t)positiveKnobFromSpec("IGEN_SERVE_MAX_FRAME", Spec,
+                                      "byte count", 4 << 20, Warning);
+}
+
 size_t igen::server::maxFrameBytes() {
   static const size_t V = [] {
-    size_t Def = 4u << 20;
-    if (const char *E = std::getenv("IGEN_SERVE_MAX_FRAME")) {
-      char *End = nullptr;
-      long long N = std::strtoll(E, &End, 10);
-      if (End && *End == '\0' && N > 0)
-        return (size_t)N;
-    }
-    return Def;
+    std::string Warn;
+    size_t N = maxFrameBytesFromSpec(std::getenv("IGEN_SERVE_MAX_FRAME"),
+                                     &Warn);
+    if (!Warn.empty())
+      std::fprintf(stderr, "igen: serve: warning: %s\n", Warn.c_str());
+    return N;
   }();
   return V;
 }

@@ -91,8 +91,14 @@ namespace igen {
 namespace server {
 
 /// Maximum accepted frame size (bytes). Longer frames get a typed
-/// "frame-too-large" error. Overridable via IGEN_SERVE_MAX_FRAME.
+/// "frame-too-large" error. Overridable via IGEN_SERVE_MAX_FRAME, read
+/// once (a malformed value is warned about once).
 size_t maxFrameBytes();
+
+/// Parses an IGEN_SERVE_MAX_FRAME spelling: a positive integer byte
+/// count. Null/empty selects the 4 MiB default; unparsable or
+/// non-positive values set *Warning and return the default.
+size_t maxFrameBytesFromSpec(const char *Spec, std::string *Warning);
 
 /// Parses an IGEN_SERVE_DEADLINE spelling: a positive integer number of
 /// milliseconds, the default wall-clock budget for requests that don't

@@ -9,6 +9,7 @@
 #include "runtime/ThreadPool.h"
 #include "server/Json.h"
 #include "server/TransportOps.h"
+#include "support/EnvKnob.h"
 
 #include <atomic>
 #include <chrono>
@@ -61,13 +62,14 @@ struct Connection {
   }
 
   /// Serializes whole lines onto the socket; concurrent workers for the
-  /// same connection cannot interleave partial responses.
-  void writeLine(const std::string &Line) {
+  /// same connection cannot interleave partial responses. Takes the line
+  /// by value and terminates it in place: replies run to kilobytes, and
+  /// callers hand over ones they no longer need.
+  void writeLine(std::string Out) {
+    Out.push_back('\n');
     std::lock_guard<std::mutex> G(WriteMu);
     if (!Open.load(std::memory_order_relaxed))
       return;
-    std::string Out = Line;
-    Out.push_back('\n');
     size_t Off = 0;
     while (Off < Out.size()) {
       // MSG_NOSIGNAL + the process-wide SIGPIPE ignore: a peer that
@@ -329,33 +331,23 @@ private:
 
 long long igen::server::drainMsFromSpec(const char *Spec,
                                         std::string *Warning) {
-  constexpr long long Def = 5000;
-  if (!Spec || !*Spec)
-    return Def;
-  char *End = nullptr;
-  errno = 0;
-  long long V = std::strtoll(Spec, &End, 10);
-  if (errno != 0 || !End || *End != '\0' || V <= 0) {
-    if (Warning)
-      *Warning = std::string("ignoring IGEN_SERVE_DRAIN_MS '") + Spec +
-                 "' (expected a positive integer millisecond count); "
-                 "using the default " +
-                 std::to_string(Def);
-    return Def;
-  }
-  return V;
+  return positiveKnobFromSpec("IGEN_SERVE_DRAIN_MS", Spec,
+                              "millisecond count", 5000, Warning);
+}
+
+size_t igen::server::queueCapacityFromSpec(const char *Spec,
+                                           std::string *Warning) {
+  return (size_t)positiveKnobFromSpec("IGEN_SERVE_QUEUE", Spec,
+                                      "request count", 128, Warning);
 }
 
 size_t igen::server::serveQueueCapacity() {
   static const size_t V = [] {
-    size_t Def = 128;
-    if (const char *E = std::getenv("IGEN_SERVE_QUEUE")) {
-      char *End = nullptr;
-      long N = std::strtol(E, &End, 10);
-      if (End && *End == '\0' && N > 0)
-        return (size_t)N;
-    }
-    return Def;
+    std::string Warn;
+    size_t N = queueCapacityFromSpec(std::getenv("IGEN_SERVE_QUEUE"), &Warn);
+    if (!Warn.empty())
+      std::fprintf(stderr, "igen: serve: warning: %s\n", Warn.c_str());
+    return N;
   }();
   return V;
 }
@@ -430,8 +422,7 @@ int igen::server::runServer(const ServeConfig &Config) {
   Pool.parallelFor(Workers, Workers, [&](size_t) {
     WorkItem Item;
     while (Queue.pop(Item)) {
-      std::string Resp = Core.handleFrame(Item.Frame, Item.Arrival);
-      Item.Conn->writeLine(Resp);
+      Item.Conn->writeLine(Core.handleFrame(Item.Frame, Item.Arrival));
       Item.Conn.reset(); // response is on the wire; release the fd ref
       Queue.done();      // only now may a drain observe "idle"
       if (Core.shutdownRequested())

@@ -18,7 +18,8 @@
 #ifndef IGEN_SUPPORT_JSONWRITER_H
 #define IGEN_SUPPORT_JSONWRITER_H
 
-#include <cinttypes>
+#include <cfenv>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -27,6 +28,44 @@
 #include <vector>
 
 namespace igen {
+
+/// Appends \p S escaped as the body of a JSON string literal (no quotes):
+/// '"', '\\', '\n', '\t' and '\r' get their short escapes, other control
+/// characters \u00xx, and every other byte passes through. Each run that
+/// needs no escape is appended in one call.
+inline void appendJsonEscaped(std::string &Out, std::string_view S) {
+  static constexpr char Hex[] = "0123456789abcdef";
+  size_t Run = 0;
+  for (size_t I = 0; I < S.size(); ++I) {
+    unsigned char C = static_cast<unsigned char>(S[I]);
+    if (C >= 0x20 && C != '"' && C != '\\')
+      continue;
+    Out.append(S.data() + Run, I - Run);
+    Run = I + 1;
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    case '\r':
+      Out += "\\r";
+      break;
+    default: {
+      const char Esc[] = {'\\', 'u', '0', '0', Hex[C >> 4], Hex[C & 15]};
+      Out.append(Esc, sizeof(Esc));
+    }
+    }
+  }
+  Out.append(S.data() + Run, S.size() - Run);
+}
 
 /// Streaming JSON writer with 2-space pretty printing. Values inside an
 /// object must be preceded by key(); values inside an array are appended
@@ -61,21 +100,26 @@ public:
       Out += std::isnan(D) ? "\"nan\"" : (D > 0 ? "\"inf\"" : "\"-inf\"");
       return;
     }
-    char Buf[40];
-    std::snprintf(Buf, sizeof(Buf), "%.17g", D);
-    Out += Buf;
+    // The "%.17g" spelling. std::to_chars writes the same bytes as
+    // glibc's printf, but only under round-to-nearest: printf rounds the
+    // 17th digit in the current rounding mode, to_chars always to
+    // nearest. Other modes keep snprintf, so the mode never changes a
+    // byte.
+    char Buf[32];
+    if (std::fegetround() == FE_TONEAREST)
+      Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), D,
+                                    std::chars_format::general, 17)
+                          .ptr);
+    else
+      Out.append(Buf, std::snprintf(Buf, sizeof(Buf), "%.17g", D));
   }
   void value(uint64_t V) {
     prepareValue();
-    char Buf[24];
-    std::snprintf(Buf, sizeof(Buf), "%" PRIu64, V);
-    Out += Buf;
+    appendInteger(V);
   }
   void value(int64_t V) {
     prepareValue();
-    char Buf[24];
-    std::snprintf(Buf, sizeof(Buf), "%" PRId64, V);
-    Out += Buf;
+    appendInteger(V);
   }
   void value(int V) { value(static_cast<int64_t>(V)); }
   void value(unsigned V) { value(static_cast<uint64_t>(V)); }
@@ -141,35 +185,14 @@ private:
 
   void indent() { Out.append(Levels.size() * 2, ' '); }
 
+  template <typename Int> void appendInteger(Int V) {
+    char Buf[24];
+    Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+  }
+
   void appendQuoted(std::string_view S) {
     Out += '"';
-    for (char C : S) {
-      switch (C) {
-      case '"':
-        Out += "\\\"";
-        break;
-      case '\\':
-        Out += "\\\\";
-        break;
-      case '\n':
-        Out += "\\n";
-        break;
-      case '\t':
-        Out += "\\t";
-        break;
-      case '\r':
-        Out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(C) < 0x20) {
-          char Buf[8];
-          std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-          Out += Buf;
-        } else {
-          Out += C;
-        }
-      }
-    }
+    appendJsonEscaped(Out, S);
     Out += '"';
   }
 

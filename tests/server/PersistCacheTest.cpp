@@ -37,10 +37,24 @@ using namespace igen::server;
 
 namespace {
 
+// Frees the temp dirs this process created (they are tiny; best effort
+// so a failed assertion still leaves evidence behind). Only its own:
+// ctest runs every case as its own process, in parallel, and sweeping by
+// pattern would delete a directory another case is still using.
+struct TempDirSweeper {
+  std::vector<std::string> Dirs;
+  ~TempDirSweeper() {
+    for (const std::string &D : Dirs)
+      (void)std::system(("rm -rf '" + D + "' 2>/dev/null").c_str());
+  }
+} Sweeper;
+
 std::string makeTempDir() {
   char Tmpl[] = "/tmp/igen_persist_test_XXXXXX";
   const char *Dir = mkdtemp(Tmpl);
   EXPECT_NE(Dir, nullptr);
+  if (Dir)
+    Sweeper.Dirs.push_back(Dir);
   return Dir ? Dir : "";
 }
 
@@ -275,14 +289,4 @@ TEST(PersistCacheTest, CacheDirSpecValidation) {
   EXPECT_FALSE(Warning.empty());
 }
 
-} // namespace
-
-// Free the temp dirs the tests above created (they are tiny; best
-// effort so a failed assertion still leaves evidence behind).
-namespace {
-struct TempDirSweeper {
-  ~TempDirSweeper() {
-    (void)std::system("rm -rf /tmp/igen_persist_test_?????? 2>/dev/null");
-  }
-} Sweeper;
 } // namespace

@@ -4,21 +4,23 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The resilience knobs — IGEN_SERVE_DEADLINE, IGEN_SERVE_DRAIN_MS, and
-// IGEN_SERVE_CACHE_DIR — follow the same contract as the runtime env
-// knobs (tests/runtime/EnvParseTest.cpp): bad input falls back to a
-// safe default *and says so*, because a typo'd override silently
-// ignored is an operator running a different configuration than they
-// think.
+// The serve knobs — IGEN_SERVE_DEADLINE, IGEN_SERVE_DRAIN_MS,
+// IGEN_SERVE_CACHE_DIR and the IGEN_SERVE_QUEUE/CACHE/MAX_FRAME bounds —
+// follow the same contract as the runtime env knobs
+// (tests/runtime/EnvParseTest.cpp): bad input falls back to a safe
+// default *and says so*, because a typo'd override silently ignored is
+// an operator running a different configuration than they think.
 //
 //===----------------------------------------------------------------------===//
 
+#include "server/FunctionCache.h"
 #include "server/PersistCache.h"
 #include "server/ServerCore.h"
 #include "server/SocketServer.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 
 #include <sys/stat.h>
@@ -72,6 +74,68 @@ TEST(ServeEnvParse, DrainWarnsAndFallsBackOnMalformedValues) {
         << "spec: " << Bad;
     EXPECT_NE(W.find(Bad), std::string::npos) << "spec: " << Bad;
   }
+}
+
+/// The three admission bounds share one contract: a positive integer is
+/// taken as is; unset or empty selects the default silently; anything
+/// else (malformed, zero, negative, overflowing) selects the default
+/// with a warning naming the knob and the bad spelling.
+void checkBoundKnob(const char *Name,
+                    const std::function<long long(const char *,
+                                                  std::string *)> &Parse,
+                    long long Default) {
+  std::string W;
+  EXPECT_EQ(Parse("1", &W), 1) << Name;
+  EXPECT_EQ(Parse("16", &W), 16) << Name;
+  EXPECT_EQ(Parse("100000", &W), 100000) << Name;
+  EXPECT_TRUE(W.empty()) << Name << ": " << W;
+  EXPECT_EQ(Parse(nullptr, &W), Default) << Name;
+  EXPECT_EQ(Parse("", &W), Default) << Name;
+  EXPECT_TRUE(W.empty()) << Name << ": " << W;
+  for (const char *Bad : {"lots", "16k", "1.5", "3 0", " 8 ", "0", "-0", "-1",
+                          "-128", "99999999999999999999"}) {
+    std::string BW;
+    EXPECT_EQ(Parse(Bad, &BW), Default) << Name << " spec: " << Bad;
+    EXPECT_NE(BW.find(Name), std::string::npos) << "spec: " << Bad;
+    EXPECT_NE(BW.find(Bad), std::string::npos) << Name << " spec: " << Bad;
+  }
+  // A null Warning pointer is allowed.
+  EXPECT_EQ(Parse("nope", nullptr), Default) << Name;
+}
+
+TEST(ServeEnvParse, QueueBound) {
+  checkBoundKnob(
+      "IGEN_SERVE_QUEUE",
+      [](const char *S, std::string *W) {
+        return (long long)queueCapacityFromSpec(S, W);
+      },
+      128);
+}
+
+TEST(ServeEnvParse, CacheBound) {
+  checkBoundKnob(
+      "IGEN_SERVE_CACHE",
+      [](const char *S, std::string *W) {
+        return (long long)cacheCapacityFromSpec(S, W);
+      },
+      64);
+}
+
+TEST(ServeEnvParse, MaxFrameBound) {
+  checkBoundKnob(
+      "IGEN_SERVE_MAX_FRAME",
+      [](const char *S, std::string *W) {
+        return (long long)maxFrameBytesFromSpec(S, W);
+      },
+      4 << 20);
+}
+
+TEST(ServeEnvParse, CacheBoundSixteenSizesTheCache) {
+  // The compile-mix benchmark runs the daemon with IGEN_SERVE_CACHE=16.
+  std::string W;
+  FunctionCache Cache(cacheCapacityFromSpec("16", &W));
+  EXPECT_TRUE(W.empty());
+  EXPECT_EQ(Cache.stats().Capacity, 16u);
 }
 
 TEST(ServeEnvParse, CacheDirUnsetOrEmptyDisablesSilently) {

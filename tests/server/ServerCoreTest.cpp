@@ -18,10 +18,15 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -154,6 +159,60 @@ TEST_F(ServerCoreTest, EvalArgumentForms) {
   ASSERT_TRUE(Arrays && Arrays->isArray());
   ASSERT_EQ(Arrays->arrayValue().size(), 1u);
   EXPECT_EQ(Arrays->arrayValue()[0].arrayValue().size(), 2u);
+}
+
+TEST_F(ServerCoreTest, DotReplyDecimalsArePrintfSpellingsOfTheHexBits) {
+  std::string H = compileHandle(
+      "double dot(double a[64], double b[64]) {\n"
+      "  double s = 0.0;\n"
+      "  for (int i = 0; i < 64; i = i + 1) { s = s + a[i] * b[i]; }\n"
+      "  return s;\n"
+      "}");
+  auto Hex = [](double D) {
+    uint64_t Bits;
+    std::memcpy(&Bits, &D, sizeof(Bits));
+    char Buf[17];
+    std::snprintf(Buf, sizeof(Buf), "%016llx", (unsigned long long)Bits);
+    return std::string(Buf);
+  };
+  // Two arrays of 64 seeded intervals whose endpoints span 80 binades.
+  std::mt19937_64 G(13);
+  std::string Frame = "{\"op\":\"eval\",\"handle\":\"" + H +
+                      "\",\"function\":\"dot\",\"args\":[";
+  for (int A = 0; A < 2; ++A) {
+    Frame += A ? ",{\"array\":[" : "{\"array\":[";
+    for (int I = 0; I < 64; ++I) {
+      double Lo = std::ldexp(static_cast<double>(G() >> 11) * 0x1p-53 - 0.5,
+                             static_cast<int>(G() % 80) - 40);
+      double Hi = Lo + std::fabs(Lo) * 0x1p-30;
+      Frame += (I ? ",{\"lo_hex\":\"" : "{\"lo_hex\":\"") + Hex(Lo) +
+               "\",\"hi_hex\":\"" + Hex(Hi) + "\"}";
+    }
+    Frame += "]}";
+  }
+  Frame += "]}";
+
+  JsonValue V = rpc(Frame);
+  ASSERT_TRUE(V.member("ok")->boolValue());
+  std::vector<const JsonValue *> Intervals = {V.member("result")};
+  for (const JsonValue &Arr : V.member("arrays")->arrayValue())
+    for (const JsonValue &I : Arr.arrayValue())
+      Intervals.push_back(&I);
+  ASSERT_EQ(Intervals.size(), 129u);
+  for (const JsonValue *I : Intervals) {
+    for (auto [Dec, HexKey] : {std::pair("lo", "lo_hex"),
+                               std::pair("hi", "hi_hex")}) {
+      uint64_t Bits = std::strtoull(
+          I->member(HexKey)->stringValue().c_str(), nullptr, 16);
+      double D;
+      std::memcpy(&D, &Bits, sizeof(D));
+      char Want[40];
+      std::snprintf(Want, sizeof(Want), "%.17g", D);
+      ASSERT_TRUE(I->member(Dec)->isNumber());
+      // A number's stringValue() is its spelling in the reply.
+      EXPECT_EQ(I->member(Dec)->stringValue(), Want) << Dec;
+    }
+  }
 }
 
 TEST_F(ServerCoreTest, EvalUnknownHandleAndBadHandle) {
