@@ -7,7 +7,8 @@
 // google-benchmark latencies/throughputs of the individual interval
 // operations across implementations: the ablation behind the Fig. 8
 // design choices (scalar vs SSE vs precompiled vs branchy multiplication,
-// double vs double-double).
+// double vs double-double; the dd multiply on sign-known and on
+// straddling operands).
 //
 //===----------------------------------------------------------------------===//
 
@@ -41,12 +42,26 @@ template <typename I> std::vector<I> makeInputs(int N) {
   return V;
 }
 
+/// Intervals [-u, v] with u, v in [0.5, 2): both factors straddle zero.
+template <typename I> std::vector<I> makeStraddlingInputs(int N) {
+  std::vector<I> V;
+  V.reserve(N);
+  std::mt19937_64 Gen(98);
+  std::uniform_real_distribution<double> D(0.5, 2.0);
+  for (int K = 0; K < N; ++K) {
+    double U = D(Gen);
+    V.push_back(I::fromEndpoints(-U, D(Gen)));
+  }
+  return V;
+}
+
 constexpr int N = 1024;
 
 template <typename I, typename Op>
-void runOp(benchmark::State &State, Op O) {
-  auto A = makeInputs<I>(N);
-  auto B = makeInputs<I>(N);
+void runOp(benchmark::State &State, Op O,
+           std::vector<I> (*Make)(int) = makeInputs<I>) {
+  auto A = Make(N);
+  auto B = Make(N);
   for (auto _ : State) {
     for (int K = 0; K < N; ++K) {
       I R = O(A[K], B[K]);
@@ -87,6 +102,14 @@ void BM_MulDd(benchmark::State &S) {
       S, [](const DdIntervalAvx &A, const DdIntervalAvx &B) {
         return ddiMul(A, B);
       });
+}
+void BM_MulDdStraddle(benchmark::State &S) {
+  runOp<DdIntervalAvx>(
+      S,
+      [](const DdIntervalAvx &A, const DdIntervalAvx &B) {
+        return ddiMul(A, B);
+      },
+      makeStraddlingInputs<DdIntervalAvx>);
 }
 void BM_MulBoostLike(benchmark::State &S) {
   runOp<BoostLikeInterval>(
@@ -131,6 +154,7 @@ BENCHMARK(BM_AddDd);
 BENCHMARK(BM_MulScalar);
 BENCHMARK(BM_MulSse);
 BENCHMARK(BM_MulDd);
+BENCHMARK(BM_MulDdStraddle);
 BENCHMARK(BM_MulBoostLike);
 BENCHMARK(BM_MulFilibLike);
 BENCHMARK(BM_MulGaolLike);

@@ -9,9 +9,9 @@
 // counting operation policy (an FMA counts as two flops, comparisons are
 // not flops); intrinsic counts of the AVX implementations are static
 // properties of the code in DdSimd.h, tabulated here next to the paper's
-// numbers. Our multiplication uses FMA-based TwoProd instead of Dekker
-// splitting (DESIGN.md substitution 8), so its flop count is lower than
-// the paper's.
+// numbers. Multiplication is reported per sign case. It uses FMA-based
+// TwoProd instead of Dekker splitting (DESIGN.md substitution 8), so its
+// flop count is lower than the paper's.
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +32,35 @@ template <typename Fn> uint64_t countFlops(Fn Op) {
   return CountingOps::flops();
 }
 
+/// Intrinsics of a DdSimd.h code path: arithmetic (add/sub/mul/fma,
+/// compares, bitwise logic, movemask) and shuffles (permutes, lane
+/// moves, blends). The special-value and overflow screens are left out.
+struct Intrinsics {
+  int Arith, Shuffles;
+  Intrinsics operator+(Intrinsics O) const {
+    return {Arith + O.Arith, Shuffles + O.Shuffles};
+  }
+  Intrinsics operator*(int N) const { return {Arith * N, Shuffles * N}; }
+  int total() const { return Arith + Shuffles; }
+};
+
+// The building blocks of the AVX ddiMul.
+constexpr Intrinsics PairMul{12, 4};  // ddPairMulUp
+constexpr Intrinsics PairMax{4, 3};   // ddPairMax
+constexpr Intrinsics SignTest{3, 2};  // nonPositive4 + movemask
+constexpr Intrinsics KnownOps{2, 7};  // two sign flips; blendv'd operands
+constexpr Intrinsics StraddleOps{0, 3}; // dupLoWords, dupHiWords, swapDd
+
+void printMul(const char *Case, uint64_t Flops, Intrinsics I) {
+  std::printf("table3,multiplication-%s,flops,%llu,114\n", Case,
+              (unsigned long long)Flops);
+  std::printf("table3,multiplication-%s,arith-intrinsics,%d,27\n", Case,
+              I.Arith);
+  std::printf("table3,multiplication-%s,shuffles,%d,29\n", Case, I.Shuffles);
+  std::printf("table3,multiplication-%s,total-intrinsics,%d,56\n", Case,
+              I.total());
+}
+
 } // namespace
 
 int main() {
@@ -39,8 +68,9 @@ int main() {
   Dd X(1.25, 3e-18), Y(2.5, -1e-17);
 
   // Per-endpoint counts; an interval operation runs the endpoint
-  // algorithm twice (add) or per candidate (mul: 8 candidates, div: 2
-  // sign-selected quotients).
+  // algorithm twice (add), once per endpoint or twice per endpoint (mul:
+  // sign-known or straddling factor), or per sign-selected quotient
+  // (div: 2).
   uint64_t AddEp = countFlops([&] { (void)ddAddUp<CountingOps>(X, Y); });
   uint64_t MulEp = countFlops([&] { (void)ddMulUp<CountingOps>(X, Y); });
   uint64_t DivEp = countFlops([&] { (void)ddDivUp<CountingOps>(X, Y); });
@@ -48,8 +78,6 @@ int main() {
   std::printf("table,operation,metric,ours,paper\n");
   std::printf("table3,addition,flops,%llu,40\n",
               (unsigned long long)(2 * AddEp));
-  std::printf("table3,multiplication,flops,%llu,114\n",
-              (unsigned long long)(8 * MulEp));
   std::printf("table3,division,flops,%llu,158\n",
               (unsigned long long)(2 * DivEp));
 
@@ -58,14 +86,11 @@ int main() {
   std::printf("table3,addition,arith-intrinsics,14,14\n");
   std::printf("table3,addition,shuffles,3,3\n");
   std::printf("table3,addition,total-intrinsics,17,17\n");
-  // Multiplication: 4 x ddPairMulUp(12 arith + 4 shuffles) + operand
-  // setup (4 dups + 4 xors) + 3 ddPairMax(4 arith-ish + 2 shuffles).
-  std::printf("table3,multiplication,arith-intrinsics,%d,27\n",
-              4 * 12 + 3 * 4);
-  std::printf("table3,multiplication,shuffles,%d,29\n",
-              4 * 4 + 8 + 3 * 2);
-  std::printf("table3,multiplication,total-intrinsics,%d,56\n",
-              4 * 12 + 3 * 4 + 4 * 4 + 8 + 3 * 2);
+  // Multiplication by sign case: one pairwise product when neither
+  // factor straddles zero, two plus a pairwise maximum when one does.
+  printMul("sign-known", 2 * MulEp, SignTest + KnownOps + PairMul);
+  printMul("straddle", 4 * MulEp,
+           SignTest + StraddleOps + PairMul * 2 + PairMax);
   // Division: scalar sign-case path in this implementation.
   std::printf("table3,division,total-intrinsics,scalar-path,85\n");
   return 0;

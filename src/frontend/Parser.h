@@ -33,15 +33,25 @@ public:
   bool parseTranslationUnit();
 
 private:
-  // Token stream helpers.
+  // Token stream helpers. Index never moves past the final EndOfFile
+  // token (only advance() moves it): on truncated input the parser may
+  // consume that token and keep asking for more.
   const Token &cur() const { return Tokens[Index]; }
   const Token &peek(unsigned Ahead = 1) const {
     return Tokens[std::min(Index + Ahead, Tokens.size() - 1)];
   }
-  Token consume() { return Tokens[Index++]; }
+  void advance() {
+    if (Index + 1 < Tokens.size())
+      ++Index;
+  }
+  Token consume() {
+    Token T = Tokens[Index];
+    advance();
+    return T;
+  }
   bool consumeIf(TokenKind K) {
     if (cur().is(K)) {
-      ++Index;
+      advance();
       return true;
     }
     return false;

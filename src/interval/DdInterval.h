@@ -11,10 +11,11 @@
 /// (-a, b) so everything uses upward rounding only; Lemma 1 supplies the
 /// directed-bound property of the double-double operations.
 ///
-/// Division uses the sign-case selection (two directed divisions); when the
-/// divisor contains zero the result degrades to the same half-line/entire/
-/// invalid analysis as the double-precision layer, computed on the outer
-/// double hull (sound).
+/// Multiplication and division use sign-case selection. A product needs
+/// one directed dd product per endpoint when neither factor straddles
+/// zero, two when one does. When the divisor contains zero, division
+/// degrades to the same half-line/entire/invalid analysis as the
+/// double-precision layer, computed on the outer double hull (sound).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -106,11 +107,6 @@ inline DdInterval ddiSub(const DdInterval &X, const DdInterval &Y) {
 
 namespace detail {
 
-/// Max of four double-double values; no NaNs allowed.
-inline Dd ddMax4(const Dd &A, const Dd &B, const Dd &C, const Dd &D) {
-  return ddMax(ddMax(A, B), ddMax(C, D));
-}
-
 /// Conservative fallback for ddi multiplication/division with special
 /// values: compute on the outer double hull with the double-precision
 /// interval code (which handles 0*inf etc.) and widen back.
@@ -120,34 +116,49 @@ inline DdInterval ddiFromOuter(const Interval &I) {
 
 } // namespace detail
 
-/// X * Y with double-double endpoints: the same eight-products/two-maxima
-/// scheme as iMul, with ddMulUp as the directed product. Special values
-/// (NaN endpoints, infinities) fall back to the double-precision hull.
+/// X * Y with double-double endpoints by sign-case selection, ddMulUp
+/// being the directed product. With X = [a, b] and Y = [c, d]:
+///  - neither factor straddles zero: one product per endpoint,
+///      lo = (Y >= 0 ? a : b) * (X >= 0 ? c : d),
+///      hi = (Y >= 0 ? b : a) * (X >= 0 ? d : c);
+///  - a factor straddles zero: lo = min(a*d, b*c), hi = max(a*c, b*d).
+/// "X >= 0" is RU(NegLo.H + NegLo.L) <= 0. Since 0 is a double, that
+/// test is exact for any Dd, and on normalized endpoints it equals
+/// NegLo.sign() <= 0; [0, 0] counts as nonnegative. Each product is one
+/// of iMul's eight candidates, hence the result lies within the
+/// eight-candidate enclosure. The AVX ddiMul (DdSimd.h) forms
+/// the same products with the same operands and agrees bit for bit.
+/// Special values (NaN endpoints, infinities) fall back to the
+/// double-precision hull.
 inline DdInterval ddiMul(const DdInterval &X, const DdInterval &Y) {
   assertRoundUpward();
   if (__builtin_expect(X.hasNaN() || Y.hasNaN() || X.hasInf() || Y.hasInf(),
                        0))
     return detail::ddiFromOuter(iMul(X.outerHull(), Y.outerHull()));
   const Dd &Xn = X.NegLo, &Xh = X.Hi, &Yn = Y.NegLo, &Yh = Y.Hi;
-  Dd N1 = ddMulUp(ddNeg(Xn), Yn);
-  Dd N2 = ddMulUp(Xn, Yh);
-  Dd N3 = ddMulUp(Xh, Yn);
-  Dd N4 = ddMulUp(ddNeg(Xh), Yh);
-  Dd H1 = ddMulUp(Xn, Yn);
-  Dd H2 = ddMulUp(ddNeg(Xn), Yh);
-  Dd H3 = ddMulUp(Xh, ddNeg(Yn));
-  Dd H4 = ddMulUp(Xh, Yh);
-  // Finite inputs can still overflow internally (inf - inf -> NaN in the
-  // renormalization). A NaN candidate would be silently *dropped* by the
-  // max selection -- check before selecting and recover the sound +-inf
-  // bounds from the double hull instead.
-  if (__builtin_expect(N1.hasNaN() || N2.hasNaN() || N3.hasNaN() ||
-                           N4.hasNaN() || H1.hasNaN() || H2.hasNaN() ||
-                           H3.hasNaN() || H4.hasNaN(),
-                       0))
+  bool XNonNeg = ddToDoubleUp(Xn) <= 0.0, YNonNeg = ddToDoubleUp(Yn) <= 0.0;
+  Dd NegLo, Hi;
+  bool Overflow;
+  if (__builtin_expect((XNonNeg || ddToDoubleUp(Xh) <= 0.0) &&
+                           (YNonNeg || ddToDoubleUp(Yh) <= 0.0),
+                       1)) {
+    NegLo = ddMulUp(YNonNeg ? Xn : ddNeg(Xh), XNonNeg ? ddNeg(Yn) : Yh);
+    Hi = ddMulUp(YNonNeg ? Xh : ddNeg(Xn), XNonNeg ? Yh : ddNeg(Yn));
+    Overflow = NegLo.hasNaN() || Hi.hasNaN();
+  } else {
+    Dd NegAD = ddMulUp(Xn, Yh), AC = ddMulUp(Xn, Yn);
+    Dd NegBC = ddMulUp(Xh, Yn), BD = ddMulUp(Xh, Yh);
+    Overflow =
+        NegAD.hasNaN() || AC.hasNaN() || NegBC.hasNaN() || BD.hasNaN();
+    NegLo = ddMax(NegBC, NegAD);
+    Hi = ddMax(BD, AC);
+  }
+  // Finite inputs can still overflow inside a product (inf - inf -> NaN
+  // in the renormalization), and the max would silently drop a NaN:
+  // recover the sound +-inf bounds from the double hull instead.
+  if (__builtin_expect(Overflow, 0))
     return detail::ddiFromOuter(iMul(X.outerHull(), Y.outerHull()));
-  return DdInterval(detail::ddMax4(N1, N2, N3, N4),
-                    detail::ddMax4(H1, H2, H3, H4));
+  return DdInterval(NegLo, Hi);
 }
 
 /// X / Y with double-double endpoints. 0-free divisors use sign-case

@@ -14,9 +14,12 @@
 /// of the high words of *both* endpoints and the TwoSum of the low words of
 /// both endpoints simultaneously, so DD_Add (Fig. 6) vectorizes to
 /// 14 arithmetic intrinsics + 3 cross-lane shuffles = 17 intrinsics,
-/// matching Table III. Multiplication evaluates the candidate products
-/// pairwise (negated-low candidate and high candidate share the vector).
-/// Division falls back to the scalar sign-case path (see DESIGN.md).
+/// matching Table III. Multiplication selects by sign case as the paper
+/// does: when neither factor straddles zero, one pairwise dd product
+/// computes the negated-low and the high endpoint together (operands
+/// picked with blendv, no branch on the signs); when a factor straddles
+/// zero, two pairwise products and one pairwise dd maximum. Division
+/// falls back to the scalar sign-case path (see DESIGN.md).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -101,6 +104,14 @@ inline __m256d dupLow(__m256d X) {
   return _mm256_permute2f128_pd(X, X, 0x00);
 }
 
+/// Duplicates the high 128-bit lane into both lanes.
+inline __m256d dupHigh(__m256d X) {
+  return _mm256_permute2f128_pd(X, X, 0x11);
+}
+
+/// [x1, x0, x3, x2]: swaps the two dd values within each lane.
+inline __m256d swapDd(__m256d X) { return _mm256_permute_pd(X, 0b0101); }
+
 } // namespace detail
 
 /// Interval ddi addition: DD_Add of Fig. 6 on both endpoints at once.
@@ -120,8 +131,8 @@ inline DdIntervalAvx ddiAdd(const DdIntervalAvx &X, const DdIntervalAvx &Y) {
 }
 
 inline DdIntervalAvx ddiNeg(const DdIntervalAvx &X) {
-  // Swap the endpoints within each lane (negLo <-> hi), exact.
-  return DdIntervalAvx(_mm256_permute_pd(X.V, 0b0101));
+  // Swap the endpoints (negLo <-> hi), exact.
+  return DdIntervalAvx(detail::swapDd(X.V));
 }
 
 inline DdIntervalAvx ddiSub(const DdIntervalAvx &X, const DdIntervalAvx &Y) {
@@ -165,44 +176,58 @@ inline __m256d dupHiWords(__m256d X) {
 inline __m256d negLane0(__m256d X) {
   return _mm256_xor_pd(X, _mm256_set_pd(0.0, -0.0, 0.0, -0.0));
 }
-inline __m256d negLane1(__m256d X) {
-  return _mm256_xor_pd(X, _mm256_set_pd(-0.0, 0.0, -0.0, 0.0));
+
+/// RU(H + L) <= 0 of the four stored endpoints of X and Y, one per lane
+/// of [x >= 0 | x <= 0 | y >= 0 | y <= 0] (a negated low endpoint <= 0
+/// is a low endpoint >= 0); the scalar ddiMul's sign test.
+inline __m256d nonPositive4(__m256d X, __m256d Y) {
+  __m256d H = _mm256_permute2f128_pd(X, Y, 0x20); // [xn.H xh.H yn.H yh.H]
+  __m256d L = _mm256_permute2f128_pd(X, Y, 0x31); // [xn.L xh.L yn.L yh.L]
+  return _mm256_cmp_pd(_mm256_add_pd(H, L), _mm256_setzero_pd(),
+                       _CMP_LE_OQ);
 }
 
 } // namespace detail
 
-/// Interval ddi multiplication: four pairwise dd candidate products (each
-/// computing the negated-low candidate and the high candidate together)
-/// followed by three pairwise dd maxima; same candidate scheme as iMul.
+/// Interval ddi multiplication by the sign-case selection of the scalar
+/// ddiMul (DdInterval.h), X = [a, b] = [xn | xh], Y = [c, d] = [yn | yh]:
+///  - neither factor straddles zero: one ddPairMulUp(A, B) computes both
+///    endpoints, A = y >= 0 ? [xn | xh] : -[xh | xn] and
+///    B = x >= 0 ? [-yn | yh] : [yh | -yn], picked by blendv without a
+///    branch on the signs;
+///  - a factor straddles zero: [-a*d | a*c] and [-b*c | b*d] by two
+///    ddPairMulUp, then one ddPairMax.
+/// Every lane multiplies the scalar path's operands in the scalar path's
+/// order, so the results agree bit for bit.
 inline DdIntervalAvx ddiMul(const DdIntervalAvx &X, const DdIntervalAvx &Y) {
   assertRoundUpward();
   if (__builtin_expect(X.hasSpecial() || Y.hasSpecial(), 0))
     return DdIntervalAvx::fromScalar(ddiMul(X.toScalar(), Y.toScalar()));
-  // X = [xn | xh | ...], build dd 2-vectors for the candidate pairs:
-  //  P1 = (-xn, xn) * (yn, yn)   -> [n1 | h1]
-  //  P2 = (xn, -xn) * (yh, yh)   -> [n2 | h2]
-  //  P3 = (xh, xh) * (yn, -yn)   -> [n3 | h3]
-  //  P4 = (-xh, xh) * (yh, yh)   -> [n4 | h4]
-  __m256d XnXn = detail::dupLoWords(X.V);
-  __m256d XhXh = detail::dupHiWords(X.V);
-  __m256d YnYn = detail::dupLoWords(Y.V);
-  __m256d YhYh = detail::dupHiWords(Y.V);
-  __m256d P1 = detail::ddPairMulUp(detail::negLane0(XnXn), YnYn);
-  __m256d P2 = detail::ddPairMulUp(detail::negLane1(XnXn), YhYh);
-  __m256d P3 = detail::ddPairMulUp(XhXh, detail::negLane1(YnYn));
-  __m256d P4 = detail::ddPairMulUp(detail::negLane0(XhXh), YhYh);
-  // A candidate that overflowed to NaN must not be dropped by the max
-  // selection: fall back to the scalar path (which recovers the hull).
-  __m256d Check = _mm256_add_pd(_mm256_add_pd(P1, P2),
-                                _mm256_add_pd(P3, P4));
-  if (__builtin_expect(
-          _mm256_movemask_pd(_mm256_cmp_pd(Check, Check, _CMP_UNORD_Q)) !=
-              0,
-          0))
+  __m256d NonPos = detail::nonPositive4(X.V, Y.V);
+  int Signs = _mm256_movemask_pd(NonPos);
+  __m256d P, Bad;
+  if (__builtin_expect((Signs & 0x3) != 0 && (Signs & 0xC) != 0, 1)) {
+    // [x >= 0 | x >= 0 | y >= 0 | y >= 0]
+    __m256d NonNeg = _mm256_permute_pd(NonPos, 0b0000);
+    __m256d NY = detail::negLane0(Y.V);
+    __m256d A = _mm256_blendv_pd(
+        _mm256_xor_pd(detail::swapDd(X.V), _mm256_set1_pd(-0.0)), X.V,
+        detail::dupHigh(NonNeg));
+    __m256d B =
+        _mm256_blendv_pd(detail::swapDd(NY), NY, detail::dupLow(NonNeg));
+    P = detail::ddPairMulUp(A, B);
+    Bad = _mm256_cmp_pd(P, P, _CMP_UNORD_Q);
+  } else {
+    __m256d P1 =
+        detail::ddPairMulUp(detail::dupLoWords(X.V), detail::swapDd(Y.V));
+    __m256d P2 = detail::ddPairMulUp(detail::dupHiWords(X.V), Y.V);
+    Bad = _mm256_cmp_pd(P1, P2, _CMP_UNORD_Q);
+    P = detail::ddPairMax(P1, P2);
+  }
+  // A product that overflowed to NaN: the scalar path recovers the hull.
+  if (__builtin_expect(_mm256_movemask_pd(Bad) != 0, 0))
     return DdIntervalAvx::fromScalar(ddiMul(X.toScalar(), Y.toScalar()));
-  return DdIntervalAvx(
-      detail::ddPairMax(detail::ddPairMax(P1, P2),
-                        detail::ddPairMax(P3, P4)));
+  return DdIntervalAvx(P);
 }
 
 /// Division: scalar sign-case path (two directed divisions); the paper's

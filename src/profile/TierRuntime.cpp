@@ -110,11 +110,11 @@ int igen::tier::maxTierFromSpec(const char *Spec, std::string *Warning) {
     return DefaultMaxTier;
   char *End = nullptr;
   long V = std::strtol(Spec, &End, 10);
-  if (End == Spec || *End != '\0' || V < 1 || V > 3) {
+  if (End == Spec || *End != '\0' || V < 1 || V > 2) {
     if (Warning)
       *Warning = std::string("igen: warning: ignoring malformed "
                              "IGEN_TIER_MAX '") +
-                 Spec + "' (want 1, 2 or 3); using default";
+                 Spec + "' (want 1 or 2); using default";
     return DefaultMaxTier;
   }
   return static_cast<int>(V);

@@ -70,7 +70,7 @@ void igen_tier_count_pruned(unsigned region);    /* fired but immovable  */
 double igen_tier_width_threshold(void);
 
 /// Highest tier to run (IGEN_TIER_MAX, cached): 1 disables escalation,
-/// 2 (default) escalates to ddi, 3 reserved for expansions (acts as 2).
+/// 2 (default) escalates to ddi.
 int igen_tier_max(void);
 
 /// Drops the cached env values so the next read re-parses IGEN_TIER_WIDTH
@@ -115,7 +115,7 @@ std::vector<RegionReport> snapshot();
 /// tests/runtime/EnvParseTest. A null/empty \p Spec silently selects the
 /// default; a malformed one selects the default and explains why in
 /// \p Warning (when non-null). Valid IGEN_TIER_WIDTH values are finite
-/// decimal numbers > 0; valid IGEN_TIER_MAX values are the integers 1-3.
+/// decimal numbers > 0; valid IGEN_TIER_MAX values are 1 and 2.
 double widthFromSpec(const char *Spec, std::string *Warning);
 int maxTierFromSpec(const char *Spec, std::string *Warning);
 

@@ -6,7 +6,7 @@
 //
 // AVX2+FMA tier of the batched double-double interval kernels: one ddi
 // per __m256d through the DdSimd.h algorithms (vectorized DD_Add /
-// candidate-product multiply). Results are bit-identical to the scalar
+// sign-case multiply). Results are bit-identical to the scalar
 // tier: the vector sequences mirror the scalar error-free
 // transformations lane for lane and every screen hit falls back to the
 // scalar routine.

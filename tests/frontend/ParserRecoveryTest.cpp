@@ -99,6 +99,30 @@ TEST(ParserRecovery, ErrorCapBoundsPathologicalInputs) {
   EXPECT_GE(errors(R), 256u);
 }
 
+TEST(ParserRecovery, TruncatedInputStopsAtEndOfFile) {
+  // Truncated input makes the parser consume its end-of-file token and
+  // keep reading; it must stay on that token, not read past the token
+  // vector (which aborts _GLIBCXX_ASSERTIONS builds and gives release
+  // builds garbage locations). Every diagnostic of every truncated
+  // prefix therefore points inside the one-line source.
+  ParseResult Open = parse("double f(");
+  EXPECT_FALSE(Open.OK);
+  ASSERT_FALSE(Open.Diags.diagnostics().empty());
+  for (const Diagnostic &D : Open.Diags.diagnostics()) {
+    EXPECT_EQ(D.Loc.Line, 1u) << Open.Diags.render("test");
+    EXPECT_EQ(D.Loc.Col, 10u) << Open.Diags.render("test");
+  }
+  std::string Src = "double f(double x, int n) { return x * n; }";
+  for (size_t Len = 1; Len < Src.size(); ++Len) {
+    ParseResult R = parse(Src.substr(0, Len));
+    EXPECT_FALSE(R.OK) << "prefix: " << Src.substr(0, Len);
+    for (const Diagnostic &D : R.Diags.diagnostics()) {
+      EXPECT_EQ(D.Loc.Line, 1u) << R.Diags.render("test");
+      EXPECT_LE(D.Loc.Col, Len + 1) << R.Diags.render("test");
+    }
+  }
+}
+
 TEST(ParserRecovery, RecoveryStopsAtCloseBrace) {
   // The sync point must not eat the '}' closing the function body:
   // the next top-level declaration still parses.

@@ -8,6 +8,10 @@
 
 #include "TestHelpers.h"
 
+#include <cstring>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 using namespace igen;
@@ -38,7 +42,140 @@ protected:
   static bool sameInterval(const DdInterval &A, const DdInterval &B) {
     return sameDd(A.NegLo, B.NegLo) && sameDd(A.Hi, B.Hi);
   }
+  /// Bit-pattern equality: also tells +0.0 from -0.0.
+  static bool sameBits(const DdInterval &A, const DdInterval &B) {
+    return std::memcmp(&A, &B, sizeof(DdInterval)) == 0;
+  }
+
+  /// Operand classes for the multiply sweep; every ordered pair of them
+  /// is fed to the multiply tests.
+  enum SignClass {
+    LoPositive,       // lo > 0
+    HiNegative,       // hi < 0
+    Straddling,       // lo < 0 < hi
+    ZeroPoint,        // [0, 0], zero words of either sign
+    ZeroLo,           // [0, b], b > 0
+    ZeroHi,           // [a, 0], a < 0
+    NegZeroEnds,      // -0.0 words as endpoints: [-0, -0], [-0, b], [a, -0]
+    ZeroHighWord,     // endpoints with H == 0 and a nonzero L
+    OneUlpLowWord,    // [c, c + one ulp of the low word], either sign
+    LowOutweighsHigh, // unnormalized: a denormal H, larger opposite L
+    NumSignClasses
+  };
+
+  /// Mostly moderate; one in four in any binade from denormal to near
+  /// DBL_MAX, so that products underflow (and round up to the smallest
+  /// denormal) or overflow.
+  Dd positiveDd() {
+    Dd C = R.dd();
+    if (R.intIn(0, 3) == 0) {
+      RoundNearestScope RN;
+      double H = std::ldexp(R.uniform(0.5, 1.0), R.intIn(-1073, 1024));
+      C = Dd(H, H * std::ldexp(R.uniform(0.0, 1.0), -54));
+    }
+    return C.H < 0 ? ddNeg(C) : C.H > 0 ? C : Dd(1.0);
+  }
+  double signedZero() { return R.intIn(0, 1) ? 0.0 : -0.0; }
+  Dd zeroDd() { return Dd(signedZero(), signedZero()); }
+  /// A positive interval of a few low-word ulps around a random value.
+  DdInterval positiveInterval() {
+    Dd C = positiveDd(), Hi = C;
+    Hi.L = addUlps(Hi.L, R.intIn(1, 8));
+    return DdInterval::fromEndpoints(C, Hi);
+  }
+
+  DdInterval classInterval(int Class) {
+    switch (Class) {
+    case LoPositive:
+      return positiveInterval();
+    case HiNegative:
+      return ddiNeg(positiveInterval());
+    case Straddling:
+      return DdInterval(positiveDd(), positiveDd());
+    case ZeroPoint:
+      return DdInterval(zeroDd(), zeroDd());
+    case ZeroLo:
+      return DdInterval(zeroDd(), positiveDd());
+    case ZeroHi:
+      return DdInterval(positiveDd(), zeroDd());
+    case NegZeroEnds: {
+      Dd NegZero(-0.0, -0.0);
+      switch (R.intIn(0, 2)) {
+      case 0:
+        return DdInterval::fromEndpoints(NegZero, NegZero);
+      case 1:
+        return DdInterval::fromEndpoints(NegZero, positiveDd());
+      default:
+        return DdInterval::fromEndpoints(ddNeg(positiveDd()), NegZero);
+      }
+    }
+    case ZeroHighWord: {
+      // One endpoint (or both) has a zero high word, so the low word
+      // carries its sign; the endpoints are ordered by value.
+      auto ZeroHigh = [&] {
+        return Dd(signedZero(), R.intIn(0, 1) ? R.moderateDouble()
+                                              : R.finiteDouble());
+      };
+      Dd U = ZeroHigh();
+      Dd V = R.intIn(0, 1) ? ZeroHigh()
+             : R.intIn(0, 1) ? positiveDd()
+                             : ddNeg(positiveDd());
+      if (toQuad(V) < toQuad(U))
+        std::swap(U, V);
+      return DdInterval::fromEndpoints(U, V);
+    }
+    case OneUlpLowWord: {
+      Dd C = R.dd(), Hi = C;
+      Hi.L = nextUp(Hi.L);
+      return DdInterval::fromEndpoints(C, Hi);
+    }
+    default: { // LowOutweighsHigh
+      // hi = -k + (k + m) denormal steps > 0 although its H is negative;
+      // lo is -j steps, or +j steps (j < m) behind the same disguise.
+      double U = std::numeric_limits<double>::denorm_min();
+      int K = R.intIn(1, 64), M = R.intIn(1, 64), J = R.intIn(0, M - 1);
+      Dd Hi(-K * U, (K + M) * U);
+      Dd Lo = R.intIn(0, 1) ? Dd(-J * U, 0.0) : Dd(-K * U, (K + J) * U);
+      DdInterval I = DdInterval::fromEndpoints(Lo, Hi);
+      return R.intIn(0, 1) ? I : ddiNeg(I);
+    }
+    }
+  }
+
+  /// The multiply tests' inputs: random intervals, then every ordered
+  /// pair of sign classes.
+  std::vector<std::pair<DdInterval, DdInterval>> mulInputs() {
+    std::vector<std::pair<DdInterval, DdInterval>> In;
+    for (int I = 0; I < 10000; ++I) {
+      DdInterval A = randInterval();
+      In.emplace_back(A, randInterval());
+    }
+    for (int CA = 0; CA < NumSignClasses; ++CA)
+      for (int CB = 0; CB < NumSignClasses; ++CB)
+        for (int I = 0; I < 200; ++I) {
+          DdInterval A = classInterval(CA);
+          In.emplace_back(A, classInterval(CB));
+        }
+    return In;
+  }
 };
+
+/// The eight-candidate multiply that the sign-case selection replaced:
+/// every corner product rounded up in both directions, then two 4-way
+/// dd maxima, or the double hull if a candidate overflowed to NaN.
+/// Reference only; the sign-case result must lie within it.
+DdInterval eightCandidateMul(const DdInterval &X, const DdInterval &Y) {
+  const Dd &Xn = X.NegLo, &Xh = X.Hi, &Yn = Y.NegLo, &Yh = Y.Hi;
+  Dd N[4] = {ddMulUp(ddNeg(Xn), Yn), ddMulUp(Xn, Yh), ddMulUp(Xh, Yn),
+             ddMulUp(ddNeg(Xh), Yh)};
+  Dd H[4] = {ddMulUp(Xn, Yn), ddMulUp(ddNeg(Xn), Yh),
+             ddMulUp(Xh, ddNeg(Yn)), ddMulUp(Xh, Yh)};
+  for (int I = 0; I < 4; ++I)
+    if (N[I].hasNaN() || H[I].hasNaN())
+      return detail::ddiFromOuter(iMul(X.outerHull(), Y.outerHull()));
+  return DdInterval(ddMax(ddMax(N[0], N[1]), ddMax(N[2], N[3])),
+                    ddMax(ddMax(H[0], H[1]), ddMax(H[2], H[3])));
+}
 
 } // namespace
 
@@ -74,11 +211,13 @@ TEST_F(DdAvxTest, AddSoundAgainstQuad) {
 }
 
 TEST_F(DdAvxTest, MulSoundAgainstQuad) {
-  for (int I = 0; I < 10000; ++I) {
-    DdInterval A = randInterval(), B = randInterval();
+  for (const auto &[A, B] : mulInputs()) {
     DdInterval P =
         ddiMul(DdIntervalAvx::fromScalar(A), DdIntervalAvx::fromScalar(B))
             .toScalar();
+    // NaN endpoints would contain everything; an overflowed product must
+    // come back as an infinite endpoint instead.
+    EXPECT_FALSE(P.hasNaN());
     __float128 Cands[4] = {
         -toQuad(A.NegLo) * -toQuad(B.NegLo),
         -toQuad(A.NegLo) * toQuad(B.Hi),
@@ -86,20 +225,28 @@ TEST_F(DdAvxTest, MulSoundAgainstQuad) {
         toQuad(A.Hi) * toQuad(B.Hi),
     };
     for (__float128 C : Cands)
-      EXPECT_TRUE(containsQuad(P, C));
+      EXPECT_TRUE(containsQuad(P, C))
+          << A.NegLo.H << " " << A.Hi.H << " * " << B.NegLo.H << " "
+          << B.Hi.H;
   }
 }
 
 TEST_F(DdAvxTest, MulMatchesScalar) {
-  // Same candidate scheme and same dd product algorithm: bitwise equal.
-  for (int I = 0; I < 10000; ++I) {
-    DdInterval A = randInterval(), B = randInterval();
+  // The AVX path forms the scalar path's products from the same
+  // operands: bitwise equal, zero signs included. Both select a subset
+  // of the eight candidates, so they lie within the eight-candidate
+  // result.
+  for (const auto &[A, B] : mulInputs()) {
     DdInterval Ref = ddiMul(A, B);
     DdInterval Got =
         ddiMul(DdIntervalAvx::fromScalar(A), DdIntervalAvx::fromScalar(B))
             .toScalar();
-    EXPECT_TRUE(sameInterval(Got, Ref))
-        << A.Hi.H << " " << B.Hi.H;
+    EXPECT_TRUE(sameBits(Got, Ref)) << A.NegLo.H << " " << A.Hi.H << " * "
+                                    << B.NegLo.H << " " << B.Hi.H;
+    DdInterval Wide = eightCandidateMul(A, B);
+    EXPECT_FALSE(ddLess(Wide.NegLo, Ref.NegLo) || ddLess(Wide.Hi, Ref.Hi))
+        << A.NegLo.H << " " << A.Hi.H << " * " << B.NegLo.H << " "
+        << B.Hi.H;
   }
 }
 

@@ -6,8 +6,9 @@
 //
 // Covers the batched ddi tier (DdBatch.h):
 //  (a) ddarr_add/sub/mul/fma are bit-identical across every dispatch
-//      tier (the AVX2 DdSimd kernels mirror the scalar error-free
-//      transformations lane for lane);
+//      tier on inputs of random sign with zeros (the AVX2 DdSimd
+//      kernels mirror the scalar error-free transformations and the
+//      scalar sign-case selection lane for lane);
 //  (b) the elementwise kernels enclose the exact endpoint arithmetic,
 //      checked with the expansion oracles (quad precision is not enough
 //      for double-double products);
@@ -57,11 +58,42 @@ std::vector<DdInterval> randomDdIntervals(test::Rng &R, size_t N) {
   return V;
 }
 
+/// randomDdIntervals with every other element replaced by an interval
+/// that touches or contains zero: straddling, [0, 0], [0, b] or [a, 0],
+/// zero words of either sign. Covers both cases of the sign-selected
+/// multiply.
+std::vector<DdInterval> signMixDdIntervals(test::Rng &R, size_t N) {
+  std::vector<DdInterval> V = randomDdIntervals(R, N);
+  auto Zero = [&] {
+    return Dd(R.intIn(0, 1) ? 0.0 : -0.0, R.intIn(0, 1) ? 0.0 : -0.0);
+  };
+  for (size_t I = 0; I < N; I += 2) {
+    Dd A = V[I].NegLo.H < 0 ? ddNeg(V[I].NegLo) : V[I].NegLo;
+    Dd B = V[I].Hi.H < 0 ? ddNeg(V[I].Hi) : V[I].Hi;
+    switch (R.intIn(0, 3)) {
+    case 0:
+      V[I] = DdInterval(A, B); // [-|lo|, |hi|]
+      break;
+    case 1:
+      V[I] = DdInterval(Zero(), Zero());
+      break;
+    case 2:
+      V[I] = DdInterval(Zero(), B);
+      break;
+    default:
+      V[I] = DdInterval(A, Zero());
+      break;
+    }
+  }
+  return V;
+}
+
 bool sameBits(const std::vector<DdInterval> &A,
               const std::vector<DdInterval> &B) {
+  // An empty vector's data() may be null, which memcmp must not get.
   return A.size() == B.size() &&
-         std::memcmp(A.data(), B.data(), A.size() * sizeof(DdInterval)) ==
-             0;
+         (A.empty() || std::memcmp(A.data(), B.data(),
+                                   A.size() * sizeof(DdInterval)) == 0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -72,8 +104,10 @@ TEST(DdBatchTest, ElementwiseKernelsBitIdenticalAcrossTiers) {
   IsaGuard Restore;
   test::Rng R(0xddb17);
   for (size_t N : {0ul, 1ul, 2ul, 3ul, 7ul, 64ul, 513ul}) {
-    std::vector<DdInterval> X = randomDdIntervals(R, N);
-    std::vector<DdInterval> Y = randomDdIntervals(R, N);
+    // Random signs with zeros: the scalar tier picks the multiply's
+    // operands with ternaries, the AVX2 tier with blends.
+    std::vector<DdInterval> X = signMixDdIntervals(R, N);
+    std::vector<DdInterval> Y = signMixDdIntervals(R, N);
     std::vector<DdInterval> C = randomDdIntervals(R, N);
     std::vector<DdInterval> D(N);
 
@@ -106,8 +140,8 @@ TEST(DdBatchTest, AddSubMulEncloseExactEndpointArithmetic) {
   IsaGuard Restore;
   test::Rng R(0xdd5d);
   const size_t N = 128;
-  std::vector<DdInterval> X = randomDdIntervals(R, N);
-  std::vector<DdInterval> Y = randomDdIntervals(R, N);
+  std::vector<DdInterval> X = signMixDdIntervals(R, N);
+  std::vector<DdInterval> Y = signMixDdIntervals(R, N);
   std::vector<DdInterval> D(N);
 
   for (Isa Tier : supportedIsas()) {

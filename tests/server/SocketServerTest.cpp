@@ -15,6 +15,7 @@
 #include "server/Json.h"
 
 #include <cstdio>
+#include <set>
 #include <string>
 
 #include <errno.h>
@@ -146,13 +147,19 @@ TEST_F(DaemonTest, TwoClientsShareTheCache) {
 }
 
 TEST_F(DaemonTest, PipelinedFramesInOneWrite) {
+  // Two workers may answer pipelined frames in either order; the
+  // protocol promises one reply per frame, matched by id.
   int Fd = connectClient();
   sendAll(Fd, "{\"op\":\"stats\",\"id\":1}\n{\"op\":\"stats\",\"id\":2}\n");
   JsonParseResult A = parseJson(recvLine(Fd));
   JsonParseResult B = parseJson(recvLine(Fd));
   ASSERT_TRUE(A.Ok && B.Ok);
-  EXPECT_DOUBLE_EQ(A.Value.member("id")->numberValue(), 1.0);
-  EXPECT_DOUBLE_EQ(B.Value.member("id")->numberValue(), 2.0);
+  ASSERT_TRUE(A.Value.member("id") && B.Value.member("id"));
+  std::set<double> Ids = {A.Value.member("id")->numberValue(),
+                          B.Value.member("id")->numberValue()};
+  EXPECT_EQ(Ids, (std::set<double>{1.0, 2.0}));
+  EXPECT_TRUE(A.Value.member("ok")->boolValue());
+  EXPECT_TRUE(B.Value.member("ok")->boolValue());
   ::close(Fd);
 }
 
