@@ -18,9 +18,14 @@
 #include "frontend/Type.h"
 #include "support/SourceLoc.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <new>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace igen {
@@ -444,27 +449,61 @@ public:
 
 class ASTContext {
 public:
+  ASTContext() = default;
+  ASTContext(const ASTContext &) = delete;
+  ASTContext &operator=(const ASTContext &) = delete;
+  ~ASTContext() {
+    for (const Owned &O : Destructors)
+      O.Destroy(O.Node);
+  }
+
   TypeContext Types;
 
+  /// Constructs a node in the arena; it lives as long as the context.
   template <typename T, typename... Args> T *create(Args &&...A) {
-    auto Owner = std::make_unique<Holder<T>>(std::forward<Args>(A)...);
-    T *Ptr = &Owner->Value;
-    Nodes.push_back(std::move(Owner));
+    // A chunk from new[] is aligned for every fundamental type.
+    static_assert(alignof(T) <= alignof(std::max_align_t));
+    void *Mem = allocate(sizeof(T), alignof(T));
+    T *Ptr = new (Mem) T(std::forward<Args>(A)...);
+    if constexpr (!std::is_trivially_destructible_v<T>)
+      Destructors.push_back({Ptr, [](void *P) { static_cast<T *>(P)->~T(); }});
     return Ptr;
   }
 
   TranslationUnit TU;
 
 private:
-  struct HolderBase {
-    virtual ~HolderBase() = default;
+  /// Nodes are carved out of chunks, one malloc per chunk instead of one
+  /// per node. Chunks double from 1 KiB up to this size, so a small
+  /// program (the daemon caches many) wastes little of its last chunk.
+  static constexpr size_t MaxChunkBytes = 64 * 1024;
+
+  void *allocate(size_t Size, size_t NodeAlign) {
+    size_t Pad = -reinterpret_cast<uintptr_t>(Next) & (NodeAlign - 1);
+    if (Pad + Size <= Left) {
+      Next += Pad;
+      Left -= Pad;
+    } else {
+      Left = std::max(Size, ChunkBytes);
+      ChunkBytes = std::min(2 * ChunkBytes, MaxChunkBytes);
+      Chunks.push_back(std::make_unique_for_overwrite<char[]>(Left));
+      Next = Chunks.back().get();
+    }
+    void *P = Next;
+    Next += Size;
+    Left -= Size;
+    return P;
+  }
+
+  struct Owned {
+    void *Node;
+    void (*Destroy)(void *);
   };
-  template <typename T> struct Holder : HolderBase {
-    template <typename... Args>
-    explicit Holder(Args &&...A) : Value(std::forward<Args>(A)...) {}
-    T Value;
-  };
-  std::vector<std::unique_ptr<HolderBase>> Nodes;
+  std::vector<std::unique_ptr<char[]>> Chunks;
+  size_t ChunkBytes = 1024; ///< size of the next chunk
+  char *Next = nullptr;
+  size_t Left = 0;
+  std::vector<Owned> Destructors; ///< nodes with a nontrivial destructor
 };
 
 /// LLVM-style dyn_cast for Expr/Stmt using the classof hooks.

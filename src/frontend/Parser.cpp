@@ -12,9 +12,11 @@ using namespace igen;
 
 Parser::Parser(std::string_view Source, ASTContext &Ctx,
                DiagnosticsEngine &Diags)
-    : Ctx(Ctx), Diags(Diags) {
+    : Ctx(Ctx), Diags(Diags), ErrorsBefore(Diags.errorCount()) {
   Lexer L(Source, Diags);
   Tokens = L.lexAll();
+  // A lexer that hit its diagnostic cap already said it gave up.
+  ErrorLimitDiagnosed = L.gaveUp();
 }
 
 bool Parser::expect(TokenKind K, const char *Context) {
@@ -196,10 +198,10 @@ const Type *Parser::parsePointerSuffix(const Type *Base) {
 //===----------------------------------------------------------------------===//
 
 bool Parser::parseTranslationUnit() {
-  unsigned ErrorsBefore = Diags.errorCount();
   while (!cur().is(TokenKind::EndOfFile) && !errorLimitReached()) {
     if (cur().is(TokenKind::PassthroughDirective)) {
-      Ctx.TU.Items.push_back(TopLevelItem{nullptr, consume().Text});
+      Ctx.TU.Items.push_back(
+          TopLevelItem{nullptr, std::string(consume().Text)});
       continue;
     }
     if (cur().is(TokenKind::PragmaIgen)) {
@@ -230,8 +232,9 @@ FunctionDecl *Parser::parseFunction(bool IsStatic) {
     skipToSync();
     return nullptr;
   }
-  Token NameTok = consume();
-  auto *F = Ctx.create<FunctionDecl>(NameTok.Loc, RetTy, NameTok.Text);
+  const Token &NameTok = consume();
+  auto *F = Ctx.create<FunctionDecl>(NameTok.Loc, RetTy,
+                                     std::string(NameTok.Text));
   F->IsStatic = IsStatic;
   if (!expect(TokenKind::LParen, "after function name")) {
     skipToSync();
@@ -268,12 +271,12 @@ VarDecl *Parser::parseParam() {
   if (consumeIf(TokenKind::Colon)) {
     if (cur().is(TokenKind::FloatLiteral) ||
         cur().is(TokenKind::IntegerLiteral)) {
-      Token TolTok = consume();
+      const Token &TolTok = consume();
       HasTol = true;
       Tol = TolTok.is(TokenKind::FloatLiteral)
                 ? TolTok.FloatValue
                 : static_cast<double>(TolTok.IntValue);
-      TolSpelling = TolTok.Text;
+      TolSpelling = std::string(TolTok.Text);
     } else {
       Diags.error(cur().Loc, "expected tolerance literal after ':'");
     }
@@ -282,7 +285,7 @@ VarDecl *Parser::parseParam() {
     Diags.error(cur().Loc, "expected parameter name");
     return nullptr;
   }
-  Token NameTok = consume();
+  const Token &NameTok = consume();
   // Array parameter suffix decays to pointer.
   while (consumeIf(TokenKind::LBracket)) {
     if (cur().is(TokenKind::IntegerLiteral))
@@ -290,7 +293,7 @@ VarDecl *Parser::parseParam() {
     expect(TokenKind::RBracket, "in array parameter");
     T = Ctx.Types.getPointer(T);
   }
-  auto *P = Ctx.create<VarDecl>(NameTok.Loc, T, NameTok.Text);
+  auto *P = Ctx.create<VarDecl>(NameTok.Loc, T, std::string(NameTok.Text));
   P->IsParam = true;
   P->HasTolerance = HasTol;
   P->Tolerance = Tol;
@@ -312,7 +315,7 @@ DeclStmt *Parser::parseDeclStmt() {
       skipToSync();
       return DS;
     }
-    Token NameTok = consume();
+    const Token &NameTok = consume();
     // Array dimensions (innermost last).
     std::vector<int64_t> Dims;
     while (consumeIf(TokenKind::LBracket)) {
@@ -326,7 +329,7 @@ DeclStmt *Parser::parseDeclStmt() {
     }
     for (auto It = Dims.rbegin(); It != Dims.rend(); ++It)
       T = Ctx.Types.getArray(T, *It);
-    auto *V = Ctx.create<VarDecl>(NameTok.Loc, T, NameTok.Text);
+    auto *V = Ctx.create<VarDecl>(NameTok.Loc, T, std::string(NameTok.Text));
     if (consumeIf(TokenKind::Equal))
       V->Init = parseAssignment();
     DS->Decls.push_back(V);
@@ -393,7 +396,7 @@ Stmt *Parser::parseStmt() {
   case TokenKind::Semi:
     return Ctx.create<NullStmt>(consume().Loc);
   case TokenKind::PragmaIgen: {
-    Token P = consume();
+    const Token &P = consume();
     // "#pragma igen reduce <var> <var> ..." applies to the next loop.
     std::string_view Rest = trim(P.Text);
     if (startsWith(Rest, "reduce")) {
@@ -629,7 +632,7 @@ Expr *Parser::parseBinary(int MinPrec) {
       skipToSync();
       return LHS;
     }
-    Token OpTok = consume();
+    const Token &OpTok = consume();
     Expr *RHS = parseBinary(Prec + 1);
     LHS = Ctx.create<BinaryExpr>(OpTok.Loc, binaryOpFor(OpTok.Kind), LHS,
                                  RHS);
@@ -724,16 +727,16 @@ Expr *Parser::parsePrimary() {
   SourceLoc Loc = cur().Loc;
   switch (cur().Kind) {
   case TokenKind::IntegerLiteral: {
-    Token T = consume();
-    return Ctx.create<IntLiteralExpr>(Loc, T.IntValue, T.Text);
+    const Token &T = consume();
+    return Ctx.create<IntLiteralExpr>(Loc, T.IntValue, std::string(T.Text));
   }
   case TokenKind::FloatLiteral: {
-    Token T = consume();
-    return Ctx.create<FloatLiteralExpr>(Loc, T.FloatValue, T.Text,
+    const Token &T = consume();
+    return Ctx.create<FloatLiteralExpr>(Loc, T.FloatValue, std::string(T.Text),
                                         T.IsFloatSuffix, T.IsTolerance);
   }
   case TokenKind::Identifier: {
-    Token T = consume();
+    const Token &T = consume();
     if (cur().is(TokenKind::LParen)) {
       consume();
       std::vector<Expr *> Args;
@@ -743,9 +746,9 @@ Expr *Parser::parsePrimary() {
         } while (consumeIf(TokenKind::Comma));
       }
       expect(TokenKind::RParen, "after call arguments");
-      return Ctx.create<CallExpr>(Loc, T.Text, std::move(Args));
+      return Ctx.create<CallExpr>(Loc, std::string(T.Text), std::move(Args));
     }
-    return Ctx.create<DeclRefExpr>(Loc, T.Text);
+    return Ctx.create<DeclRefExpr>(Loc, std::string(T.Text));
   }
   case TokenKind::LParen: {
     consume();

@@ -25,11 +25,14 @@ namespace igen {
 
 class Parser {
 public:
+  /// Lexes \p Source up front. The tokens view it (Token::Text), so the
+  /// caller keeps \p Source alive until the Parser is destroyed; the AST
+  /// copies every spelling it keeps and does not refer to it.
   Parser(std::string_view Source, ASTContext &Ctx,
          DiagnosticsEngine &Diags);
 
   /// Parses the whole translation unit into Ctx.TU. Returns false if any
-  /// parse error was reported.
+  /// lexical or parse error was reported.
   bool parseTranslationUnit();
 
 private:
@@ -44,8 +47,8 @@ private:
     if (Index + 1 < Tokens.size())
       ++Index;
   }
-  Token consume() {
-    Token T = Tokens[Index];
+  const Token &consume() {
+    const Token &T = Tokens[Index];
     advance();
     return T;
   }
@@ -111,6 +114,7 @@ private:
 
   ASTContext &Ctx;
   DiagnosticsEngine &Diags;
+  unsigned ErrorsBefore; ///< errors reported before lexing began
   std::vector<Token> Tokens;
   size_t Index = 0;
   int Depth = 0;

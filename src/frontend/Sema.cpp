@@ -8,20 +8,18 @@
 
 #include "support/StringExtras.h"
 
-#include <set>
-
 using namespace igen;
 
-CalleeKind igen::classifyCallee(const std::string &Name) {
-  static const std::set<std::string> MathFns = {
-      "sin",  "cos",  "tan",  "exp",   "log",  "sqrt",
-      "fabs", "floor", "ceil", "fmin", "fmax",
-      "atan", "asin", "acos",
-      "sinf", "cosf", "tanf", "expf",  "logf", "sqrtf",
-      "fabsf", "floorf", "ceilf", "fminf", "fmaxf",
-      "atanf", "asinf", "acosf"};
-  if (MathFns.count(Name))
-    return CalleeKind::MathFunction;
+CalleeKind igen::classifyCallee(std::string_view Name) {
+  // Each double function and its float twin (the name plus 'f').
+  static constexpr std::string_view MathFns[] = {
+      "sin",  "cos",  "tan",  "exp",  "log",  "sqrt", "fabs",
+      "floor", "ceil", "fmin", "fmax", "atan", "asin", "acos"};
+  std::string_view Base =
+      endsWith(Name, "f") ? Name.substr(0, Name.size() - 1) : Name;
+  for (std::string_view Fn : MathFns)
+    if (Fn == Name || Fn == Base)
+      return CalleeKind::MathFunction;
   if (Name == "malloc" || Name == "calloc" || Name == "free" ||
       Name == "aligned_alloc")
     return CalleeKind::Allocation;

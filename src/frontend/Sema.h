@@ -20,6 +20,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace igen {
@@ -34,7 +35,7 @@ enum class CalleeKind {
   Unknown,
 };
 
-CalleeKind classifyCallee(const std::string &Name);
+CalleeKind classifyCallee(std::string_view Name);
 
 /// Return type of a SIMD intrinsic derived from its name, or null if the
 /// intrinsic is unknown. (Names follow Intel's conventions; the full

@@ -17,7 +17,6 @@
 
 #include "support/SourceLoc.h"
 
-#include <string>
 #include <string_view>
 
 namespace igen {
@@ -96,12 +95,18 @@ enum class TokenKind {
   PassthroughDirective, ///< #include and other directives, kept verbatim.
 };
 
-/// A lexed token. Text always holds the source spelling; for literals the
-/// parsed value fields are filled in by the lexer.
+/// A lexed token; for literals the lexer also fills in the parsed value
+/// fields.
 struct Token {
   TokenKind Kind = TokenKind::EndOfFile;
   SourceLoc Loc;
-  std::string Text;
+  /// Source spelling of identifiers, literals (without their f/t suffix)
+  /// and directives (for `#pragma igen`, the text after "igen"); empty for
+  /// keywords, punctuation and end of file, whose kind says everything.
+  /// A view into the buffer handed to the Lexer: whoever owns that buffer
+  /// keeps it alive for as long as the token is used (the Parser's caller,
+  /// for the whole parse).
+  std::string_view Text;
 
   // Literal payloads.
   long long IntValue = 0;

@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace igen {
@@ -133,7 +134,7 @@ public:
   }
 
   /// Resolves a SIMD type name ("__m256d") to its type, or null.
-  const Type *getSimdTypeByName(const std::string &Name) {
+  const Type *getSimdTypeByName(std::string_view Name) {
     if (Name == "__m128")
       return get(Type::Kind::M128);
     if (Name == "__m128d")

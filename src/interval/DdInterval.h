@@ -114,6 +114,13 @@ inline DdInterval ddiFromOuter(const Interval &I) {
   return DdInterval(Dd(I.NegLo), Dd(I.Hi));
 }
 
+/// True when ddDivUp's error bound covers \p X as an operand:
+/// |L| <= 2^-52 |H|, which every normalized Dd meets. Exact: scaling by
+/// 2^52 is exact, or overflows to inf and fails.
+inline bool ddDivOperand(const Dd &X) {
+  return std::fabs(X.L) * 0x1p52 <= std::fabs(X.H);
+}
+
 } // namespace detail
 
 /// X * Y with double-double endpoints by sign-case selection, ddMulUp
@@ -163,25 +170,37 @@ inline DdInterval ddiMul(const DdInterval &X, const DdInterval &Y) {
 
 /// X / Y with double-double endpoints. 0-free divisors use sign-case
 /// selection with two directed divisions; divisors containing zero are
-/// resolved on the outer double hull.
+/// resolved on the outer double hull. Every sign is read from
+/// RU(H + L), as in ddiMul: H + L is a multiple of the smallest denormal,
+/// so RU(H + L) has the sign of H + L exactly, also for an unnormalized
+/// endpoint whose low word outweighs its high word (where sign() reads
+/// the wrong one).
 inline DdInterval ddiDiv(const DdInterval &X, const DdInterval &Y) {
   assertRoundUpward();
   if (__builtin_expect(X.hasNaN() || Y.hasNaN() || X.hasInf() || Y.hasInf(),
                        0))
     return detail::ddiFromOuter(iDiv(X.outerHull(), Y.outerHull()));
-  int YLoSign = ddNeg(Y.NegLo).sign(); // sign of lo(Y)
-  int YHiSign = Y.Hi.sign();
-  if (YLoSign <= 0 && YHiSign >= 0) // 0 in Y
+  bool YLoPos = ddToDoubleUp(Y.NegLo) < 0.0; // lo(Y) > 0
+  bool YHiNeg = ddToDoubleUp(Y.Hi) < 0.0;    // hi(Y) < 0
+  if (!YLoPos && !YHiNeg) // 0 in Y
     return detail::ddiFromOuter(iDiv(X.outerHull(), Y.outerHull()));
-  if (YHiSign < 0) // Y < 0: X/Y == (-X)/(-Y)
+  if (YHiNeg) // Y < 0: X/Y == (-X)/(-Y)
     return ddiDiv(ddiNeg(X), ddiNeg(Y));
-  // Y > 0 now. lo' = lo(X) / (lo(X) >= 0 ? hi(Y) : lo(Y)),
-  //            hi' = hi(X) / (hi(X) >= 0 ? lo(Y) : hi(Y)).
+  // Y > 0 now. ddDivUp's error bound needs normalized operands; a
+  // hand-built endpoint (ia_set_ddc) need not be one.
+  if (__builtin_expect(!detail::ddDivOperand(X.NegLo) ||
+                           !detail::ddDivOperand(X.Hi) ||
+                           !detail::ddDivOperand(Y.NegLo) ||
+                           !detail::ddDivOperand(Y.Hi),
+                       0))
+    return detail::ddiFromOuter(iDiv(X.outerHull(), Y.outerHull()));
+  // lo' = lo(X) / (lo(X) >= 0 ? hi(Y) : lo(Y)),
+  // hi' = hi(X) / (hi(X) >= 0 ? lo(Y) : hi(Y)).
   // In negated-low form: NegLo' = ddDivUp(NegLo(X), divisor) because
   // -(lo/d) == (-lo)/d.
   Dd YLo = ddNeg(Y.NegLo);
-  bool XLoNonNeg = X.NegLo.sign() <= 0; // lo(X) >= 0
-  bool XHiNonNeg = X.Hi.sign() >= 0;
+  bool XLoNonNeg = ddToDoubleUp(X.NegLo) <= 0.0; // lo(X) >= 0
+  bool XHiNonNeg = ddToDoubleUp(X.Hi) >= 0.0;
   Dd NegLo = ddDivUp(X.NegLo, XLoNonNeg ? Y.Hi : YLo);
   Dd Hi = ddDivUp(X.Hi, XHiNonNeg ? YLo : Y.Hi);
   return DdInterval(NegLo, Hi);

@@ -27,7 +27,9 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <set>
+#include <iterator>
+#include <unordered_map>
+#include <vector>
 
 using namespace igen;
 
@@ -190,66 +192,291 @@ bool finiteBounds(const ValueFact &A) {
 }
 
 //===----------------------------------------------------------------------===//
+// Variable writes
+//===----------------------------------------------------------------------===//
+
+/// A small set of variables, sorted by address.
+using VarSet = std::vector<const VarDecl *>;
+
+bool setHas(const VarSet &S, const VarDecl *D) {
+  return std::binary_search(S.begin(), S.end(), D, std::less<>());
+}
+
+void sortUnique(VarSet &S) {
+  std::sort(S.begin(), S.end(), std::less<>());
+  S.erase(std::unique(S.begin(), S.end()), S.end());
+}
+
+/// What one walk over a function body finds out about writes: for each
+/// loop, the variables an iteration may write (its condition, body and
+/// increment assign, increment, decrement or declare them, nested loops
+/// included); for each for-loop, what its init statement writes; and the
+/// variables whose address is taken. analyzeFunctionForOpt builds it once
+/// and both the range fixpoint and the loop-invariant collector read it.
+class WriteSets {
+public:
+  explicit WriteSets(const Stmt *Body) {
+    VarSet Outside;
+    walk(Body, Outside);
+    sortUnique(AddrTaken);
+  }
+
+  /// Variables one iteration of the for/while/do statement \p Loop may
+  /// write.
+  const VarSet &loop(const Stmt *Loop) const { return Loops.at(Loop); }
+  /// Variables the init statement of \p F writes or declares.
+  const VarSet &forInit(const ForStmt *F) const { return ForInits.at(F); }
+  bool addressTaken(const VarDecl *D) const { return setHas(AddrTaken, D); }
+
+private:
+  std::unordered_map<const Stmt *, VarSet> Loops;
+  std::unordered_map<const ForStmt *, VarSet> ForInits;
+  VarSet AddrTaken;
+
+  /// Appends the writes of \p S to \p Out and records every loop in it.
+  void walk(const Stmt *S, VarSet &Out) {
+    switch (S->kind()) {
+    case Stmt::Kind::Compound:
+      for (const Stmt *Sub : cast<CompoundStmt>(S)->Body)
+        walk(Sub, Out);
+      return;
+    case Stmt::Kind::DeclStmt:
+      for (const VarDecl *D : cast<DeclStmt>(S)->Decls) {
+        Out.push_back(D); // re-initialized every time it runs
+        if (D->Init)
+          walk(D->Init, Out);
+      }
+      return;
+    case Stmt::Kind::ExprStmt:
+      walk(cast<ExprStmt>(S)->E, Out);
+      return;
+    case Stmt::Kind::If: {
+      const auto *I = cast<IfStmt>(S);
+      walk(I->Cond, Out);
+      walk(I->Then, Out);
+      if (I->Else)
+        walk(I->Else, Out);
+      return;
+    }
+    case Stmt::Kind::For: {
+      const auto *F = cast<ForStmt>(S);
+      VarSet Init, Iter;
+      if (F->Init)
+        walk(F->Init, Init);
+      if (F->Cond)
+        walk(F->Cond, Iter);
+      if (F->Inc)
+        walk(F->Inc, Iter);
+      if (F->Body)
+        walk(F->Body, Iter);
+      Out.insert(Out.end(), Init.begin(), Init.end());
+      sortUnique(Init);
+      ForInits[F] = std::move(Init);
+      finishLoop(F, std::move(Iter), Out);
+      return;
+    }
+    case Stmt::Kind::While: {
+      const auto *W = cast<WhileStmt>(S);
+      VarSet Iter;
+      walk(W->Cond, Iter);
+      walk(W->Body, Iter);
+      finishLoop(W, std::move(Iter), Out);
+      return;
+    }
+    case Stmt::Kind::Do: {
+      const auto *D = cast<DoStmt>(S);
+      VarSet Iter;
+      walk(D->Body, Iter);
+      walk(D->Cond, Iter);
+      finishLoop(D, std::move(Iter), Out);
+      return;
+    }
+    case Stmt::Kind::Return:
+      if (const Expr *V = cast<ReturnStmt>(S)->Value)
+        walk(V, Out);
+      return;
+    case Stmt::Kind::Break:
+    case Stmt::Kind::Continue:
+    case Stmt::Kind::Null:
+      return;
+    }
+  }
+
+  void finishLoop(const Stmt *Loop, VarSet Iter, VarSet &Out) {
+    sortUnique(Iter);
+    Out.insert(Out.end(), Iter.begin(), Iter.end());
+    Loops[Loop] = std::move(Iter);
+  }
+
+  void walk(const Expr *E, VarSet &Out) {
+    switch (E->kind()) {
+    case Expr::Kind::Binary: {
+      const auto *B = cast<BinaryExpr>(E);
+      if (B->isAssignment())
+        if (const auto *Ref = dynCast<DeclRefExpr>(ignoreParens(B->LHS)))
+          if (Ref->Decl)
+            Out.push_back(Ref->Decl);
+      walk(B->LHS, Out);
+      walk(B->RHS, Out);
+      return;
+    }
+    case Expr::Kind::Unary: {
+      const auto *U = cast<UnaryExpr>(E);
+      const auto *Ref = dynCast<DeclRefExpr>(ignoreParens(U->Sub));
+      if (Ref && Ref->Decl) {
+        if (U->O == UnaryExpr::Op::PreInc || U->O == UnaryExpr::Op::PreDec ||
+            U->O == UnaryExpr::Op::PostInc || U->O == UnaryExpr::Op::PostDec)
+          Out.push_back(Ref->Decl);
+        else if (U->O == UnaryExpr::Op::AddrOf)
+          AddrTaken.push_back(Ref->Decl);
+      }
+      walk(U->Sub, Out);
+      return;
+    }
+    case Expr::Kind::Paren:
+      walk(cast<ParenExpr>(E)->Sub, Out);
+      return;
+    case Expr::Kind::Conditional: {
+      const auto *C = cast<ConditionalExpr>(E);
+      walk(C->Cond, Out);
+      walk(C->Then, Out);
+      walk(C->Else, Out);
+      return;
+    }
+    case Expr::Kind::Call:
+      for (const Expr *A : cast<CallExpr>(E)->Args)
+        walk(A, Out);
+      return;
+    case Expr::Kind::Index: {
+      const auto *I = cast<IndexExpr>(E);
+      walk(I->Base, Out);
+      walk(I->Idx, Out);
+      return;
+    }
+    case Expr::Kind::Cast:
+      walk(cast<CastExpr>(E)->Sub, Out);
+      return;
+    case Expr::Kind::IntLiteral:
+    case Expr::Kind::FloatLiteral:
+    case Expr::Kind::DeclRef:
+      return;
+    }
+  }
+};
+
+//===----------------------------------------------------------------------===//
 // Range analysis
 //===----------------------------------------------------------------------===//
 
-using VarEnv = std::map<const VarDecl *, ValueFact>;
+/// The range analysis' state: a fact per variable, sorted by declaration
+/// address. Top facts are left out (a missing variable reads as Top), so
+/// two states that read the same for every variable hold the same
+/// entries.
+class VarEnv {
+public:
+  ValueFact get(const VarDecl *D) const {
+    auto It = lowerBound(D);
+    return It != Entries.end() && It->first == D ? It->second
+                                                 : ValueFact::top();
+  }
 
-ValueFact envGet(const VarEnv &E, const VarDecl *D) {
-  auto It = E.find(D);
-  return It == E.end() ? ValueFact::top() : It->second;
-}
+  void set(const VarDecl *D, const ValueFact &F) {
+    auto It = lowerBound(D);
+    const bool Present = It != Entries.end() && It->first == D;
+    if (F.isTop()) {
+      if (Present)
+        Entries.erase(It);
+    } else if (Present) {
+      It->second = F;
+    } else {
+      Entries.insert(It, {D, F});
+    }
+  }
 
-VarEnv joinEnv(const VarEnv &A, const VarEnv &B) {
-  VarEnv R;
-  for (const auto &[D, F] : A)
-    R[D] = joinFacts(F, envGet(B, D));
-  for (const auto &[D, F] : B)
-    if (!A.count(D))
-      R[D] = ValueFact::top(); // only one side has info: unknown before
-  return R;
-}
+  /// Joins \p O into this state: a variable keeps a fact only if both
+  /// states have one (joining with Top is Top).
+  void joinWith(const VarEnv &O) {
+    size_t Out = 0;
+    auto OIt = O.Entries.begin();
+    for (const auto &[D, F] : Entries) {
+      while (OIt != O.Entries.end() && std::less<>()(OIt->first, D))
+        ++OIt;
+      if (OIt == O.Entries.end())
+        break;
+      if (OIt->first != D)
+        continue;
+      ValueFact J = joinFacts(F, OIt->second);
+      if (!J.isTop())
+        Entries[Out++] = {D, J};
+    }
+    Entries.resize(Out);
+  }
 
-bool sameEnv(const VarEnv &A, const VarEnv &B) {
-  for (const auto &[D, F] : A)
-    if (!sameFact(F, envGet(B, D)))
-      return false;
-  for (const auto &[D, F] : B)
-    if (!A.count(D) && !F.isTop())
-      return false;
-  return true;
-}
+  /// Accelerates convergence: bounds that moved since \p Old jump to the
+  /// nearest of {0, +-inf}, preserving a proven sign where possible.
+  void widenFrom(const VarEnv &Old) {
+    size_t Out = 0;
+    for (auto [D, F] : Entries) {
+      const ValueFact O = Old.get(D);
+      if (F.Lo < O.Lo)
+        F.Lo = F.Lo >= 0.0 ? 0.0 : -Inf;
+      if (F.Hi > O.Hi)
+        F.Hi = F.Hi <= 0.0 ? 0.0 : Inf;
+      if (!F.isTop())
+        Entries[Out++] = {D, F};
+    }
+    Entries.resize(Out);
+  }
+
+  bool operator==(const VarEnv &O) const {
+    return std::equal(Entries.begin(), Entries.end(), O.Entries.begin(),
+                      O.Entries.end(), [](const auto &A, const auto &B) {
+                        return A.first == B.first &&
+                               sameFact(A.second, B.second);
+                      });
+  }
+
+private:
+  using Entry = std::pair<const VarDecl *, ValueFact>;
+  std::vector<Entry> Entries;
+
+  static bool before(const Entry &E, const VarDecl *D) {
+    return std::less<>()(E.first, D);
+  }
+  std::vector<Entry>::iterator lowerBound(const VarDecl *D) {
+    return std::lower_bound(Entries.begin(), Entries.end(), D, before);
+  }
+  std::vector<Entry>::const_iterator lowerBound(const VarDecl *D) const {
+    return std::lower_bound(Entries.begin(), Entries.end(), D, before);
+  }
+};
 
 class RangeAnalyzer {
 public:
-  RangeAnalyzer(OptFunctionInfo &Info, const OptOptions &Opts)
-      : Info(Info), Opts(Opts) {}
+  RangeAnalyzer(OptFunctionInfo &Info, const OptOptions &Opts,
+                const WriteSets &Writes)
+      : Info(Info), Opts(Opts), Writes(Writes) {}
 
-  void run(const FunctionDecl &F) {
-    if (F.Body)
-      findAddrTaken(F.Body);
+  void run(const Stmt *Body) {
     VarEnv Env; // parameters are runtime doubles: unknown, possibly NaN
-    if (F.Body)
-      analyzeStmt(F.Body, Env);
+    analyzeStmt(Body, Env);
   }
 
 private:
   OptFunctionInfo &Info;
   const OptOptions &Opts;
-  std::set<const VarDecl *> AddrTaken;
+  const WriteSets &Writes;
   bool Record = true;
 
   bool tracked(const VarDecl *D) const {
-    return D && D->Ty && D->Ty->isFloating() && !AddrTaken.count(D);
+    return D && D->Ty && D->Ty->isFloating() && !Writes.addressTaken(D);
   }
 
   void record(const Expr *E, const ValueFact &F) {
     if (!Record || F.isTop())
       return;
-    auto It = Info.Facts.find(E);
-    if (It == Info.Facts.end())
-      Info.Facts.emplace(E, F);
-    else
+    auto [It, Inserted] = Info.Facts.try_emplace(E, F);
+    if (!Inserted)
       It->second = joinFacts(It->second, F);
   }
 
@@ -279,7 +506,7 @@ private:
       return literalFact(cast<FloatLiteralExpr>(E));
     case Expr::Kind::DeclRef: {
       const VarDecl *D = cast<DeclRefExpr>(E)->Decl;
-      return tracked(D) ? envGet(Env, D) : ValueFact::top();
+      return tracked(D) ? Env.get(D) : ValueFact::top();
     }
     case Expr::Kind::Paren:
       return evalExpr(cast<ParenExpr>(E)->Sub, Env);
@@ -348,7 +575,7 @@ private:
       evalExpr(U->Sub, Env);
       if (const auto *Ref = dynCast<DeclRefExpr>(ignoreParens(U->Sub)))
         if (tracked(Ref->Decl))
-          Env[Ref->Decl] = ValueFact::top();
+          Env.set(Ref->Decl, ValueFact::top());
       return ValueFact::top();
     }
     case UnaryExpr::Op::Deref:
@@ -388,7 +615,7 @@ private:
     const auto *Ref = dynCast<DeclRefExpr>(ignoreParens(B->LHS));
     if (Ref) {
       ValueFact Old =
-          tracked(Ref->Decl) ? envGet(Env, Ref->Decl) : ValueFact::top();
+          tracked(Ref->Decl) ? Env.get(Ref->Decl) : ValueFact::top();
       record(B->LHS, Old);
       if (B->LHS != ignoreParens(B->LHS))
         record(ignoreParens(B->LHS), Old);
@@ -398,7 +625,7 @@ private:
     ValueFact R = evalExpr(B->RHS, Env);
     ValueFact New = ValueFact::top();
     if (Ref && tracked(Ref->Decl)) {
-      ValueFact Old = envGet(Env, Ref->Decl);
+      ValueFact Old = Env.get(Ref->Decl);
       switch (B->O) {
       case BinaryExpr::Op::Assign:
         New = R;
@@ -418,7 +645,7 @@ private:
       default:
         break;
       }
-      Env[Ref->Decl] = New;
+      Env.set(Ref->Decl, New);
     }
     return New;
   }
@@ -520,8 +747,6 @@ private:
     // False iff lo(L) >= hi(R); L <= R is True iff hi(L) <= lo(R) and
     // False iff lo(L) > hi(R). Either verdict orders real (non-NaN)
     // endpoints, so the refined variable also gains NoNaN.
-    VarEnv Snapshot = Env;
-    auto factOf = [&](const Expr *E) { return evalNoSideEffects(E, Snapshot); };
     auto refineVar = [&](const Expr *Side, bool IsUpper, double Bound,
                          bool StrictBound) {
       const auto *Ref = dynCast<DeclRefExpr>(ignoreParens(Side));
@@ -529,15 +754,16 @@ private:
         return;
       if (!Ref->type() || !Ref->type()->isFloating())
         return;
-      ValueFact F = envGet(Env, Ref->Decl);
+      ValueFact F = Env.get(Ref->Decl);
       F.NoNaN = true;
       if (IsUpper)
         F.Hi = std::min(F.Hi, StrictBound ? outDown(Bound) : Bound);
       else
         F.Lo = std::max(F.Lo, StrictBound ? outUp(Bound) : Bound);
-      Env[Ref->Decl] = F;
+      Env.set(Ref->Decl, F);
     };
-    const ValueFact LF = factOf(L), RF = factOf(R);
+    const ValueFact LF = evalNoSideEffects(L, Env),
+                    RF = evalNoSideEffects(R, Env);
     if (IsTrue) {
       // hi(L) < lo(R) <= RF.Hi  and  LF.Lo <= hi(L) ... lo(R) > ...
       refineVar(L, /*IsUpper=*/true, RF.Hi, Strict);
@@ -574,9 +800,9 @@ private:
         if (D->Init) {
           ValueFact F = evalExpr(D->Init, Env);
           if (tracked(D))
-            Env[D] = F;
+            Env.set(D, F);
         } else if (tracked(D)) {
-          Env[D] = ValueFact::top();
+          Env.set(D, ValueFact::top());
         }
       }
       return;
@@ -586,32 +812,32 @@ private:
     case Stmt::Kind::If: {
       const auto *I = cast<IfStmt>(S);
       evalExpr(I->Cond, Env);
-      VarEnv ThenEnv = Env, ElseEnv = Env;
+      VarEnv ElseEnv = Env; // Env itself becomes the then-state
       if (Opts.GuardFacts) {
-        refineByCond(I->Cond, true, ThenEnv);
+        refineByCond(I->Cond, true, Env);
         refineByCond(I->Cond, false, ElseEnv);
       }
-      analyzeStmt(I->Then, ThenEnv);
+      analyzeStmt(I->Then, Env);
       if (I->Else)
         analyzeStmt(I->Else, ElseEnv);
-      Env = joinEnv(ThenEnv, ElseEnv);
+      Env.joinWith(ElseEnv);
       return;
     }
     case Stmt::Kind::For: {
       const auto *F = cast<ForStmt>(S);
       if (F->Init)
         analyzeStmt(F->Init, Env);
-      analyzeLoop(F->Cond, F->Body, F->Inc, Env);
+      analyzeLoop(F, F->Cond, F->Body, F->Inc, Env);
       return;
     }
     case Stmt::Kind::While: {
       const auto *W = cast<WhileStmt>(S);
-      analyzeLoop(W->Cond, W->Body, nullptr, Env);
+      analyzeLoop(W, W->Cond, W->Body, nullptr, Env);
       return;
     }
     case Stmt::Kind::Do: {
       const auto *D = cast<DoStmt>(S);
-      analyzeLoop(D->Cond, D->Body, nullptr, Env);
+      analyzeLoop(D, D->Cond, D->Body, nullptr, Env);
       return;
     }
     case Stmt::Kind::Return:
@@ -628,171 +854,47 @@ private:
   /// Fixpoint over one loop. \p Env enters as the state after the init
   /// statement and leaves as a sound post-loop state (the loop head
   /// invariant, which also covers zero iterations).
-  void analyzeLoop(const Expr *Cond, const Stmt *Body, const Expr *Inc,
-                   VarEnv &Env) {
-    std::set<const VarDecl *> Mod;
-    if (Body)
-      collectModifiedStmt(Body, Mod);
-    if (Cond)
-      collectModifiedExpr(Cond, Mod);
-    if (Inc)
-      collectModifiedExpr(Inc, Mod);
+  void analyzeLoop(const Stmt *Loop, const Expr *Cond, const Stmt *Body,
+                   const Expr *Inc, VarEnv &Env) {
+    const VarSet &Mod = Writes.loop(Loop);
     VarEnv Head = Env;
     // break/continue exit mid-iteration, so the end-of-body join below
     // would not cover them; give up on anything the loop writes.
     const bool HasJump = Body && containsJump(Body);
     if (HasJump)
       for (const VarDecl *D : Mod)
-        Head[D] = ValueFact::top();
+        Head.set(D, ValueFact::top());
     const bool Saved = Record;
     Record = false;
     bool Converged = HasJump; // top'd modified vars are already stable
+    VarEnv B;
     for (int Iter = 0; Iter < 8 && !Converged; ++Iter) {
-      VarEnv B = Head;
+      B = Head;
       if (Cond)
         evalExpr(Cond, B);
       if (Body)
         analyzeStmt(Body, B);
       if (Inc)
         evalExpr(Inc, B);
-      VarEnv New = joinEnv(Head, B);
+      B.joinWith(Head);
       if (Iter >= 2)
-        widenEnv(New, Head);
-      Converged = sameEnv(New, Head);
-      Head = New;
+        B.widenFrom(Head);
+      Converged = B == Head;
+      std::swap(Head, B);
     }
     if (!Converged)
       for (const VarDecl *D : Mod)
-        Head[D] = ValueFact::top();
+        Head.set(D, ValueFact::top());
     Record = Saved;
     // One recording pass over the stable head state.
-    VarEnv B = Head;
+    B = Head;
     if (Cond)
       evalExpr(Cond, B);
     if (Body)
       analyzeStmt(Body, B);
     if (Inc)
       evalExpr(Inc, B);
-    Env = Head;
-  }
-
-  /// Accelerates convergence: bounds that are still moving jump to the
-  /// nearest of {0, +-inf}, preserving a proven sign where possible.
-  void widenEnv(VarEnv &New, const VarEnv &Old) {
-    for (auto &[D, F] : New) {
-      const ValueFact O = envGet(Old, D);
-      if (F.Lo < O.Lo)
-        F.Lo = F.Lo >= 0.0 ? 0.0 : -Inf;
-      if (F.Hi > O.Hi)
-        F.Hi = F.Hi <= 0.0 ? 0.0 : Inf;
-    }
-  }
-
-  void collectModifiedExpr(const Expr *E, std::set<const VarDecl *> &Mod) {
-    switch (E->kind()) {
-    case Expr::Kind::Binary: {
-      const auto *B = cast<BinaryExpr>(E);
-      if (B->isAssignment())
-        if (const auto *Ref = dynCast<DeclRefExpr>(ignoreParens(B->LHS)))
-          if (Ref->Decl)
-            Mod.insert(Ref->Decl);
-      collectModifiedExpr(B->LHS, Mod);
-      collectModifiedExpr(B->RHS, Mod);
-      return;
-    }
-    case Expr::Kind::Unary: {
-      const auto *U = cast<UnaryExpr>(E);
-      if (U->O == UnaryExpr::Op::PreInc || U->O == UnaryExpr::Op::PreDec ||
-          U->O == UnaryExpr::Op::PostInc || U->O == UnaryExpr::Op::PostDec)
-        if (const auto *Ref = dynCast<DeclRefExpr>(ignoreParens(U->Sub)))
-          if (Ref->Decl)
-            Mod.insert(Ref->Decl);
-      collectModifiedExpr(U->Sub, Mod);
-      return;
-    }
-    case Expr::Kind::Paren:
-      collectModifiedExpr(cast<ParenExpr>(E)->Sub, Mod);
-      return;
-    case Expr::Kind::Conditional: {
-      const auto *C = cast<ConditionalExpr>(E);
-      collectModifiedExpr(C->Cond, Mod);
-      collectModifiedExpr(C->Then, Mod);
-      collectModifiedExpr(C->Else, Mod);
-      return;
-    }
-    case Expr::Kind::Call:
-      for (const Expr *A : cast<CallExpr>(E)->Args)
-        collectModifiedExpr(A, Mod);
-      return;
-    case Expr::Kind::Index: {
-      const auto *I = cast<IndexExpr>(E);
-      collectModifiedExpr(I->Base, Mod);
-      collectModifiedExpr(I->Idx, Mod);
-      return;
-    }
-    case Expr::Kind::Cast:
-      collectModifiedExpr(cast<CastExpr>(E)->Sub, Mod);
-      return;
-    default:
-      return;
-    }
-  }
-
-  void collectModifiedStmt(const Stmt *S, std::set<const VarDecl *> &Mod) {
-    switch (S->kind()) {
-    case Stmt::Kind::Compound:
-      for (const Stmt *Sub : cast<CompoundStmt>(S)->Body)
-        collectModifiedStmt(Sub, Mod);
-      return;
-    case Stmt::Kind::DeclStmt:
-      for (const VarDecl *D : cast<DeclStmt>(S)->Decls) {
-        Mod.insert(D); // re-initialized every iteration
-        if (D->Init)
-          collectModifiedExpr(D->Init, Mod);
-      }
-      return;
-    case Stmt::Kind::ExprStmt:
-      collectModifiedExpr(cast<ExprStmt>(S)->E, Mod);
-      return;
-    case Stmt::Kind::If: {
-      const auto *I = cast<IfStmt>(S);
-      collectModifiedExpr(I->Cond, Mod);
-      collectModifiedStmt(I->Then, Mod);
-      if (I->Else)
-        collectModifiedStmt(I->Else, Mod);
-      return;
-    }
-    case Stmt::Kind::For: {
-      const auto *F = cast<ForStmt>(S);
-      if (F->Init)
-        collectModifiedStmt(F->Init, Mod);
-      if (F->Cond)
-        collectModifiedExpr(F->Cond, Mod);
-      if (F->Inc)
-        collectModifiedExpr(F->Inc, Mod);
-      if (F->Body)
-        collectModifiedStmt(F->Body, Mod);
-      return;
-    }
-    case Stmt::Kind::While: {
-      const auto *W = cast<WhileStmt>(S);
-      collectModifiedExpr(W->Cond, Mod);
-      collectModifiedStmt(W->Body, Mod);
-      return;
-    }
-    case Stmt::Kind::Do: {
-      const auto *D = cast<DoStmt>(S);
-      collectModifiedStmt(D->Body, Mod);
-      collectModifiedExpr(D->Cond, Mod);
-      return;
-    }
-    case Stmt::Kind::Return:
-      if (const Expr *V = cast<ReturnStmt>(S)->Value)
-        collectModifiedExpr(V, Mod);
-      return;
-    default:
-      return;
-    }
+    Env = std::move(Head);
   }
 
   /// break/continue belonging to THIS loop (nested loops own theirs).
@@ -812,106 +914,6 @@ private:
     }
     default:
       return false; // For/While/Do capture their own jumps
-    }
-  }
-
-  void findAddrTaken(const Stmt *S) {
-    switch (S->kind()) {
-    case Stmt::Kind::Compound:
-      for (const Stmt *Sub : cast<CompoundStmt>(S)->Body)
-        findAddrTaken(Sub);
-      return;
-    case Stmt::Kind::DeclStmt:
-      for (const VarDecl *D : cast<DeclStmt>(S)->Decls)
-        if (D->Init)
-          findAddrTakenExpr(D->Init);
-      return;
-    case Stmt::Kind::ExprStmt:
-      findAddrTakenExpr(cast<ExprStmt>(S)->E);
-      return;
-    case Stmt::Kind::If: {
-      const auto *I = cast<IfStmt>(S);
-      findAddrTakenExpr(I->Cond);
-      findAddrTaken(I->Then);
-      if (I->Else)
-        findAddrTaken(I->Else);
-      return;
-    }
-    case Stmt::Kind::For: {
-      const auto *F = cast<ForStmt>(S);
-      if (F->Init)
-        findAddrTaken(F->Init);
-      if (F->Cond)
-        findAddrTakenExpr(F->Cond);
-      if (F->Inc)
-        findAddrTakenExpr(F->Inc);
-      if (F->Body)
-        findAddrTaken(F->Body);
-      return;
-    }
-    case Stmt::Kind::While: {
-      const auto *W = cast<WhileStmt>(S);
-      findAddrTakenExpr(W->Cond);
-      findAddrTaken(W->Body);
-      return;
-    }
-    case Stmt::Kind::Do: {
-      const auto *D = cast<DoStmt>(S);
-      findAddrTaken(D->Body);
-      findAddrTakenExpr(D->Cond);
-      return;
-    }
-    case Stmt::Kind::Return:
-      if (const Expr *V = cast<ReturnStmt>(S)->Value)
-        findAddrTakenExpr(V);
-      return;
-    default:
-      return;
-    }
-  }
-
-  void findAddrTakenExpr(const Expr *E) {
-    switch (E->kind()) {
-    case Expr::Kind::Unary: {
-      const auto *U = cast<UnaryExpr>(E);
-      if (U->O == UnaryExpr::Op::AddrOf)
-        if (const auto *Ref = dynCast<DeclRefExpr>(ignoreParens(U->Sub)))
-          if (Ref->Decl)
-            AddrTaken.insert(Ref->Decl);
-      findAddrTakenExpr(U->Sub);
-      return;
-    }
-    case Expr::Kind::Binary: {
-      const auto *B = cast<BinaryExpr>(E);
-      findAddrTakenExpr(B->LHS);
-      findAddrTakenExpr(B->RHS);
-      return;
-    }
-    case Expr::Kind::Paren:
-      findAddrTakenExpr(cast<ParenExpr>(E)->Sub);
-      return;
-    case Expr::Kind::Conditional: {
-      const auto *C = cast<ConditionalExpr>(E);
-      findAddrTakenExpr(C->Cond);
-      findAddrTakenExpr(C->Then);
-      findAddrTakenExpr(C->Else);
-      return;
-    }
-    case Expr::Kind::Call:
-      for (const Expr *A : cast<CallExpr>(E)->Args)
-        findAddrTakenExpr(A);
-      return;
-    case Expr::Kind::Index: {
-      const auto *I = cast<IndexExpr>(E);
-      findAddrTakenExpr(I->Base);
-      findAddrTakenExpr(I->Idx);
-      return;
-    }
-    case Expr::Kind::Cast:
-      findAddrTakenExpr(cast<CastExpr>(E)->Sub);
-      return;
-    default:
-      return;
     }
   }
 };
@@ -1049,8 +1051,7 @@ bool isFloatingOpNode(const Expr *E) {
   }
 }
 
-void forEachDeclRef(const Expr *E,
-                    const std::function<void(const DeclRefExpr *)> &Fn) {
+template <typename FnT> void forEachDeclRef(const Expr *E, FnT &&Fn) {
   switch (E->kind()) {
   case Expr::Kind::DeclRef:
     Fn(cast<DeclRefExpr>(E));
@@ -1113,16 +1114,19 @@ int countOps(const Expr *E) {
 
 class SyntaxCollector {
 public:
-  explicit SyntaxCollector(OptFunctionInfo &Info) : Info(Info) {}
+  SyntaxCollector(OptFunctionInfo &Info, const WriteSets &Writes)
+      : Info(Info), Writes(Writes) {}
 
-  void run(const FunctionDecl &F) {
-    if (F.Body)
-      walkStmt(F.Body);
-  }
+  void run(const Stmt *Body) { walkStmt(Body); }
 
 private:
   OptFunctionInfo &Info;
+  const WriteSets &Writes;
   unsigned LoopDepth = 0;
+  // collectCse's working sets, reused from statement to statement.
+  std::vector<const Expr *> Roots, Reps;
+  std::vector<int> Counts;
+  VarSet OwnDecls;
 
   void walkStmt(const Stmt *S) {
     switch (S->kind()) {
@@ -1212,8 +1216,13 @@ private:
   void collectLoopInvariants(const ForStmt *FS) {
     if (!FS->Body)
       return;
-    std::set<const VarDecl *> Mod;
-    RangeAnalyzerModHelper(FS, Mod);
+    // Everything the loop writes or declares, its init included: the
+    // hoisted code runs before the init.
+    const VarSet &Iter = Writes.loop(FS), &Init = Writes.forInit(FS);
+    VarSet Mod;
+    Mod.reserve(Iter.size() + Init.size());
+    std::set_union(Iter.begin(), Iter.end(), Init.begin(), Init.end(),
+                   std::back_inserter(Mod), std::less<>());
     std::vector<const Expr *> Out;
     collectInvariantsIn(FS->Body, Mod, Out);
     if (Out.empty())
@@ -1226,25 +1235,20 @@ private:
     Info.LoopInvariants[FS] = std::move(Out);
   }
 
-  /// Everything the loop writes or declares (including its init/inc).
-  static void RangeAnalyzerModHelper(const ForStmt *FS,
-                                     std::set<const VarDecl *> &Mod);
-
-  bool isInvariantCandidate(const Expr *E,
-                            const std::set<const VarDecl *> &Mod) {
+  bool isInvariantCandidate(const Expr *E, const VarSet &Mod) {
     if (!isFloatingOpNode(E) || !isPureExpr(E, /*AllowLoads=*/false))
       return false;
     bool Ok = true, AnyRef = false;
     forEachDeclRef(E, [&](const DeclRefExpr *Ref) {
       AnyRef = true;
-      if (!Ref->Decl || Mod.count(Ref->Decl))
+      if (!Ref->Decl || setHas(Mod, Ref->Decl))
         Ok = false;
     });
     // Pure literal trees fold to constants anyway; require a variable.
     return Ok && AnyRef;
   }
 
-  void collectInvariantsIn(const Stmt *S, const std::set<const VarDecl *> &Mod,
+  void collectInvariantsIn(const Stmt *S, const VarSet &Mod,
                            std::vector<const Expr *> &Out) {
     switch (S->kind()) {
     case Stmt::Kind::Compound:
@@ -1303,7 +1307,7 @@ private:
   }
 
   void collectInvariantsInExpr(const Expr *E,
-                               const std::set<const VarDecl *> &Mod,
+                               const VarSet &Mod,
                                std::vector<const Expr *> &Out) {
     if (isInvariantCandidate(E, Mod)) {
       for (const Expr *Seen : Out)
@@ -1351,15 +1355,16 @@ private:
   //===-- Per-statement common subexpressions -----------------------------===//
 
   void collectCse(const Stmt *S) {
-    std::vector<const Expr *> Roots;
-    std::set<const VarDecl *> OwnDecls;
+    Roots.clear();
+    OwnDecls.clear();
     switch (S->kind()) {
     case Stmt::Kind::DeclStmt:
       for (const VarDecl *D : cast<DeclStmt>(S)->Decls) {
-        OwnDecls.insert(D);
+        OwnDecls.push_back(D);
         if (D->Init)
           Roots.push_back(D->Init);
       }
+      sortUnique(OwnDecls);
       break;
     case Stmt::Kind::ExprStmt: {
       const Expr *E = ignoreParens(cast<ExprStmt>(S)->E);
@@ -1385,8 +1390,8 @@ private:
     for (const Expr *R : Roots)
       if (hasSideEffects(R))
         return;
-    std::vector<const Expr *> Reps;
-    std::vector<int> Counts;
+    Reps.clear();
+    Counts.clear();
     for (const Expr *R : Roots)
       countPureSubtrees(R, OwnDecls, Reps, Counts);
     std::vector<const Expr *> Out;
@@ -1440,7 +1445,7 @@ private:
     }
   }
 
-  void countPureSubtrees(const Expr *E, const std::set<const VarDecl *> &Own,
+  void countPureSubtrees(const Expr *E, const VarSet &Own,
                          std::vector<const Expr *> &Reps,
                          std::vector<int> &Counts) {
     // Post-order: count children before the node itself.
@@ -1482,7 +1487,7 @@ private:
       return;
     bool RefsOwn = false;
     forEachDeclRef(E, [&](const DeclRefExpr *Ref) {
-      if (Ref->Decl && Own.count(Ref->Decl))
+      if (Ref->Decl && setHas(Own, Ref->Decl))
         RefsOwn = true;
     });
     if (RefsOwn)
@@ -1496,129 +1501,6 @@ private:
     Counts.push_back(1);
   }
 };
-
-void SyntaxCollector::RangeAnalyzerModHelper(const ForStmt *FS,
-                                             std::set<const VarDecl *> &Mod) {
-  // Reuse the statement walkers via a throwaway analyzer-free path: the
-  // collectors only need assignment/decl targets.
-  struct Walker {
-    std::set<const VarDecl *> &Mod;
-    void stmt(const Stmt *S) {
-      switch (S->kind()) {
-      case Stmt::Kind::Compound:
-        for (const Stmt *Sub : cast<CompoundStmt>(S)->Body)
-          stmt(Sub);
-        return;
-      case Stmt::Kind::DeclStmt:
-        for (const VarDecl *D : cast<DeclStmt>(S)->Decls) {
-          Mod.insert(D);
-          if (D->Init)
-            expr(D->Init);
-        }
-        return;
-      case Stmt::Kind::ExprStmt:
-        expr(cast<ExprStmt>(S)->E);
-        return;
-      case Stmt::Kind::If: {
-        const auto *I = cast<IfStmt>(S);
-        expr(I->Cond);
-        stmt(I->Then);
-        if (I->Else)
-          stmt(I->Else);
-        return;
-      }
-      case Stmt::Kind::For: {
-        const auto *F = cast<ForStmt>(S);
-        if (F->Init)
-          stmt(F->Init);
-        if (F->Cond)
-          expr(F->Cond);
-        if (F->Inc)
-          expr(F->Inc);
-        if (F->Body)
-          stmt(F->Body);
-        return;
-      }
-      case Stmt::Kind::While: {
-        const auto *W = cast<WhileStmt>(S);
-        expr(W->Cond);
-        stmt(W->Body);
-        return;
-      }
-      case Stmt::Kind::Do: {
-        const auto *D = cast<DoStmt>(S);
-        stmt(D->Body);
-        expr(D->Cond);
-        return;
-      }
-      case Stmt::Kind::Return:
-        if (const Expr *V = cast<ReturnStmt>(S)->Value)
-          expr(V);
-        return;
-      default:
-        return;
-      }
-    }
-    void expr(const Expr *E) {
-      switch (E->kind()) {
-      case Expr::Kind::Binary: {
-        const auto *B = cast<BinaryExpr>(E);
-        if (B->isAssignment())
-          if (const auto *Ref = dynCast<DeclRefExpr>(ignoreParens(B->LHS)))
-            if (Ref->Decl)
-              Mod.insert(Ref->Decl);
-        expr(B->LHS);
-        expr(B->RHS);
-        return;
-      }
-      case Expr::Kind::Unary: {
-        const auto *U = cast<UnaryExpr>(E);
-        if (U->O == UnaryExpr::Op::PreInc || U->O == UnaryExpr::Op::PreDec ||
-            U->O == UnaryExpr::Op::PostInc ||
-            U->O == UnaryExpr::Op::PostDec)
-          if (const auto *Ref = dynCast<DeclRefExpr>(ignoreParens(U->Sub)))
-            if (Ref->Decl)
-              Mod.insert(Ref->Decl);
-        expr(U->Sub);
-        return;
-      }
-      case Expr::Kind::Paren:
-        expr(cast<ParenExpr>(E)->Sub);
-        return;
-      case Expr::Kind::Conditional: {
-        const auto *C = cast<ConditionalExpr>(E);
-        expr(C->Cond);
-        expr(C->Then);
-        expr(C->Else);
-        return;
-      }
-      case Expr::Kind::Call:
-        for (const Expr *A : cast<CallExpr>(E)->Args)
-          expr(A);
-        return;
-      case Expr::Kind::Index: {
-        const auto *I = cast<IndexExpr>(E);
-        expr(I->Base);
-        expr(I->Idx);
-        return;
-      }
-      case Expr::Kind::Cast:
-        expr(cast<CastExpr>(E)->Sub);
-        return;
-      default:
-        return;
-      }
-    }
-  } W{Mod};
-  if (FS->Init)
-    W.stmt(FS->Init);
-  if (FS->Cond)
-    W.expr(FS->Cond);
-  if (FS->Inc)
-    W.expr(FS->Inc);
-  if (FS->Body)
-    W.stmt(FS->Body);
-}
 
 } // namespace
 
@@ -1677,7 +1559,10 @@ void igen::forEachSubexprPruned(const Expr *E,
 OptFunctionInfo igen::analyzeFunctionForOpt(const FunctionDecl &F,
                                             const OptOptions &Opts) {
   OptFunctionInfo Info;
-  RangeAnalyzer(Info, Opts).run(F);
-  SyntaxCollector(Info).run(F);
+  if (!F.Body)
+    return Info;
+  const WriteSets Writes(F.Body);
+  RangeAnalyzer(Info, Opts, Writes).run(F.Body);
+  SyntaxCollector(Info, Writes).run(F.Body);
   return Info;
 }

@@ -29,7 +29,8 @@
 #include <functional>
 #include <limits>
 #include <map>
-#include <set>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace igen {
@@ -78,7 +79,7 @@ struct OptOptions {
 /// Analysis results for one function, keyed by AST node identity.
 struct OptFunctionInfo {
   /// Endpoint bounds for expression nodes. Sparse: absent means Top.
-  std::map<const Expr *, ValueFact> Facts;
+  std::unordered_map<const Expr *, ValueFact> Facts;
 
   /// Per for-statement: maximal pure, load-free, loop-invariant floating
   /// subexpressions worth hoisting ahead of the loop header. Ordered
@@ -98,7 +99,7 @@ struct OptFunctionInfo {
   /// chains. Contains the compound-assignment node for `y +=`/`y -=` and
   /// the Add/Sub node whose operand equals the assignment target for
   /// plain `y = y + ...` forms.
-  std::set<const Expr *> FmaLoopHazards;
+  std::unordered_set<const Expr *> FmaLoopHazards;
 
   ValueFact factFor(const Expr *E) const {
     auto It = Facts.find(E);

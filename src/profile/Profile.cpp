@@ -235,8 +235,6 @@ void atExitReport() {
 
 namespace igen::prof::detail {
 
-thread_local TlsView Tls;
-
 void recordSlow(const RingEntry &E) {
   Registry &R = Registry::get();
   std::lock_guard<std::mutex> L(R.Mu);

@@ -157,7 +157,10 @@ struct TlsView {
   RecordRing *Ring = nullptr;
 };
 
-extern thread_local TlsView Tls;
+/// Inline, like CountingOps' counters (DoubleDouble.h): an extern
+/// thread_local is reached through a weak TLS wrapper function, which
+/// -fsanitize=null flags as a null access (a GCC false positive).
+inline thread_local TlsView Tls;
 
 /// Out-of-line path: attaches this thread's buffer to the registry on
 /// first use, flushes the full ring into per-site statistics, then

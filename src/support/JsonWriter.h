@@ -18,11 +18,11 @@
 #ifndef IGEN_SUPPORT_JSONWRITER_H
 #define IGEN_SUPPORT_JSONWRITER_H
 
-#include <cfenv>
+#include "support/StringExtras.h"
+
 #include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -100,18 +100,7 @@ public:
       Out += std::isnan(D) ? "\"nan\"" : (D > 0 ? "\"inf\"" : "\"-inf\"");
       return;
     }
-    // The "%.17g" spelling. std::to_chars writes the same bytes as
-    // glibc's printf, but only under round-to-nearest: printf rounds the
-    // 17th digit in the current rounding mode, to_chars always to
-    // nearest. Other modes keep snprintf, so the mode never changes a
-    // byte.
-    char Buf[32];
-    if (std::fegetround() == FE_TONEAREST)
-      Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), D,
-                                    std::chars_format::general, 17)
-                          .ptr);
-    else
-      Out.append(Buf, std::snprintf(Buf, sizeof(Buf), "%.17g", D));
+    appendDouble17g(Out, D);
   }
   void value(uint64_t V) {
     prepareValue();

@@ -13,6 +13,9 @@
 #ifndef IGEN_SUPPORT_STRINGEXTRAS_H
 #define IGEN_SUPPORT_STRINGEXTRAS_H
 
+#include <cfenv>
+#include <charconv>
+#include <cstdio>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,6 +49,21 @@ std::vector<std::string_view> split(std::string_view S, char Sep);
 /// Replaces every occurrence of \p From in \p S with \p To.
 std::string replaceAll(std::string S, std::string_view From,
                        std::string_view To);
+
+/// Appends the printf "%.17g" spelling of \p D, which round-trips every
+/// finite double. std::to_chars writes the same bytes as glibc's printf,
+/// but only under round-to-nearest: printf rounds the 17th digit in the
+/// current rounding mode, to_chars always to nearest. Other modes keep
+/// snprintf, so the mode never changes a byte.
+inline void appendDouble17g(std::string &Out, double D) {
+  char Buf[32];
+  if (std::fegetround() == FE_TONEAREST)
+    Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), D,
+                                  std::chars_format::general, 17)
+                        .ptr);
+  else
+    Out.append(Buf, std::snprintf(Buf, sizeof(Buf), "%.17g", D));
+}
 
 /// Formats like printf into a std::string.
 std::string formatString(const char *Fmt, ...)

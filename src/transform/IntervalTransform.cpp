@@ -51,7 +51,9 @@ std::string fmtDouble(double V) {
     return "__builtin_nan(\"\")";
   if (std::isinf(V))
     return V > 0 ? "__builtin_inf()" : "-__builtin_inf()";
-  return formatString("%.17g", V); // always round-trips IEEE doubles
+  std::string Out;
+  appendDouble17g(Out, V); // always round-trips IEEE doubles
+  return Out;
 }
 
 /// Parenthesizes plain compound expressions when embedded.
@@ -1977,6 +1979,18 @@ void Transformer::emitStmt(const Stmt *S) {
 }
 
 void Transformer::emitFunction(FunctionDecl *F) {
+  // Analyzed once: a --tier function's ddi clone and f64i wrapper lower
+  // the same AST under the same options.
+  if (Opts.OptLevel > 0 && F->Body) {
+    OptOptions OO;
+    // Guard-derived facts require the Exception policy: under Join both
+    // branch bodies execute unconditionally.
+    OO.GuardFacts =
+        Opts.Branches == TransformOptions::BranchPolicy::Exception;
+    OptInfo = analyzeFunctionForOpt(*F, OO);
+  } else {
+    OptInfo = OptFunctionInfo();
+  }
   if (Opts.Tier && F->Body) {
     TierEligibility El;
     if (El.check(*F)) {
@@ -2007,16 +2021,6 @@ void Transformer::emitFunctionImpl(FunctionDecl *F,
   UpdateToAcc.clear();
   Renames.clear();
   ActiveTemps.clear();
-  if (Opts.OptLevel > 0 && F->Body) {
-    OptOptions OO;
-    // Guard-derived facts require the Exception policy: under Join both
-    // branch bodies execute unconditionally.
-    OO.GuardFacts =
-        Opts.Branches == TransformOptions::BranchPolicy::Exception;
-    OptInfo = analyzeFunctionForOpt(*F, OO);
-  } else {
-    OptInfo = OptFunctionInfo();
-  }
 
   // Header (Fig. 2/3): floating types promote; tolerance parameters keep
   // their scalar type and gain an interval shadow in the body.

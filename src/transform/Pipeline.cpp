@@ -34,9 +34,13 @@ igen::compileToProgram(std::string_view Source, const TransformOptions &Opts,
   auto Prog = std::make_unique<InMemoryProgram>();
   Prog->Ast = std::make_unique<ASTContext>();
   Prog->Opts = Opts;
-  Parser P(Source, *Prog->Ast, Diags);
-  if (!P.parseTranslationUnit())
-    return Fail(PipelineStage::Parse);
+  {
+    // The tokens (views of Source) die with the parse, before sema and
+    // transform allocate.
+    Parser P(Source, *Prog->Ast, Diags);
+    if (!P.parseTranslationUnit())
+      return Fail(PipelineStage::Parse);
+  }
   if (Cancelled())
     return Fail(PipelineStage::Cancelled);
   Sema S(*Prog->Ast, Diags);

@@ -92,6 +92,17 @@ TEST(DriverExitCode, MultipleParseErrorsStillExitThree) {
   EXPECT_EQ(runDriver(In), 3);
 }
 
+TEST(DriverExitCode, LexicalErrorsAreParseErrors) {
+  // A character that starts no token fails the parse stage, also when
+  // the rest of the file parses, and 50 000 of them in a row neither
+  // overflow the lexer's stack nor change the exit class.
+  std::string In = writeTemp("lex_err.c",
+                             "double f(double x) { return x; } @\n");
+  EXPECT_EQ(runDriver(In), 3);
+  std::string Flood = writeTemp("lex_flood.c", std::string(50000, '@'));
+  EXPECT_EQ(runDriver(Flood), 3);
+}
+
 TEST(DriverExitCode, HardenFlagAccepted) {
   std::string In =
       writeTemp("harden_in.c", "double f(double x) { return x + 1.0; }\n");

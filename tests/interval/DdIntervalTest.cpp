@@ -127,6 +127,60 @@ TEST_F(DdiTest, DivNegativeDivisorMirrors) {
   EXPECT_FALSE(Q.contains(-0.24));
 }
 
+TEST_F(DdiTest, DivUnnormalizedDivisorContainingZero) {
+  // lo = (34, -43) denormal steps is -9 steps although its high word is
+  // positive: the divisor [lo, 1] contains zero.
+  double U = std::numeric_limits<double>::denorm_min();
+  DdInterval Y = DdInterval::fromEndpoints(Dd(34 * U, -43 * U), Dd(1.0));
+  Interval H = ddiDiv(DdInterval::fromPoint(1.0), Y).outerHull();
+  EXPECT_EQ(H.lo(), -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(H.hi(), std::numeric_limits<double>::infinity());
+}
+
+TEST_F(DdiTest, DivUnnormalizedOperandsContainExactQuotients) {
+  // The unnormalized class as divisor against random, unnormalized and
+  // point dividends, and as dividend over random divisors.
+  // Exact in quad: the endpoints are small multiples of the smallest
+  // denormal or normalized dd values.
+  auto Lo = [](const DdInterval &Y) { return -toQuad(Y.NegLo); };
+  auto Hi = [](const DdInterval &Y) { return toQuad(Y.Hi); };
+  for (int I = 0; I < 3000; ++I) {
+    DdInterval A, B;
+    switch (I % 4) {
+    case 0:
+      A = randInterval(), B = test::unnormalizedInterval(R);
+      break;
+    case 1:
+      A = test::unnormalizedInterval(R), B = test::unnormalizedInterval(R);
+      break;
+    case 2:
+      A = DdInterval::fromPoint(R.intIn(0, 1) ? 1.0 : -1.0);
+      B = test::unnormalizedInterval(R);
+      break;
+    default:
+      A = test::unnormalizedInterval(R), B = randInterval();
+      break;
+    }
+    DdInterval Q = ddiDiv(A, B);
+    if (Lo(B) < 0 && Hi(B) > 0) {
+      // Quotients of either sign and any size (or NaN for 0/0).
+      Interval H = Q.outerHull();
+      EXPECT_TRUE(Q.hasNaN() ||
+                  (H.lo() == -std::numeric_limits<double>::infinity() &&
+                   H.hi() == std::numeric_limits<double>::infinity()))
+          << I;
+      continue;
+    }
+    // Quotients of every nonzero divisor endpoint.
+    for (__float128 D : {Lo(B), Hi(B)}) {
+      if (D == 0)
+        continue;
+      EXPECT_TRUE(containsQuad(Q, Lo(A) / D)) << I;
+      EXPECT_TRUE(containsQuad(Q, Hi(A) / D)) << I;
+    }
+  }
+}
+
 TEST_F(DdiTest, SubAndNeg) {
   for (int I = 0; I < 5000; ++I) {
     DdInterval A = randInterval(), B = randInterval();

@@ -129,16 +129,8 @@ protected:
       Hi.L = nextUp(Hi.L);
       return DdInterval::fromEndpoints(C, Hi);
     }
-    default: { // LowOutweighsHigh
-      // hi = -k + (k + m) denormal steps > 0 although its H is negative;
-      // lo is -j steps, or +j steps (j < m) behind the same disguise.
-      double U = std::numeric_limits<double>::denorm_min();
-      int K = R.intIn(1, 64), M = R.intIn(1, 64), J = R.intIn(0, M - 1);
-      Dd Hi(-K * U, (K + M) * U);
-      Dd Lo = R.intIn(0, 1) ? Dd(-J * U, 0.0) : Dd(-K * U, (K + J) * U);
-      DdInterval I = DdInterval::fromEndpoints(Lo, Hi);
-      return R.intIn(0, 1) ? I : ddiNeg(I);
-    }
+    default: // LowOutweighsHigh
+      return test::unnormalizedInterval(R);
     }
   }
 

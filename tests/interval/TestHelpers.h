@@ -103,6 +103,19 @@ private:
   std::mt19937_64 Gen;
 };
 
+/// An unnormalized dd interval: hi = -k + (k + m) denormal steps > 0
+/// although its H is negative; lo is -j steps, or +j steps (j < m)
+/// behind the same disguise; negated half the time. Dd::sign() reads the
+/// high word, so it gets these endpoints' signs wrong.
+inline DdInterval unnormalizedInterval(Rng &R) {
+  double U = std::numeric_limits<double>::denorm_min();
+  int K = R.intIn(1, 64), M = R.intIn(1, 64), J = R.intIn(0, M - 1);
+  Dd Hi(-K * U, (K + M) * U);
+  Dd Lo = R.intIn(0, 1) ? Dd(-J * U, 0.0) : Dd(-K * U, (K + J) * U);
+  DdInterval I = DdInterval::fromEndpoints(Lo, Hi);
+  return R.intIn(0, 1) ? I : ddiNeg(I);
+}
+
 /// Quad-precision value of a double-double.
 inline __float128 toQuad(const Dd &X) {
   return static_cast<__float128>(X.H) + static_cast<__float128>(X.L);

@@ -139,6 +139,32 @@ TEST_F(ServerCoreTest, ParseErrorStage) {
             "parse-error");
 }
 
+TEST_F(ServerCoreTest, StrayCharacterFloodIsTypedAndTheCoreServes) {
+  // A 1 MiB run of '@' must not overflow the lexer's stack, and 100 000
+  // separate runs must stay under the lexer's diagnostic cap.
+  for (const std::string &Source :
+       {std::string(1 << 20, '@'), [] {
+          std::string S;
+          for (int I = 0; I < 100000; ++I)
+            S += "@ ";
+          return S;
+        }()}) {
+    JsonValue V = rpc("{\"op\":\"compile\",\"id\":7,\"source\":\"" +
+                      Source + "\"}");
+    EXPECT_FALSE(V.member("ok")->boolValue());
+    const JsonValue *Err = V.member("error");
+    ASSERT_TRUE(Err);
+    EXPECT_EQ(Err->member("code")->stringValue(), "parse-error");
+    const JsonValue *Diags = Err->member("diagnostics");
+    ASSERT_TRUE(Diags && Diags->isArray());
+    EXPECT_GE(Diags->arrayValue().size(), 1u);
+    EXPECT_LE(Diags->arrayValue().size(), 257u);
+  }
+  // The next frame is served.
+  std::string H = compileHandle("double f(double x) { return x; }");
+  EXPECT_EQ(H.size(), 16u);
+}
+
 TEST_F(ServerCoreTest, EvalArgumentForms) {
   std::string H =
       compileHandle("double f(double x, int n, double *a) {\n"
