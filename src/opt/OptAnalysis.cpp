@@ -29,6 +29,7 @@
 #include <functional>
 #include <iterator>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 using namespace igen;
@@ -191,6 +192,99 @@ bool finiteBounds(const ValueFact &A) {
   return A.NoNaN && A.Lo > -Inf && A.Hi < Inf;
 }
 
+/// Calls \p Fn on each direct subexpression of \p E.
+template <typename FnT> void forEachChild(const Expr *E, FnT &&Fn) {
+  switch (E->kind()) {
+  case Expr::Kind::Paren:
+    Fn(cast<ParenExpr>(E)->Sub);
+    return;
+  case Expr::Kind::Unary:
+    Fn(cast<UnaryExpr>(E)->Sub);
+    return;
+  case Expr::Kind::Binary:
+    Fn(cast<BinaryExpr>(E)->LHS);
+    Fn(cast<BinaryExpr>(E)->RHS);
+    return;
+  case Expr::Kind::Conditional:
+    Fn(cast<ConditionalExpr>(E)->Cond);
+    Fn(cast<ConditionalExpr>(E)->Then);
+    Fn(cast<ConditionalExpr>(E)->Else);
+    return;
+  case Expr::Kind::Call:
+    for (const Expr *A : cast<CallExpr>(E)->Args)
+      Fn(A);
+    return;
+  case Expr::Kind::Index:
+    Fn(cast<IndexExpr>(E)->Base);
+    Fn(cast<IndexExpr>(E)->Idx);
+    return;
+  case Expr::Kind::Cast:
+    Fn(cast<CastExpr>(E)->Sub);
+    return;
+  default:
+    return;
+  }
+}
+
+/// Calls \p Fn on each expression statement \p S holds, nested
+/// statements included: initializers, conditions, increments and
+/// returned values, in source order (a do-loop's condition after its
+/// body).
+template <typename FnT> void forEachExprIn(const Stmt *S, FnT &&Fn) {
+  switch (S->kind()) {
+  case Stmt::Kind::Compound:
+    for (const Stmt *Sub : cast<CompoundStmt>(S)->Body)
+      forEachExprIn(Sub, Fn);
+    return;
+  case Stmt::Kind::DeclStmt:
+    for (const VarDecl *D : cast<DeclStmt>(S)->Decls)
+      if (D->Init)
+        Fn(D->Init);
+    return;
+  case Stmt::Kind::ExprStmt:
+    Fn(cast<ExprStmt>(S)->E);
+    return;
+  case Stmt::Kind::If: {
+    const auto *I = cast<IfStmt>(S);
+    Fn(I->Cond);
+    forEachExprIn(I->Then, Fn);
+    if (I->Else)
+      forEachExprIn(I->Else, Fn);
+    return;
+  }
+  case Stmt::Kind::For: {
+    const auto *F = cast<ForStmt>(S);
+    if (F->Init)
+      forEachExprIn(F->Init, Fn);
+    if (F->Cond)
+      Fn(F->Cond);
+    if (F->Inc)
+      Fn(F->Inc);
+    if (F->Body)
+      forEachExprIn(F->Body, Fn);
+    return;
+  }
+  case Stmt::Kind::While: {
+    const auto *W = cast<WhileStmt>(S);
+    Fn(W->Cond);
+    forEachExprIn(W->Body, Fn);
+    return;
+  }
+  case Stmt::Kind::Do: {
+    const auto *D = cast<DoStmt>(S);
+    forEachExprIn(D->Body, Fn);
+    Fn(D->Cond);
+    return;
+  }
+  case Stmt::Kind::Return:
+    if (const Expr *V = cast<ReturnStmt>(S)->Value)
+      Fn(V);
+    return;
+  default:
+    return;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Variable writes
 //===----------------------------------------------------------------------===//
@@ -309,19 +403,12 @@ private:
   }
 
   void walk(const Expr *E, VarSet &Out) {
-    switch (E->kind()) {
-    case Expr::Kind::Binary: {
-      const auto *B = cast<BinaryExpr>(E);
+    if (const auto *B = dynCast<BinaryExpr>(E)) {
       if (B->isAssignment())
         if (const auto *Ref = dynCast<DeclRefExpr>(ignoreParens(B->LHS)))
           if (Ref->Decl)
             Out.push_back(Ref->Decl);
-      walk(B->LHS, Out);
-      walk(B->RHS, Out);
-      return;
-    }
-    case Expr::Kind::Unary: {
-      const auto *U = cast<UnaryExpr>(E);
+    } else if (const auto *U = dynCast<UnaryExpr>(E)) {
       const auto *Ref = dynCast<DeclRefExpr>(ignoreParens(U->Sub));
       if (Ref && Ref->Decl) {
         if (U->O == UnaryExpr::Op::PreInc || U->O == UnaryExpr::Op::PreDec ||
@@ -330,37 +417,8 @@ private:
         else if (U->O == UnaryExpr::Op::AddrOf)
           AddrTaken.push_back(Ref->Decl);
       }
-      walk(U->Sub, Out);
-      return;
     }
-    case Expr::Kind::Paren:
-      walk(cast<ParenExpr>(E)->Sub, Out);
-      return;
-    case Expr::Kind::Conditional: {
-      const auto *C = cast<ConditionalExpr>(E);
-      walk(C->Cond, Out);
-      walk(C->Then, Out);
-      walk(C->Else, Out);
-      return;
-    }
-    case Expr::Kind::Call:
-      for (const Expr *A : cast<CallExpr>(E)->Args)
-        walk(A, Out);
-      return;
-    case Expr::Kind::Index: {
-      const auto *I = cast<IndexExpr>(E);
-      walk(I->Base, Out);
-      walk(I->Idx, Out);
-      return;
-    }
-    case Expr::Kind::Cast:
-      walk(cast<CastExpr>(E)->Sub, Out);
-      return;
-    case Expr::Kind::IntLiteral:
-    case Expr::Kind::FloatLiteral:
-    case Expr::Kind::DeclRef:
-      return;
-    }
+    forEachChild(E, [&](const Expr *Sub) { walk(Sub, Out); });
   }
 };
 
@@ -1052,64 +1110,18 @@ bool isFloatingOpNode(const Expr *E) {
 }
 
 template <typename FnT> void forEachDeclRef(const Expr *E, FnT &&Fn) {
-  switch (E->kind()) {
-  case Expr::Kind::DeclRef:
-    Fn(cast<DeclRefExpr>(E));
-    return;
-  case Expr::Kind::Paren:
-    forEachDeclRef(cast<ParenExpr>(E)->Sub, Fn);
-    return;
-  case Expr::Kind::Unary:
-    forEachDeclRef(cast<UnaryExpr>(E)->Sub, Fn);
-    return;
-  case Expr::Kind::Binary:
-    forEachDeclRef(cast<BinaryExpr>(E)->LHS, Fn);
-    forEachDeclRef(cast<BinaryExpr>(E)->RHS, Fn);
-    return;
-  case Expr::Kind::Conditional:
-    forEachDeclRef(cast<ConditionalExpr>(E)->Cond, Fn);
-    forEachDeclRef(cast<ConditionalExpr>(E)->Then, Fn);
-    forEachDeclRef(cast<ConditionalExpr>(E)->Else, Fn);
-    return;
-  case Expr::Kind::Call:
-    for (const Expr *A : cast<CallExpr>(E)->Args)
-      forEachDeclRef(A, Fn);
-    return;
-  case Expr::Kind::Index:
-    forEachDeclRef(cast<IndexExpr>(E)->Base, Fn);
-    forEachDeclRef(cast<IndexExpr>(E)->Idx, Fn);
-    return;
-  case Expr::Kind::Cast:
-    forEachDeclRef(cast<CastExpr>(E)->Sub, Fn);
-    return;
-  default:
+  if (const auto *Ref = dynCast<DeclRefExpr>(E)) {
+    Fn(Ref);
     return;
   }
+  forEachChild(E, [&](const Expr *Sub) { forEachDeclRef(Sub, Fn); });
 }
 
 int countOps(const Expr *E) {
-  int N = isFloatingOpNode(E) ? 1 : 0;
-  switch (E->kind()) {
-  case Expr::Kind::Paren:
-    return countOps(cast<ParenExpr>(E)->Sub);
-  case Expr::Kind::Unary:
-    return N + countOps(cast<UnaryExpr>(E)->Sub);
-  case Expr::Kind::Binary:
-    return N + countOps(cast<BinaryExpr>(E)->LHS) +
-           countOps(cast<BinaryExpr>(E)->RHS);
-  case Expr::Kind::Call: {
-    for (const Expr *A : cast<CallExpr>(E)->Args)
-      N += countOps(A);
-    return N;
-  }
-  case Expr::Kind::Index:
-    return countOps(cast<IndexExpr>(E)->Base) +
-           countOps(cast<IndexExpr>(E)->Idx);
-  case Expr::Kind::Cast:
-    return countOps(cast<CastExpr>(E)->Sub);
-  default:
-    return 0;
-  }
+  // A paren node reads as its operand; count that operand once.
+  int N = E->kind() != Expr::Kind::Paren && isFloatingOpNode(E) ? 1 : 0;
+  forEachChild(E, [&](const Expr *Sub) { N += countOps(Sub); });
+  return N;
 }
 
 class SyntaxCollector {
@@ -1122,11 +1134,43 @@ public:
 private:
   OptFunctionInfo &Info;
   const WriteSets &Writes;
-  unsigned LoopDepth = 0;
+  /// The innermost loop around the statement being walked (null outside
+  /// every loop) and what one of its iterations or its init writes.
+  const Stmt *Loop = nullptr;
+  VarSet LoopMod;
+  /// The for-loops around the statement being walked, outermost first.
+  std::vector<const ForStmt *> Fors;
   // collectCse's working sets, reused from statement to statement.
   std::vector<const Expr *> Roots, Reps;
   std::vector<int> Counts;
   VarSet OwnDecls;
+  // collectVersionVar's tally of multiplies per candidate variable, and
+  // the hoisting candidates of the loop and the for-loops around it.
+  std::vector<std::pair<const VarDecl *, int>> Tally;
+  std::vector<const Expr *> Hoists;
+
+  /// Everything loop \p L writes or declares, a for-loop's init included.
+  VarSet loopWrites(const Stmt *L) const {
+    const VarSet &Iter = Writes.loop(L);
+    const auto *FS = dynCast<ForStmt>(L);
+    if (!FS)
+      return Iter;
+    const VarSet &Init = Writes.forInit(FS);
+    VarSet Mod;
+    Mod.reserve(Iter.size() + Init.size());
+    std::set_union(Iter.begin(), Iter.end(), Init.begin(), Init.end(),
+                   std::back_inserter(Mod), std::less<>());
+    return Mod;
+  }
+
+  /// Walks \p Body with \p L as the innermost loop, writing \p Mod.
+  void walkLoopBody(const Stmt *L, const Stmt *Body, VarSet Mod) {
+    const Stmt *SavedLoop = std::exchange(Loop, L);
+    std::swap(LoopMod, Mod);
+    walkStmt(Body);
+    Loop = SavedLoop;
+    std::swap(LoopMod, Mod);
+  }
 
   void walkStmt(const Stmt *S) {
     switch (S->kind()) {
@@ -1140,7 +1184,7 @@ private:
       return;
     case Stmt::Kind::ExprStmt:
       collectCse(S);
-      if (LoopDepth > 0)
+      if (Loop)
         collectFmaHazards(cast<ExprStmt>(S)->E);
       return;
     case Stmt::Kind::If: {
@@ -1152,23 +1196,23 @@ private:
     }
     case Stmt::Kind::For: {
       const auto *F = cast<ForStmt>(S);
-      collectLoopInvariants(F);
-      if (F->Body) {
-        ++LoopDepth;
-        walkStmt(F->Body);
-        --LoopDepth;
-      }
+      if (!F->Body)
+        return;
+      // Everything the loop writes or declares, its init included: the
+      // hoisted code and the versioning test run before the init.
+      VarSet Mod = loopWrites(F);
+      collectLoopInvariants(F, Mod);
+      collectVersionVar(F, Mod);
+      Fors.push_back(F);
+      walkLoopBody(F, F->Body, std::move(Mod));
+      Fors.pop_back();
       return;
     }
     case Stmt::Kind::While:
-      ++LoopDepth;
-      walkStmt(cast<WhileStmt>(S)->Body);
-      --LoopDepth;
+      walkLoopBody(S, cast<WhileStmt>(S)->Body, loopWrites(S));
       return;
     case Stmt::Kind::Do:
-      ++LoopDepth;
-      walkStmt(cast<DoStmt>(S)->Body);
-      --LoopDepth;
+      walkLoopBody(S, cast<DoStmt>(S)->Body, loopWrites(S));
       return;
     default:
       return;
@@ -1179,8 +1223,9 @@ private:
 
   /// Marks accumulation statements inside loops whose multiply-add must
   /// not fuse: when the addend of `target = ... target +- a*b ...` (or a
-  /// `target +=`/`-=` form) is the assignment target itself, the add is
-  /// the loop-carried dependency. Fusion would put the multiply's latency
+  /// `target +=`/`-=` form) is the assignment target itself and that
+  /// target is the same location on every iteration, the add is the
+  /// loop-carried dependency. Fusion would put the multiply's latency
   /// on that recurrence; unfused, the multiplies overlap across
   /// iterations and only the cheap add serializes.
   void collectFmaHazards(const Expr *E) {
@@ -1189,13 +1234,140 @@ private:
       return;
     if (B->O == BinaryExpr::Op::AddAssign ||
         B->O == BinaryExpr::Op::SubAssign) {
-      Info.FmaLoopHazards.insert(B);
+      if (invariantTarget(B->LHS))
+        Info.FmaLoopHazards.insert(B);
       return;
     }
     if (B->O != BinaryExpr::Op::Assign)
       return;
-    markCarriedAddSub(B->LHS, B->RHS);
+    if (invariantTarget(B->LHS))
+      markCarriedAddSub(B->LHS, B->RHS);
     collectFmaHazards(B->RHS); // chained assignments: a = b = ...
+  }
+
+  /// True when the assignment target \p LHS is the same location on
+  /// every iteration of the innermost loop: a scalar, or an element
+  /// whose base and index variables the loop does not write.
+  bool invariantTarget(const Expr *LHS) const {
+    const Expr *T = ignoreParens(LHS);
+    if (T->kind() == Expr::Kind::DeclRef)
+      return true;
+    bool Invariant = true;
+    forEachDeclRef(T, [&](const DeclRefExpr *Ref) {
+      if (!Ref->Decl || setHas(LoopMod, Ref->Decl))
+        Invariant = false;
+    });
+    return Invariant;
+  }
+
+  //===-- Sign versioning -------------------------------------------------===//
+
+  /// Picks the version variable of \p FS when it is an innermost loop
+  /// with neither break/continue nor a reduce pragma. Candidates are the
+  /// floating scalars the loop and its init do not write and whose
+  /// address is not taken; each scores the scalar multiplies left in the
+  /// loop (not inside a hoisted invariant) that have it as an operand of
+  /// unknown sign. The highest score wins, ties by declaration order.
+  void collectVersionVar(const ForStmt *FS, const VarSet &Mod) {
+    if (!FS->ReduceVars.empty() || hasLoopOrJump(FS->Body))
+      return;
+    Tally.clear();
+    Hoists.clear();
+    for (const ForStmt *L : Fors)
+      addHoists(L);
+    addHoists(FS);
+    forEachExprIn(FS, [&](const Expr *E) { tallyMuls(E, Mod); });
+    const VarDecl *Best = nullptr;
+    int BestCount = 0;
+    for (const auto &[D, N] : Tally)
+      if (N > BestCount ||
+          (N == BestCount && std::make_pair(D->Loc.Line, D->Loc.Col) <
+                                 std::make_pair(Best->Loc.Line,
+                                                Best->Loc.Col))) {
+        Best = D;
+        BestCount = N;
+      }
+    if (Best)
+      Info.VersionVars[FS] = Best;
+  }
+
+  static bool hasLoopOrJump(const Stmt *S) {
+    switch (S->kind()) {
+    case Stmt::Kind::Compound:
+      for (const Stmt *Sub : cast<CompoundStmt>(S)->Body)
+        if (hasLoopOrJump(Sub))
+          return true;
+      return false;
+    case Stmt::Kind::If: {
+      const auto *I = cast<IfStmt>(S);
+      return hasLoopOrJump(I->Then) || (I->Else && hasLoopOrJump(I->Else));
+    }
+    case Stmt::Kind::For:
+    case Stmt::Kind::While:
+    case Stmt::Kind::Do:
+    case Stmt::Kind::Break:
+    case Stmt::Kind::Continue:
+      return true;
+    default:
+      return false;
+    }
+  }
+
+  void addHoists(const ForStmt *L) {
+    auto It = Info.LoopInvariants.find(L);
+    if (It != Info.LoopInvariants.end())
+      Hoists.insert(Hoists.end(), It->second.begin(), It->second.end());
+  }
+
+  /// True when \p E is replaced by a hoisted temp inside the loop.
+  bool hoisted(const Expr *E) const {
+    return !Hoists.empty() && isFloatingOpNode(E) &&
+           std::any_of(Hoists.begin(), Hoists.end(),
+                       [&](const Expr *H) { return exprCseEqual(H, E); });
+  }
+
+  void tallyMuls(const Expr *E, const VarSet &Mod) {
+    if (hoisted(E))
+      return;
+    if (const auto *B = dynCast<BinaryExpr>(E)) {
+      const bool ScalarMul =
+          (B->O == BinaryExpr::Op::Mul && B->type() &&
+           B->type()->isFloating()) ||
+          (B->O == BinaryExpr::Op::MulAssign && B->LHS->type() &&
+           B->LHS->type()->isFloating());
+      if (ScalarMul) {
+        const VarDecl *L = unknownSignInvariant(B->LHS, Mod);
+        const VarDecl *R = unknownSignInvariant(B->RHS, Mod);
+        if (L)
+          tally(L);
+        if (R && R != L)
+          tally(R);
+      }
+    }
+    forEachChild(E, [&](const Expr *Sub) { tallyMuls(Sub, Mod); });
+  }
+
+  /// The variable \p Operand names when it is a version candidate whose
+  /// sign the range analysis leaves unknown at this reference.
+  const VarDecl *unknownSignInvariant(const Expr *Operand,
+                                      const VarSet &Mod) const {
+    const auto *Ref = dynCast<DeclRefExpr>(ignoreParens(Operand));
+    if (!Ref || !Ref->Decl || !Ref->Decl->Ty || !Ref->Decl->Ty->isFloating() ||
+        setHas(Mod, Ref->Decl) || Writes.addressTaken(Ref->Decl))
+      return nullptr;
+    const ValueFact F = Info.factFor(Operand);
+    if (F.provenNonNeg() || F.provenNonPos())
+      return nullptr;
+    return Ref->Decl;
+  }
+
+  void tally(const VarDecl *D) {
+    for (auto &[Seen, N] : Tally)
+      if (Seen == D) {
+        ++N;
+        return;
+      }
+    Tally.push_back({D, 1});
   }
 
   /// Walks the add/sub spine of \p E and marks every node with an operand
@@ -1213,18 +1385,13 @@ private:
 
   //===-- Loop-invariant hoisting candidates ------------------------------===//
 
-  void collectLoopInvariants(const ForStmt *FS) {
-    if (!FS->Body)
-      return;
-    // Everything the loop writes or declares, its init included: the
-    // hoisted code runs before the init.
-    const VarSet &Iter = Writes.loop(FS), &Init = Writes.forInit(FS);
-    VarSet Mod;
-    Mod.reserve(Iter.size() + Init.size());
-    std::set_union(Iter.begin(), Iter.end(), Init.begin(), Init.end(),
-                   std::back_inserter(Mod), std::less<>());
+  void collectLoopInvariants(const ForStmt *FS, const VarSet &Mod) {
     std::vector<const Expr *> Out;
-    collectInvariantsIn(FS->Body, Mod, Out);
+    // Expressions in a nested loop still repeat per outer iteration;
+    // hoisting them in front of the outer loop is strictly better.
+    forEachExprIn(FS->Body, [&](const Expr *E) {
+      collectInvariantsInExpr(E, Mod, Out);
+    });
     if (Out.empty())
       return;
     // Contained candidates first, so an outer hoist can reuse them.
@@ -1248,64 +1415,6 @@ private:
     return Ok && AnyRef;
   }
 
-  void collectInvariantsIn(const Stmt *S, const VarSet &Mod,
-                           std::vector<const Expr *> &Out) {
-    switch (S->kind()) {
-    case Stmt::Kind::Compound:
-      for (const Stmt *Sub : cast<CompoundStmt>(S)->Body)
-        collectInvariantsIn(Sub, Mod, Out);
-      return;
-    case Stmt::Kind::DeclStmt:
-      for (const VarDecl *D : cast<DeclStmt>(S)->Decls)
-        if (D->Init)
-          collectInvariantsInExpr(D->Init, Mod, Out);
-      return;
-    case Stmt::Kind::ExprStmt:
-      collectInvariantsInExpr(cast<ExprStmt>(S)->E, Mod, Out);
-      return;
-    case Stmt::Kind::If: {
-      const auto *I = cast<IfStmt>(S);
-      collectInvariantsInExpr(I->Cond, Mod, Out);
-      collectInvariantsIn(I->Then, Mod, Out);
-      if (I->Else)
-        collectInvariantsIn(I->Else, Mod, Out);
-      return;
-    }
-    case Stmt::Kind::For: {
-      // Expressions in a nested loop still repeat per outer iteration;
-      // hoisting them in front of the outer loop is strictly better.
-      const auto *F = cast<ForStmt>(S);
-      if (F->Init)
-        collectInvariantsIn(F->Init, Mod, Out);
-      if (F->Cond)
-        collectInvariantsInExpr(F->Cond, Mod, Out);
-      if (F->Inc)
-        collectInvariantsInExpr(F->Inc, Mod, Out);
-      if (F->Body)
-        collectInvariantsIn(F->Body, Mod, Out);
-      return;
-    }
-    case Stmt::Kind::While: {
-      const auto *W = cast<WhileStmt>(S);
-      collectInvariantsInExpr(W->Cond, Mod, Out);
-      collectInvariantsIn(W->Body, Mod, Out);
-      return;
-    }
-    case Stmt::Kind::Do: {
-      const auto *D = cast<DoStmt>(S);
-      collectInvariantsIn(D->Body, Mod, Out);
-      collectInvariantsInExpr(D->Cond, Mod, Out);
-      return;
-    }
-    case Stmt::Kind::Return:
-      if (const Expr *V = cast<ReturnStmt>(S)->Value)
-        collectInvariantsInExpr(V, Mod, Out);
-      return;
-    default:
-      return;
-    }
-  }
-
   void collectInvariantsInExpr(const Expr *E,
                                const VarSet &Mod,
                                std::vector<const Expr *> &Out) {
@@ -1316,40 +1425,9 @@ private:
       Out.push_back(E);
       return; // maximal: don't also hoist the pieces
     }
-    switch (E->kind()) {
-    case Expr::Kind::Paren:
-      collectInvariantsInExpr(cast<ParenExpr>(E)->Sub, Mod, Out);
-      return;
-    case Expr::Kind::Unary:
-      collectInvariantsInExpr(cast<UnaryExpr>(E)->Sub, Mod, Out);
-      return;
-    case Expr::Kind::Binary:
-      collectInvariantsInExpr(cast<BinaryExpr>(E)->LHS, Mod, Out);
-      collectInvariantsInExpr(cast<BinaryExpr>(E)->RHS, Mod, Out);
-      return;
-    case Expr::Kind::Conditional: {
-      const auto *C = cast<ConditionalExpr>(E);
-      collectInvariantsInExpr(C->Cond, Mod, Out);
-      collectInvariantsInExpr(C->Then, Mod, Out);
-      collectInvariantsInExpr(C->Else, Mod, Out);
-      return;
-    }
-    case Expr::Kind::Call:
-      for (const Expr *A : cast<CallExpr>(E)->Args)
-        collectInvariantsInExpr(A, Mod, Out);
-      return;
-    case Expr::Kind::Index: {
-      const auto *I = cast<IndexExpr>(E);
-      collectInvariantsInExpr(I->Base, Mod, Out);
-      collectInvariantsInExpr(I->Idx, Mod, Out);
-      return;
-    }
-    case Expr::Kind::Cast:
-      collectInvariantsInExpr(cast<CastExpr>(E)->Sub, Mod, Out);
-      return;
-    default:
-      return;
-    }
+    forEachChild(E, [&](const Expr *Sub) {
+      collectInvariantsInExpr(Sub, Mod, Out);
+    });
   }
 
   //===-- Per-statement common subexpressions -----------------------------===//
@@ -1403,86 +1481,34 @@ private:
   }
 
   bool hasSideEffects(const Expr *E) {
-    switch (E->kind()) {
-    case Expr::Kind::Binary: {
-      const auto *B = cast<BinaryExpr>(E);
-      return B->isAssignment() || hasSideEffects(B->LHS) ||
-             hasSideEffects(B->RHS);
-    }
-    case Expr::Kind::Unary: {
-      const auto *U = cast<UnaryExpr>(E);
+    if (const auto *B = dynCast<BinaryExpr>(E); B && B->isAssignment())
+      return true;
+    if (const auto *U = dynCast<UnaryExpr>(E))
       if (U->O == UnaryExpr::Op::PreInc || U->O == UnaryExpr::Op::PreDec ||
           U->O == UnaryExpr::Op::PostInc || U->O == UnaryExpr::Op::PostDec)
         return true;
-      return hasSideEffects(U->Sub);
-    }
-    case Expr::Kind::Paren:
-      return hasSideEffects(cast<ParenExpr>(E)->Sub);
-    case Expr::Kind::Conditional: {
-      const auto *C = cast<ConditionalExpr>(E);
-      return hasSideEffects(C->Cond) || hasSideEffects(C->Then) ||
-             hasSideEffects(C->Else);
-    }
-    case Expr::Kind::Call: {
-      const auto *C = cast<CallExpr>(E);
-      if (classifyCallee(C->Callee) == CalleeKind::UserFunction ||
-          classifyCallee(C->Callee) == CalleeKind::Allocation ||
-          classifyCallee(C->Callee) == CalleeKind::Unknown)
+    if (const auto *C = dynCast<CallExpr>(E)) {
+      const CalleeKind K = classifyCallee(C->Callee);
+      if (K == CalleeKind::UserFunction || K == CalleeKind::Allocation ||
+          K == CalleeKind::Unknown)
         return true;
-      for (const Expr *A : C->Args)
-        if (hasSideEffects(A))
-          return true;
-      return false;
     }
-    case Expr::Kind::Index: {
-      const auto *I = cast<IndexExpr>(E);
-      return hasSideEffects(I->Base) || hasSideEffects(I->Idx);
-    }
-    case Expr::Kind::Cast:
-      return hasSideEffects(cast<CastExpr>(E)->Sub);
-    default:
-      return false;
-    }
+    bool Any = false;
+    forEachChild(E, [&](const Expr *Sub) { Any = Any || hasSideEffects(Sub); });
+    return Any;
   }
 
   void countPureSubtrees(const Expr *E, const VarSet &Own,
                          std::vector<const Expr *> &Reps,
                          std::vector<int> &Counts) {
     // Post-order: count children before the node itself.
-    switch (E->kind()) {
-    case Expr::Kind::Paren:
-      countPureSubtrees(cast<ParenExpr>(E)->Sub, Own, Reps, Counts);
+    if (const auto *P = dynCast<ParenExpr>(E)) {
+      countPureSubtrees(P->Sub, Own, Reps, Counts);
       return; // the inner node already counted; parens add nothing
-    case Expr::Kind::Unary:
-      countPureSubtrees(cast<UnaryExpr>(E)->Sub, Own, Reps, Counts);
-      break;
-    case Expr::Kind::Binary:
-      countPureSubtrees(cast<BinaryExpr>(E)->LHS, Own, Reps, Counts);
-      countPureSubtrees(cast<BinaryExpr>(E)->RHS, Own, Reps, Counts);
-      break;
-    case Expr::Kind::Conditional: {
-      const auto *C = cast<ConditionalExpr>(E);
-      countPureSubtrees(C->Cond, Own, Reps, Counts);
-      countPureSubtrees(C->Then, Own, Reps, Counts);
-      countPureSubtrees(C->Else, Own, Reps, Counts);
-      break;
     }
-    case Expr::Kind::Call:
-      for (const Expr *A : cast<CallExpr>(E)->Args)
-        countPureSubtrees(A, Own, Reps, Counts);
-      break;
-    case Expr::Kind::Index: {
-      const auto *I = cast<IndexExpr>(E);
-      countPureSubtrees(I->Base, Own, Reps, Counts);
-      countPureSubtrees(I->Idx, Own, Reps, Counts);
-      break;
-    }
-    case Expr::Kind::Cast:
-      countPureSubtrees(cast<CastExpr>(E)->Sub, Own, Reps, Counts);
-      break;
-    default:
-      break;
-    }
+    forEachChild(E, [&](const Expr *Sub) {
+      countPureSubtrees(Sub, Own, Reps, Counts);
+    });
     if (!isFloatingOpNode(E) || !isPureExpr(E, /*AllowLoads=*/true))
       return;
     bool RefsOwn = false;
@@ -1516,44 +1542,7 @@ void igen::forEachSubexprPruned(const Expr *E,
                                 const std::function<bool(const Expr *)> &Fn) {
   if (!E || !Fn(E))
     return;
-  switch (E->kind()) {
-  case Expr::Kind::IntLiteral:
-  case Expr::Kind::FloatLiteral:
-  case Expr::Kind::DeclRef:
-    return;
-  case Expr::Kind::Unary:
-    forEachSubexprPruned(cast<UnaryExpr>(E)->Sub, Fn);
-    return;
-  case Expr::Kind::Binary: {
-    const auto *B = cast<BinaryExpr>(E);
-    forEachSubexprPruned(B->LHS, Fn);
-    forEachSubexprPruned(B->RHS, Fn);
-    return;
-  }
-  case Expr::Kind::Conditional: {
-    const auto *C = cast<ConditionalExpr>(E);
-    forEachSubexprPruned(C->Cond, Fn);
-    forEachSubexprPruned(C->Then, Fn);
-    forEachSubexprPruned(C->Else, Fn);
-    return;
-  }
-  case Expr::Kind::Call:
-    for (const Expr *Arg : cast<CallExpr>(E)->Args)
-      forEachSubexprPruned(Arg, Fn);
-    return;
-  case Expr::Kind::Index: {
-    const auto *I = cast<IndexExpr>(E);
-    forEachSubexprPruned(I->Base, Fn);
-    forEachSubexprPruned(I->Idx, Fn);
-    return;
-  }
-  case Expr::Kind::Cast:
-    forEachSubexprPruned(cast<CastExpr>(E)->Sub, Fn);
-    return;
-  case Expr::Kind::Paren:
-    forEachSubexprPruned(cast<ParenExpr>(E)->Sub, Fn);
-    return;
-  }
+  forEachChild(E, [&](const Expr *Sub) { forEachSubexprPruned(Sub, Fn); });
 }
 
 OptFunctionInfo igen::analyzeFunctionForOpt(const FunctionDecl &F,

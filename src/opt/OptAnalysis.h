@@ -93,13 +93,28 @@ struct OptFunctionInfo {
 
   /// Expression nodes where add/sub-of-mul FMA fusion must be skipped
   /// because the addend is the loop-carried accumulator itself (`y += a*b`
-  /// or `y = y + a*b` inside a loop). Fusing there moves the multiply's
-  /// full latency onto the recurrence and serializes the loop (the mvm
-  /// regression); left unfused, the multiplies pipeline and only the add
-  /// chains. Contains the compound-assignment node for `y +=`/`y -=` and
-  /// the Add/Sub node whose operand equals the assignment target for
-  /// plain `y = y + ...` forms.
+  /// or `y = y + a*b` inside a loop, with `y` the same location on every
+  /// iteration of the innermost enclosing loop: a scalar, or an element
+  /// whose base and index variables that loop does not write). Fusing
+  /// there moves the multiply's full latency onto the recurrence and
+  /// serializes the loop (the mvm regression); left unfused, the
+  /// multiplies pipeline and only the add chains. A target that moves
+  /// every iteration (`C[i*n+j]` in a j-loop) carries nothing and fuses.
+  /// Contains the compound-assignment node for `y +=`/`y -=` and the
+  /// Add/Sub node whose operand equals the assignment target for plain
+  /// `y = y + ...` forms.
   std::unordered_set<const Expr *> FmaLoopHazards;
+
+  /// Per innermost for-statement: the version variable, a floating
+  /// scalar the loop multiplies by whose sign the range analysis leaves
+  /// unknown. The transformer emits the loop three times, behind a
+  /// run-time test of the variable's sign made once per loop entry, and
+  /// lowers its multiplies as nonnegative, nonpositive and unknown
+  /// operands in the three copies. The variable is declared outside the
+  /// loop, written neither in the loop nor in its init, and never has
+  /// its address taken, so the tested sign holds for the whole loop.
+  /// Absent: the loop is emitted once.
+  std::unordered_map<const ForStmt *, const VarDecl *> VersionVars;
 
   ValueFact factFor(const Expr *E) const {
     auto It = Facts.find(E);

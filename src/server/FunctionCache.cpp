@@ -8,56 +8,118 @@
 
 #include "support/EnvKnob.h"
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 using namespace igen;
 using namespace igen::server;
 
 namespace {
 
-constexpr uint64_t FnvOffset = 1469598103934665603ull;
-constexpr uint64_t FnvPrime = 1099511628211ull;
-
-void feed(uint64_t &H, std::string_view Bytes) {
-  for (unsigned char C : Bytes) {
-    H ^= C;
-    H *= FnvPrime;
-  }
+/// Writes \p V as eight little-endian bytes at \p P; returns P + 8.
+char *putWord(char *P, uint64_t V) {
+  for (int I = 0; I < 8; ++I)
+    P[I] = static_cast<char>(V >> (8 * I));
+  return P + 8;
 }
 
-void feedTag(uint64_t &H, char Tag, long long V) {
-  unsigned char Buf[9];
-  Buf[0] = (unsigned char)Tag;
-  for (int I = 0; I < 8; ++I)
-    Buf[1 + I] = (unsigned char)((unsigned long long)V >> (8 * I));
-  feed(H, std::string_view(reinterpret_cast<const char *>(Buf), 9));
+char *putString(char *P, std::string_view S) {
+  P = putWord(P, S.size());
+  return std::copy(S.begin(), S.end(), P);
+}
+
+/// Reads eight bytes as a little-endian word, whatever the host.
+uint64_t loadWord(const unsigned char *P) {
+  uint64_t V;
+  std::memcpy(&V, P, 8);
+  if constexpr (std::endian::native == std::endian::big)
+    V = __builtin_bswap64(V);
+  return V;
+}
+
+/// Reads the last \p N < 8 bytes as a little-endian word.
+uint64_t loadTail(const unsigned char *P, size_t N) {
+  uint64_t V = 0;
+  for (size_t I = 0; I < N; ++I)
+    V |= static_cast<uint64_t>(P[I]) << (8 * I);
+  return V;
+}
+
+constexpr uint64_t MulA = 0x9e3779b185ebca87ull;
+constexpr uint64_t MulB = 0xc2b2ae3d27d4eb4full;
+
+uint64_t rotl(uint64_t V, int R) { return (V << R) | (V >> (64 - R)); }
+
+/// Folds one word into an accumulator (the xxHash64 round).
+uint64_t hashRound(uint64_t Acc, uint64_t Word) {
+  return rotl(Acc + Word * MulB, 31) * MulA;
 }
 
 } // namespace
 
-uint64_t igen::server::hashCompileRequest(std::string_view Source,
-                                          const TransformOptions &Opts) {
-  uint64_t H = FnvOffset;
-  feed(H, Source);
-  feedTag(H, 'P', Opts.Prec == TransformOptions::Precision::DoubleDouble);
-  feedTag(H, 'S', Opts.ScalarLibrary);
-  feedTag(H, 'R', Opts.EnableReductions);
-  feedTag(H, 'B', Opts.EnableBatchLoops);
-  feedTag(H, 'J',
-          Opts.Branches == TransformOptions::BranchPolicy::Join);
-  feedTag(H, 'O', Opts.OptLevel);
-  feedTag(H, 'F', Opts.Profile);
-  feedTag(H, 'T', Opts.Tier);
-  feedTag(H, 'H', Opts.Harden);
+std::string igen::server::compileRequestBytes(std::string_view Source,
+                                              const TransformOptions &Opts) {
   // Headers/module names only change emitted-C cosmetics, but two
   // requests differing there should not share an artifact either.
-  feedTag(H, 'h', 0);
-  feed(H, Opts.RuntimeHeader);
-  feedTag(H, 'm', 0);
-  feed(H, Opts.ModuleName);
+  const std::string_view Header = Opts.RuntimeHeader;
+  const std::string_view Module = Opts.ModuleName;
+  static constexpr char Names[] = "PSRBJOFTH";
+  const long long Tags[] = {
+      Opts.Prec == TransformOptions::Precision::DoubleDouble,
+      Opts.ScalarLibrary,
+      Opts.EnableReductions,
+      Opts.EnableBatchLoops,
+      Opts.Branches == TransformOptions::BranchPolicy::Join,
+      Opts.OptLevel,
+      Opts.Profile,
+      Opts.Tier,
+      Opts.Harden};
+  static_assert(sizeof(Tags) / sizeof(Tags[0]) == sizeof(Names) - 1);
+  // Three length words, and a name byte and a word per option.
+  std::string Out(Source.size() + Header.size() + Module.size() + 3 * 8 +
+                      (sizeof(Names) - 1) * 9,
+                  '\0');
+  char *P = putString(Out.data(), Source);
+  for (size_t I = 0; I + 1 < sizeof(Names); ++I) {
+    *P++ = Names[I];
+    P = putWord(P, static_cast<uint64_t>(Tags[I]));
+  }
+  putString(putString(P, Header), Module);
+  return Out;
+}
+
+uint64_t igen::server::hashRequestBytes(std::string_view Bytes) {
+  const auto *P = reinterpret_cast<const unsigned char *>(Bytes.data());
+  const size_t N = Bytes.size();
+  // Four lanes of 32-byte stripes keep four multiplies in flight; the
+  // rest goes word by word through the merged accumulator.
+  uint64_t Lane[4] = {MulA, MulB, ~MulA, ~MulB};
+  size_t I = 0;
+  for (; I + 32 <= N; I += 32)
+    for (int L = 0; L < 4; ++L)
+      Lane[L] = hashRound(Lane[L], loadWord(P + I + 8 * L));
+  uint64_t H = N * MulA ^ rotl(Lane[0], 1) ^ rotl(Lane[1], 7) ^
+               rotl(Lane[2], 12) ^ rotl(Lane[3], 18);
+  for (; I + 8 <= N; I += 8)
+    H = hashRound(H, loadWord(P + I));
+  if (I < N)
+    H = hashRound(H, loadTail(P + I, N - I));
+  // Final avalanche (the murmur3 64-bit finalizer).
+  H ^= H >> 33;
+  H *= 0xff51afd7ed558ccdull;
+  H ^= H >> 33;
+  H *= 0xc4ceb9fe1a85ec53ull;
+  H ^= H >> 33;
   return H;
+}
+
+uint64_t igen::server::hashCompileRequest(std::string_view Source,
+                                          const TransformOptions &Opts) {
+  return hashRequestBytes(compileRequestBytes(Source, Opts));
 }
 
 std::string igen::server::formatHandle(uint64_t Hash) {
@@ -118,20 +180,40 @@ FunctionCache::lookup(uint64_t Hash, bool CountMiss) {
   return It->second->Prog;
 }
 
-void FunctionCache::insert(uint64_t Hash,
-                           std::shared_ptr<const InMemoryProgram> Prog) {
+FunctionCache::Probe FunctionCache::lookupRequest(uint64_t Hash,
+                                                 std::string_view Request) {
+  std::lock_guard<std::mutex> G(M);
+  Probe Out;
+  auto It = Index.find(Hash);
+  if (It == Index.end() || It->second->Request != Request) {
+    Out.Collision = It != Index.end();
+    ++S.Misses;
+    return Out;
+  }
+  ++S.Hits;
+  Lru.splice(Lru.begin(), Lru, It->second);
+  Out.Prog = It->second->Prog;
+  return Out;
+}
+
+bool FunctionCache::insert(uint64_t Hash,
+                           std::shared_ptr<const InMemoryProgram> Prog,
+                           std::string Request) {
   std::lock_guard<std::mutex> G(M);
   auto It = Index.find(Hash);
   if (It != Index.end()) {
+    if (It->second->Request != Request)
+      return false;
     It->second->Prog = std::move(Prog);
     Lru.splice(Lru.begin(), Lru, It->second);
-    return;
+    return true;
   }
-  Lru.push_front(Entry{Hash, std::move(Prog)});
+  Lru.push_front(Entry{Hash, std::move(Prog), std::move(Request)});
   Index[Hash] = Lru.begin();
   ++S.Insertions;
   evictOverflowLocked();
   S.Resident = Lru.size();
+  return true;
 }
 
 void FunctionCache::evictOverflowLocked() {

@@ -7,8 +7,10 @@
 /// \file
 /// The daemon's transaction store: each successful compile request
 /// lands here as an immutable InMemoryProgram keyed by a content hash
-/// of (source text, normalized compile options). Hits return the
-/// cached handle without re-running any pipeline stage; a failed
+/// of its request bytes (source text, normalized compile options). An
+/// entry keeps those bytes, and a compile hit compares them, so two
+/// requests never share a program through a hash collision. Hits
+/// return the cached handle without re-running any pipeline stage; a failed
 /// compile never inserts anything, which is the whole rollback story —
 /// the pipeline builds into a fresh ASTContext, so aborting a
 /// transaction is dropping the unique_ptr.
@@ -37,9 +39,19 @@
 namespace igen {
 namespace server {
 
-/// FNV-1a over the source and every semantically meaningful transform
-/// option. Two requests collide only if they would compile to the very
-/// same program.
+/// The canonical bytes of a compile request: the source and every
+/// semantically meaningful transform option, each length-prefixed or
+/// fixed-size. Two requests have equal bytes iff they compile to the
+/// very same program.
+std::string compileRequestBytes(std::string_view Source,
+                                const TransformOptions &Opts);
+
+/// A fixed, seedless 64-bit hash of \p Bytes that consumes eight bytes
+/// per step: the same value in every process and on every run.
+uint64_t hashRequestBytes(std::string_view Bytes);
+
+/// hashRequestBytes(compileRequestBytes(Source, Opts)): the handle of a
+/// compile request.
 uint64_t hashCompileRequest(std::string_view Source,
                             const TransformOptions &Opts);
 
@@ -85,9 +97,25 @@ public:
   std::shared_ptr<const InMemoryProgram> lookup(uint64_t Hash,
                                                 bool CountMiss = true);
 
-  /// Inserts a freshly compiled program, evicting LRU entries past the
-  /// cap. Re-inserting an existing hash refreshes the entry.
-  void insert(uint64_t Hash, std::shared_ptr<const InMemoryProgram> Prog);
+  /// What a compile-path lookup found.
+  struct Probe {
+    /// The program, when \p Hash is resident with the same request
+    /// bytes (a hit).
+    std::shared_ptr<const InMemoryProgram> Prog;
+    /// \p Hash is resident with other request bytes: no program is
+    /// shared, and the request cannot get this handle.
+    bool Collision = false;
+  };
+  /// The compile path's lookup: a hit needs the hash and the entry's
+  /// request bytes to match. A miss or collision counts as a miss.
+  Probe lookupRequest(uint64_t Hash, std::string_view Request);
+
+  /// Inserts a freshly compiled program with its request bytes, evicting
+  /// LRU entries past the cap. Re-inserting an existing hash with the
+  /// same bytes refreshes the entry; with other bytes it changes nothing
+  /// and returns false (the handle belongs to the resident request).
+  bool insert(uint64_t Hash, std::shared_ptr<const InMemoryProgram> Prog,
+              std::string Request = {});
 
   /// Drops one entry; false if it was not resident.
   bool evict(uint64_t Hash);
@@ -104,6 +132,7 @@ private:
   struct Entry {
     uint64_t Hash;
     std::shared_ptr<const InMemoryProgram> Prog;
+    std::string Request;
   };
   std::list<Entry> Lru;
   std::unordered_map<uint64_t, std::list<Entry>::iterator> Index;

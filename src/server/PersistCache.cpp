@@ -279,8 +279,9 @@ PersistentCacheDir::replay(FunctionCache &Cache, size_t MaxEntries) {
     // what we are about to compile. A renamed file, a hash-function
     // change, or a truncated source all fail here.
     uint64_t Expected;
+    std::string Request = compileRequestBytes(Src->stringValue(), Opts);
     if (!parseHandle(std::string_view(F.Name).substr(0, 16), Expected) ||
-        hashCompileRequest(Src->stringValue(), Opts) != Expected) {
+        hashRequestBytes(Request) != Expected) {
       Skip(F.Name, "stale (content hash mismatch)");
       continue;
     }
@@ -291,8 +292,9 @@ PersistentCacheDir::replay(FunctionCache &Cache, size_t MaxEntries) {
       Skip(F.Name, "no longer compiles");
       continue;
     }
-    Cache.insert(Expected, std::shared_ptr<const InMemoryProgram>(
-                               std::move(Prog)));
+    Cache.insert(Expected,
+                 std::shared_ptr<const InMemoryProgram>(std::move(Prog)),
+                 std::move(Request));
     ++Stats.Replayed;
   }
   return Stats;

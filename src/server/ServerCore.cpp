@@ -576,11 +576,21 @@ std::string ServerCore::dispatch(std::string_view Frame,
         bad("bad-request", "compile requires a string 'source'");
       TransformOptions Opts = parseCompileOptions(Req.member("options"));
       Opts.SourceName = "<serve>";
-      uint64_t Hash = hashCompileRequest(Src->stringValue(), Opts);
+      std::string Request = compileRequestBytes(Src->stringValue(), Opts);
+      uint64_t Hash = hashRequestBytes(Request);
       Info.Hash = formatHandle(Hash);
+      auto collision = [&] {
+        bad("handle-collision",
+            "handle " + Info.Hash +
+                " already belongs to a different request; this one "
+                "cannot be cached");
+      };
 
       bool Cached = true;
-      std::shared_ptr<const InMemoryProgram> Prog = Cache.lookup(Hash);
+      FunctionCache::Probe Found = Cache.lookupRequest(Hash, Request);
+      if (Found.Collision)
+        collision();
+      std::shared_ptr<const InMemoryProgram> Prog = std::move(Found.Prog);
       if (!Prog) {
         Cached = false;
         if (HasDeadline && std::chrono::steady_clock::now() >= Deadline)
@@ -638,7 +648,8 @@ std::string ServerCore::dispatch(std::string_view Frame,
           return flattenOneLine(W.take());
         }
         Prog = std::shared_ptr<const InMemoryProgram>(std::move(Fresh));
-        Cache.insert(Hash, Prog);
+        if (!Cache.insert(Hash, Prog, std::move(Request)))
+          collision();
         // Journal the inputs (not the program) so a restarted daemon
         // can rebuild this entry bit-identically via the same pipeline.
         Persist.persist(Hash, Src->stringValue(), Opts);

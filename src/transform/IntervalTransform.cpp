@@ -433,7 +433,7 @@ class Transformer {
 public:
   Transformer(ASTContext &Ctx, DiagnosticsEngine &Diags,
               const TransformOptions &Opts)
-      : Ctx(Ctx), Diags(Diags), Opts(Opts) {}
+      : Ctx(Ctx), Diags(&Diags), Opts(Opts) {}
 
   std::string run();
 
@@ -545,7 +545,14 @@ private:
     return !isDd() && T && T->isFloating();
   }
   /// 'p': enclosure proven within [0,+inf); 'n': within (-inf,0]; 'u'.
+  /// Inside a sign-versioned loop copy, references to the version
+  /// variable take the class that copy's run-time test established.
   char signClassOf(const Expr *E) const {
+    if (VersionClass) {
+      const auto *Ref = dynCast<DeclRefExpr>(ignoreParens(E));
+      if (Ref && Ref->Decl == VersionVar)
+        return VersionClass;
+    }
     ValueFact F = OptInfo.factFor(E);
     if (F.provenNonNeg())
       return 'p';
@@ -578,6 +585,7 @@ private:
   void emitBody(const Stmt *S);
   void emitIf(const IfStmt *S);
   void emitFor(const ForStmt *S);
+  void emitLoopCopy(const ForStmt *S, const VarDecl *V, char Class);
   void emitWhileCond(std::string Keyword, const Expr *Cond);
   void emitDecl(const VarDecl *D);
   void emitExprStmt(const ExprStmt *S);
@@ -668,7 +676,9 @@ private:
   }
 
   ASTContext &Ctx;
-  DiagnosticsEngine &Diags;
+  /// Where diagnostics go; a throwaway engine while a versioned loop's
+  /// second and third copies re-lower what the first already reported.
+  DiagnosticsEngine *Diags;
   TransformOptions Opts;
   std::string Body;
   int Indent = 0;
@@ -702,6 +712,10 @@ private:
   std::vector<std::pair<const Expr *, std::string>> ActiveTemps;
   int HoistCounter = 0;
   int CseCounter = 0;
+  /// The loop copy being emitted by a sign-versioned for-loop: its
+  /// version variable and the class ('p' or 'n') its test proved, or 0.
+  const VarDecl *VersionVar = nullptr;
+  char VersionClass = 0;
 };
 
 //===----------------------------------------------------------------------===//
@@ -745,7 +759,7 @@ std::string Transformer::asInterval(const TR &V) {
   if (V.C == Cat::Interval)
     return V.Code;
   if (V.C == Cat::TBool) {
-    Diags.error(SourceLoc(), "cannot use a comparison result as a value");
+    Diags->error(SourceLoc(), "cannot use a comparison result as a value");
     return V.Code;
   }
   if (V.OrigTy && V.OrigTy->isInteger())
@@ -831,9 +845,9 @@ TR Transformer::transformExpr(const Expr *E) {
     TR Then = transformExpr(C->Then);
     TR Else = transformExpr(C->Else);
     if (Cond.C == Cat::TBool)
-      Diags.error(E->loc(),
-                  "interval-dependent '?:' conditions are not supported; "
-                  "rewrite as an if statement");
+      Diags->error(E->loc(),
+                   "interval-dependent '?:' conditions are not supported; "
+                   "rewrite as an if statement");
     TR R;
     R.OrigTy = E->type();
     if (E->type() && E->type()->isFloatingOrVector()) {
@@ -906,8 +920,8 @@ TR Transformer::transformUnary(const UnaryExpr *U) {
   case UnaryExpr::Op::PostInc:
   case UnaryExpr::Op::PostDec: {
     if (Sub.C == Cat::Interval) {
-      Diags.error(U->loc(), "++/-- on floating-point values is not "
-                            "supported in the IGen C subset");
+      Diags->error(U->loc(), "++/-- on floating-point values is not "
+                             "supported in the IGen C subset");
       return Sub;
     }
     bool Pre =
@@ -1247,12 +1261,12 @@ TR Transformer::transformBinary(const BinaryExpr *B) {
     }
     if ((B->LHS->type() && B->LHS->type()->isSimdVector()) ||
         (B->RHS->type() && B->RHS->type()->isSimdVector()))
-      Diags.error(B->loc(),
-                  "comparisons of SIMD vectors are not supported");
+      Diags->error(B->loc(),
+                   "comparisons of SIMD vectors are not supported");
     if (isDd() &&
         (B->O == BinaryExpr::Op::EQ || B->O == BinaryExpr::Op::NE))
-      Diags.error(B->loc(),
-                  "==/!= on double-double intervals is not supported");
+      Diags->error(B->loc(),
+                   "==/!= on double-double intervals is not supported");
     const char *Name = B->O == BinaryExpr::Op::LT   ? "cmplt"
                        : B->O == BinaryExpr::Op::GT ? "cmpgt"
                        : B->O == BinaryExpr::Op::LE ? "cmple"
@@ -1317,7 +1331,7 @@ std::string Transformer::lvalueOf(const Expr *E) {
   default:
     break;
   }
-  Diags.error(Stripped->loc(), "unsupported assignment target");
+  Diags->error(Stripped->loc(), "unsupported assignment target");
   return transformExpr(Stripped).Code;
 }
 
@@ -1445,8 +1459,8 @@ TR Transformer::transformCall(const CallExpr *C) {
     // interval's outer hull (sound, though no tighter than f64i).
     if (C->Args.empty() || ((Base == "min" || Base == "max") &&
                             C->Args.size() < 2)) {
-      Diags.error(C->loc(), "wrong number of arguments to '" + C->Callee +
-                                "'");
+      Diags->error(C->loc(), "wrong number of arguments to '" + C->Callee +
+                                 "'");
       R.C = Cat::Interval;
       R.Code = "ia_cst_" + sfx() + "(0.0)";
       return R;
@@ -1660,9 +1674,9 @@ void Transformer::emitIf(const IfStmt *S) {
                   (!S->Else || collectJoinTargets(S->Else, Targets));
   if (!JoinSafe) {
     if (Opts.Branches == TransformOptions::BranchPolicy::Join)
-      Diags.warning(S->loc(),
-                    "cannot join this branch (arrays, integers or control "
-                    "flow are modified); unknown conditions will signal");
+      Diags->warning(S->loc(),
+                     "cannot join this branch (arrays, integers or control "
+                     "flow are modified); unknown conditions will signal");
     // Default policy: ia_cvt2bool_tb signals on unknown (Fig. 2).
     line("if (ia_cvt2bool_tb(" + Tmp + ")) /*may signal*/");
     emitBody(S->Then);
@@ -1845,8 +1859,33 @@ void Transformer::emitFor(const ForStmt *S) {
          ");");
   }
 
-  line(forHeader(S));
-  emitBody(S->Body);
+  // Sign versioning: one run-time test of the version variable's sign per
+  // loop entry picks a copy whose multiplies by it lower as nonnegative
+  // or nonpositive operands; the last copy is the plain loop. Hoisted
+  // temps and reduction accumulators stay outside the three copies.
+  const VarDecl *V = nullptr;
+  if (optOn() && !isDd() && !Opts.Profile) {
+    auto VIt = OptInfo.VersionVars.find(S);
+    if (VIt != OptInfo.VersionVars.end())
+      V = VIt->second;
+  }
+  if (V) {
+    auto RIt = Renames.find(V);
+    const std::string &Name = RIt != Renames.end() ? RIt->second : V->Name;
+    line("if (ia_inf_f64(" + Name + ") >= 0.0)");
+    emitLoopCopy(S, V, 'p');
+    DiagnosticsEngine Repeats;
+    DiagnosticsEngine *Real = Diags;
+    Diags = &Repeats; // the first copy reported everything already
+    line("else if (ia_sup_f64(" + Name + ") <= 0.0)");
+    emitLoopCopy(S, V, 'n');
+    line("else");
+    emitLoopCopy(S, V, 0);
+    Diags = Real;
+  } else {
+    line(forHeader(S));
+    emitBody(S->Body);
+  }
 
   for (auto &[Site, Acc] : Accs) {
     std::string Red = "isum_reduce_" + sfx() + "(&" + Acc + ")";
@@ -1856,6 +1895,20 @@ void Transformer::emitFor(const ForStmt *S) {
     UpdateToAcc.erase(Site->Update);
   }
   popTemps(Hoisted);
+}
+
+void Transformer::emitLoopCopy(const ForStmt *S, const VarDecl *V,
+                               char Class) {
+  line("{");
+  ++Indent;
+  VersionVar = V;
+  VersionClass = Class;
+  line(forHeader(S));
+  emitBody(S->Body);
+  VersionVar = nullptr;
+  VersionClass = 0;
+  --Indent;
+  line("}");
 }
 
 void Transformer::emitWhileCond(std::string Keyword, const Expr *Cond) {
@@ -2004,9 +2057,9 @@ void Transformer::emitFunction(FunctionDecl *F) {
       TMode = TierMode::Off;
       return;
     }
-    Diags.warning(F->Loc, "function '" + F->Name +
-                              "' is not tier-eligible (" + El.Why +
-                              "); emitting the plain f64i translation");
+    Diags->warning(F->Loc, "function '" + F->Name +
+                               "' is not tier-eligible (" + El.Why +
+                               "); emitting the plain f64i translation");
   }
   emitFunctionImpl(F, F->Name);
 }
@@ -2015,7 +2068,7 @@ void Transformer::emitFunctionImpl(FunctionDecl *F,
                                    const std::string &EmitName) {
   CurFuncName = F->Name;
   if (Opts.EnableReductions)
-    Reductions = analyzeReductions(F, Diags);
+    Reductions = analyzeReductions(F, *Diags);
   else
     Reductions = ReductionAnalysisResult();
   UpdateToAcc.clear();

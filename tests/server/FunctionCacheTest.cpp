@@ -49,6 +49,48 @@ TEST(CompileHash, OptionsAreSemanticallySignificant) {
   EXPECT_EQ(Base, hashCompileRequest("double f(double x){return x;}", B));
 }
 
+TEST(CompileHash, RequestBytesDecideAndTheHashIsFixed) {
+  // The bytes are injective: moving a byte between the source and an
+  // option string changes them. The hash of given bytes is a constant of
+  // the implementation, the same in every process.
+  TransformOptions A;
+  TransformOptions B = A;
+  B.ModuleName = "m";
+  EXPECT_NE(compileRequestBytes("x", A), compileRequestBytes("", B));
+  EXPECT_EQ(hashCompileRequest("x", A),
+            hashRequestBytes(compileRequestBytes("x", A)));
+  EXPECT_NE(hashRequestBytes(""), hashRequestBytes(std::string(1, '\0')));
+  EXPECT_NE(hashRequestBytes("abcdefgh"), hashRequestBytes("abcdefgi"));
+  EXPECT_EQ(formatHandle(hashRequestBytes("igen")), "12d403fee5dce517");
+  // 73 bytes: two 32-byte stripes, a whole word and a tail.
+  EXPECT_EQ(formatHandle(hashRequestBytes(std::string(73, 'x'))),
+            "25c679430bb82792");
+}
+
+TEST(FunctionCache, CollidingRequestsShareNoProgram) {
+  // Two requests forced onto one hash: the second neither hits the
+  // first's program nor replaces it.
+  FunctionCache Cache(4);
+  auto PA = makeProgram("double f(double x) { return x; }");
+  auto PB = makeProgram("double g(double x) { return x; }");
+  ASSERT_TRUE(Cache.insert(42, PA, "request A"));
+  FunctionCache::Probe Hit = Cache.lookupRequest(42, "request A");
+  EXPECT_EQ(Hit.Prog, PA);
+  EXPECT_FALSE(Hit.Collision);
+  FunctionCache::Probe Clash = Cache.lookupRequest(42, "request B");
+  EXPECT_EQ(Clash.Prog, nullptr);
+  EXPECT_TRUE(Clash.Collision);
+  EXPECT_FALSE(Cache.insert(42, PB, "request B"));
+  EXPECT_EQ(Cache.lookup(42), PA);
+  FunctionCache::Probe Miss = Cache.lookupRequest(43, "request B");
+  EXPECT_EQ(Miss.Prog, nullptr);
+  EXPECT_FALSE(Miss.Collision);
+  CacheStats S = Cache.stats();
+  EXPECT_EQ(S.Hits, 2u);
+  EXPECT_EQ(S.Misses, 2u);
+  EXPECT_EQ(S.Insertions, 1u);
+}
+
 TEST(CompileHash, HandleRoundTrip) {
   uint64_t H = 0x0123456789abcdefull;
   std::string Text = formatHandle(H);

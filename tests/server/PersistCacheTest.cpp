@@ -123,6 +123,67 @@ TEST(PersistCacheTest, RoundTripReplaysBitIdenticalPrograms) {
   // the emitted artifact matches byte for byte.
   EXPECT_EQ(GotA->EmittedC, ProgA->EmittedC);
   EXPECT_EQ(GotB->EmittedC, ProgB->EmittedC);
+  // Replayed entries keep their request bytes: a compile of A hits.
+  EXPECT_EQ(Cache.lookupRequest(HashA, compileRequestBytes(SrcA, Opts)).Prog,
+            GotA);
+}
+
+/// The handle the daemon used before request bytes keyed the cache:
+/// FNV-1a over the source and the tagged options.
+uint64_t oldFnvHandle(const std::string &Src, const TransformOptions &O) {
+  uint64_t H = 1469598103934665603ull;
+  auto Feed = [&](std::string_view Bytes) {
+    for (unsigned char C : Bytes) {
+      H ^= C;
+      H *= 1099511628211ull;
+    }
+  };
+  auto Tag = [&](char T, long long V) {
+    std::string B(1, T);
+    for (int I = 0; I < 8; ++I)
+      B.push_back(static_cast<char>((unsigned long long)V >> (8 * I)));
+    Feed(B);
+  };
+  Feed(Src);
+  Tag('P', O.Prec == TransformOptions::Precision::DoubleDouble);
+  Tag('S', O.ScalarLibrary);
+  Tag('R', O.EnableReductions);
+  Tag('B', O.EnableBatchLoops);
+  Tag('J', O.Branches == TransformOptions::BranchPolicy::Join);
+  Tag('O', O.OptLevel);
+  Tag('F', O.Profile);
+  Tag('T', O.Tier);
+  Tag('H', O.Harden);
+  Tag('h', 0);
+  Feed(O.RuntimeHeader);
+  Tag('m', 0);
+  Feed(O.ModuleName);
+  return H;
+}
+
+TEST(PersistCacheTest, EntriesJournaledUnderTheOldHashAreStale) {
+  // A journal written before the hash change names its entries by the
+  // old FNV-1a handle: replay skips them with the stale-entry warning
+  // and compiles nothing.
+  std::string Dir = makeTempDir();
+  const std::string Src = "double f(double x) { return x + 1.0; }\n";
+  TransformOptions Opts = serveOptions();
+  const uint64_t Hash = hashCompileRequest(Src, Opts);
+  const uint64_t Old = oldFnvHandle(Src, Opts);
+  ASSERT_NE(Hash, Old);
+  {
+    PersistentCacheDir P(Dir);
+    P.persist(Hash, Src, Opts);
+  }
+  ASSERT_EQ(std::rename((Dir + "/" + formatHandle(Hash) + ".igenc").c_str(),
+                        (Dir + "/" + formatHandle(Old) + ".igenc").c_str()),
+            0);
+  FunctionCache Cache(8);
+  PersistentCacheDir P2(Dir);
+  PersistentCacheDir::ReplayStats RS = P2.replay(Cache, 8);
+  EXPECT_EQ(RS.Replayed, 0u);
+  EXPECT_EQ(RS.Skipped, 1u);
+  EXPECT_EQ(Cache.stats().Resident, 0u);
 }
 
 TEST(PersistCacheTest, CorruptAndStaleEntriesAreSkippedNotFatal) {

@@ -16,7 +16,8 @@
 //  * a client that disconnects mid-response (the SIGPIPE regression);
 //  * SIGTERM graceful drain: exit 0, socket unlinked;
 //  * health probes answered while a worker is wedged in a long eval,
-//    and a deadline that frees that worker.
+//    and while every worker of the pool is, and a deadline that frees
+//    those workers.
 //
 //===----------------------------------------------------------------------===//
 
@@ -63,16 +64,23 @@ protected:
     ::unlink(SocketPath.c_str());
   }
 
-  /// Spawns `igen --serve` with extra environment variables. May be
-  /// called again after stopHard() to model a restart.
-  void start(const std::vector<EnvVar> &Env = {}) {
+  /// Spawns `igen --serve` with extra environment variables and command
+  /// line arguments. May be called again after stopHard() to model a
+  /// restart.
+  void start(const std::vector<EnvVar> &Env = {},
+             const std::vector<std::string> &Args = {}) {
+    std::vector<std::string> Argv = {"igen", "--serve=" + SocketPath};
+    Argv.insert(Argv.end(), Args.begin(), Args.end());
+    std::vector<char *> Ptrs;
+    for (std::string &A : Argv)
+      Ptrs.push_back(A.data());
+    Ptrs.push_back(nullptr);
     Pid = ::fork();
     ASSERT_GE(Pid, 0);
     if (Pid == 0) {
       for (const EnvVar &E : Env)
         ::setenv(E.Name.c_str(), E.Value.c_str(), 1);
-      std::string Arg = "--serve=" + SocketPath;
-      ::execl(IGEN_DRIVER_PATH, "igen", Arg.c_str(), (char *)nullptr);
+      ::execv(IGEN_DRIVER_PATH, Ptrs.data());
       _exit(127);
     }
     for (int I = 0; I < 400; ++I) {
@@ -375,6 +383,50 @@ TEST_F(ResilienceTest, HealthAnswersDuringLongEvalAndDeadlineFreesWorker) {
   EXPECT_EQ(R.Value.member("error")->member("code")->stringValue(),
             "deadline-exceeded");
   ::close(A);
+  expectServing();
+}
+
+TEST_F(ResilienceTest, HealthAnswersWithEveryWorkerWedged) {
+  // Both workers of a two-worker pool run a runaway eval; health on a
+  // third connection still answers, and sees both. Its in_flight also
+  // counts the probe itself, which holds a heartbeat slot while it
+  // renders (ServerCoreTest.HealthReportsStateAndInFlight).
+  start({}, {"--serve-workers=2"});
+  int Ctl = connectClient();
+  JsonValue C = rpc(Ctl, std::string("{\"op\":\"compile\",\"source\":\"") +
+                             kRunawaySource +
+                             "\",\"options\":{\"opt_level\":0,\"target\":"
+                             "\"ss\"}}");
+  ASSERT_TRUE(C.member("ok")->boolValue());
+  std::string Handle = C.member("handle")->stringValue();
+  ::close(Ctl);
+
+  int Wedged[2];
+  for (int &Fd : Wedged) {
+    Fd = connectClient();
+    sendAll(Fd, "{\"op\":\"eval\",\"handle\":\"" + Handle +
+                    "\",\"function\":\"spin\",\"args\":[0.0],"
+                    "\"deadline_ms\":1500,"
+                    "\"options\":{\"step_limit\":4000000000}}\n");
+  }
+  ::usleep(300 * 1000); // both evals are on their workers
+
+  int Probe = connectClient();
+  JsonValue H = rpc(Probe, "{\"op\":\"health\"}");
+  ASSERT_TRUE(H.member("ok")->boolValue());
+  EXPECT_EQ(H.member("state")->stringValue(), "serving");
+  EXPECT_EQ(H.member("in_flight")->numberValue(), 2.0 + 1.0);
+  ::close(Probe);
+
+  for (int Fd : Wedged) {
+    std::string Line = recvLine(Fd);
+    JsonParseResult R = parseJson(Line);
+    ASSERT_TRUE(R.Ok) << Line;
+    EXPECT_FALSE(R.Value.member("ok")->boolValue());
+    EXPECT_EQ(R.Value.member("error")->member("code")->stringValue(),
+              "deadline-exceeded");
+    ::close(Fd);
+  }
   expectServing();
 }
 

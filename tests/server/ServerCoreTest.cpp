@@ -14,6 +14,7 @@
 #include "server/ServerCore.h"
 
 #include "server/Json.h"
+#include "transform/Pipeline.h"
 
 #include <gtest/gtest.h>
 
@@ -108,6 +109,41 @@ TEST_F(ServerCoreTest, SecondCompileHitsCache) {
   EXPECT_FALSE(C.member("cached")->boolValue());
   EXPECT_NE(A.member("handle")->stringValue(),
             C.member("handle")->stringValue());
+}
+
+TEST_F(ServerCoreTest, HashCollisionNeverSharesAProgram) {
+  // Inject a collision: the handle source B hashes to already holds
+  // source A's program under A's request bytes, as if the two hashed
+  // alike. B is refused with a typed error instead of getting A's
+  // program, and the handle keeps evaluating A.
+  const char *A = "double f(double x) { return x + 1.0; }";
+  const char *B = "double f(double x) { return x + 2.0; }";
+  igen::TransformOptions Opts;
+  Opts.OptLevel = 0;
+  Opts.ScalarLibrary = true;
+  igen::DiagnosticsEngine Diags;
+  std::shared_ptr<const igen::InMemoryProgram> ProgA =
+      igen::compileToProgram(A, Opts, Diags);
+  ASSERT_TRUE(ProgA);
+  const std::string Taken = formatHandle(hashCompileRequest(B, Opts));
+  ASSERT_TRUE(Core.cache().insert(hashCompileRequest(B, Opts), ProgA,
+                                  compileRequestBytes(A, Opts)));
+  const std::string FrameB =
+      std::string("{\"op\":\"compile\",\"source\":\"") + jsonEscape(B) +
+      "\",\"options\":{\"opt_level\":0,\"target\":\"ss\"}}";
+  EXPECT_EQ(expectError(FrameB), "handle-collision");
+  EXPECT_EQ(expectError(FrameB), "handle-collision"); // nothing was cached
+  auto evalAt1 = [&](const std::string &Handle) {
+    JsonValue V = rpc("{\"op\":\"eval\",\"handle\":\"" + Handle +
+                      "\",\"function\":\"f\",\"args\":[1.0]}");
+    EXPECT_TRUE(V.member("ok")->boolValue());
+    return V.member("result")->member("hi")->numberValue();
+  };
+  EXPECT_EQ(evalAt1(Taken), 2.0); // A's program, never B's (3.0)
+  // A's own request hashes elsewhere and gets its own entry.
+  std::string HandleA = compileHandle(A);
+  EXPECT_NE(HandleA, Taken);
+  EXPECT_EQ(evalAt1(HandleA), 2.0);
 }
 
 TEST_F(ServerCoreTest, CompileFailureIsTypedWithDiagnosticsAndRollsBack) {

@@ -9,12 +9,16 @@
 // OptkO1Tu.cpp / OptkO0Tu.cpp). For every kernel and many random inputs
 // the optimized enclosure must be contained in (equal to or tighter
 // than) the naive one, and both must contain the long double reference.
+// The sign-versioned kernels (gemm, axpy, axmy, scale) run with their
+// loop-invariant multiplier in every sign class the run-time test can
+// meet, so each of the three loop copies is checked.
 //
 //===----------------------------------------------------------------------===//
 
 #include "interval/igen_lib.h"
 
 #include <cmath>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -34,6 +38,14 @@ f64i opt_cse_O1(f64i *v, f64i a, f64i b, int n);
 f64i opt_cse_O0(f64i *v, f64i a, f64i b, int n);
 f64i opt_elem_O1(f64i x);
 f64i opt_elem_O0(f64i x);
+void opt_gemm_O1(f64i *C, f64i *A, f64i *B, int n);
+void opt_gemm_O0(f64i *C, f64i *A, f64i *B, int n);
+void opt_axpy_O1(f64i alpha, f64i *x, f64i *y, int n);
+void opt_axpy_O0(f64i alpha, f64i *x, f64i *y, int n);
+void opt_axmy_O1(f64i alpha, f64i *x, f64i *y, int n);
+void opt_axmy_O0(f64i alpha, f64i *x, f64i *y, int n);
+void opt_scale_O1(f64i alpha, f64i *x, f64i *y, int n);
+void opt_scale_O0(f64i alpha, f64i *x, f64i *y, int n);
 
 namespace {
 
@@ -62,6 +74,40 @@ void expectTightened(const Interval &O1, const Interval &O0) {
     EXPECT_TRUE(O0.containsInterval(O1))
         << "O1=[" << O1.lo() << "," << O1.hi() << "] O0=[" << O0.lo()
         << "," << O0.hi() << "]";
+}
+
+/// A loop-invariant multiplier for the sign-versioned kernels, and a
+/// finite point inside it for the long double reference.
+struct Multiplier {
+  Interval I;
+  double Point;
+};
+
+/// One multiplier per sign class the versioned loops can meet: positive,
+/// negative, straddling, zero with every signed-zero spelling, [0,b] and
+/// [a,0] with either zero, infinite endpoints, and NaN.
+std::vector<Multiplier> multiplierCases() {
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const double Ends[][2] = {
+      {0.5, 3.0},  {-3.0, -0.5}, {-1.0, 2.0},  {0.0, 0.0},   {-0.0, -0.0},
+      {-0.0, 0.0}, {0.0, -0.0},  {0.0, 2.0},   {-0.0, 2.0},  {-2.0, 0.0},
+      {-2.0, -0.0}, {0.0, Inf},  {-Inf, -0.0}, {1.0, Inf},   {-Inf, -1.0},
+      {-1.0, Inf}, {-Inf, 1.0},  {-Inf, Inf},  {NaN, NaN}};
+  std::vector<Multiplier> Out;
+  for (const auto &E : Ends) {
+    double P = std::isfinite(E[0]) ? E[0] : std::isfinite(E[1]) ? E[1] : 0.0;
+    Out.push_back({Interval::fromEndpoints(E[0], E[1]), P});
+  }
+  return Out;
+}
+
+f64i toF(const Interval &I) {
+#if defined(IGEN_F64I_SCALAR)
+  return I;
+#else
+  return f64i::fromInterval(I);
+#endif
 }
 
 class ExecOptTest : public ::testing::Test {
@@ -208,4 +254,89 @@ TEST_F(ExecOptTest, ElemFastPathSoundWithBoundedExtraWidth) {
     double W0 = R0.Hi + R0.NegLo;
     EXPECT_LE(W1, W0 + std::fabs(R0.Hi) * 0x1p-44) << X;
   }
+}
+
+TEST_F(ExecOptTest, SignVersionedGemmSoundInEveryCopy) {
+  // Every A entry is the case's multiplier (one copy per run), then a mix
+  // of all cases (the copy changes from one k iteration to the next).
+  const int N = 5;
+  const std::vector<Multiplier> Cases = multiplierCases();
+  for (size_t Run = 0; Run <= Cases.size(); ++Run) {
+    for (int Rep = 0; Rep < 20; ++Rep) {
+      std::vector<f64i> A, B, C1, C0;
+      std::vector<long double> ARef, BRef, CRef;
+      for (int I = 0; I < N * N; ++I) {
+        const Multiplier &M =
+            Run < Cases.size()
+                ? Cases[Run]
+                : Cases[static_cast<size_t>(uniform(0.0, Cases.size())) %
+                        Cases.size()];
+        A.push_back(toF(M.I));
+        ARef.push_back(M.Point);
+        // Every fifth B entry is an exact zero (the 0 * inf corner),
+        // every third has width: with point operands the wrong copy
+        // would still pick the right products.
+        double Bv = I % 5 == 0 ? 0.0 : uniform(-2.0, 2.0);
+        double W = I % 3 == 0 ? uniform(0.0, 0.25) : 0.0;
+        B.push_back(f64i::fromEndpoints(Bv - W, Bv + W));
+        BRef.push_back(Bv);
+        double Cv = uniform(-2.0, 2.0);
+        C1.push_back(f64i::fromPoint(Cv));
+        C0.push_back(f64i::fromPoint(Cv));
+        CRef.push_back(Cv);
+      }
+      opt_gemm_O1(C1.data(), A.data(), B.data(), N);
+      opt_gemm_O0(C0.data(), A.data(), B.data(), N);
+      for (int I = 0; I < N; ++I)
+        for (int K = 0; K < N; ++K)
+          for (int J = 0; J < N; ++J)
+            CRef[I * N + J] += ARef[I * N + K] * BRef[K * N + J];
+      for (int E = 0; E < N * N; ++E) {
+        Interval R1 = toI(C1[E]), R0 = toI(C0[E]);
+        expectTightened(R1, R0);
+        EXPECT_TRUE(containsLd(R1, CRef[E])) << "case " << Run;
+        EXPECT_TRUE(containsLd(R0, CRef[E])) << "case " << Run;
+      }
+    }
+  }
+}
+
+TEST_F(ExecOptTest, SignVersionedVectorKernelsSoundInEveryCopy) {
+  // axpy (fused pu/nu), axmy (fused with the negated multiplier: the
+  // copies swap) and scale (unfused pu/nu, operands swapped).
+  using Kernel = void (*)(f64i, f64i *, f64i *, int);
+  struct Pair {
+    const char *Name;
+    Kernel O1, O0;
+    int Mode; // y + a*x, y - a*x, x*a
+  } Pairs[] = {{"axpy", opt_axpy_O1, opt_axpy_O0, 0},
+               {"axmy", opt_axmy_O1, opt_axmy_O0, 1},
+               {"scale", opt_scale_O1, opt_scale_O0, 2}};
+  const int N = 16;
+  for (const Pair &P : Pairs)
+    for (const Multiplier &M : multiplierCases())
+      for (int Rep = 0; Rep < 20; ++Rep) {
+        std::vector<f64i> X, Y1, Y0;
+        std::vector<long double> Ref;
+        for (int I = 0; I < N; ++I) {
+          double Xv = I % 5 == 0 ? 0.0 : uniform(-2.0, 2.0);
+          double W = I % 3 == 0 ? uniform(0.0, 0.25) : 0.0;
+          X.push_back(f64i::fromEndpoints(Xv - W, Xv + W));
+          double Yv = uniform(-2.0, 2.0);
+          Y1.push_back(f64i::fromPoint(Yv));
+          Y0.push_back(f64i::fromPoint(Yv));
+          long double Ax = static_cast<long double>(M.Point) * Xv;
+          Ref.push_back(P.Mode == 0 ? Yv + Ax : P.Mode == 1 ? Yv - Ax : Ax);
+        }
+        P.O1(toF(M.I), X.data(), Y1.data(), N);
+        P.O0(toF(M.I), X.data(), Y0.data(), N);
+        for (int I = 0; I < N; ++I) {
+          Interval R1 = toI(Y1[I]), R0 = toI(Y0[I]);
+          expectTightened(R1, R0);
+          EXPECT_TRUE(containsLd(R1, Ref[I]))
+              << P.Name << " [" << M.I.lo() << "," << M.I.hi() << "]";
+          EXPECT_TRUE(containsLd(R0, Ref[I]))
+              << P.Name << " [" << M.I.lo() << "," << M.I.hi() << "]";
+        }
+      }
 }

@@ -1,7 +1,7 @@
 /* Kernels exercising the mid-end optimizer: guard-derived sign facts,
-   sign-specialized multiplies and divides, FMA fusion, CSE, and
-   loop-invariant hoisting. Compiled twice (default -O and -O0) so the
-   exec test can compare enclosures. */
+   sign-specialized multiplies and divides, FMA fusion, CSE,
+   loop-invariant hoisting and sign-versioned loops. Compiled twice
+   (default -O and -O0) so the exec test can compare enclosures. */
 
 double opt_horner(const double *coef, double x, int d) {
   double r = 0.0;
@@ -68,4 +68,33 @@ double opt_cse(const double *v, double a, double b, int n) {
     s = s + (a * b + 1.0) * v[i] + (a * b + 1.0);
   }
   return s;
+}
+
+void opt_gemm(double *C, const double *A, const double *B, int n) {
+  for (int i = 0; i < n; i++) {
+    for (int k = 0; k < n; k++) {
+      double a = A[i * n + k];
+      for (int j = 0; j < n; j++) {
+        C[i * n + j] = C[i * n + j] + a * B[k * n + j];
+      }
+    }
+  }
+}
+
+void opt_axpy(double alpha, const double *x, double *y, int n) {
+  for (int i = 0; i < n; i++) {
+    y[i] = y[i] + alpha * x[i];
+  }
+}
+
+void opt_axmy(double alpha, const double *x, double *y, int n) {
+  for (int i = 0; i < n; i++) {
+    y[i] -= alpha * x[i];
+  }
+}
+
+void opt_scale(double alpha, const double *x, double *y, int n) {
+  for (int i = 0; i < n; i++) {
+    y[i] = x[i] * alpha;
+  }
 }

@@ -6,7 +6,8 @@
 //
 // Pins what analyzeFunctionForOpt derives for small functions: the
 // value-range facts per expression, the loop-invariant hoisting
-// candidates per for-loop, and the FMA loop hazards. Each node is named
+// candidates per for-loop, the FMA loop hazards and the sign-versioning
+// variable per innermost for-loop. Each node is named
 // by its source position and kind ("4:11 binary"), so a change to the
 // analysis shows up as a readable diff of the rendered results.
 //
@@ -74,10 +75,10 @@ std::string sorted(std::vector<std::string> Lines) {
   return Out;
 }
 
-/// The analysis of function \p Fn in \p Src, rendered as three sorted
+/// The analysis of function \p Fn in \p Src, rendered as four sorted
 /// listings.
 struct Rendered {
-  std::string Facts, Hoists, Hazards;
+  std::string Facts, Hoists, Hazards, Versions;
 };
 
 Rendered analyze(std::string_view Src, const char *Fn,
@@ -116,6 +117,11 @@ Rendered analyze(std::string_view Src, const char *Fn,
   for (const Expr *E : Info.FmaLoopHazards)
     Lines.push_back(nodeName(E));
   R.Hazards = sorted(Lines);
+  Lines.clear();
+  for (const auto &[Loop, V] : Info.VersionVars)
+    Lines.push_back("loop " + std::to_string(Loop->loc().Line) + ": " +
+                    V->Name);
+  R.Versions = sorted(Lines);
   return R;
 }
 
@@ -170,10 +176,11 @@ TEST(OptAnalysis, GuardFactsNeedTheExceptionPolicy) {
 
 TEST(OptAnalysis, NestedLoopsHoistInvariantsAndMarkAccumulators) {
   // s * t and s / t are invariant in both loops. acc is the inner
-  // loop's carried accumulator (compound form), y the outer one's and
-  // a[j] the inner one's (plain form). The inner loop's counter j is
-  // declared by its own init, so j * 0.25 hoists out of neither loop.
-  // Loads and parameters are Top: only the literals get facts.
+  // loop's carried accumulator (compound form) and y the outer one's
+  // (plain form). a[j] moves with the inner loop's counter, so its
+  // update carries nothing and may fuse. j is declared by the inner
+  // loop's own init, so j * 0.25 hoists out of neither loop. Loads and
+  // parameters are Top: only the literals get facts.
   Rendered R = analyze("double f(double *a, double s, double t, int n) {\n"
                        "  double y = 0.0;\n"
                        "  for (int i = 0; i < n; i++) {\n"
@@ -195,8 +202,9 @@ TEST(OptAnalysis, NestedLoopsHoistInvariantsAndMarkAccumulators) {
   EXPECT_EQ(R.Hoists, "loop 3: 6:21 () 7:23 binary\n"
                       "loop 5: 6:21 () 7:23 binary\n");
   EXPECT_EQ(R.Hazards, "6:11 binary\n"
-                       "7:19 binary\n"
                        "9:11 binary\n");
+  // The inner loop's only multiply by a scalar is hoisted as s * t.
+  EXPECT_EQ(R.Versions, "");
 }
 
 TEST(OptAnalysis, GrowingLoopWidensToInfinity) {
@@ -293,4 +301,142 @@ TEST(OptAnalysis, WhileAndDoLoopsConverge) {
                      "8:14 m [0, 1]\n");
   EXPECT_EQ(R.Hoists, "");
   EXPECT_EQ(R.Hazards, "4:11 binary\n");
+}
+
+TEST(OptAnalysis, OnlyUpdatesOfAFixedLocationAreHazards) {
+  // gemm's C[i*n+j] moves with the inner loop's j: no recurrence, the
+  // update may fuse. mvm's y[i] is the same element on every j
+  // iteration, and so is the scalar s: both stay unfused.
+  const char *Gemm =
+      "void gemm(double *C, const double *A, const double *B, int n) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    for (int k = 0; k < n; k++) {\n"
+      "      double a = A[i * n + k];\n"
+      "      for (int j = 0; j < n; j++)\n"
+      "        C[i * n + j] = C[i * n + j] + a * B[k * n + j];\n"
+      "    }\n"
+      "}\n";
+  EXPECT_EQ(analyze(Gemm, "gemm").Hazards, "");
+  const char *Mvm =
+      "void mvm(const double *A, const double *x, double *y, int m,\n"
+      "         int n) {\n"
+      "  for (int i = 0; i < m; i++)\n"
+      "    for (int j = 0; j < n; j++)\n"
+      "      y[i] = y[i] + A[i * n + j] * x[j];\n"
+      "}\n";
+  EXPECT_EQ(analyze(Mvm, "mvm").Hazards, "5:19 binary\n");
+  const char *Dot = "double dot(const double *a, const double *b, int n) {\n"
+                    "  double s = 0.0;\n"
+                    "  for (int i = 0; i < n; i++)\n"
+                    "    s += a[i] * b[i];\n"
+                    "  return s;\n"
+                    "}\n";
+  EXPECT_EQ(analyze(Dot, "dot").Hazards, "4:7 binary\n");
+}
+
+TEST(OptAnalysis, InnermostLoopsVersionOnAnInvariantMultiplier) {
+  // gemm's a (declared in the k-loop), axpy's alpha (a parameter) and
+  // ger's xi each scale every element of an innermost loop. Only the
+  // innermost loop versions; the outer loops get nothing.
+  const char *Src =
+      "void gemm(double *C, const double *A, const double *B, int n) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    for (int k = 0; k < n; k++) {\n"
+      "      double a = A[i * n + k];\n"
+      "      for (int j = 0; j < n; j++)\n"
+      "        C[i * n + j] = C[i * n + j] + a * B[k * n + j];\n"
+      "    }\n"
+      "}\n"
+      "void axpy(double alpha, const double *x, double *y, int n) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    y[i] = y[i] + alpha * x[i];\n"
+      "}\n"
+      "void ger(double *A, const double *x, const double *y, int n) {\n"
+      "  for (int i = 0; i < n; i++) {\n"
+      "    double xi = x[i];\n"
+      "    for (int j = 0; j < n; j++)\n"
+      "      A[i * n + j] += xi * y[j];\n"
+      "  }\n"
+      "}\n";
+  EXPECT_EQ(analyze(Src, "gemm").Versions, "loop 5: a\n");
+  EXPECT_EQ(analyze(Src, "axpy").Versions, "loop 10: alpha\n");
+  EXPECT_EQ(analyze(Src, "ger").Versions, "loop 16: xi\n");
+}
+
+TEST(OptAnalysis, VersionVariableMostMultipliesThenDeclarationOrder) {
+  // b scales two multiplies and a one: b wins. c and d tie with one
+  // each: the earlier declaration, d, wins.
+  const char *Src = "void f(double a, double b, double *x, int n) {\n"
+                    "  for (int i = 0; i < n; i++)\n"
+                    "    x[i] = a * x[i] + b * x[i] * (b * x[i]);\n"
+                    "}\n"
+                    "void g(double d, double c, double *x, int n) {\n"
+                    "  for (int i = 0; i < n; i++)\n"
+                    "    x[i] = c * x[i] + x[i] * d;\n"
+                    "}\n";
+  EXPECT_EQ(analyze(Src, "f").Versions, "loop 2: b\n");
+  EXPECT_EQ(analyze(Src, "g").Versions, "loop 6: d\n");
+}
+
+TEST(OptAnalysis, LoopsThatMustNotVersion) {
+  // Each loop multiplies by a scalar that fails one requirement: written
+  // in the body (w1) or in the for-init (w2), address taken (w3), sign
+  // proven by a guard (w4), a reduce pragma (w5), break (w6) and
+  // continue (w7), a hoisted product (w8: a * b leaves the loop), and
+  // a nest whose inner loop has no multiply (w9).
+  const char *Src =
+      "void w1(double a, double *x, int n) {\n"
+      "  for (int i = 0; i < n; i++) {\n"
+      "    x[i] = a * x[i];\n"
+      "    a = x[i];\n"
+      "  }\n"
+      "}\n"
+      "void w2(double a, double *x, int n) {\n"
+      "  for (a = x[0]; n > 0; n--)\n"
+      "    x[n] = a * x[n];\n"
+      "}\n"
+      "void w3(double a, double *x, int n) {\n"
+      "  double *p = &a;\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    x[i] = a * x[i];\n"
+      "}\n"
+      "void w4(double a, double *x, int n) {\n"
+      "  if (a > 0.0)\n"
+      "    for (int i = 0; i < n; i++)\n"
+      "      x[i] = a * x[i];\n"
+      "}\n"
+      "double w5(double a, double *x, int n) {\n"
+      "  double s = 0.0;\n"
+      "  #pragma igen reduce s\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    s = s + a * x[i];\n"
+      "  return s;\n"
+      "}\n"
+      "void w6(double a, double *x, int n) {\n"
+      "  for (int i = 0; i < n; i++) {\n"
+      "    if (i > 4)\n"
+      "      break;\n"
+      "    x[i] = a * x[i];\n"
+      "  }\n"
+      "}\n"
+      "void w7(double a, double *x, int n) {\n"
+      "  for (int i = 0; i < n; i++) {\n"
+      "    if (i > 4)\n"
+      "      continue;\n"
+      "    x[i] = a * x[i];\n"
+      "  }\n"
+      "}\n"
+      "void w8(double a, double b, double *x, int n) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    x[i] = a * b * x[i];\n"
+      "}\n"
+      "void w9(double a, double *x, int n) {\n"
+      "  for (int i = 0; i < n; i++) {\n"
+      "    x[i] = a * x[i];\n"
+      "    for (int j = 0; j < n; j++)\n"
+      "      x[j] = x[j] + 1.0;\n"
+      "  }\n"
+      "}\n";
+  for (const char *Fn : {"w1", "w2", "w3", "w4", "w5", "w6", "w7", "w8", "w9"})
+    EXPECT_EQ(analyze(Src, Fn).Versions, "") << Fn;
 }

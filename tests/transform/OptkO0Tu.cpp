@@ -11,5 +11,9 @@
 #define opt_negsq opt_negsq_O0
 #define opt_elem opt_elem_O0
 #define opt_cse opt_cse_O0
+#define opt_gemm opt_gemm_O0
+#define opt_axpy opt_axpy_O0
+#define opt_axmy opt_axmy_O0
+#define opt_scale opt_scale_O0
 
 #include "optk_O0.cpp"

@@ -17,5 +17,9 @@
 #define opt_negsq opt_negsq_O1
 #define opt_elem opt_elem_O1
 #define opt_cse opt_cse_O1
+#define opt_gemm opt_gemm_O1
+#define opt_axpy opt_axpy_O1
+#define opt_axmy opt_axmy_O1
+#define opt_scale opt_scale_O1
 
 #include "optk_O1.cpp"

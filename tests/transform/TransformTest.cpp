@@ -94,11 +94,13 @@ TEST(Transform, IndexLiftingAndPointers) {
       "    y[i] = y[i] + alpha * x[i];\n"
       "}\n");
   EXPECT_THAT(Out, HasSubstr("void axpy(f64i alpha, f64i *x, f64i *y"));
-  // The add feeds the loop-carried accumulator y[i], so the optimizer
-  // deliberately keeps it unfused (fusing would serialize the loop on
-  // the fma latency).
-  EXPECT_THAT(Out,
-              HasSubstr("y[i] = ia_add_f64(y[i], ia_mul_f64(alpha, x[i]))"));
+  // y[i] moves with the loop counter, so the update carries nothing from
+  // one iteration to the next and fuses. alpha's run-time sign picks one
+  // of three copies of the loop (sign versioning).
+  EXPECT_THAT(Out, HasSubstr("if (ia_inf_f64(alpha) >= 0.0)"));
+  EXPECT_THAT(Out, HasSubstr("y[i] = ia_fma_pu_f64(alpha, x[i], y[i])"));
+  EXPECT_THAT(Out, HasSubstr("y[i] = ia_fma_nu_f64(alpha, x[i], y[i])"));
+  EXPECT_THAT(Out, HasSubstr("y[i] = ia_fma_f64(alpha, x[i], y[i])"));
 }
 
 TEST(Transform, MathFunctionsMap) {
@@ -425,10 +427,12 @@ const char *SignKernel = "double f(double x) {\n"
                          "  return r;\n"
                          "}\n";
 
-const char *MacKernel = "void mac(double *y, double *a, double *b, int n) {\n"
-                        "  for (int i = 0; i < n; i++)\n"
-                        "    y[i] = y[i] + a[i] * b[i];\n"
-                        "}\n";
+const char *MacKernel =
+    "void mac(double *y, double *a, double *b, int m, int n) {\n"
+    "  for (int i = 0; i < m; i++)\n"
+    "    for (int j = 0; j < n; j++)\n"
+    "      y[i] = y[i] + a[i * n + j] * b[j];\n"
+    "}\n";
 
 } // namespace
 
@@ -452,13 +456,23 @@ TEST(Optimizer, O0EmitsGenericCalls) {
 }
 
 TEST(Optimizer, LoopCarriedMulAddStaysUnfused) {
-  // y[i] = y[i] + a[i]*b[i] inside a loop: the add is the loop-carried
-  // recurrence, so FMA fusion is suppressed — fused, every iteration's
-  // multiply would sit on the recurrence's critical path.
+  // y[i] = y[i] + a[i*n+j]*b[j] inside the j-loop: y[i] is the same
+  // element on every iteration, the add is the loop-carried recurrence,
+  // so FMA fusion is suppressed — fused, every iteration's multiply
+  // would sit on the recurrence's critical path.
+  const char *Carried =
+      "y[i] = ia_add_f64(y[i], ia_mul_f64(a[(i * n) + j], b[j]))";
   std::string Out = compile(MacKernel);
-  EXPECT_THAT(Out,
-              HasSubstr("y[i] = ia_add_f64(y[i], ia_mul_f64(a[i], b[i]))"));
+  EXPECT_THAT(Out, HasSubstr(Carried));
   EXPECT_THAT(Out, Not(HasSubstr("ia_fma")));
+
+  // The same update in an i-loop moves every iteration and fuses.
+  std::string Moving =
+      compile("void mac1(double *y, double *a, double *b, int n) {\n"
+              "  for (int i = 0; i < n; i++)\n"
+              "    y[i] = y[i] + a[i] * b[i];\n"
+              "}\n");
+  EXPECT_THAT(Moving, HasSubstr("y[i] = ia_fma_f64(a[i], b[i], y[i])"));
 
   // Outside a loop the same shape fuses as before.
   std::string Straight =
@@ -482,9 +496,101 @@ TEST(Optimizer, LoopCarriedMulAddStaysUnfused) {
   TransformOptions Opts;
   Opts.OptLevel = 0;
   std::string Naive = compile(MacKernel, Opts);
-  EXPECT_THAT(Naive,
-              HasSubstr("y[i] = ia_add_f64(y[i], ia_mul_f64(a[i], b[i]))"));
+  EXPECT_THAT(Naive, HasSubstr(Carried));
   EXPECT_THAT(Naive, Not(HasSubstr("ia_fma")));
+}
+
+namespace {
+
+const char *GemmKernel =
+    "void gemm(double *C, const double *A, const double *B, int n) {\n"
+    "  for (int i = 0; i < n; i++)\n"
+    "    for (int k = 0; k < n; k++) {\n"
+    "      double a = A[i * n + k];\n"
+    "      for (int j = 0; j < n; j++)\n"
+    "        C[i * n + j] = C[i * n + j] + a * B[k * n + j];\n"
+    "    }\n"
+    "}\n";
+
+} // namespace
+
+TEST(Optimizer, SignVersioningCopiesTheInnermostLoop) {
+  // a's sign is unknown statically: one test per k iteration picks the
+  // copy whose multiply by a is specialized for it. Only the innermost
+  // loop is copied.
+  std::string Out = compile(GemmKernel);
+  EXPECT_THAT(Out, HasSubstr("      f64i a = A[(i * n) + k];\n"
+                             "      if (ia_inf_f64(a) >= 0.0)\n"
+                             "      {\n"
+                             "        for (int j = 0; j < n; j++)\n"
+                             "        {\n"
+                             "          C[(i * n) + j] = ia_fma_pu_f64(a, "
+                             "B[(k * n) + j], C[(i * n) + j]);\n"
+                             "        }\n"
+                             "      }\n"
+                             "      else if (ia_sup_f64(a) <= 0.0)\n"
+                             "      {\n"
+                             "        for (int j = 0; j < n; j++)\n"
+                             "        {\n"
+                             "          C[(i * n) + j] = ia_fma_nu_f64(a, "
+                             "B[(k * n) + j], C[(i * n) + j]);\n"
+                             "        }\n"
+                             "      }\n"
+                             "      else\n"
+                             "      {\n"
+                             "        for (int j = 0; j < n; j++)\n"
+                             "        {\n"
+                             "          C[(i * n) + j] = ia_fma_f64(a, "
+                             "B[(k * n) + j], C[(i * n) + j]);\n"
+                             "        }\n"
+                             "      }\n"));
+  // Scalar library too.
+  TransformOptions Ss;
+  Ss.ScalarLibrary = true;
+  EXPECT_THAT(compile(GemmKernel, Ss), HasSubstr("ia_fma_nu_f64(a, "));
+
+  // A hoisted invariant is computed once, ahead of the test.
+  std::string Hoist = compile(
+      "void f(double al, double b, double c, double *x, double *y, int n) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    y[i] = y[i] + al * x[i] * (b * c);\n"
+      "}\n");
+  EXPECT_THAT(Hoist, HasSubstr("  f64i _hoist1 = ia_mul_f64(b, c);\n"
+                               "  if (ia_inf_f64(al) >= 0.0)\n"));
+  EXPECT_THAT(Hoist,
+              HasSubstr("ia_fma_f64(ia_mul_nu_f64(al, x[i]), _hoist1, y[i])"));
+}
+
+TEST(Optimizer, SignVersionedLoopWarnsOnce) {
+  // The join policy cannot join a branch that stores to memory and
+  // warns. The loop body is lowered three times; the warning is not.
+  TransformOptions Opts;
+  Opts.Branches = TransformOptions::BranchPolicy::Join;
+  DiagnosticsEngine Diags;
+  auto Out = compileToIntervals("void f(double a, double *x, int n) {\n"
+                                "  for (int i = 0; i < n; i++)\n"
+                                "    if (x[i] > 0.0)\n"
+                                "      x[i] = a * x[i];\n"
+                                "}\n",
+                                Opts, Diags);
+  ASSERT_TRUE(Out.has_value()) << Diags.render("test");
+  EXPECT_THAT(*Out, HasSubstr("ia_mul_nu_f64(a, x[i])"));
+  EXPECT_EQ(Diags.diagnostics().size(), 1u) << Diags.render("test");
+}
+
+TEST(Optimizer, SignVersioningStaysOffWhereSpecializationDoes) {
+  // -O0, double-double and --profile emit the loop once.
+  TransformOptions O0;
+  O0.OptLevel = 0;
+  TransformOptions Dd;
+  Dd.Prec = TransformOptions::Precision::DoubleDouble;
+  TransformOptions Prof;
+  Prof.Profile = true;
+  for (const TransformOptions &Opts : {O0, Dd, Prof}) {
+    std::string Out = compile(GemmKernel, Opts);
+    EXPECT_THAT(Out, Not(HasSubstr("ia_inf_f64")));
+    EXPECT_THAT(Out, Not(HasSubstr("ia_sup_f64")));
+  }
 }
 
 TEST(Optimizer, NonCarriedMulAddInLoopStillFuses) {
