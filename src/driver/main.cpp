@@ -16,13 +16,16 @@
 #include "frontend/Parser.h"
 #include "frontend/Sema.h"
 #include "server/SocketServer.h"
+#include "support/Knobs.h"
 #include "support/StringExtras.h"
 #include "transform/Pipeline.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 using namespace igen;
 
@@ -69,38 +72,47 @@ void printUsage() {
       "                        predicate on their result, and re-execute a\n"
       "                        double-double clone from a live-in snapshot\n"
       "                        only when the result is wide AND provably\n"
-      "                        improvable (movability analysis). Tuned by\n"
-      "                        IGEN_TIER_WIDTH / IGEN_TIER_MAX; the region\n"
-      "                        table is written as <output>.sites.json.\n"
-      "                        Incompatible with --profile and\n"
-      "                        --precision=dd\n"
+      "                        improvable (movability analysis). The\n"
+      "                        region table is written as\n"
+      "                        <output>.sites.json. Incompatible with\n"
+      "                        --profile and --precision=dd\n"
       "  --harden              emit FP-environment sentinel checks at\n"
       "                        sound-region entry and after external\n"
-      "                        calls; violations are handled per\n"
-      "                        IGEN_FENV_POLICY={repair,poison,abort}\n"
+      "                        calls; violations are repaired, poisoned\n"
+      "                        or fatal per the run-time policy\n"
       "  --dump-ast            print the type-checked AST instead of\n"
       "                        translating\n"
       "  --serve=<socket>      run as a persistent compile+evaluate\n"
       "                        daemon on a Unix socket speaking\n"
       "                        newline-delimited JSON (ops: compile,\n"
       "                        eval, stats, evict, health, shutdown).\n"
-      "                        Compiled programs are cached by content\n"
-      "                        hash of (source, options); capacity via\n"
-      "                        IGEN_SERVE_CACHE, admission queue via\n"
-      "                        IGEN_SERVE_QUEUE, frame cap via\n"
-      "                        IGEN_SERVE_MAX_FRAME. Requests may carry\n"
-      "                        deadline_ms (default budget via\n"
-      "                        IGEN_SERVE_DEADLINE); IGEN_SERVE_CACHE_DIR\n"
-      "                        journals compiles for warm restarts;\n"
-      "                        IGEN_SERVE_LOG writes one JSON line per\n"
-      "                        request. SIGTERM/SIGINT drain gracefully\n"
-      "                        within IGEN_SERVE_DRAIN_MS (default 5000).\n"
-      "                        See tools/igen_client.py\n"
+      "                        Compiled programs are cached by the\n"
+      "                        request bytes (source, options). Requests\n"
+      "                        may carry deadline_ms; SIGTERM/SIGINT\n"
+      "                        drain gracefully. The environment section\n"
+      "                        below sizes, journals and logs it. See\n"
+      "                        tools/igen_client.py\n"
       "  --serve-workers=<n>   worker threads for --serve (default: the\n"
       "                        runtime thread pool's participant count)\n"
       "\n"
       "exit codes: 0 success, 2 usage error, 3 parse error, 4 type/sema\n"
-      "error, 5 transform error, 6 file I/O error\n");
+      "error, 5 transform error, 6 file I/O error\n"
+      "\n"
+      "environment (read by the runtime, generated code and --serve on\n"
+      "first use; an invalid value warns once and keeps the default):\n");
+  for (unsigned K = 0; K < NumKnobs; ++K) {
+    const KnobInfo &I = knobInfo(static_cast<Knob>(K));
+    std::fprintf(stderr, "  %-22s default: %s\n", I.Name,
+                 knobDefaultText(static_cast<Knob>(K)).c_str());
+    // The doc and the accepted values, wrapped at 78 columns.
+    std::string Text = std::string(I.Doc) + "; accepts " + I.Accepts;
+    std::string_view Rest = Text;
+    while (!Rest.empty()) {
+      size_t Cut = Rest.size() <= 53 ? Rest.size() : Rest.rfind(' ', 53);
+      std::fprintf(stderr, "%25s%.*s\n", "", int(Cut), Rest.data());
+      Rest.remove_prefix(std::min(Rest.size(), Cut + 1));
+    }
+  }
 }
 
 /// Distinct exit codes so scripts and tests can tell failure classes

@@ -11,8 +11,9 @@
 /// IGEN_FENV_POLICY actually detects and recovers -- plus operand and
 /// allocation faults for the batched runtime's edge-case handling.
 ///
-/// Faults are armed from the IGEN_FAULT environment variable (or
-/// programmatically via armFaults()) with the grammar
+/// Faults are armed from the IGEN_FAULT environment variable (read
+/// through the knob table on the first trigger point; a programmatic
+/// armFaults() or disarmFaults() before that wins) with the grammar
 ///
 ///   IGEN_FAULT = fault ("," fault)*
 ///   fault      = kind [ "@" N ]          (N defaults to 0)
@@ -64,13 +65,14 @@
 
 #include "harden/FenvSentinel.h"
 #include "interval/Rounding.h"
+#include "support/Knobs.h"
 
 #include <atomic>
 #include <cfenv>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
 namespace igen::harden {
 
@@ -101,9 +103,9 @@ struct FaultSlot {
 
 inline FaultSlot FaultSlots[kNumFaultKinds];
 
-/// Set once any fault is armed; trigger points check this first.
-inline std::atomic<bool> AnyFaultArmed{false};
-inline std::atomic<bool> WarnedBadFault{false};
+/// Trigger points check this first: 1 while any fault is armed, 0 when
+/// none is, -1 until IGEN_FAULT has been applied.
+inline std::atomic<int> ArmState{-1};
 
 inline const char *faultKindName(int K) {
   static const char *Names[kNumFaultKinds] = {
@@ -152,7 +154,7 @@ inline void scopeEntryFault(int EnteredMode) {
 /// True while any fault is armed. Trigger points gate on this so the
 /// disarmed cost is one relaxed load + branch.
 inline bool faultsArmed() {
-  return detail::AnyFaultArmed.load(std::memory_order_relaxed);
+  return detail::ArmState.load(std::memory_order_relaxed) > 0;
 }
 
 /// Consumes one occurrence of \p K's trigger point; true when the armed
@@ -177,7 +179,7 @@ inline bool faultFires(FaultKind K, long long *NOut = nullptr) {
 /// Disarms everything and resets trigger counters (tests call this
 /// between cases).
 inline void disarmFaults() {
-  detail::AnyFaultArmed.store(false, std::memory_order_relaxed);
+  detail::ArmState.store(0, std::memory_order_relaxed);
   igen::detail::ScopeEntryHook.store(nullptr, std::memory_order_relaxed);
   for (auto &S : detail::FaultSlots) {
     S.FireAt.store(-1, std::memory_order_relaxed);
@@ -186,8 +188,8 @@ inline void disarmFaults() {
 }
 
 /// Arms faults from an IGEN_FAULT-grammar spec ("ftz@2,nan"). Unknown
-/// kinds or malformed counts warn once and are skipped. Passing nullptr
-/// or "" disarms.
+/// kinds or malformed counts are skipped, with one warning per process
+/// through the knob table. Passing nullptr or "" disarms.
 inline void armFaults(const char *Spec) {
   disarmFaults();
   if (!Spec || !*Spec)
@@ -217,40 +219,34 @@ inline void armFaults(const char *Spec) {
       S.FireAt.store(N, std::memory_order_relaxed);
       Armed = true;
       NeedScopeHook |= Kind <= static_cast<int>(FaultKind::Rnd);
-    } else if (!detail::WarnedBadFault.exchange(true)) {
-      std::fprintf(stderr,
-                   "igen: warning: malformed IGEN_FAULT item '%.*s' "
-                   "(grammar: kind[@N], kind in "
-                   "ftz|daz|rnd|nan|inf|alloc|accept|read|write|"
-                   "conreset|partial|stall); item ignored\n",
-                   static_cast<int>(End - P), P);
+    } else {
+      warnKnobOnce(Knob::Fault,
+                   knobWarning(Knob::Fault, "malformed",
+                               std::string_view(P, size_t(End - P)),
+                               "want kind[@N], kind in "
+                               "ftz|daz|rnd|nan|inf|alloc|accept|read|"
+                               "write|conreset|partial|stall",
+                               "the other items"));
     }
     P = *End ? End + 1 : End;
   }
   if (NeedScopeHook)
     igen::detail::ScopeEntryHook.store(detail::scopeEntryFault,
                                        std::memory_order_relaxed);
-  detail::AnyFaultArmed.store(Armed, std::memory_order_relaxed);
+  detail::ArmState.store(Armed, std::memory_order_relaxed);
 }
 
-/// Arms faults from the IGEN_FAULT environment variable. Called once at
-/// first use by the instrumented trigger points via faultsArmedFromEnv().
-inline void armFaultsFromEnv() { armFaults(std::getenv("IGEN_FAULT")); }
-
-namespace detail {
-inline std::atomic<bool> EnvChecked{false};
-} // namespace detail
-
-/// faultsArmed() with lazy one-time IGEN_FAULT parsing: the batched
-/// runtime's trigger points use this so plain processes never pay more
-/// than the relaxed-load gate.
+/// faultsArmed() that applies IGEN_FAULT first if nothing has armed or
+/// disarmed faults yet: the batched runtime's and the transport's
+/// trigger points use this, so plain processes pay one relaxed load.
 inline bool faultsArmedFromEnv() {
-  if (__builtin_expect(!detail::EnvChecked.load(std::memory_order_acquire),
-                       0)) {
-    if (!detail::EnvChecked.exchange(true))
-      armFaultsFromEnv();
+  int State = detail::ArmState.load(std::memory_order_relaxed);
+  if (__builtin_expect(State < 0, 0)) {
+    if (detail::ArmState.compare_exchange_strong(State, 0))
+      armFaults(knobString(Knob::Fault));
+    return faultsArmed();
   }
-  return faultsArmed();
+  return State > 0;
 }
 
 } // namespace igen::harden

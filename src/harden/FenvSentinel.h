@@ -19,7 +19,8 @@
 /// igen_fenv_check() reads MXCSR (one stmxcsr, ~5 cycles) and compares the
 /// soundness-relevant bits -- rounding-control, FTZ, DAZ -- against the
 /// expected upward-rounding/no-flush state. On a mismatch it applies the
-/// policy selected by IGEN_FENV_POLICY:
+/// policy selected by IGEN_FENV_POLICY (read through the knob table,
+/// support/Knobs.h):
 ///
 ///   repair (default)  restore the expected state (MXCSR and the x87
 ///                     control word via fesetround) and warn once; the
@@ -47,7 +48,8 @@
 /// Everything here is header-only (C++17 inline variables) so that any
 /// layer -- including the interval library itself and generated
 /// translation units -- can use the sentinel without a link-time
-/// dependency cycle.
+/// dependency cycle. Its one out-of-line dependency is the knob table in
+/// igen_support, which every layer already links.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,13 +57,13 @@
 #define IGEN_HARDEN_FENVSENTINEL_H
 
 #include "interval/Rounding.h"
+#include "support/Knobs.h"
 
 #include <atomic>
 #include <cfenv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <xmmintrin.h>
 
 namespace igen::harden {
@@ -98,9 +100,6 @@ enum class FenvPolicy { Repair, Poison, Abort };
 
 namespace detail {
 
-/// Cached policy: -1 until first read of IGEN_FENV_POLICY.
-inline std::atomic<int> CachedPolicy{-1};
-inline std::atomic<bool> WarnedBadPolicy{false};
 inline std::atomic<bool> WarnedRepair{false};
 
 // Violation counters (process-wide, exposed for tests and diagnostics).
@@ -109,44 +108,21 @@ inline std::atomic<uint64_t> RepairCount{0};
 inline std::atomic<uint64_t> PoisonCount{0};
 inline std::atomic<uint32_t> LastViolationBits{0};
 
-inline FenvPolicy parsePolicy(const char *Spec) {
-  if (!Spec || !*Spec)
-    return FenvPolicy::Repair;
-  if (std::strcmp(Spec, "repair") == 0)
-    return FenvPolicy::Repair;
-  if (std::strcmp(Spec, "poison") == 0)
-    return FenvPolicy::Poison;
-  if (std::strcmp(Spec, "abort") == 0)
-    return FenvPolicy::Abort;
-  if (!WarnedBadPolicy.exchange(true))
-    std::fprintf(stderr,
-                 "igen: warning: unknown IGEN_FENV_POLICY '%s' "
-                 "(expected repair|poison|abort); using 'repair'\n",
-                 Spec);
-  return FenvPolicy::Repair;
-}
-
 } // namespace detail
 
-/// The active policy, read from IGEN_FENV_POLICY on first use.
+/// The active policy: IGEN_FENV_POLICY (its spellings are listed in
+/// FenvPolicy order), read on first use.
 inline FenvPolicy fenvPolicy() {
-  int P = detail::CachedPolicy.load(std::memory_order_relaxed);
-  if (P < 0) {
-    P = static_cast<int>(detail::parsePolicy(std::getenv("IGEN_FENV_POLICY")));
-    detail::CachedPolicy.store(P, std::memory_order_relaxed);
-  }
-  return static_cast<FenvPolicy>(P);
+  return static_cast<FenvPolicy>(knobInt(Knob::FenvPolicy));
 }
 
 /// Pins the policy programmatically (tests; wins over the environment).
 inline void setFenvPolicy(FenvPolicy P) {
-  detail::CachedPolicy.store(static_cast<int>(P), std::memory_order_relaxed);
+  pinKnob(Knob::FenvPolicy, {.Int = static_cast<long long>(P)});
 }
 
 /// Drops the cached policy so the next check re-reads IGEN_FENV_POLICY.
-inline void clearFenvPolicyCache() {
-  detail::CachedPolicy.store(-1, std::memory_order_relaxed);
-}
+inline void clearFenvPolicyCache() { refreshKnob(Knob::FenvPolicy); }
 
 /// Snapshot of the violation counters.
 struct FenvStats {
@@ -175,16 +151,33 @@ inline void resetFenvStats() {
 // The check
 //===----------------------------------------------------------------------===//
 
-/// Cold path of the sentinel: record, describe, and act on a clobbered FP
+/// Records a clobbered FP environment and restores the sound upward
+/// state: counts the violation and keeps its bits, clears FTZ/DAZ and
+/// forces RC=up in MXCSR, routes through fesetround() so the x87 control
+/// word agrees, invalidates the per-thread rounding cache (the clobber
+/// proved it stale), and counts the repair -- and the poisoning, when
+/// \p Poison. \p Found is the MXCSR value the check read. Both the
+/// policy-driven sentinel below and the daemon's request-local check
+/// repair through here.
+inline void repairFenv(uint32_t Found, bool Poison) {
+  detail::ViolationCount.fetch_add(1, std::memory_order_relaxed);
+  detail::LastViolationBits.store(Found & kMxcsrSoundMask,
+                                  std::memory_order_relaxed);
+  writeMxcsr((Found & ~kMxcsrSoundMask) | kMxcsrWantUpward);
+  invalidateRoundingCache();
+  std::fesetround(FE_UPWARD);
+  detail::RepairCount.fetch_add(1, std::memory_order_relaxed);
+  if (Poison)
+    detail::PoisonCount.fetch_add(1, std::memory_order_relaxed);
+}
+
+/// Cold path of the sentinel: describe and act on a clobbered FP
 /// environment per the active policy. Returns true when the caller must
 /// poison its results (policy == poison); never returns under abort.
 [[gnu::cold, gnu::noinline]] inline bool
 handleFenvViolation(const char *Where) {
   uint32_t Cur = readMxcsr();
   uint32_t Bits = Cur & kMxcsrSoundMask;
-  detail::ViolationCount.fetch_add(1, std::memory_order_relaxed);
-  detail::LastViolationBits.store(Bits, std::memory_order_relaxed);
-
   char Desc[96];
   std::snprintf(Desc, sizeof(Desc), "%s%s%s%s",
                 (Bits & kMxcsrFtz) ? "FTZ " : "",
@@ -201,30 +194,17 @@ handleFenvViolation(const char *Where) {
     std::abort();
   }
 
-  // Repair (both remaining policies): clear FTZ/DAZ and force RC=up in
-  // MXCSR, then route through fesetround() so the x87 control word agrees
-  // and invalidate the per-thread rounding cache -- the clobber proved it
-  // stale.
-  writeMxcsr((Cur & ~kMxcsrSoundMask) | kMxcsrWantUpward);
-  invalidateRoundingCache();
-  std::fesetround(FE_UPWARD);
-  detail::RepairCount.fetch_add(1, std::memory_order_relaxed);
-
+  bool Poison = P == FenvPolicy::Poison;
+  repairFenv(Cur, Poison);
   if (!detail::WarnedRepair.exchange(true))
     std::fprintf(stderr,
                  "igen: warning: FP environment %s at %s (MXCSR was "
                  "0x%04x); %s. Further repairs are silent.\n",
                  Desc, Where, Cur,
-                 P == FenvPolicy::Poison
-                     ? "repaired, affected results poisoned to "
-                       "[-inf, +inf]"
-                     : "repaired");
-
-  if (P == FenvPolicy::Poison) {
-    detail::PoisonCount.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
+                 Poison ? "repaired, affected results poisoned to "
+                          "[-inf, +inf]"
+                        : "repaired");
+  return Poison;
 }
 
 /// The sentinel: verifies the FP environment inside an upward-rounding

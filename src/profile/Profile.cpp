@@ -8,6 +8,7 @@
 
 #include "interval/Rounding.h"
 #include "support/JsonWriter.h"
+#include "support/Knobs.h"
 
 #include <algorithm>
 #include <climits>
@@ -220,8 +221,8 @@ void flushRingLocked(ThreadBuf *B, Registry &R) {
 }
 
 void atExitReport() {
-  const char *Path = std::getenv("IGEN_PROF_OUT");
-  if (!Path || !*Path)
+  const char *Path = igen::knobString(igen::Knob::ProfOut);
+  if (!*Path)
     return;
   if (igen_prof_report_json(Path) != 0)
     std::fprintf(stderr, "igen: cannot write IGEN_PROF_OUT='%s'\n", Path);

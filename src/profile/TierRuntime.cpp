@@ -6,11 +6,9 @@
 
 #include "profile/TierRuntime.h"
 
+#include "support/Knobs.h"
+
 #include <atomic>
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <mutex>
 
@@ -63,62 +61,7 @@ RegionCounters *counters(unsigned Region) {
 /// Raw (unowned) pointer snapshot handed to the fast path. Grows only.
 std::vector<RegionCounters *> CounterView;
 
-//===----------------------------------------------------------------------===//
-// Env knobs (warn-once)
-//===----------------------------------------------------------------------===//
-
-std::once_flag WidthWarnOnce, MaxWarnOnce;
-
-struct EnvCache {
-  std::atomic<bool> WidthValid{false};
-  std::atomic<bool> MaxValid{false};
-  double Width = igen::tier::DefaultWidthThreshold;
-  int Max = igen::tier::DefaultMaxTier;
-};
-
-EnvCache &envCache() {
-  static EnvCache C;
-  return C;
-}
-
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// Pure parsers (tests drive these directly)
-//===----------------------------------------------------------------------===//
-
-double igen::tier::widthFromSpec(const char *Spec, std::string *Warning) {
-  if (!Spec || !*Spec)
-    return DefaultWidthThreshold;
-  errno = 0;
-  char *End = nullptr;
-  double V = std::strtod(Spec, &End);
-  bool Bad = End == Spec || *End != '\0' || errno == ERANGE ||
-             !(V > 0.0) || V != V || V == HUGE_VAL;
-  if (Bad) {
-    if (Warning)
-      *Warning = std::string("igen: warning: ignoring malformed "
-                             "IGEN_TIER_WIDTH '") +
-                 Spec + "' (want a finite decimal > 0); using default";
-    return DefaultWidthThreshold;
-  }
-  return V;
-}
-
-int igen::tier::maxTierFromSpec(const char *Spec, std::string *Warning) {
-  if (!Spec || !*Spec)
-    return DefaultMaxTier;
-  char *End = nullptr;
-  long V = std::strtol(Spec, &End, 10);
-  if (End == Spec || *End != '\0' || V < 1 || V > 2) {
-    if (Warning)
-      *Warning = std::string("igen: warning: ignoring malformed "
-                             "IGEN_TIER_MAX '") +
-                 Spec + "' (want 1 or 2); using default";
-    return DefaultMaxTier;
-  }
-  return static_cast<int>(V);
-}
 
 //===----------------------------------------------------------------------===//
 // C API
@@ -164,39 +107,16 @@ extern "C" void igen_tier_count_pruned(unsigned Region) {
 }
 
 extern "C" double igen_tier_width_threshold(void) {
-  EnvCache &C = envCache();
-  if (!C.WidthValid.load(std::memory_order_acquire)) {
-    std::string W;
-    double V = igen::tier::widthFromSpec(std::getenv("IGEN_TIER_WIDTH"), &W);
-    if (!W.empty())
-      std::call_once(WidthWarnOnce, [&] {
-        std::fprintf(stderr, "%s\n", W.c_str());
-      });
-    C.Width = V;
-    C.WidthValid.store(true, std::memory_order_release);
-  }
-  return C.Width;
+  return igen::knobReal(igen::Knob::TierWidth);
 }
 
 extern "C" int igen_tier_max(void) {
-  EnvCache &C = envCache();
-  if (!C.MaxValid.load(std::memory_order_acquire)) {
-    std::string W;
-    int V = igen::tier::maxTierFromSpec(std::getenv("IGEN_TIER_MAX"), &W);
-    if (!W.empty())
-      std::call_once(MaxWarnOnce, [&] {
-        std::fprintf(stderr, "%s\n", W.c_str());
-      });
-    C.Max = V;
-    C.MaxValid.store(true, std::memory_order_release);
-  }
-  return C.Max;
+  return static_cast<int>(igen::knobInt(igen::Knob::TierMax));
 }
 
 extern "C" void igen_tier_env_refresh(void) {
-  EnvCache &C = envCache();
-  C.WidthValid.store(false, std::memory_order_release);
-  C.MaxValid.store(false, std::memory_order_release);
+  igen::refreshKnob(igen::Knob::TierWidth);
+  igen::refreshKnob(igen::Knob::TierMax);
 }
 
 extern "C" void igen_tier_reset(void) {

@@ -21,16 +21,15 @@
 ///  * per-region escalation counters (checks / escalations / pruned),
 ///    queried by tests and the tier benchmark and printed by
 ///    igen_tier_report();
-///  * the env knobs: IGEN_TIER_WIDTH (relative-width escalation threshold,
-///    default 1e-8) and IGEN_TIER_MAX (highest tier to run, 1 = never
-///    escalate, 2 = ddi (default); 3 is reserved for the expansion tier
-///    and currently behaves as 2). Both parse with the warn-once pattern:
-///    a malformed value falls back to the default and says so exactly
-///    once, on stderr.
+///  * the C entry points generated code reads its two knobs through:
+///    IGEN_TIER_WIDTH (relative-width escalation threshold, default 1e-8)
+///    and IGEN_TIER_MAX (highest tier to run, 1 = never escalate, 2 = ddi
+///    (default)). The knob table (support/Knobs.h) parses, caches and
+///    warns about both.
 ///
 /// The escalation predicate itself is inline in profile/igen_tier.h (it
 /// needs the configuration-selected f64i typedef); only the counter
-/// bumps and the cached env reads live out of line here.
+/// bumps and the knob reads live out of line here.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,11 +65,11 @@ void igen_tier_count_escalate(unsigned region);  /* ddi rerun performed  */
 void igen_tier_count_pruned(unsigned region);    /* fired but immovable  */
 
 /// Escalation threshold on the relative width of a region result
-/// (IGEN_TIER_WIDTH, cached after the first read).
+/// (IGEN_TIER_WIDTH, read once).
 double igen_tier_width_threshold(void);
 
-/// Highest tier to run (IGEN_TIER_MAX, cached): 1 disables escalation,
-/// 2 (default) escalates to ddi.
+/// Highest tier to run (IGEN_TIER_MAX, read once): 1 disables
+/// escalation, 2 (default) escalates to ddi.
 int igen_tier_max(void);
 
 /// Drops the cached env values so the next read re-parses IGEN_TIER_WIDTH
@@ -110,18 +109,6 @@ struct RegionReport {
 
 /// All registered regions with their counters, in registration order.
 std::vector<RegionReport> snapshot();
-
-/// Pure parsing entry points behind the env readers, exercised by
-/// tests/runtime/EnvParseTest. A null/empty \p Spec silently selects the
-/// default; a malformed one selects the default and explains why in
-/// \p Warning (when non-null). Valid IGEN_TIER_WIDTH values are finite
-/// decimal numbers > 0; valid IGEN_TIER_MAX values are 1 and 2.
-double widthFromSpec(const char *Spec, std::string *Warning);
-int maxTierFromSpec(const char *Spec, std::string *Warning);
-
-/// Defaults the specs above fall back to.
-constexpr double DefaultWidthThreshold = 1e-8;
-constexpr int DefaultMaxTier = 2;
 
 } // namespace igen::tier
 

@@ -6,11 +6,10 @@
 
 #include "runtime/CpuDispatch.h"
 
+#include "support/Knobs.h"
+
 #include <atomic>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 namespace igen::runtime {
 
@@ -69,58 +68,31 @@ const char *isaName(Isa I) {
 
 namespace {
 
-/// Cached selection; -1 means "not resolved yet" (forceIsa() writes it
-/// directly, clearForcedIsa() resets it).
+/// The dispatcher's selection; -1 means "not resolved yet" (forceIsa()
+/// writes it directly, clearForcedIsa() resets it).
 std::atomic<int> ActiveCache{-1};
 
-bool parseIsaName(const char *S, Isa &Out) {
-  for (int I = 0; I < NumIsas; ++I)
-    if (std::strcmp(S, isaName(static_cast<Isa>(I))) == 0) {
-      Out = static_cast<Isa>(I);
-      return true;
-    }
-  return false;
-}
-
 } // namespace
 
-Isa resolveIsaFromSpec(const char *Spec, std::string *Warning) {
-  if (Spec && *Spec) {
-    Isa Wanted;
-    if (!parseIsaName(Spec, Wanted)) {
-      if (Warning)
-        *Warning = std::string("igen: ignoring unknown IGEN_ISA='") + Spec +
-                   "' (expected scalar|sse2|avx|avx2|avx512)";
-    } else if (!isaSupported(Wanted)) {
-      if (Warning)
-        *Warning = std::string("igen: IGEN_ISA='") + Spec +
-                   "' not supported by this CPU; auto-detecting";
-    } else {
-      return Wanted;
-    }
-  }
+Isa resolveIsa(long long Requested, std::string *Warning) {
+  if (Requested < 0)
+    return detectIsa();
+  Isa Wanted = static_cast<Isa>(Requested);
+  if (isaSupported(Wanted))
+    return Wanted;
+  if (Warning)
+    *Warning = knobWarning(Knob::Isa, "unsupported", isaName(Wanted),
+                           "this CPU cannot run it");
   return detectIsa();
 }
-
-namespace {
-
-/// Env-override resolution, warning to stderr at most once per process
-/// even though clearForcedIsa() can make activeIsa() re-resolve.
-Isa resolveIsa() {
-  std::string Warning;
-  Isa I = resolveIsaFromSpec(std::getenv("IGEN_ISA"), &Warning);
-  static std::atomic<bool> Warned{false};
-  if (!Warning.empty() && !Warned.exchange(true))
-    std::fprintf(stderr, "%s\n", Warning.c_str());
-  return I;
-}
-
-} // namespace
 
 Isa activeIsa() {
   int Cached = ActiveCache.load(std::memory_order_acquire);
   if (Cached < 0) {
-    Cached = static_cast<int>(resolveIsa());
+    std::string Warning;
+    Cached = static_cast<int>(resolveIsa(knobInt(Knob::Isa), &Warning));
+    if (!Warning.empty())
+      warnKnobOnce(Knob::Isa, Warning);
     ActiveCache.store(Cached, std::memory_order_release);
   }
   return static_cast<Isa>(Cached);
@@ -132,7 +104,10 @@ void forceIsa(Isa I) {
   ActiveCache.store(static_cast<int>(I), std::memory_order_release);
 }
 
-void clearForcedIsa() { ActiveCache.store(-1, std::memory_order_release); }
+void clearForcedIsa() {
+  refreshKnob(Knob::Isa);
+  ActiveCache.store(-1, std::memory_order_release);
+}
 
 const KernelTable &kernelTableFor(Isa I) {
   assert(kernelTablesComplete() && "null kernel-table entry");

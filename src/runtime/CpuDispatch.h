@@ -12,9 +12,10 @@
 /// (__builtin_cpu_supports).
 ///
 /// The selection can be overridden two ways:
-///  * environment: IGEN_ISA=scalar|sse2|avx|avx2|avx512 (read when the
-///    cached selection is empty; unsupported or unknown values fall back to
-///    auto-detection with a warning), and
+///  * environment: IGEN_ISA=scalar|sse2|avx|avx2|avx512, read through the
+///    knob table (support/Knobs.h) when the cached selection is empty;
+///    unsupported or unknown values fall back to auto-detection with a
+///    warning, and
 ///  * programmatically: forceIsa() / clearForcedIsa(), used by the tests
 ///    and benchmarks to exercise every tier in one process.
 ///
@@ -116,13 +117,12 @@ Isa detectIsa();
 /// The tier in effect: forced > IGEN_ISA env override > CPUID detection.
 Isa activeIsa();
 
-/// Resolves an IGEN_ISA-style spec: a recognized, CPU-supported tier name
-/// wins; anything else falls back to auto-detection. When \p Warning is
-/// non-null and the spec was non-empty but unusable, an explanatory
-/// message is stored into it (left untouched otherwise). Exposed for
-/// testing; activeIsa() applies it to getenv("IGEN_ISA") and prints the
-/// warning to stderr once per process.
-Isa resolveIsaFromSpec(const char *Spec, std::string *Warning = nullptr);
+/// Resolves an IGEN_ISA value from the knob table (an Isa index, or -1
+/// for auto): a tier the CPU supports wins; -1 or an unsupported tier
+/// falls back to auto-detection, and an unsupported one stores a warning
+/// into \p Warning when non-null. activeIsa() applies it to the table's
+/// value and prints the warning once per process.
+Isa resolveIsa(long long Requested, std::string *Warning = nullptr);
 
 /// Short lowercase name ("scalar", "sse2", "avx", "avx2", "avx512").
 const char *isaName(Isa I);
@@ -133,7 +133,7 @@ const char *isaName(Isa I);
 void forceIsa(Isa I);
 
 /// Drops the pin (and the cached selection): the next activeIsa() call
-/// re-reads IGEN_ISA / CPUID.
+/// re-reads IGEN_ISA from the environment and consults CPUID.
 void clearForcedIsa();
 
 /// Kernel table of a specific tier (must be supported).

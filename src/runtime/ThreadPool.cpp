@@ -6,10 +6,10 @@
 
 #include "runtime/ThreadPool.h"
 
+#include "support/Knobs.h"
+
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 
 namespace igen::runtime {
 
@@ -25,44 +25,21 @@ struct ThreadPool::Batch {
   ThreadPool *Pool = nullptr;
 };
 
-unsigned ThreadPool::participantsFromEnv(const char *Spec,
-                                         unsigned Hardware) {
-  return participantsFromEnv(Spec, Hardware, nullptr);
-}
-
-unsigned ThreadPool::participantsFromEnv(const char *Spec, unsigned Hardware,
-                                         std::string *Warning) {
-  if (!Spec || !*Spec)
-    return 0;
-  char *End = nullptr;
-  long V = std::strtol(Spec, &End, 10);
-  if (End == Spec || *End != '\0' || V < 1) {
-    if (Warning)
-      *Warning = std::string("igen: ignoring invalid IGEN_THREADS='") + Spec +
-                 "' (expected a positive integer); using hardware default";
-    return 0;
-  }
+unsigned ThreadPool::clampParticipants(long long Requested,
+                                       unsigned Hardware) {
   // Oversubscribing past the hardware only adds scheduling noise; the
   // floor of 4 matches the default so small machines still exercise the
   // multithreaded paths.
-  long Cap = std::max(4u, Hardware);
-  return static_cast<unsigned>(std::min(V, Cap));
+  return static_cast<unsigned>(
+      std::min<long long>(Requested, std::max(4u, Hardware)));
 }
 
 namespace {
 
 unsigned defaultParticipants() {
-  std::string Warning;
-  if (unsigned FromEnv = ThreadPool::participantsFromEnv(
-          std::getenv("IGEN_THREADS"), std::thread::hardware_concurrency(),
-          &Warning))
-    return FromEnv;
-  // instance() runs this once (static-init), so the warning prints at
-  // most once per process.
-  if (!Warning.empty())
-    std::fprintf(stderr, "%s\n", Warning.c_str());
   unsigned HW = std::thread::hardware_concurrency();
-  return HW > 4 ? HW : 4;
+  unsigned FromEnv = ThreadPool::clampParticipants(knobInt(Knob::Threads), HW);
+  return FromEnv ? FromEnv : std::max(4u, HW);
 }
 
 } // namespace

@@ -20,8 +20,8 @@
 ///    participates in the work, so the pool functions correctly even with
 ///    zero workers.
 ///
-/// Pool size: IGEN_THREADS environment variable if set (clamped to the
-/// machine's useful participant count, see participantsFromEnv),
+/// Pool size: IGEN_THREADS from the knob table if set (clamped to the
+/// machine's useful participant count, see clampParticipants),
 /// otherwise max(4, hardware_concurrency) total participants. The
 /// minimum of 4 keeps the multithreaded reduction paths exercised
 /// (timesliced) even on single-core CI machines.
@@ -36,7 +36,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -47,19 +46,11 @@ public:
   /// The process-wide pool (created on first use).
   static ThreadPool &instance();
 
-  /// Parses an IGEN_THREADS-style override. Returns the total
-  /// participant count clamped to [1, max(4, Hardware)], or 0 when
-  /// \p Spec is null, empty, or not a positive decimal integer (the
-  /// caller then falls back to the hardware default). Exposed for
-  /// testing; `instance()` applies it to getenv("IGEN_THREADS").
-  static unsigned participantsFromEnv(const char *Spec, unsigned Hardware);
-
-  /// Like the two-argument overload, but when \p Spec is non-empty yet not
-  /// a positive decimal integer, stores an explanatory message into
-  /// \p Warning (left untouched otherwise). instance() prints the warning
-  /// to stderr once per process.
-  static unsigned participantsFromEnv(const char *Spec, unsigned Hardware,
-                                      std::string *Warning);
+  /// Clamps an IGEN_THREADS value (the knob table's positive count, or 0
+  /// when unset or rejected) to at most max(4, \p Hardware) participants.
+  /// 0 stays 0: the caller then falls back to the hardware default.
+  /// Exposed for testing; `instance()` applies it to the table's value.
+  static unsigned clampParticipants(long long Requested, unsigned Hardware);
 
   /// Creates a pool with \p WorkerCount background workers (the caller of
   /// parallelFor is an additional participant).

@@ -6,13 +6,11 @@
 
 #include "server/FunctionCache.h"
 
-#include "support/EnvKnob.h"
+#include "support/Knobs.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 using namespace igen;
@@ -147,22 +145,9 @@ bool igen::server::parseHandle(std::string_view Text, uint64_t &Hash) {
   return true;
 }
 
-long igen::server::cacheCapacityFromSpec(const char *Spec,
-                                        std::string *Warning) {
-  return (long)positiveKnobFromSpec("IGEN_SERVE_CACHE", Spec,
-                                    "program count", 64, Warning);
-}
-
 FunctionCache::FunctionCache(long Capacity) {
-  long C = Capacity;
-  if (C <= 0) {
-    std::string Warn;
-    C = cacheCapacityFromSpec(std::getenv("IGEN_SERVE_CACHE"), &Warn);
-    static std::atomic<bool> Warned{false};
-    if (!Warn.empty() && !Warned.exchange(true))
-      std::fprintf(stderr, "igen: serve: warning: %s\n", Warn.c_str());
-  }
-  Cap = (size_t)C;
+  Cap = Capacity > 0 ? (size_t)Capacity
+                     : (size_t)knobInt(Knob::ServeCache);
   S.Capacity = Cap;
 }
 

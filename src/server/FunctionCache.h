@@ -61,11 +61,6 @@ std::string formatHandle(uint64_t Hash);
 /// Inverse of formatHandle; false if \p Text is not a 16-digit handle.
 bool parseHandle(std::string_view Text, uint64_t &Hash);
 
-/// Parses an IGEN_SERVE_CACHE spelling: a positive integer count of
-/// resident programs. Null/empty selects the default of 64; unparsable or
-/// non-positive values set *Warning and return the default.
-long cacheCapacityFromSpec(const char *Spec, std::string *Warning);
-
 struct CacheStats {
   uint64_t Hits = 0;
   uint64_t Misses = 0;
@@ -84,8 +79,8 @@ public:
   /// the cache.
   using EvictionListener = std::function<void(uint64_t Hash)>;
 
-  /// \p Capacity <= 0 selects the IGEN_SERVE_CACHE environment value,
-  /// defaulting to 64 (a malformed value is warned about once).
+  /// \p Capacity <= 0 selects IGEN_SERVE_CACHE from the knob table
+  /// (default 64).
   explicit FunctionCache(long Capacity = 0);
 
   /// Installs \p L (replacing any previous listener). Not thread-safe

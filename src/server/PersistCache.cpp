@@ -10,6 +10,7 @@
 #include "server/Json.h"
 #include "support/Diagnostics.h"
 #include "support/JsonWriter.h"
+#include "support/Knobs.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -119,26 +120,19 @@ std::string igen::server::cacheDirFromSpec(const char *Spec,
   std::string Dir(Spec);
   while (Dir.size() > 1 && Dir.back() == '/')
     Dir.pop_back();
-  if (::mkdir(Dir.c_str(), 0777) != 0 && errno != EEXIST) {
-    if (Warning)
-      *Warning = "cannot create IGEN_SERVE_CACHE_DIR '" + Dir + "' (" +
-                 std::strerror(errno) + "); persistence disabled";
-    return "";
-  }
+  std::string Why;
   struct stat St;
-  if (::stat(Dir.c_str(), &St) != 0 || !S_ISDIR(St.st_mode)) {
-    if (Warning)
-      *Warning = "IGEN_SERVE_CACHE_DIR '" + Dir +
-                 "' is not a directory; persistence disabled";
-    return "";
-  }
-  if (::access(Dir.c_str(), W_OK | X_OK) != 0) {
-    if (Warning)
-      *Warning = "IGEN_SERVE_CACHE_DIR '" + Dir +
-                 "' is not writable; persistence disabled";
-    return "";
-  }
-  return Dir;
+  if (::mkdir(Dir.c_str(), 0777) != 0 && errno != EEXIST)
+    Why = std::string("cannot create it: ") + std::strerror(errno);
+  else if (::stat(Dir.c_str(), &St) != 0 || !S_ISDIR(St.st_mode))
+    Why = "not a directory";
+  else if (::access(Dir.c_str(), W_OK | X_OK) != 0)
+    Why = "not writable";
+  else
+    return Dir;
+  if (Warning)
+    *Warning = knobWarning(Knob::ServeCacheDir, "unusable", Dir, Why);
+  return "";
 }
 
 std::string PersistentCacheDir::pathFor(uint64_t Hash) const {

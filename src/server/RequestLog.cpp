@@ -7,8 +7,11 @@
 #include "server/RequestLog.h"
 
 #include "support/JsonWriter.h"
+#include "support/Knobs.h"
 
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 
 using namespace igen;
 using namespace igen::server;
@@ -48,10 +51,10 @@ RequestLog::RequestLog(const std::string &Path) {
   }
   Out = std::fopen(Path.c_str(), "a");
   if (!Out) {
-    std::fprintf(stderr,
-                 "igen: serve: warning: cannot open IGEN_SERVE_LOG "
-                 "'%s'; request logging disabled\n",
-                 Path.c_str());
+    warnKnobOnce(Knob::ServeLog,
+                 knobWarning(Knob::ServeLog, "unusable", Path,
+                             std::string("cannot open it: ") +
+                                 std::strerror(errno)));
     return;
   }
   OwnsFile = true;

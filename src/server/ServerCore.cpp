@@ -9,14 +9,10 @@
 #include "frontend/AST.h"
 #include "harden/FenvSentinel.h"
 #include "interval/Rounding.h"
-#include "profile/ServeCounters.h"
 #include "server/Evaluator.h"
 #include "server/Json.h"
-#include "support/EnvKnob.h"
 #include "support/JsonWriter.h"
 
-#include <cerrno>
-#include <cfenv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -93,8 +89,12 @@ void writeId(JsonWriter &W, const RequestId &Id) {
     W.value(std::strtod(Id.Str.c_str(), nullptr));
 }
 
-std::string errorResponse(const RequestId &Id, std::string_view Op,
-                          std::string_view Code, std::string_view Msg) {
+/// Renders a typed error reply and records \p Code as the frame's
+/// outcome (request log, resilience counters).
+std::string errorResponse(std::string &Outcome, const RequestId &Id,
+                          std::string_view Op, std::string_view Code,
+                          std::string_view Msg) {
+  Outcome = Code;
   JsonWriter W;
   W.beginObject();
   W.field("ok", false);
@@ -262,27 +262,15 @@ void writeInterval(JsonWriter &W, const Interval &I) {
 // Per-request fenv sentinel
 //===----------------------------------------------------------------------===//
 
-/// igen_fenv_check with a *request-local* policy: the process-global
-/// IGEN_FENV_POLICY cache is never consulted or written, so concurrent
-/// tenants with different policies cannot race on it. Returns true when
-/// the caller must poison its results. Always repairs.
+/// igen_fenv_check with a *request-local* policy: IGEN_FENV_POLICY is
+/// never consulted or pinned, so concurrent tenants with different
+/// policies cannot race on it, and nothing aborts or prints. Returns
+/// true when the caller must poison its results. Always repairs.
 bool requestFenvCheck(bool PoisonPolicy) {
   if (__builtin_expect(harden::fenvIsSoundUpward(), 1))
     return false;
-  uint32_t Cur = harden::readMxcsr();
-  harden::detail::ViolationCount.fetch_add(1, std::memory_order_relaxed);
-  harden::detail::LastViolationBits.store(Cur & harden::kMxcsrSoundMask,
-                                          std::memory_order_relaxed);
-  harden::writeMxcsr((Cur & ~harden::kMxcsrSoundMask) |
-                     harden::kMxcsrWantUpward);
-  invalidateRoundingCache();
-  std::fesetround(FE_UPWARD);
-  harden::detail::RepairCount.fetch_add(1, std::memory_order_relaxed);
-  if (PoisonPolicy) {
-    harden::detail::PoisonCount.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
+  harden::repairFenv(harden::readMxcsr(), PoisonPolicy);
+  return PoisonPolicy;
 }
 
 std::vector<std::string> definedFunctions(const InMemoryProgram &Prog) {
@@ -304,24 +292,6 @@ int log2Bucket(uint64_t Us) {
   return B;
 }
 
-/// Recovers the typed error code from a rendered error response. Every
-/// error line is produced by this file, so the spelling below is
-/// canonical; string values in responses have their quotes escaped, so
-/// the needle can only match the real error object.
-std::string outcomeOf(const std::string &Resp, bool IsError) {
-  if (!IsError)
-    return "ok";
-  static constexpr std::string_view Needle = "\"error\": {\"code\": \"";
-  size_t P = Resp.find(Needle);
-  if (P == std::string::npos)
-    return "error";
-  P += Needle.size();
-  size_t E = Resp.find('"', P);
-  if (E == std::string::npos)
-    return "error";
-  return Resp.substr(P, E - P);
-}
-
 uint64_t monotonicUsOf(std::chrono::steady_clock::time_point T) {
   return (uint64_t)std::chrono::duration_cast<std::chrono::microseconds>(
              T.time_since_epoch())
@@ -329,24 +299,6 @@ uint64_t monotonicUsOf(std::chrono::steady_clock::time_point T) {
 }
 
 } // namespace
-
-size_t igen::server::maxFrameBytesFromSpec(const char *Spec,
-                                           std::string *Warning) {
-  return (size_t)positiveKnobFromSpec("IGEN_SERVE_MAX_FRAME", Spec,
-                                      "byte count", 4 << 20, Warning);
-}
-
-size_t igen::server::maxFrameBytes() {
-  static const size_t V = [] {
-    std::string Warn;
-    size_t N = maxFrameBytesFromSpec(std::getenv("IGEN_SERVE_MAX_FRAME"),
-                                     &Warn);
-    if (!Warn.empty())
-      std::fprintf(stderr, "igen: serve: warning: %s\n", Warn.c_str());
-    return N;
-  }();
-  return V;
-}
 
 void EndpointStats::record(uint64_t Us, bool Error) {
   Count.fetch_add(1, std::memory_order_relaxed);
@@ -356,37 +308,15 @@ void EndpointStats::record(uint64_t Us, bool Error) {
   Buckets[log2Bucket(Us)].fetch_add(1, std::memory_order_relaxed);
 }
 
-long long igen::server::deadlineMsFromSpec(const char *Spec,
-                                           std::string *Warning) {
-  if (!Spec || !*Spec)
-    return 0;
-  char *End = nullptr;
-  errno = 0;
-  long long V = std::strtoll(Spec, &End, 10);
-  if (errno != 0 || !End || *End != '\0' || V <= 0) {
-    if (Warning)
-      *Warning = std::string("ignoring IGEN_SERVE_DEADLINE '") + Spec +
-                 "' (expected a positive integer millisecond count); "
-                 "requests get no default deadline";
-    return 0;
-  }
-  return V;
-}
-
 ServerCoreConfig ServerCoreConfig::fromEnv(long CacheCapacity) {
   ServerCoreConfig C;
   C.CacheCapacity = CacheCapacity;
+  C.DefaultDeadlineMs = knobInt(Knob::ServeDeadline);
   std::string Warn;
-  C.DefaultDeadlineMs =
-      deadlineMsFromSpec(std::getenv("IGEN_SERVE_DEADLINE"), &Warn);
+  C.CacheDir = cacheDirFromSpec(knobString(Knob::ServeCacheDir), &Warn);
   if (!Warn.empty())
-    std::fprintf(stderr, "igen: serve: warning: %s\n", Warn.c_str());
-  Warn.clear();
-  C.CacheDir = cacheDirFromSpec(std::getenv("IGEN_SERVE_CACHE_DIR"), &Warn);
-  if (!Warn.empty())
-    std::fprintf(stderr, "igen: serve: warning: %s\n", Warn.c_str());
-  if (const char *L = std::getenv("IGEN_SERVE_LOG"))
-    C.LogPath = L;
+    warnKnobOnce(Knob::ServeCacheDir, Warn);
+  C.LogPath = knobString(Knob::ServeLog);
   return C;
 }
 
@@ -454,29 +384,25 @@ ServerCore::handleFrame(std::string_view Frame,
   }
 
   Endpoint E = EpInvalid;
-  bool IsError = false;
   FrameInfo Info;
   std::string Resp;
   try {
-    Resp = dispatch(Frame, Arrival, Start, E, IsError, Info);
+    Resp = dispatch(Frame, Arrival, Start, E, Info);
   } catch (const std::bad_alloc &) {
-    IsError = true;
-    Resp = errorResponse(RequestId(), "", "internal-error",
+    Resp = errorResponse(Info.Outcome, RequestId(), "", "internal-error",
                          "out of memory handling request");
   } catch (const std::exception &Ex) {
-    IsError = true;
-    Resp = errorResponse(RequestId(), "", "internal-error", Ex.what());
+    Resp = errorResponse(Info.Outcome, RequestId(), "", "internal-error",
+                         Ex.what());
   } catch (...) {
-    IsError = true;
-    Resp = errorResponse(RequestId(), "", "internal-error",
+    Resp = errorResponse(Info.Outcome, RequestId(), "", "internal-error",
                          "unexpected exception handling request");
   }
   auto Us = (uint64_t)std::chrono::duration_cast<std::chrono::microseconds>(
                 std::chrono::steady_clock::now() - Start)
                 .count();
-  Ep[E].record(Us, IsError);
+  Ep[E].record(Us, Info.Outcome != "ok");
 
-  Info.Outcome = outcomeOf(Resp, IsError);
   if (Info.Outcome == "deadline-exceeded")
     DeadlineExceeded.fetch_add(1, std::memory_order_relaxed);
   else if (Info.Outcome == "shutting-down")
@@ -494,25 +420,23 @@ ServerCore::handleFrame(std::string_view Frame,
 std::string ServerCore::dispatch(std::string_view Frame,
                                  std::chrono::steady_clock::time_point Arrival,
                                  std::chrono::steady_clock::time_point Start,
-                                 Endpoint &EpOut, bool &IsError,
-                                 FrameInfo &Info) {
+                                 Endpoint &EpOut, FrameInfo &Info) {
   EpOut = EpInvalid;
-  IsError = true; // cleared on each success path
   RequestId Id;
 
   if (Frame.size() > maxFrameBytes())
-    return errorResponse(Id, "", "frame-too-large",
+    return errorResponse(Info.Outcome, Id, "", "frame-too-large",
                          "request frame exceeds IGEN_SERVE_MAX_FRAME (" +
                              std::to_string(maxFrameBytes()) + " bytes)");
 
   JsonParseResult P = parseJson(Frame);
   if (!P.Ok)
-    return errorResponse(Id, "", "bad-json",
+    return errorResponse(Info.Outcome, Id, "", "bad-json",
                          P.Error + " at byte " +
                              std::to_string(P.ErrorOffset));
   const JsonValue &Req = P.Value;
   if (!Req.isObject())
-    return errorResponse(Id, "", "bad-request",
+    return errorResponse(Info.Outcome, Id, "", "bad-request",
                          "request must be a JSON object");
 
   if (const JsonValue *IdV = Req.member("id")) {
@@ -524,14 +448,14 @@ std::string ServerCore::dispatch(std::string_view Frame,
       Id.Present = true;
       Id.Str = IdV->stringValue(); // raw spelling
     } else {
-      return errorResponse(Id, "", "bad-request",
+      return errorResponse(Info.Outcome, Id, "", "bad-request",
                            "id must be a string or a number");
     }
   }
 
   const JsonValue *OpV = Req.member("op");
   if (!OpV || !OpV->isString())
-    return errorResponse(Id, "", "bad-request",
+    return errorResponse(Info.Outcome, Id, "", "bad-request",
                          "missing required string field 'op'");
   const std::string &Op = OpV->stringValue();
   Info.Verb = Op;
@@ -551,7 +475,7 @@ std::string ServerCore::dispatch(std::string_view Frame,
             : Op == "eval"  ? EpEval
             : Op == "evict" ? EpEvict
                             : EpInvalid;
-    return errorResponse(Id, Op, "shutting-down",
+    return errorResponse(Info.Outcome, Id, Op, "shutting-down",
                          "daemon is draining and no longer accepts this "
                          "op; retry against a fresh instance");
   }
@@ -613,7 +537,6 @@ std::string ServerCore::dispatch(std::string_view Frame,
           // Transaction rollback: the partial AST died with Fresh; the
           // cache was never touched; the daemon state is exactly as
           // before this request.
-          profile::serveNoteCompile(/*Err=*/true);
           const char *Code = Failed == PipelineStage::Parse ? "parse-error"
                              : Failed == PipelineStage::Sema
                                  ? "sema-error"
@@ -622,6 +545,7 @@ std::string ServerCore::dispatch(std::string_view Frame,
                               : Failed == PipelineStage::Sema
                                   ? "sema"
                                   : "transform";
+          Info.Outcome = Code;
           JsonWriter W;
           W.beginObject();
           W.field("ok", false);
@@ -654,7 +578,6 @@ std::string ServerCore::dispatch(std::string_view Frame,
         // can rebuild this entry bit-identically via the same pipeline.
         Persist.persist(Hash, Src->stringValue(), Opts);
       }
-      profile::serveNoteCompile(/*Err=*/false);
 
       JsonWriter W;
       W.beginObject();
@@ -670,7 +593,6 @@ std::string ServerCore::dispatch(std::string_view Frame,
       W.endArray();
       W.field("emitted_bytes", (uint64_t)Prog->EmittedC.size());
       W.endObject();
-      IsError = false;
       return flattenOneLine(W.take());
     }
 
@@ -789,7 +711,6 @@ std::string ServerCore::dispatch(std::string_view Frame,
 
       EvalsServed.fetch_add(1, std::memory_order_relaxed);
       EvalOps.fetch_add(R.OpsExecuted, std::memory_order_relaxed);
-      profile::serveNoteEval(R.OpsExecuted, !R.Ok, Poisoned && R.Ok);
       if (!R.Ok) {
         EvalErrors.fetch_add(1, std::memory_order_relaxed);
         bad(R.Error.Code, R.Error.Message);
@@ -844,7 +765,6 @@ std::string ServerCore::dispatch(std::string_view Frame,
       W.field("aot_exact", AotExact);
       W.field("ops", (uint64_t)R.OpsExecuted);
       W.endObject();
-      IsError = false;
       return flattenOneLine(W.take());
     }
 
@@ -857,8 +777,6 @@ std::string ServerCore::dispatch(std::string_view Frame,
       writeId(W, Id);
       W.field("op", std::string_view("stats"));
       W.key("stats");
-      // statsJson() renders the report object; splice it in via a
-      // nested parse-free path: build it inline instead.
       {
         CacheStats CS = Cache.stats();
         W.beginObject();
@@ -940,7 +858,6 @@ std::string ServerCore::dispatch(std::string_view Frame,
         W.endObject();
       }
       W.endObject();
-      IsError = false;
       return flattenOneLine(W.take());
     }
 
@@ -965,7 +882,6 @@ std::string ServerCore::dispatch(std::string_view Frame,
         W.field("evicted", Cache.evict(Hash) ? (uint64_t)1 : (uint64_t)0);
       }
       W.endObject();
-      IsError = false;
       return flattenOneLine(W.take());
     }
 
@@ -987,7 +903,6 @@ std::string ServerCore::dispatch(std::string_view Frame,
       W.field("slowest_in_flight_us", IF.SlowestUs);
       W.field("uptime_us", UptimeUs);
       W.endObject();
-      IsError = false;
       return flattenOneLine(W.take());
     }
 
@@ -1001,11 +916,10 @@ std::string ServerCore::dispatch(std::string_view Frame,
       writeId(W, Id);
       W.field("op", std::string_view("shutdown"));
       W.endObject();
-      IsError = false;
       return flattenOneLine(W.take());
     }
 
-    return errorResponse(Id, Op, "bad-request",
+    return errorResponse(Info.Outcome, Id, Op, "bad-request",
                          "unknown op '" + Op +
                              "' (expected compile|eval|stats|evict|"
                              "health|shutdown)");
@@ -1017,14 +931,6 @@ std::string ServerCore::dispatch(std::string_view Frame,
                          : EpOut == EpShutdown ? "shutdown"
                          : EpOut == EpHealth   ? "health"
                                                : "";
-    return errorResponse(Id, OpName, RE.Code, RE.Message);
+    return errorResponse(Info.Outcome, Id, OpName, RE.Code, RE.Message);
   }
-}
-
-std::string ServerCore::statsJson() const {
-  // The stats op body, minus the envelope: reuse dispatch through a
-  // const_cast-free path is not worth a refactor; render directly.
-  ServerCore *Self = const_cast<ServerCore *>(this);
-  std::string Line = Self->handleFrame("{\"op\":\"stats\"}");
-  return Line;
 }

@@ -79,6 +79,7 @@
 #include "server/FunctionCache.h"
 #include "server/PersistCache.h"
 #include "server/RequestLog.h"
+#include "support/Knobs.h"
 
 #include <array>
 #include <atomic>
@@ -91,21 +92,11 @@ namespace igen {
 namespace server {
 
 /// Maximum accepted frame size (bytes). Longer frames get a typed
-/// "frame-too-large" error. Overridable via IGEN_SERVE_MAX_FRAME, read
-/// once (a malformed value is warned about once).
-size_t maxFrameBytes();
-
-/// Parses an IGEN_SERVE_MAX_FRAME spelling: a positive integer byte
-/// count. Null/empty selects the 4 MiB default; unparsable or
-/// non-positive values set *Warning and return the default.
-size_t maxFrameBytesFromSpec(const char *Spec, std::string *Warning);
-
-/// Parses an IGEN_SERVE_DEADLINE spelling: a positive integer number of
-/// milliseconds, the default wall-clock budget for requests that don't
-/// send their own "deadline_ms". Null/empty disables the default
-/// (returns 0); anything unparsable or non-positive sets *Warning and
-/// returns 0 — a bad knob never changes semantics silently.
-long long deadlineMsFromSpec(const char *Spec, std::string *Warning);
+/// "frame-too-large" error. IGEN_SERVE_MAX_FRAME from the knob table
+/// (default 4 MiB).
+inline size_t maxFrameBytes() {
+  return static_cast<size_t>(knobInt(Knob::ServeMaxFrame));
+}
 
 /// Per-endpoint request accounting plus a log2(microseconds) latency
 /// histogram: bucket k counts requests with latency in [2^k, 2^(k+1))
@@ -121,7 +112,7 @@ struct EndpointStats {
 };
 
 /// Construction knobs. The long-only ServerCore constructor fills the
-/// rest from the environment (IGEN_SERVE_CACHE_DIR, IGEN_SERVE_DEADLINE,
+/// rest from the knob table (IGEN_SERVE_CACHE_DIR, IGEN_SERVE_DEADLINE,
 /// IGEN_SERVE_LOG); tests pass explicit values to stay hermetic.
 struct ServerCoreConfig {
   long CacheCapacity = 0;       ///< <=0: IGEN_SERVE_CACHE or 64
@@ -129,8 +120,8 @@ struct ServerCoreConfig {
   std::string LogPath;          ///< request log ("" = off, "-" = stderr)
   long long DefaultDeadlineMs = 0; ///< 0 = no default deadline
 
-  /// Reads the serve environment (with warn-once on malformed values)
-  /// and returns the resulting config.
+  /// Reads the serve knobs and validates the cache directory; a rejected
+  /// value warns once per process.
   static ServerCoreConfig fromEnv(long CacheCapacity = 0);
 };
 
@@ -177,9 +168,6 @@ public:
     return CacheReplayed.load(std::memory_order_relaxed);
   }
 
-  /// Renders the stats report body (same JSON the stats op returns).
-  std::string statsJson() const;
-
 private:
   FunctionCache Cache;
   PersistentCacheDir Persist;
@@ -193,7 +181,7 @@ private:
                   EpHealth, EpInvalid, EpCount };
   mutable std::array<EndpointStats, EpCount> Ep;
 
-  // Served-evaluation counters (mirrored into profile/ServeCounters.h).
+  // Served-evaluation counters (stats.evals).
   std::atomic<uint64_t> EvalsServed{0};
   std::atomic<uint64_t> EvalErrors{0};
   std::atomic<uint64_t> EvalsPoisoned{0};
@@ -222,10 +210,12 @@ private:
 
   /// \p Start is handleFrame's entry timestamp, reused for deadline
   /// pre-expiry checks so the hot dispatch path reads the clock once.
+  /// Every error reply records its code in Info.Outcome where it is
+  /// rendered.
   std::string dispatch(std::string_view Frame,
                        std::chrono::steady_clock::time_point Arrival,
                        std::chrono::steady_clock::time_point Start,
-                       Endpoint &EpOut, bool &IsError, FrameInfo &Info);
+                       Endpoint &EpOut, FrameInfo &Info);
 };
 
 } // namespace server

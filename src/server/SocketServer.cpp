@@ -9,14 +9,13 @@
 #include "runtime/ThreadPool.h"
 #include "server/Json.h"
 #include "server/TransportOps.h"
-#include "support/EnvKnob.h"
+#include "support/Knobs.h"
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <memory>
@@ -329,29 +328,6 @@ private:
 
 } // namespace
 
-long long igen::server::drainMsFromSpec(const char *Spec,
-                                        std::string *Warning) {
-  return positiveKnobFromSpec("IGEN_SERVE_DRAIN_MS", Spec,
-                              "millisecond count", 5000, Warning);
-}
-
-size_t igen::server::queueCapacityFromSpec(const char *Spec,
-                                           std::string *Warning) {
-  return (size_t)positiveKnobFromSpec("IGEN_SERVE_QUEUE", Spec,
-                                      "request count", 128, Warning);
-}
-
-size_t igen::server::serveQueueCapacity() {
-  static const size_t V = [] {
-    std::string Warn;
-    size_t N = queueCapacityFromSpec(std::getenv("IGEN_SERVE_QUEUE"), &Warn);
-    if (!Warn.empty())
-      std::fprintf(stderr, "igen: serve: warning: %s\n", Warn.c_str());
-    return N;
-  }();
-  return V;
-}
-
 int igen::server::runServer(const ServeConfig &Config) {
   if (Config.SocketPath.empty() ||
       Config.SocketPath.size() >= sizeof(sockaddr_un{}.sun_path)) {
@@ -380,13 +356,8 @@ int igen::server::runServer(const ServeConfig &Config) {
   }
 
   ServerCore Core(Config.CacheCapacity);
-  AdmissionQueue Queue(serveQueueCapacity());
-
-  std::string DrainWarn;
-  long long DrainMs =
-      drainMsFromSpec(std::getenv("IGEN_SERVE_DRAIN_MS"), &DrainWarn);
-  if (!DrainWarn.empty())
-    std::fprintf(stderr, "igen: serve: warning: %s\n", DrainWarn.c_str());
+  AdmissionQueue Queue(static_cast<size_t>(knobInt(Knob::ServeQueue)));
+  long long DrainMs = knobInt(Knob::ServeDrainMs);
 
   // A client that disappears mid-response raises SIGPIPE on the next
   // send; MSG_NOSIGNAL covers our writes, this covers everything else

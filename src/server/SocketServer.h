@@ -45,21 +45,6 @@
 namespace igen {
 namespace server {
 
-/// Admission-queue capacity (IGEN_SERVE_QUEUE override, default 128),
-/// read once (a malformed value is warned about once).
-size_t serveQueueCapacity();
-
-/// Parses an IGEN_SERVE_QUEUE spelling: a positive integer request
-/// count. Null/empty selects the default of 128; unparsable or
-/// non-positive values set *Warning and return the default.
-size_t queueCapacityFromSpec(const char *Spec, std::string *Warning);
-
-/// Parses an IGEN_SERVE_DRAIN_MS spelling: how long a SIGTERM/SIGINT
-/// drain waits for in-flight requests before forcing shutdown.
-/// Null/empty selects the 5000 ms default; unparsable or non-positive
-/// values set *Warning and return the default.
-long long drainMsFromSpec(const char *Spec, std::string *Warning);
-
 struct ServeConfig {
   std::string SocketPath;
   long CacheCapacity = 0; ///< 0 = IGEN_SERVE_CACHE / default

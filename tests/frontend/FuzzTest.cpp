@@ -11,7 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "frontend/CPrinter.h"
+#include "CPrinter.h"
 #include "frontend/Parser.h"
 #include "transform/Pipeline.h"
 

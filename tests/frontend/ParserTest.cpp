@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "frontend/CPrinter.h"
+#include "CPrinter.h"
 #include "frontend/Parser.h"
 
 #include <gtest/gtest.h>

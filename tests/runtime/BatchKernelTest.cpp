@@ -23,6 +23,7 @@
 #include "interval/Accumulator.h"
 #include "interval/PolyKernels.h"
 #include "runtime/ThreadPool.h"
+#include "support/Knobs.h"
 #include "../interval/TestHelpers.h"
 
 #include <cfenv>
@@ -555,37 +556,42 @@ TEST(BatchReduceTest, SumBitIdenticalAcrossThreadCounts) {
   }
 }
 
+/// IGEN_THREADS as ThreadPool::instance() resolves it: the knob table's
+/// spelling, then the hardware clamp (0: no override).
+unsigned participantsFromEnv(const char *Spec, unsigned Hardware) {
+  return ThreadPool::clampParticipants(parseKnob(Knob::Threads, Spec).Int,
+                                       Hardware);
+}
+
 TEST(ThreadPoolTest, ParticipantsFromEnvParsesAndClamps) {
-  using igen::runtime::ThreadPool;
   // Invalid specs fall back (0): unset, empty, junk, trailing junk,
   // zero, and negatives.
-  EXPECT_EQ(ThreadPool::participantsFromEnv(nullptr, 8), 0u);
-  EXPECT_EQ(ThreadPool::participantsFromEnv("", 8), 0u);
-  EXPECT_EQ(ThreadPool::participantsFromEnv("many", 8), 0u);
-  EXPECT_EQ(ThreadPool::participantsFromEnv("8cores", 8), 0u);
-  EXPECT_EQ(ThreadPool::participantsFromEnv("0", 8), 0u);
-  EXPECT_EQ(ThreadPool::participantsFromEnv("-3", 8), 0u);
+  EXPECT_EQ(participantsFromEnv(nullptr, 8), 0u);
+  EXPECT_EQ(participantsFromEnv("", 8), 0u);
+  EXPECT_EQ(participantsFromEnv("many", 8), 0u);
+  EXPECT_EQ(participantsFromEnv("8cores", 8), 0u);
+  EXPECT_EQ(participantsFromEnv("0", 8), 0u);
+  EXPECT_EQ(participantsFromEnv("-3", 8), 0u);
   // In-range values pass through.
-  EXPECT_EQ(ThreadPool::participantsFromEnv("1", 8), 1u);
-  EXPECT_EQ(ThreadPool::participantsFromEnv("6", 8), 6u);
+  EXPECT_EQ(participantsFromEnv("1", 8), 1u);
+  EXPECT_EQ(participantsFromEnv("6", 8), 6u);
   // Oversubscription clamps to max(4, hardware).
-  EXPECT_EQ(ThreadPool::participantsFromEnv("512", 8), 8u);
-  EXPECT_EQ(ThreadPool::participantsFromEnv("512", 1), 4u);
-  EXPECT_EQ(ThreadPool::participantsFromEnv("3", 1), 3u);
-  EXPECT_EQ(ThreadPool::participantsFromEnv("99999999999999999999", 8), 8u);
+  EXPECT_EQ(participantsFromEnv("512", 8), 8u);
+  EXPECT_EQ(participantsFromEnv("512", 1), 4u);
+  EXPECT_EQ(participantsFromEnv("3", 1), 3u);
+  EXPECT_EQ(participantsFromEnv("99999999999999999999", 8), 8u);
 }
 
 TEST(ThreadPoolTest, EnvThreadSettingsKeepReductionsBitIdentical) {
   // The chunked reduction result must not depend on how many
   // participants IGEN_THREADS selects: every legal setting (after
   // clamping) must reproduce the serial reduction bit for bit.
-  using igen::runtime::ThreadPool;
   unsigned HW = std::thread::hardware_concurrency();
   test::Rng R(0x16e2);
   std::vector<Interval> X = randomIntervals(R, 30000, /*Specials=*/false);
   Interval Serial = iarr_sum(X.data(), X.size());
   for (const char *Spec : {"1", "2", "3", "5", "8", "512"}) {
-    unsigned P = ThreadPool::participantsFromEnv(Spec, HW);
+    unsigned P = participantsFromEnv(Spec, HW);
     ASSERT_GE(P, 1u) << Spec;
     Interval S = iarr_sum_par(X.data(), X.size(), P);
     EXPECT_TRUE(sameBits(S, Serial)) << "IGEN_THREADS=" << Spec;

@@ -8,47 +8,70 @@
 // the tiering pair IGEN_TIER_WIDTH / IGEN_TIER_MAX. All must fall back
 // gracefully on bad input *and* say so: a typo'd override silently
 // ignored is a user running a different configuration than they think.
-// These tests drive the pure parsing entry points the env readers are
-// built on.
+// These tests drive the knob table's pure parser (support/Knobs.h) and
+// the module checks the env readers apply to its value.
 //
 //===----------------------------------------------------------------------===//
 
-#include "profile/TierRuntime.h"
 #include "runtime/CpuDispatch.h"
 #include "runtime/ThreadPool.h"
+#include "support/Knobs.h"
 
 #include <gtest/gtest.h>
 
+using igen::Knob;
+using igen::parseKnob;
 using igen::runtime::Isa;
-using igen::runtime::resolveIsaFromSpec;
 using igen::runtime::ThreadPool;
+
+namespace {
+
+/// IGEN_THREADS as ThreadPool::instance() resolves it: the table's
+/// spelling, then the hardware clamp (0: no override).
+unsigned participantsFromEnv(const char *Spec, unsigned Hardware,
+                             std::string *W) {
+  return ThreadPool::clampParticipants(parseKnob(Knob::Threads, Spec, W).Int,
+                                       Hardware);
+}
+
+/// IGEN_ISA as activeIsa() resolves it: the table's spelling, then the
+/// CPU-support check.
+Isa resolveIsaFromSpec(const char *Spec, std::string *W) {
+  return igen::runtime::resolveIsa(parseKnob(Knob::Isa, Spec, W).Int, W);
+}
+
+// The documented tiering defaults.
+constexpr double DefaultWidthThreshold = 1e-8;
+constexpr int DefaultMaxTier = 2;
+
+} // namespace
 
 TEST(EnvParse, ThreadsAcceptsPositiveIntegers) {
   std::string W;
-  EXPECT_EQ(ThreadPool::participantsFromEnv("1", 8, &W), 1u);
-  EXPECT_EQ(ThreadPool::participantsFromEnv("6", 8, &W), 6u);
+  EXPECT_EQ(participantsFromEnv("1", 8, &W), 1u);
+  EXPECT_EQ(participantsFromEnv("6", 8, &W), 6u);
   EXPECT_TRUE(W.empty());
 }
 
 TEST(EnvParse, ThreadsClampsToUsefulRange) {
   std::string W;
   // Oversubscription clamps to max(4, hardware).
-  EXPECT_EQ(ThreadPool::participantsFromEnv("64", 8, &W), 8u);
-  EXPECT_EQ(ThreadPool::participantsFromEnv("64", 2, &W), 4u);
+  EXPECT_EQ(participantsFromEnv("64", 8, &W), 8u);
+  EXPECT_EQ(participantsFromEnv("64", 2, &W), 4u);
   EXPECT_TRUE(W.empty());
 }
 
 TEST(EnvParse, ThreadsUnsetOrEmptyIsNotAnError) {
   std::string W;
-  EXPECT_EQ(ThreadPool::participantsFromEnv(nullptr, 8, &W), 0u);
-  EXPECT_EQ(ThreadPool::participantsFromEnv("", 8, &W), 0u);
+  EXPECT_EQ(participantsFromEnv(nullptr, 8, &W), 0u);
+  EXPECT_EQ(participantsFromEnv("", 8, &W), 0u);
   EXPECT_TRUE(W.empty());
 }
 
 TEST(EnvParse, ThreadsWarnsOnMalformedValues) {
   for (const char *Bad : {"abc", "3x", "-2", "0", " 4 "}) {
     std::string W;
-    EXPECT_EQ(ThreadPool::participantsFromEnv(Bad, 8, &W), 0u)
+    EXPECT_EQ(participantsFromEnv(Bad, 8, &W), 0u)
         << "spec: " << Bad;
     EXPECT_NE(W.find("IGEN_THREADS"), std::string::npos) << "spec: " << Bad;
     EXPECT_NE(W.find(Bad), std::string::npos) << "spec: " << Bad;
@@ -102,18 +125,17 @@ TEST(EnvParse, IsaWarnsOnUnknownNamesAndFallsBack) {
 
 TEST(EnvParse, TierWidthAcceptsFiniteDecimals) {
   std::string W;
-  EXPECT_EQ(igen::tier::widthFromSpec("1e-6", &W), 1e-6);
-  EXPECT_EQ(igen::tier::widthFromSpec("0.5", &W), 0.5);
-  EXPECT_EQ(igen::tier::widthFromSpec("1e30", &W), 1e30);
+  EXPECT_EQ(parseKnob(Knob::TierWidth, "1e-6", &W).Real, 1e-6);
+  EXPECT_EQ(parseKnob(Knob::TierWidth, "0.5", &W).Real, 0.5);
+  EXPECT_EQ(parseKnob(Knob::TierWidth, "1e30", &W).Real, 1e30);
   EXPECT_TRUE(W.empty());
 }
 
 TEST(EnvParse, TierWidthUnsetOrEmptyUsesDefaultSilently) {
   std::string W;
-  EXPECT_EQ(igen::tier::widthFromSpec(nullptr, &W),
-            igen::tier::DefaultWidthThreshold);
-  EXPECT_EQ(igen::tier::widthFromSpec("", &W),
-            igen::tier::DefaultWidthThreshold);
+  EXPECT_EQ(parseKnob(Knob::TierWidth, nullptr, &W).Real,
+            DefaultWidthThreshold);
+  EXPECT_EQ(parseKnob(Knob::TierWidth, "", &W).Real, DefaultWidthThreshold);
   EXPECT_TRUE(W.empty());
 }
 
@@ -122,8 +144,8 @@ TEST(EnvParse, TierWidthWarnsOnMalformedValues) {
   // would make every region "blown up", nan/inf would make none.
   for (const char *Bad : {"abc", "-1", "0", "nan", "inf", "1e999", "2x"}) {
     std::string W;
-    EXPECT_EQ(igen::tier::widthFromSpec(Bad, &W),
-              igen::tier::DefaultWidthThreshold)
+    EXPECT_EQ(parseKnob(Knob::TierWidth, Bad, &W).Real,
+              DefaultWidthThreshold)
         << "spec: " << Bad;
     EXPECT_NE(W.find("IGEN_TIER_WIDTH"), std::string::npos)
         << "spec: " << Bad;
@@ -133,16 +155,15 @@ TEST(EnvParse, TierWidthWarnsOnMalformedValues) {
 
 TEST(EnvParse, TierMaxAcceptsSupportedTiers) {
   std::string W;
-  EXPECT_EQ(igen::tier::maxTierFromSpec("1", &W), 1);
-  EXPECT_EQ(igen::tier::maxTierFromSpec("2", &W), 2);
+  EXPECT_EQ(parseKnob(Knob::TierMax, "1", &W).Int, 1);
+  EXPECT_EQ(parseKnob(Knob::TierMax, "2", &W).Int, 2);
   EXPECT_TRUE(W.empty());
 }
 
 TEST(EnvParse, TierMaxUnsetOrEmptyUsesDefaultSilently) {
   std::string W;
-  EXPECT_EQ(igen::tier::maxTierFromSpec(nullptr, &W),
-            igen::tier::DefaultMaxTier);
-  EXPECT_EQ(igen::tier::maxTierFromSpec("", &W), igen::tier::DefaultMaxTier);
+  EXPECT_EQ(parseKnob(Knob::TierMax, nullptr, &W).Int, DefaultMaxTier);
+  EXPECT_EQ(parseKnob(Knob::TierMax, "", &W).Int, DefaultMaxTier);
   EXPECT_TRUE(W.empty());
 }
 
@@ -150,8 +171,7 @@ TEST(EnvParse, TierMaxWarnsOnOutOfRangeOrGarbage) {
   // 3 would name an expansion tier that does not exist yet.
   for (const char *Bad : {"0", "3", "4", "-1", "two", "2.5"}) {
     std::string W;
-    EXPECT_EQ(igen::tier::maxTierFromSpec(Bad, &W),
-              igen::tier::DefaultMaxTier)
+    EXPECT_EQ(parseKnob(Knob::TierMax, Bad, &W).Int, DefaultMaxTier)
         << "spec: " << Bad;
     EXPECT_NE(W.find("IGEN_TIER_MAX"), std::string::npos) << "spec: " << Bad;
     EXPECT_NE(W.find(Bad), std::string::npos) << "spec: " << Bad;

@@ -9,7 +9,9 @@
 // follow the same contract as the runtime env knobs
 // (tests/runtime/EnvParseTest.cpp): bad input falls back to a safe
 // default *and says so*, because a typo'd override silently ignored is
-// an operator running a different configuration than they think.
+// an operator running a different configuration than they think. The
+// spellings go through the knob table's parser (support/Knobs.h); the
+// cache directory's filesystem checks stay in cacheDirFromSpec.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +19,7 @@
 #include "server/PersistCache.h"
 #include "server/ServerCore.h"
 #include "server/SocketServer.h"
+#include "support/Knobs.h"
 
 #include <gtest/gtest.h>
 
@@ -26,26 +29,29 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+using igen::Knob;
+using igen::parseKnob;
 using namespace igen::server;
 
 TEST(ServeEnvParse, DeadlineAcceptsPositiveMilliseconds) {
   std::string W;
-  EXPECT_EQ(deadlineMsFromSpec("1", &W), 1);
-  EXPECT_EQ(deadlineMsFromSpec("2500", &W), 2500);
+  EXPECT_EQ(parseKnob(Knob::ServeDeadline, "1", &W).Int, 1);
+  EXPECT_EQ(parseKnob(Knob::ServeDeadline, "2500", &W).Int, 2500);
   EXPECT_TRUE(W.empty());
 }
 
 TEST(ServeEnvParse, DeadlineUnsetOrEmptyDisablesSilently) {
   std::string W;
-  EXPECT_EQ(deadlineMsFromSpec(nullptr, &W), 0);
-  EXPECT_EQ(deadlineMsFromSpec("", &W), 0);
+  EXPECT_EQ(parseKnob(Knob::ServeDeadline, nullptr, &W).Int, 0);
+  EXPECT_EQ(parseKnob(Knob::ServeDeadline, "", &W).Int, 0);
   EXPECT_TRUE(W.empty());
 }
 
 TEST(ServeEnvParse, DeadlineWarnsOnMalformedValues) {
   for (const char *Bad : {"abc", "5s", "-100", "0", " 250 ", "1e3"}) {
     std::string W;
-    EXPECT_EQ(deadlineMsFromSpec(Bad, &W), 0) << "spec: " << Bad;
+    EXPECT_EQ(parseKnob(Knob::ServeDeadline, Bad, &W).Int, 0)
+        << "spec: " << Bad;
     EXPECT_NE(W.find("IGEN_SERVE_DEADLINE"), std::string::npos)
         << "spec: " << Bad;
     EXPECT_NE(W.find(Bad), std::string::npos) << "spec: " << Bad;
@@ -54,22 +60,23 @@ TEST(ServeEnvParse, DeadlineWarnsOnMalformedValues) {
 
 TEST(ServeEnvParse, DrainAcceptsPositiveMilliseconds) {
   std::string W;
-  EXPECT_EQ(drainMsFromSpec("250", &W), 250);
-  EXPECT_EQ(drainMsFromSpec("60000", &W), 60000);
+  EXPECT_EQ(parseKnob(Knob::ServeDrainMs, "250", &W).Int, 250);
+  EXPECT_EQ(parseKnob(Knob::ServeDrainMs, "60000", &W).Int, 60000);
   EXPECT_TRUE(W.empty());
 }
 
 TEST(ServeEnvParse, DrainUnsetOrEmptyUsesDefaultSilently) {
   std::string W;
-  EXPECT_EQ(drainMsFromSpec(nullptr, &W), 5000);
-  EXPECT_EQ(drainMsFromSpec("", &W), 5000);
+  EXPECT_EQ(parseKnob(Knob::ServeDrainMs, nullptr, &W).Int, 5000);
+  EXPECT_EQ(parseKnob(Knob::ServeDrainMs, "", &W).Int, 5000);
   EXPECT_TRUE(W.empty());
 }
 
 TEST(ServeEnvParse, DrainWarnsAndFallsBackOnMalformedValues) {
   for (const char *Bad : {"fast", "-1", "0", "3 0", "2.5"}) {
     std::string W;
-    EXPECT_EQ(drainMsFromSpec(Bad, &W), 5000) << "spec: " << Bad;
+    EXPECT_EQ(parseKnob(Knob::ServeDrainMs, Bad, &W).Int, 5000)
+        << "spec: " << Bad;
     EXPECT_NE(W.find("IGEN_SERVE_DRAIN_MS"), std::string::npos)
         << "spec: " << Bad;
     EXPECT_NE(W.find(Bad), std::string::npos) << "spec: " << Bad;
@@ -107,7 +114,7 @@ TEST(ServeEnvParse, QueueBound) {
   checkBoundKnob(
       "IGEN_SERVE_QUEUE",
       [](const char *S, std::string *W) {
-        return (long long)queueCapacityFromSpec(S, W);
+        return parseKnob(Knob::ServeQueue, S, W).Int;
       },
       128);
 }
@@ -116,7 +123,7 @@ TEST(ServeEnvParse, CacheBound) {
   checkBoundKnob(
       "IGEN_SERVE_CACHE",
       [](const char *S, std::string *W) {
-        return (long long)cacheCapacityFromSpec(S, W);
+        return parseKnob(Knob::ServeCache, S, W).Int;
       },
       64);
 }
@@ -125,7 +132,7 @@ TEST(ServeEnvParse, MaxFrameBound) {
   checkBoundKnob(
       "IGEN_SERVE_MAX_FRAME",
       [](const char *S, std::string *W) {
-        return (long long)maxFrameBytesFromSpec(S, W);
+        return parseKnob(Knob::ServeMaxFrame, S, W).Int;
       },
       4 << 20);
 }
@@ -133,7 +140,7 @@ TEST(ServeEnvParse, MaxFrameBound) {
 TEST(ServeEnvParse, CacheBoundSixteenSizesTheCache) {
   // The compile-mix benchmark runs the daemon with IGEN_SERVE_CACHE=16.
   std::string W;
-  FunctionCache Cache(cacheCapacityFromSpec("16", &W));
+  FunctionCache Cache(parseKnob(Knob::ServeCache, "16", &W).Int);
   EXPECT_TRUE(W.empty());
   EXPECT_EQ(Cache.stats().Capacity, 16u);
 }
@@ -173,4 +180,26 @@ TEST(ServeEnvParse, CacheDirCreatesOneLevelAndAcceptsExisting) {
   EXPECT_EQ(cacheDirFromSpec(Dir.c_str(), &W), Dir);
   EXPECT_TRUE(W.empty());
   ::rmdir(Dir.c_str());
+}
+
+TEST(ServeEnvParse, MalformedDeadlineWarnsOncePerProcess) {
+  // Every ServerCore built from the environment reads the serve knobs;
+  // a malformed one is reported the first time only.
+  ASSERT_EQ(setenv("IGEN_SERVE_DEADLINE", "5s", 1), 0);
+  igen::refreshKnob(Knob::ServeDeadline);
+  testing::internal::CaptureStderr();
+  {
+    ServerCore First;
+    ServerCore Second;
+  }
+  std::string Err = testing::internal::GetCapturedStderr();
+  ASSERT_EQ(unsetenv("IGEN_SERVE_DEADLINE"), 0);
+  igen::refreshKnob(Knob::ServeDeadline);
+
+  size_t Count = 0;
+  for (size_t P = Err.find("IGEN_SERVE_DEADLINE '5s'");
+       P != std::string::npos;
+       P = Err.find("IGEN_SERVE_DEADLINE '5s'", P + 1))
+    ++Count;
+  EXPECT_EQ(Count, 1u) << Err;
 }
