@@ -37,25 +37,6 @@ const VarDecl *inductionFromInit(const Stmt *Init) {
   return nullptr;
 }
 
-/// True when \p E is `++i`, `i++` or `i += 1` for the given variable.
-bool isUnitIncrement(const Expr *E, const VarDecl *IV) {
-  E = ignoreParens(E);
-  if (const auto *U = dynCast<UnaryExpr>(E)) {
-    if (U->O != UnaryExpr::Op::PreInc && U->O != UnaryExpr::Op::PostInc)
-      return false;
-    const auto *Ref = dynCast<DeclRefExpr>(ignoreParens(U->Sub));
-    return Ref && Ref->Decl == IV;
-  }
-  if (const auto *B = dynCast<BinaryExpr>(E)) {
-    if (B->O != BinaryExpr::Op::AddAssign)
-      return false;
-    const auto *Ref = dynCast<DeclRefExpr>(ignoreParens(B->LHS));
-    const auto *One = dynCast<IntLiteralExpr>(ignoreParens(B->RHS));
-    return Ref && Ref->Decl == IV && One && One->Value == 1;
-  }
-  return false;
-}
-
 /// Matches `base[iv]` where base is a plain identifier of pointer/array
 /// of double; returns the base DeclRef or null.
 const DeclRefExpr *matchSubscript(const Expr *E, const VarDecl *IV) {
@@ -73,17 +54,6 @@ const DeclRefExpr *matchSubscript(const Expr *E, const VarDecl *IV) {
       T->element()->kind() != Type::Kind::Double)
     return nullptr;
   return Base;
-}
-
-/// The single statement of a loop body (unwrapping a one-statement
-/// compound); null when the body has any other shape.
-const Stmt *singleBodyStmt(const Stmt *Body) {
-  while (const auto *C = dynCast<CompoundStmt>(Body)) {
-    if (C->Body.size() != 1)
-      return nullptr;
-    Body = C->Body[0];
-  }
-  return Body;
 }
 
 } // namespace
@@ -157,6 +127,33 @@ std::optional<BatchLoop> matchBatchLoop(const ForStmt *S) {
   if (!L.A || !L.B)
     return std::nullopt;
   return L;
+}
+
+bool isUnitIncrement(const Expr *E, const VarDecl *IV) {
+  E = ignoreParens(E);
+  if (const auto *U = dynCast<UnaryExpr>(E)) {
+    if (U->O != UnaryExpr::Op::PreInc && U->O != UnaryExpr::Op::PostInc)
+      return false;
+    const auto *Ref = dynCast<DeclRefExpr>(ignoreParens(U->Sub));
+    return Ref && Ref->Decl == IV;
+  }
+  if (const auto *B = dynCast<BinaryExpr>(E)) {
+    if (B->O != BinaryExpr::Op::AddAssign)
+      return false;
+    const auto *Ref = dynCast<DeclRefExpr>(ignoreParens(B->LHS));
+    const auto *One = dynCast<IntLiteralExpr>(ignoreParens(B->RHS));
+    return Ref && Ref->Decl == IV && One && One->Value == 1;
+  }
+  return false;
+}
+
+const Stmt *singleBodyStmt(const Stmt *Body) {
+  while (const auto *C = dynCast<CompoundStmt>(Body)) {
+    if (C->Body.size() != 1)
+      return nullptr;
+    Body = C->Body[0];
+  }
+  return Body;
 }
 
 } // namespace igen

@@ -76,6 +76,13 @@ struct BatchLoop {
 /// when the loop does not match exactly.
 std::optional<BatchLoop> matchBatchLoop(const ForStmt *S);
 
+/// True when \p E is `++i`, `i++` or `i += 1` for the variable \p IV.
+bool isUnitIncrement(const Expr *E, const VarDecl *IV);
+
+/// The single statement of a loop body (unwrapping one-statement
+/// compounds); null when the body has any other shape.
+const Stmt *singleBodyStmt(const Stmt *Body);
+
 } // namespace igen
 
 #endif // IGEN_ANALYSIS_BATCHLOOPANALYSIS_H

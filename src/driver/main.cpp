@@ -55,9 +55,11 @@ void printUsage() {
       "                        branches and join when safe\n"
       "  -O, -O1               enable the mid-end optimizer (default):\n"
       "                        sign-specialized multiplies/divides,\n"
-      "                        interval CSE/hoisting, FMA fusion, and\n"
+      "                        interval CSE/hoisting, FMA fusion,\n"
       "                        innermost loops versioned on the run-time\n"
-      "                        sign of an invariant multiplier\n"
+      "                        sign of an invariant multiplier, and f64\n"
+      "                        axpy/dot inner loops lowered to one\n"
+      "                        bit-identical row-kernel call each\n"
       "  -O0                   disable the mid-end optimizer; emit the\n"
       "                        naive one-op-per-call translation\n"
       "  --runtime-header=<h>  header providing the ia_* runtime\n"

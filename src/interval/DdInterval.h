@@ -114,13 +114,6 @@ inline DdInterval ddiFromOuter(const Interval &I) {
   return DdInterval(Dd(I.NegLo), Dd(I.Hi));
 }
 
-/// True when ddDivUp's error bound covers \p X as an operand:
-/// |L| <= 2^-52 |H|, which every normalized Dd meets. Exact: scaling by
-/// 2^52 is exact, or overflows to inf and fails.
-inline bool ddDivOperand(const Dd &X) {
-  return std::fabs(X.L) * 0x1p52 <= std::fabs(X.H);
-}
-
 } // namespace detail
 
 /// X * Y with double-double endpoints by sign-case selection, ddMulUp
@@ -186,8 +179,9 @@ inline DdInterval ddiDiv(const DdInterval &X, const DdInterval &Y) {
     return detail::ddiFromOuter(iDiv(X.outerHull(), Y.outerHull()));
   if (YHiNeg) // Y < 0: X/Y == (-X)/(-Y)
     return ddiDiv(ddiNeg(X), ddiNeg(Y));
-  // Y > 0 now. ddDivUp's error bound needs normalized operands; a
-  // hand-built endpoint (ia_set_ddc) need not be one.
+  // Y > 0 now. ddDivUp's error bound needs normalized operands, and no
+  // dividend in the subnormal range; a hand-built endpoint (ia_set_ddc)
+  // need not be normalized.
   if (__builtin_expect(!detail::ddDivOperand(X.NegLo) ||
                            !detail::ddDivOperand(X.Hi) ||
                            !detail::ddDivOperand(Y.NegLo) ||

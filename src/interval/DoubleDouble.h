@@ -240,20 +240,68 @@ inline Dd ddDivUp(const Dd &X, const Dd &Y) {
   return Dd(WH, WL);
 }
 
+/// Upper bound of the double-double X as a single double: RU(H + L).
+/// H + L is a multiple of the smallest denormal, so RU(H + L) also has
+/// the exact sign of X, even for an unnormalized X whose low word
+/// outweighs its high word (where sign() reads the wrong one).
+inline double ddToDoubleUp(const Dd &X) {
+  assertRoundUpward();
+  return X.H + X.L;
+}
+
+namespace detail {
+
+/// True when ddDivUp's error bound covers \p X as an operand:
+/// |L| <= 2^-52 |H|, which every normalized Dd meets (exact: scaling by
+/// 2^52 is exact, or overflows to inf and fails), and H zero or at least
+/// 2^-900 in magnitude. A dividend below that leaves a residual whose
+/// error, a few multiples of 2^-1074, can reach the quotient's own size
+/// once divided (8 denormal steps over 6e-162 came out with lo > hi).
+inline bool ddDivOperand(const Dd &X) {
+  const double A = std::fabs(X.H);
+  return std::fabs(X.L) * 0x1p52 <= A && (A == 0.0 || A >= 0x1p-900);
+}
+
+/// True when the Heron step of ddSqrtUp/ddSqrtDown keeps its bound for
+/// X > 0: a finite positive high word that ddDivUp covers as dividend.
+inline bool ddHeronOperand(const Dd &X) {
+  return X.H > 0.0 && !std::isinf(X.H) && ddDivOperand(X);
+}
+
+} // namespace detail
+
+/// An upper bound of max(X, Y) that is the larger of the two whenever
+/// their order can be proven. RU(H + L) orders values in different double
+/// ulps exactly, unnormalized ones included: RU(X) < RU(Y) puts X at or
+/// below a double that lies below Y. Inside one ulp an upward difference
+/// must confirm the lexicographic order; failing that, the common RU(H + L)
+/// bounds both.
+inline Dd ddMaxUp(const Dd &X, const Dd &Y) {
+  const double UX = ddToDoubleUp(X), UY = ddToDoubleUp(Y);
+  if (UX != UY)
+    return UX < UY ? Y : X;
+  const bool YWins = ddLess(X, Y);
+  const Dd &M = YWins ? Y : X, &O = YWins ? X : Y;
+  if (ddToDoubleUp(ddSubUp(O, M)) <= 0.0)
+    return M;
+  return Dd(UX);
+}
+
 /// Upward-rounded double-double square root for X >= 0: one Heron step
 /// from the hardware sqrt. Soundness is by AM-GM, not by error analysis:
 /// for *any* s > 0, (s + x/s)/2 >= sqrt(x), so with ddDivUp and ddAddUp
 /// the computed value is an upper bound; starting from s ~ sqrt(x) within
-/// 1 ulp it is also tight to ~2^-104 relative.
+/// 1 ulp it is also tight to ~2^-104 relative. The sign of X is read from
+/// RU(H + L).
 template <class Ops = FastOps> inline Dd ddSqrtUp(const Dd &X) {
-  assertRoundUpward();
-  int Sign = X.sign();
-  if (Sign == 0)
-    return Dd(0.0);
-  if (Sign < 0 || X.hasNaN())
+  const double Up = ddToDoubleUp(X);
+  if (!(Up >= 0.0)) // negative, or NaN words
     return Dd(std::numeric_limits<double>::quiet_NaN(), 0.0);
-  if (X.H <= 0.0 || std::isinf(X.H)) // denormal-high or infinite: crude
-    return Dd(std::sqrt(X.H + X.L) * (1 + 0x1p-50), 0.0);
+  if (Up == 0.0)
+    return Dd(0.0);
+  // Tiny, infinite or unnormalized: the crude bound from RU(H + L).
+  if (!detail::ddHeronOperand(X))
+    return Dd(std::sqrt(Up) * (1 + 0x1p-50), 0.0);
   double S = std::sqrt(X.H); // RU hardware sqrt: fine as Heron seed
   Dd Q = ddDivUp<Ops>(X, Dd(S));
   Dd Sum = ddAddUp<Ops>(Dd(S), Q);
@@ -262,25 +310,23 @@ template <class Ops = FastOps> inline Dd ddSqrtUp(const Dd &X) {
 
 /// Downward-rounded double-double square root for X >= 0: x/sqrt_up(x)
 /// computed downward (sqrt(x) == x / sqrt(x), and dividing by an upper
-/// bound from below yields a lower bound).
+/// bound from below yields a lower bound). Signs are read from RU(H + L).
 template <class Ops = FastOps> inline Dd ddSqrtDown(const Dd &X) {
-  assertRoundUpward();
-  int Sign = X.sign();
-  if (Sign == 0)
-    return Dd(0.0);
-  if (Sign < 0 || X.hasNaN())
+  const double Up = ddToDoubleUp(X);
+  if (!(Up >= 0.0))
     return Dd(std::numeric_limits<double>::quiet_NaN(), 0.0);
-  Dd Up = ddSqrtUp<Ops>(X);
-  if (Up.hasNaN() || Up.sign() <= 0)
+  if (Up == 0.0)
+    return Dd(0.0);
+  if (!detail::ddHeronOperand(X)) {
+    // The crude bound: one step below RU(sqrt(RD(H + L))).
+    const double Down = -(-X.H - X.L);
+    return Down > 0.0 ? Dd(nextDown(std::sqrt(Down)), 0.0) : Dd(0.0);
+  }
+  Dd SUp = ddSqrtUp<Ops>(X);
+  if (!(ddToDoubleUp(SUp) > 0.0))
     return Dd(0.0); // sound: sqrt(x) >= 0
   // RD(x / up) == -RU((-x) / up).
-  return ddNeg(ddDivUp<Ops>(ddNeg(X), Up));
-}
-
-/// Upper bound of the double-double X as a single double: RU(H + L).
-inline double ddToDoubleUp(const Dd &X) {
-  assertRoundUpward();
-  return X.H + X.L;
+  return ddNeg(ddDivUp<Ops>(ddNeg(X), SUp));
 }
 
 /// Converts X to the nearest double (used when rounding certified

@@ -44,7 +44,16 @@
 #include "runtime/BatchKernels.h"
 #endif
 
+// The row kernels (see "Row kernels" below) pack four intervals per
+// AVX-512 register when the including TU's -m flags allow it.
+#if !defined(IGEN_F64I_SCALAR) && defined(__AVX512F__) &&                    \
+    defined(__AVX512DQ__) && defined(__AVX512VL__) && defined(__FMA__)
+#define IGEN_ROW_KERNELS_AVX512 1
+#include "runtime/Lane.h"
+#endif
+
 #include <cmath>
+#include <cstdint>
 
 //===----------------------------------------------------------------------===//
 // Types
@@ -260,6 +269,192 @@ inline tbool ia_cmpeq_f64(f64i A, f64i B) { return igen::iCmpEQ(A, B); }
 inline tbool ia_cmpne_f64(f64i A, f64i B) { return igen::iCmpNE(A, B); }
 
 //===----------------------------------------------------------------------===//
+// Row kernels (-O innermost loops)
+//===----------------------------------------------------------------------===//
+//
+// At -O the transform lowers two innermost-loop shapes to one call each:
+//
+//   for (j = L; j < U; j++) Y[ey + j] = Y[ey + j] + a * X[ex + j];
+//       -> ia_axpy_f64(&Y[ey + L], a, &X[ex + L], U - L)
+//   for (j = L; j < U; j++) s = s + X[ex + j] * Z[ez + j];   (or -)
+//       -> ia_dot_f64(&s, &X[ex + L], &Z[ez + L], U - L)     (ia_dotsub)
+//
+// Each call returns the bits of the per-element -O loop it replaces. The
+// axpy kernel makes that loop's sign-version test of a once and runs the
+// copy it picks (ia_fma_pu/nu/plain); the dot kernels apply ia_mul_f64
+// and then ia_add_f64 (ia_sub_f64) in source order. With AVX-512 they run
+// four elements per register through the lanewise pack ops of
+// runtime/Lane.h, which compute every lane with the SSE operation's own
+// candidates, NaN screen and maxima in the same order, and recompute a
+// pack whose screen fires element by element with the per-element op.
+// Packs are used only where they cannot change what the loop reads:
+// axpy needs its two rows disjoint or identical, dot needs the
+// accumulator outside both rows; anything else runs the per-element loop.
+
+// GCC 12 reports the deliberately undefined pass-through operand of the
+// unmasked AVX-512 intrinsics as maybe-uninitialized (the runtime's
+// AVX-512 TUs turn the warning off for the same reason).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#endif
+
+namespace igen_detail {
+
+/// True when the \p PN elements at \p P and the \p QN elements at \p Q
+/// share no byte.
+inline bool rowsDisjoint(const f64i *P, unsigned long PN, const f64i *Q,
+                         unsigned long QN) {
+  const std::uintptr_t A = reinterpret_cast<std::uintptr_t>(P);
+  const std::uintptr_t B = reinterpret_cast<std::uintptr_t>(Q);
+  return A + PN * sizeof(f64i) <= B || B + QN * sizeof(f64i) <= A;
+}
+
+#if defined(IGEN_ROW_KERNELS_AVX512)
+
+using RowLanes = igen::runtime::lanes::Avx512Lanes;
+using RowPack = RowLanes::Pack;
+
+inline RowPack rowLoad(const f64i *P, unsigned long K) {
+  const double *D = reinterpret_cast<const double *>(P);
+  if (K >= 4)
+    return RowPack(_mm512_loadu_pd(D));
+  const __mmask8 M = static_cast<__mmask8>((1u << (2 * K)) - 1);
+  return RowPack(
+      _mm512_mask_loadu_pd(igen::runtime::lanes::avx512::benign512(), M, D));
+}
+inline void rowStore(f64i *P, unsigned long K, const RowPack &V) {
+  double *D = reinterpret_cast<double *>(P);
+  if (K >= 4)
+    _mm512_storeu_pd(D, V.V);
+  else
+    _mm512_mask_storeu_pd(D, static_cast<__mmask8>((1u << (2 * K)) - 1),
+                          V.V);
+}
+
+inline f64i rowElem(const igen::Interval &I) { return f64i::fromInterval(I); }
+
+/// Y[j] = Fused(A, X[j], Y[j]) four elements at a time, a masked pack
+/// last. Fused is an Avx512Lanes fma; a pack whose NaN screen fires is
+/// recomputed with the per-element op \p Elem.
+template <typename PackOp>
+inline void axpyPacks(f64i *Y, f64i A, const f64i *X, unsigned long N,
+                      PackOp Fused, f64i (*Elem)(f64i, f64i, f64i)) {
+  const RowPack Av = RowLanes::broadcast(A.toInterval());
+  auto ElemI = [Elem](const igen::Interval &P, const igen::Interval &Q,
+                      const igen::Interval &R) {
+    return Elem(rowElem(P), rowElem(Q), rowElem(R)).toInterval();
+  };
+  auto Step = [&](unsigned long J, unsigned long K) {
+    rowStore(Y + J, K,
+             Fused(Av, rowLoad(X + J, K), rowLoad(Y + J, K), ElemI));
+  };
+  unsigned long J = 0;
+  for (; J + 4 <= N; J += 4)
+    Step(J, 4);
+  if (J < N)
+    Step(J, N - J);
+}
+
+/// *S +- X[j] * Z[j]: four products per register, then the K live ones
+/// added to the accumulator in order, as ia_add_f64/ia_sub_f64 would.
+template <bool Sub>
+inline void dotPacks(f64i *S, const f64i *X, const f64i *Z,
+                     unsigned long N) {
+  auto Mul = [](const igen::Interval &A, const igen::Interval &B) {
+    return ia_mul_f64(rowElem(A), rowElem(B)).toInterval();
+  };
+  f64i Acc = *S;
+  auto Fold = [&](unsigned long J, unsigned long K) {
+    const __m512d P =
+        RowLanes::mul(rowLoad(X + J, K), rowLoad(Z + J, K), Mul).V;
+    const __m128d Lanes[4] = {
+        _mm512_castpd512_pd128(P), _mm512_extractf64x2_pd(P, 1),
+        _mm512_extractf64x2_pd(P, 2), _mm512_extractf64x2_pd(P, 3)};
+    for (unsigned long L = 0; L < K; ++L)
+      Acc = Sub ? ia_sub_f64(Acc, f64i(Lanes[L]))
+                : ia_add_f64(Acc, f64i(Lanes[L]));
+  };
+  unsigned long J = 0;
+  for (; J + 4 <= N; J += 4)
+    Fold(J, 4);
+  if (J < N)
+    Fold(J, N - J);
+  *S = Acc;
+}
+
+#endif
+
+/// *S +- X[j] * Z[j] for j = 0, 1, ..., N - 1, in that order.
+template <bool Sub>
+inline void dotRow(f64i *S, const f64i *X, const f64i *Z, unsigned long N) {
+#if defined(IGEN_ROW_KERNELS_AVX512)
+  if (rowsDisjoint(S, 1, X, N) && rowsDisjoint(S, 1, Z, N)) {
+    dotPacks<Sub>(S, X, Z, N);
+    return;
+  }
+#endif
+  for (unsigned long J = 0; J < N; ++J)
+    *S = Sub ? ia_sub_f64(*S, ia_mul_f64(X[J], Z[J]))
+             : ia_add_f64(*S, ia_mul_f64(X[J], Z[J]));
+}
+
+} // namespace igen_detail
+
+/// Y[j] = Y[j] + A * X[j] for j in [0, N), as the sign-versioned -O loop
+/// computes it: ia_fma_pu_f64 when inf(A) >= 0, ia_fma_nu_f64 when
+/// sup(A) <= 0, ia_fma_f64 otherwise.
+inline void ia_axpy_f64(f64i *Y, f64i A, const f64i *X, unsigned long N) {
+#if defined(IGEN_ROW_KERNELS_AVX512)
+  if (Y == X || igen_detail::rowsDisjoint(Y, N, X, N)) {
+    using igen_detail::RowLanes;
+    if (ia_inf_f64(A) >= 0.0)
+      igen_detail::axpyPacks(
+          Y, A, X, N,
+          [](const auto &...P) { return RowLanes::fmaPU(P...); },
+          ia_fma_pu_f64);
+    else if (ia_sup_f64(A) <= 0.0)
+      igen_detail::axpyPacks(
+          Y, A, X, N,
+          [](const auto &...P) { return RowLanes::fmaNU(P...); },
+          ia_fma_nu_f64);
+    else
+      igen_detail::axpyPacks(
+          Y, A, X, N, [](const auto &...P) { return RowLanes::fma(P...); },
+          ia_fma_f64);
+    return;
+  }
+#endif
+  if (ia_inf_f64(A) >= 0.0) {
+    for (unsigned long J = 0; J < N; ++J)
+      Y[J] = ia_fma_pu_f64(A, X[J], Y[J]);
+  } else if (ia_sup_f64(A) <= 0.0) {
+    for (unsigned long J = 0; J < N; ++J)
+      Y[J] = ia_fma_nu_f64(A, X[J], Y[J]);
+  } else {
+    for (unsigned long J = 0; J < N; ++J)
+      Y[J] = ia_fma_f64(A, X[J], Y[J]);
+  }
+}
+
+/// *S = *S + X[j] * Z[j] for j = 0, 1, ..., N - 1, in that order.
+inline void ia_dot_f64(f64i *S, const f64i *X, const f64i *Z,
+                       unsigned long N) {
+  igen_detail::dotRow<false>(S, X, Z, N);
+}
+
+/// *S = *S - X[j] * Z[j] for j = 0, 1, ..., N - 1, in that order.
+inline void ia_dotsub_f64(f64i *S, const f64i *X, const f64i *Z,
+                          unsigned long N) {
+  igen_detail::dotRow<true>(S, X, Z, N);
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+//===----------------------------------------------------------------------===//
 // Batched array operations (driver --batch-loops)
 //===----------------------------------------------------------------------===//
 //
@@ -388,16 +583,19 @@ inline ddi ia_div_dd(ddi A, ddi B) { return igen::ddiDiv(A, B); }
 inline ddi ia_neg_dd(ddi A) { return igen::ddiNeg(A); }
 
 /// Double-double sqrt/abs are computed on the scalar representation.
+/// Every sign and the maximum are read from RU(H + L) (ddToDoubleUp,
+/// ddMaxUp), exact also for an unnormalized endpoint whose low word
+/// outweighs its high word.
 inline ddi ia_abs_dd(ddi A) {
   igen::DdInterval S = igen_detail::ddiToScalar(A);
   if (S.hasNaN())
     return igen_detail::ddiFromScalar(igen::DdInterval::nan());
-  if (S.NegLo.sign() <= 0)
+  if (igen::ddToDoubleUp(S.NegLo) <= 0.0) // lo >= 0
     return A;
-  if (S.Hi.sign() <= 0)
+  if (igen::ddToDoubleUp(S.Hi) <= 0.0) // hi <= 0
     return ia_neg_dd(A);
   return igen_detail::ddiFromScalar(igen::DdInterval(
-      igen::Dd(0.0), igen::ddMax(S.NegLo, S.Hi)));
+      igen::Dd(0.0), igen::ddMaxUp(S.NegLo, S.Hi)));
 }
 
 /// sqrt on ddi endpoints at full double-double accuracy: Heron-step
@@ -405,11 +603,11 @@ inline ddi ia_abs_dd(ddi A) {
 /// a NaN lower endpoint, as in the double-precision sqrt (Section IV-A).
 inline ddi ia_sqrt_dd(ddi A) {
   igen::DdInterval S = igen_detail::ddiToScalar(A);
-  if (S.hasNaN() || S.Hi.sign() < 0)
+  if (S.hasNaN() || igen::ddToDoubleUp(S.Hi) < 0.0)
     return igen_detail::ddiFromScalar(igen::DdInterval::nan());
   igen::Dd Hi = igen::ddSqrtUp(S.Hi);
   igen::Dd Lo = igen::ddNeg(S.NegLo);
-  if (Lo.sign() < 0)
+  if (igen::ddToDoubleUp(Lo) < 0.0)
     return igen_detail::ddiFromScalar(igen::DdInterval(
         igen::Dd(std::numeric_limits<double>::quiet_NaN(), 0.0), Hi));
   return igen_detail::ddiFromScalar(

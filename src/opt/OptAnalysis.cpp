@@ -20,6 +20,7 @@
 
 #include "opt/OptAnalysis.h"
 
+#include "analysis/BatchLoopAnalysis.h"
 #include "analysis/ReductionAnalysis.h"
 #include "frontend/Sema.h"
 #include "interval/Ulp.h"
@@ -1204,8 +1205,10 @@ private:
       collectLoopInvariants(F, Mod);
       collectVersionVar(F, Mod);
       Fors.push_back(F);
-      walkLoopBody(F, F->Body, std::move(Mod));
+      walkLoopBody(F, F->Body, Mod);
       Fors.pop_back();
+      // After the body: the dot shape reads the hazards found there.
+      collectRowKernel(F, Mod);
       return;
     }
     case Stmt::Kind::While:
@@ -1381,6 +1384,163 @@ private:
       Info.FmaLoopHazards.insert(B);
     markCarriedAddSub(Target, B->LHS);
     markCarriedAddSub(Target, B->RHS);
+  }
+
+  //===-- Row kernels -----------------------------------------------------===//
+
+  /// Records \p FS in RowKernels when it has the axpy or dot shape and
+  /// its per-element -O lowering is the one the kernel reproduces.
+  void collectRowKernel(const ForStmt *FS, const VarSet &Mod) {
+    if (!FS->ReduceVars.empty() || !FS->Cond || !FS->Inc ||
+        Info.LoopInvariants.count(FS))
+      return;
+    const auto *Init = dynCast<DeclStmt>(FS->Init);
+    if (!Init || Init->Decls.size() != 1)
+      return;
+    const VarDecl *IV = Init->Decls[0];
+    if (!IV->Init || !isIntOrLong(IV->Ty))
+      return;
+    const auto *Cmp = dynCast<BinaryExpr>(ignoreParens(FS->Cond));
+    if (!Cmp || Cmp->O != BinaryExpr::Op::LT || !refersTo(Cmp->LHS, IV) ||
+        !isUnitIncrement(FS->Inc, IV))
+      return;
+    RowKernelLoop K;
+    K.Lower = IV->Init;
+    K.Upper = Cmp->RHS;
+    // j starts at exactly L: an int j takes no long L.
+    if (!fixedInt(K.Lower, Mod) || !fixedInt(K.Upper, Mod) ||
+        (IV->Ty->kind() == Type::Kind::Int &&
+         K.Lower->type()->kind() != Type::Kind::Int))
+      return;
+    const auto *ES = dynCast<ExprStmt>(singleBodyStmt(FS->Body));
+    if (!ES || Info.CommonSubexprs.count(ES))
+      return;
+    const auto *B = dynCast<BinaryExpr>(ignoreParens(ES->E));
+    if (!B || !B->isAssignment())
+      return;
+    K.Update = ES;
+    if (matchAxpy(FS, B, IV, Mod, K) || matchDot(B, IV, Mod, K))
+      Info.RowKernels[FS] = K;
+  }
+
+  static bool isIntOrLong(const Type *T) {
+    return T && (T->kind() == Type::Kind::Int || T->kind() == Type::Kind::Long);
+  }
+  static bool refersTo(const Expr *E, const VarDecl *D) {
+    const auto *Ref = dynCast<DeclRefExpr>(ignoreParens(E));
+    return Ref && Ref->Decl == D;
+  }
+
+  /// A pure, load-free int or long expression of variables \p Mod does
+  /// not hold.
+  bool fixedInt(const Expr *E, const VarSet &Mod) const {
+    if (!isIntOrLong(E->type()) || !isPureExpr(E, /*AllowLoads=*/false))
+      return false;
+    bool Fixed = true;
+    forEachDeclRef(E, [&](const DeclRefExpr *Ref) {
+      if (!Ref->Decl || setHas(Mod, Ref->Decl))
+        Fixed = false;
+    });
+    return Fixed;
+  }
+
+  /// `Base[j]`, `Base[off + j]` or `Base[j + off]` over a double array
+  /// or pointer the loop does not reassign.
+  bool matchRow(const Expr *E, const VarDecl *IV, const VarSet &Mod,
+                RowKernelLoop::Row &R) const {
+    const auto *Ix = dynCast<IndexExpr>(ignoreParens(E));
+    if (!Ix || !isDouble(Ix->type()))
+      return false;
+    const auto *Base = dynCast<DeclRefExpr>(ignoreParens(Ix->Base));
+    const Type *BT = Base ? Base->type() : nullptr;
+    if (!BT || (!BT->isPointer() && !BT->isArray()) || !Base->Decl ||
+        setHas(Mod, Base->Decl))
+      return false;
+    R.Base = Base;
+    R.Offset = nullptr;
+    if (refersTo(Ix->Idx, IV))
+      return true;
+    const auto *Sum = dynCast<BinaryExpr>(ignoreParens(Ix->Idx));
+    if (!Sum || Sum->O != BinaryExpr::Op::Add)
+      return false;
+    if (refersTo(Sum->RHS, IV))
+      R.Offset = Sum->LHS;
+    else if (refersTo(Sum->LHS, IV))
+      R.Offset = Sum->RHS;
+    return R.Offset && fixedInt(R.Offset, Mod);
+  }
+
+  static bool isDouble(const Type *T) {
+    return T && T->kind() == Type::Kind::Double;
+  }
+  /// Neither sign class of \p E is proven, so a multiply by it lowers
+  /// to the generic (or version-copy) call.
+  bool unknownSign(const Expr *E) const {
+    const ValueFact F = Info.factFor(E);
+    return !F.provenNonNeg() && !F.provenNonPos();
+  }
+  /// `a * X[ex + j]` with a the version variable of \p FS.
+  bool matchScaledRow(const ForStmt *FS, const Expr *E, const VarDecl *IV,
+                      const VarSet &Mod, RowKernelLoop &K) const {
+    const auto *M = dynCast<BinaryExpr>(ignoreParens(E));
+    if (!M || M->O != BinaryExpr::Op::Mul || !isDouble(M->type()))
+      return false;
+    auto V = Info.VersionVars.find(FS);
+    if (V == Info.VersionVars.end() || !refersTo(M->LHS, V->second) ||
+        !isDouble(M->LHS->type()) || !unknownSign(M->LHS) ||
+        !unknownSign(M->RHS))
+      return false;
+    K.Scalar = M->LHS;
+    return matchRow(M->RHS, IV, Mod, K.Second);
+  }
+
+  bool matchAxpy(const ForStmt *FS, const BinaryExpr *B, const VarDecl *IV,
+                 const VarSet &Mod, RowKernelLoop &K) const {
+    if (Info.FmaLoopHazards.count(B) || !matchRow(B->LHS, IV, Mod, K.First))
+      return false;
+    K.K = RowKernelLoop::Kind::Axpy;
+    if (B->O == BinaryExpr::Op::AddAssign)
+      return matchScaledRow(FS, B->RHS, IV, Mod, K);
+    const auto *Add = dynCast<BinaryExpr>(ignoreParens(B->RHS));
+    if (B->O != BinaryExpr::Op::Assign || !Add ||
+        Add->O != BinaryExpr::Op::Add || Info.FmaLoopHazards.count(Add))
+      return false;
+    if (exprCseEqual(Add->LHS, B->LHS))
+      return matchScaledRow(FS, Add->RHS, IV, Mod, K);
+    return exprCseEqual(Add->RHS, B->LHS) &&
+           matchScaledRow(FS, Add->LHS, IV, Mod, K);
+  }
+
+  /// `X[ex + j] * Z[ez + j]`, both factors of unknown sign.
+  bool matchRowProduct(const Expr *E, const VarDecl *IV, const VarSet &Mod,
+                       RowKernelLoop &K) const {
+    const auto *M = dynCast<BinaryExpr>(ignoreParens(E));
+    return M && M->O == BinaryExpr::Op::Mul && isDouble(M->type()) &&
+           unknownSign(M->LHS) && unknownSign(M->RHS) &&
+           matchRow(M->LHS, IV, Mod, K.First) &&
+           matchRow(M->RHS, IV, Mod, K.Second);
+  }
+
+  bool matchDot(const BinaryExpr *B, const VarDecl *IV, const VarSet &Mod,
+                RowKernelLoop &K) const {
+    if (!isDouble(B->LHS->type()))
+      return false;
+    K.Scalar = B->LHS;
+    if (B->O == BinaryExpr::Op::AddAssign ||
+        B->O == BinaryExpr::Op::SubAssign) {
+      K.K = B->O == BinaryExpr::Op::AddAssign ? RowKernelLoop::Kind::Dot
+                                              : RowKernelLoop::Kind::DotSub;
+      return Info.FmaLoopHazards.count(B) &&
+             matchRowProduct(B->RHS, IV, Mod, K);
+    }
+    const auto *Op = dynCast<BinaryExpr>(ignoreParens(B->RHS));
+    if (B->O != BinaryExpr::Op::Assign || !Op ||
+        (Op->O != BinaryExpr::Op::Add && Op->O != BinaryExpr::Op::Sub) ||
+        !Info.FmaLoopHazards.count(Op) || !exprCseEqual(Op->LHS, B->LHS))
+      return false;
+    K.K = Op->O == BinaryExpr::Op::Add ? RowKernelLoop::Kind::Dot
+                                       : RowKernelLoop::Kind::DotSub;
+    return matchRowProduct(Op->RHS, IV, Mod, K);
   }
 
   //===-- Loop-invariant hoisting candidates ------------------------------===//

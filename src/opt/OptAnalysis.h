@@ -69,6 +69,39 @@ struct ValueFact {
   bool provenNeg() const { return NoNaN && Hi < 0.0; }
 };
 
+/// An innermost for-loop whose per-element -O lowering one row-kernel
+/// call of igen_lib.h reproduces bit for bit:
+///
+///   axpy:   for (int j = L; j < U; j++) Y[ey + j] = Y[ey + j] + a * X[ex + j];
+///           (or `+= a * X[ex + j]`; a the loop's version variable, so the
+///           copies lower to ia_fma_pu/nu/plain(a, X, Y))
+///   dot:    for (int j = L; j < U; j++) s = s + X[ex + j] * Z[ez + j];
+///           (or `-`, `+=`, `-=`; s a scalar or an element at a fixed
+///           location, so the update is an FMA hazard and lowers to
+///           ia_add/sub_f64(s, ia_mul_f64(X, Z)))
+///
+/// j is an int or long declared in the for-init that steps by one; L, U
+/// and the offsets are pure, load-free integer expressions the loop does
+/// not write; the body is exactly that one statement.
+struct RowKernelLoop {
+  enum class Kind { Axpy, Dot, DotSub };
+  /// `Base[Offset + j]`; Offset is null for `Base[j]`.
+  struct Row {
+    const DeclRefExpr *Base = nullptr;
+    const Expr *Offset = nullptr;
+  };
+  Kind K = Kind::Axpy;
+  /// The loop's only statement.
+  const Stmt *Update = nullptr;
+  /// The loop runs j = Lower, ..., Upper - 1.
+  const Expr *Lower = nullptr;
+  const Expr *Upper = nullptr;
+  /// axpy: the multiplier a. dot: the accumulator lvalue.
+  const Expr *Scalar = nullptr;
+  /// axpy: Y (updated) and X. dot: the two factors in source order.
+  Row First, Second;
+};
+
 struct OptOptions {
   /// Derive facts from branch guards. Only sound under the Exception
   /// branch policy, where a then-branch runs iff the comparison is
@@ -115,6 +148,10 @@ struct OptFunctionInfo {
   /// its address taken, so the tested sign holds for the whole loop.
   /// Absent: the loop is emitted once.
   std::unordered_map<const ForStmt *, const VarDecl *> VersionVars;
+
+  /// Innermost for-loops of axpy or dot shape (see RowKernelLoop). The
+  /// transformer emits each as one row-kernel call instead of the loop.
+  std::unordered_map<const ForStmt *, RowKernelLoop> RowKernels;
 
   ValueFact factFor(const Expr *E) const {
     auto It = Facts.find(E);

@@ -525,7 +525,31 @@ struct Avx512Lanes {
     return Pack(_mm512_add_pd(X.V, avx512::swapLanes512(Y.V)));
   }
 
-  static Pack mul(const Pack &X, const Pack &Y) {
+  /// Recomputes a pack element by element with \p Elem: the fallback of
+  /// a lanewise op whose NaN screen fired.
+  template <typename ElemFn>
+  static Pack perElement(ElemFn Elem, const Pack &X, const Pack &Y) {
+    return Pack::fromIntervals(Elem(X.interval(0), Y.interval(0)),
+                               Elem(X.interval(1), Y.interval(1)),
+                               Elem(X.interval(2), Y.interval(2)),
+                               Elem(X.interval(3), Y.interval(3)));
+  }
+  template <typename ElemFn>
+  static Pack perElement(ElemFn Elem, const Pack &A, const Pack &B,
+                         const Pack &C) {
+    return Pack::fromIntervals(
+        Elem(A.interval(0), B.interval(0), C.interval(0)),
+        Elem(A.interval(1), B.interval(1), C.interval(1)),
+        Elem(A.interval(2), B.interval(2), C.interval(2)),
+        Elem(A.interval(3), B.interval(3), C.interval(3)));
+  }
+
+  /// The SSE iMul candidate scheme (IntervalSimd.h), lane for lane: the
+  /// same products, NaN screen and maxima in the same order. A pack with
+  /// a NaN candidate is recomputed by \p Elem: the scalar iMul here, the
+  /// per-element f64i operation in the row kernels of igen_lib.h.
+  template <typename ElemFn>
+  static Pack mul(const Pack &X, const Pack &Y, ElemFn Elem) {
     igen::assertRoundUpward();
     using namespace avx512;
     __m512d Xn = broadcastLo512(X.V);
@@ -543,12 +567,14 @@ struct Avx512Lanes {
     __m512d Check = _mm512_add_pd(_mm512_add_pd(V1, V2),
                                   _mm512_add_pd(V3, V4));
     if (__builtin_expect(anyNaN512(Check), 0))
-      return Pack::fromIntervals(iMul(X.interval(0), Y.interval(0)),
-                                 iMul(X.interval(1), Y.interval(1)),
-                                 iMul(X.interval(2), Y.interval(2)),
-                                 iMul(X.interval(3), Y.interval(3)));
+      return perElement(Elem, X, Y);
     return Pack(
         _mm512_max_pd(_mm512_max_pd(V1, V2), _mm512_max_pd(V3, V4)));
+  }
+  static Pack mul(const Pack &X, const Pack &Y) {
+    return mul(X, Y, [](const Interval &A, const Interval &B) {
+      return iMul(A, B);
+    });
   }
 
   static Pack mulUnchecked(const Pack &X, const Pack &Y) {
@@ -588,8 +614,11 @@ struct Avx512Lanes {
     _mm_prefetch(reinterpret_cast<const char *>(Y + I + 40), _MM_HINT_T0);
   }
 
-  /// Fused A*B + C, the 512-bit lift of the AVX2 fused kernel.
-  static Pack fma(const Pack &A, const Pack &B, const Pack &C) {
+  /// Fused A*B + C, the 512-bit lift of the AVX2 fused kernel and, lane
+  /// for lane, of the SSE iFma. A NaN candidate sends the pack through
+  /// \p Elem (default: the composed scalar reference).
+  template <typename ElemFn>
+  static Pack fma(const Pack &A, const Pack &B, const Pack &C, ElemFn Elem) {
     igen::assertRoundUpward();
     using namespace avx512;
     __m512d Xn = broadcastLo512(A.V);
@@ -607,13 +636,48 @@ struct Avx512Lanes {
     __m512d Check = _mm512_add_pd(_mm512_add_pd(W1, W2),
                                   _mm512_add_pd(W3, W4));
     if (__builtin_expect(anyNaN512(Check), 0))
-      return Pack::fromIntervals(
-          fmaComposed(A.interval(0), B.interval(0), C.interval(0)),
-          fmaComposed(A.interval(1), B.interval(1), C.interval(1)),
-          fmaComposed(A.interval(2), B.interval(2), C.interval(2)),
-          fmaComposed(A.interval(3), B.interval(3), C.interval(3)));
+      return perElement(Elem, A, B, C);
     return Pack(
         _mm512_max_pd(_mm512_max_pd(W1, W2), _mm512_max_pd(W3, W4)));
+  }
+  static Pack fma(const Pack &A, const Pack &B, const Pack &C) {
+    return fma(A, B, C,
+               [](const Interval &P, const Interval &Q, const Interval &R) {
+                 return fmaComposed(P, Q, R);
+               });
+  }
+
+  /// Fused A*B + C with lo(A) >= 0 and B of unknown sign: the SSE iFmaPU
+  /// lane for lane (two candidates per endpoint, one maximum).
+  template <typename ElemFn>
+  static Pack fmaPU(const Pack &A, const Pack &B, const Pack &C,
+                    ElemFn Elem) {
+    igen::assertRoundUpward();
+    using namespace avx512;
+    __m512d A1 = _mm512_xor_pd(broadcastLo512(A.V), signHi512());
+    __m512d B1 = _mm512_xor_pd(B.V, signLo512());
+    __m512d V1 = _mm512_fmadd_pd(A1, B1, C.V);
+    __m512d V2 = _mm512_fmadd_pd(broadcastHi512(A.V), B.V, C.V);
+    if (__builtin_expect(anyNaN512(_mm512_add_pd(V1, V2)), 0))
+      return perElement(Elem, A, B, C);
+    return Pack(_mm512_max_pd(V1, V2));
+  }
+
+  /// Fused A*B + C with hi(A) <= 0 and B of unknown sign: the SSE iFmaNU
+  /// lane for lane.
+  template <typename ElemFn>
+  static Pack fmaNU(const Pack &A, const Pack &B, const Pack &C,
+                    ElemFn Elem) {
+    igen::assertRoundUpward();
+    using namespace avx512;
+    __m512d Bs = swapLanes512(B.V);
+    __m512d V1 = _mm512_fmadd_pd(broadcastLo512(A.V), Bs, C.V);
+    __m512d A2 = _mm512_xor_pd(broadcastHi512(A.V), signLo512());
+    __m512d B2 = _mm512_xor_pd(Bs, signHi512());
+    __m512d V2 = _mm512_fmadd_pd(A2, B2, C.V);
+    if (__builtin_expect(anyNaN512(_mm512_add_pd(V1, V2)), 0))
+      return perElement(Elem, A, B, C);
+    return Pack(_mm512_max_pd(V1, V2));
   }
 
   static Pack div(const Pack &X, const Pack &Y) {

@@ -586,6 +586,7 @@ private:
   void emitIf(const IfStmt *S);
   void emitFor(const ForStmt *S);
   void emitLoopCopy(const ForStmt *S, const VarDecl *V, char Class);
+  void emitRowKernel(const RowKernelLoop &K);
   void emitWhileCond(std::string Keyword, const Expr *Cond);
   void emitDecl(const VarDecl *D);
   void emitExprStmt(const ExprStmt *S);
@@ -1824,6 +1825,21 @@ void Transformer::emitFor(const ForStmt *S) {
     }
   }
 
+  // Row kernels: an axpy- or dot-shaped innermost loop becomes one call
+  // that computes the per-element loop's bits (igen_lib.h). Not under
+  // --profile, which instruments every element operation, nor under
+  // --batch-loops, where the batched runtime routes loops; an update the
+  // reduction transformation feeds to an accumulator stays a loop.
+  if (optOn() && !isDd() && !Opts.Profile && !Opts.EnableBatchLoops) {
+    auto RIt = OptInfo.RowKernels.find(S);
+    if (RIt != OptInfo.RowKernels.end() &&
+        !UpdateToAcc.count(RIt->second.Update) &&
+        (!Opts.EnableReductions || Reductions.sitesForLoop(S).empty())) {
+      emitRowKernel(RIt->second);
+      return;
+    }
+  }
+
   // Hoist loop-invariant enclosures ahead of the header; they stay
   // visible (via ActiveTemps) for the whole loop emission.
   size_t Hoisted = 0;
@@ -1895,6 +1911,45 @@ void Transformer::emitFor(const ForStmt *S) {
     UpdateToAcc.erase(Site->Update);
   }
   popTemps(Hoisted);
+}
+
+void Transformer::emitRowKernel(const RowKernelLoop &K) {
+  const TR Lo = transformExpr(K.Lower), Hi = transformExpr(K.Upper);
+  const auto *Zero = dynCast<IntLiteralExpr>(ignoreParens(K.Lower));
+  const bool FromZero = Zero && Zero->Value == 0;
+  // &Base[Offset + L]: the first element the loop touches.
+  auto row = [&](const RowKernelLoop::Row &R) {
+    std::string Idx = FromZero ? "0" : Lo.Code;
+    if (R.Offset) {
+      const TR Off = transformExpr(R.Offset);
+      Idx = FromZero ? Off.Code : maybeParen(Off) + " + " + maybeParen(Lo);
+    }
+    std::string Ptr = "&";
+    Ptr += transformExpr(R.Base).Code;
+    Ptr += '[';
+    Ptr += Idx;
+    Ptr += ']';
+    return Ptr;
+  };
+  // U - L > 0 as an unsigned long: exact, with no signed overflow.
+  std::string Count = "(unsigned long)" + maybeParen(Hi);
+  if (!FromZero)
+    Count += " - (unsigned long)" + maybeParen(Lo);
+  std::string Call;
+  if (K.K == RowKernelLoop::Kind::Axpy)
+    Call = "ia_axpy_f64(" + row(K.First) + ", " +
+           asInterval(transformExpr(K.Scalar)) + ", " + row(K.Second);
+  else
+    Call = std::string(K.K == RowKernelLoop::Kind::Dot ? "ia_dot_f64"
+                                                       : "ia_dotsub_f64") +
+           "(&" + lvalueOf(K.Scalar) + ", " + row(K.First) + ", " +
+           row(K.Second);
+  line("if (" + maybeParen(Lo) + " < " + maybeParen(Hi) + ")");
+  line("{");
+  ++Indent;
+  line(Call + ", " + Count + ");");
+  --Indent;
+  line("}");
 }
 
 void Transformer::emitLoopCopy(const ForStmt *S, const VarDecl *V,

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "interval/DdInterval.h"
+#include "interval/igen_lib.h"
 
 #include "TestHelpers.h"
 
@@ -137,6 +138,24 @@ TEST_F(DdiTest, DivUnnormalizedDivisorContainingZero) {
   EXPECT_EQ(H.hi(), std::numeric_limits<double>::infinity());
 }
 
+TEST_F(DdiTest, DivSubnormalDividendContainsExactQuotient) {
+  // k denormal steps over small divisors: ddDivUp's residual is off by
+  // about one step, as large as the dividend itself.
+  double U = std::numeric_limits<double>::denorm_min();
+  for (int K = 1; K <= 64; ++K)
+    for (double Y : {6.28e-162, 1e-160, 3.3e-170, 1e-155, 0.5}) {
+      DdInterval Q = ddiDiv(DdInterval::fromPoint(K * U),
+                            DdInterval::fromPoint(Y));
+      // lo(Q) * Y <= K U <= hi(Q) * Y, exactly.
+      EXPECT_TRUE(test::ddLeExact(Dd(K * U),
+                                  test::exactDdProduct(Q.Hi, Dd(Y))))
+          << K << " " << Y;
+      EXPECT_TRUE(test::ddGeExact(
+          Dd(K * U), test::exactDdProduct(ddNeg(Q.NegLo), Dd(Y))))
+          << K << " " << Y;
+    }
+}
+
 TEST_F(DdiTest, DivUnnormalizedOperandsContainExactQuotients) {
   // The unnormalized class as divisor against random, unnormalized and
   // point dividends, and as dividend over random divisors.
@@ -178,6 +197,86 @@ TEST_F(DdiTest, DivUnnormalizedOperandsContainExactQuotients) {
       EXPECT_TRUE(containsQuad(Q, Lo(A) / D)) << I;
       EXPECT_TRUE(containsQuad(Q, Hi(A) / D)) << I;
     }
+  }
+}
+
+namespace {
+
+DdInterval absDd(const DdInterval &X) {
+  return igen_detail::ddiToScalar(ia_abs_dd(igen_detail::ddiFromScalar(X)));
+}
+DdInterval sqrtDd(const DdInterval &X) {
+  return igen_detail::ddiToScalar(ia_sqrt_dd(igen_detail::ddiFromScalar(X)));
+}
+
+/// The exact sign of Z * Z - V.
+int squareMinus(const Dd &Z, const Dd &V) {
+  Expansion E = test::exactDdProduct(Z, Z);
+  RoundNearestScope RN;
+  E.add(-V.H);
+  E.add(-V.L);
+  return E.sign();
+}
+
+/// sqrt(X) contains the root of every nonnegative endpoint of X; a
+/// negative lower endpoint yields a NaN lower endpoint, a negative upper
+/// one a NaN result.
+void expectSqrtContainsRoots(const DdInterval &X, const DdInterval &S) {
+  const Dd Lo = ddNeg(X.NegLo), Hi = X.Hi;
+  if (toQuad(Hi) < 0) {
+    EXPECT_TRUE(S.hasNaN());
+    return;
+  }
+  ASSERT_FALSE(std::isnan(S.Hi.H));
+  EXPECT_GE(toQuad(S.Hi), 0);
+  EXPECT_GE(squareMinus(S.Hi, Hi), 0) // hi(S)^2 >= hi
+      << "hi=(" << Hi.H << ", " << Hi.L << ") root=(" << S.Hi.H << ", "
+      << S.Hi.L << ")";
+  EXPECT_GE(squareMinus(S.Hi, Lo), 0);
+  if (toQuad(Lo) < 0) {
+    EXPECT_TRUE(std::isnan(S.NegLo.H));
+    return;
+  }
+  const Dd SLo = ddNeg(S.NegLo);
+  EXPECT_GE(toQuad(SLo), 0);
+  EXPECT_LE(squareMinus(SLo, Lo), 0) // lo(S)^2 <= lo
+      << "lo=(" << Lo.H << ", " << Lo.L << ") root=(" << SLo.H << ", "
+      << SLo.L << ")";
+}
+
+} // namespace
+
+TEST_F(DdiTest, AbsAndSqrtReadUnnormalizedSignsExactly) {
+  // In denormal steps U: [-9, 5] with lo stored (H, L) = (-34, +43)
+  // (NegLo = 9 behind a negative high word), and [1, 9] with hi stored
+  // (-34, +43). Reading the high word's sign, abs returned [-9, 5]
+  // itself and sqrt returned NaN.
+  double U = std::numeric_limits<double>::denorm_min();
+  DdInterval X(Dd(-34 * U, 43 * U), Dd(5 * U));
+  DdInterval A = absDd(X);
+  EXPECT_TRUE(containsQuad(A, toQuad(Dd(9 * U))));
+  EXPECT_TRUE(containsQuad(A, toQuad(Dd(5 * U))));
+  DdInterval Y(Dd(-U), Dd(-34 * U, 43 * U));
+  DdInterval S = sqrtDd(Y);
+  EXPECT_FALSE(S.hasNaN());
+  expectSqrtContainsRoots(Y, S);
+
+  // The whole unnormalized class, and its absolute value under sqrt.
+  for (int I = 0; I < 3000; ++I) {
+    SCOPED_TRACE(I);
+    DdInterval V = test::unnormalizedInterval(R);
+    DdInterval Abs = absDd(V);
+    for (__float128 E : {toQuad(V.NegLo), toQuad(V.Hi)})
+      EXPECT_TRUE(containsQuad(Abs, E < 0 ? -E : E));
+    expectSqrtContainsRoots(V, sqrtDd(V));
+    expectSqrtContainsRoots(Abs, sqrtDd(Abs));
+  }
+  // Normalized intervals keep their dd-accurate roots.
+  for (int I = 0; I < 3000; ++I) {
+    SCOPED_TRACE(I);
+    DdInterval V = randInterval();
+    expectSqrtContainsRoots(V, sqrtDd(V));
+    expectSqrtContainsRoots(absDd(V), sqrtDd(absDd(V)));
   }
 }
 

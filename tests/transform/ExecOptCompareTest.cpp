@@ -11,7 +11,9 @@
 // than) the naive one, and both must contain the long double reference.
 // The sign-versioned kernels (gemm, axpy, axmy, scale) run with their
 // loop-invariant multiplier in every sign class the run-time test can
-// meet, so each of the three loop copies is checked.
+// meet, so each of the three loop copies is checked; gemm's and axpy's
+// loops run through the axpy row kernel at -O. The dot-shaped kernels
+// (mvm, an ffnn row, potrf's diagonal) run through the dot kernels.
 //
 //===----------------------------------------------------------------------===//
 
@@ -46,6 +48,12 @@ void opt_axmy_O1(f64i alpha, f64i *x, f64i *y, int n);
 void opt_axmy_O0(f64i alpha, f64i *x, f64i *y, int n);
 void opt_scale_O1(f64i alpha, f64i *x, f64i *y, int n);
 void opt_scale_O0(f64i alpha, f64i *x, f64i *y, int n);
+void opt_mvm_O1(f64i *A, f64i *x, f64i *y, int m, int n);
+void opt_mvm_O0(f64i *A, f64i *x, f64i *y, int m, int n);
+f64i opt_ffnn_row_O1(f64i *W, f64i *b, f64i *x, int n);
+f64i opt_ffnn_row_O0(f64i *W, f64i *b, f64i *x, int n);
+f64i opt_potrf_diag_O1(f64i *A, int n, int j);
+f64i opt_potrf_diag_O0(f64i *A, int n, int j);
 
 namespace {
 
@@ -70,10 +78,11 @@ bool containsLd(const Interval &I, long double V) {
 /// rewrite may never turn a valid enclosure into NaN or vice versa).
 void expectTightened(const Interval &O1, const Interval &O0) {
   EXPECT_EQ(O1.hasNaN(), O0.hasNaN());
-  if (!O0.hasNaN())
+  if (!O0.hasNaN()) {
     EXPECT_TRUE(O0.containsInterval(O1))
         << "O1=[" << O1.lo() << "," << O1.hi() << "] O0=[" << O0.lo()
         << "," << O0.hi() << "]";
+  }
 }
 
 /// A loop-invariant multiplier for the sign-versioned kernels, and a
@@ -339,4 +348,68 @@ TEST_F(ExecOptTest, SignVersionedVectorKernelsSoundInEveryCopy) {
               << P.Name << " [" << M.I.lo() << "," << M.I.hi() << "]";
         }
       }
+}
+
+TEST_F(ExecOptTest, DotRowKernelsSoundAndWithinO0) {
+  // mvm accumulates into an array element, the ffnn row into a scalar,
+  // potrf's diagonal subtracts squares. Lengths cover empty rows and
+  // every tail of a four-interval pack; every fourth entry has width and
+  // every seventh is an exact zero.
+  for (int It = 0; It < 300; ++It) {
+    const int M = 1 + It % 3, N = It % 13;
+    std::vector<f64i> A, X, Y1, Y0;
+    std::vector<long double> ARef, XRef, YRef;
+    auto entry = [&](int I, std::vector<f64i> &V, std::vector<long double> &R) {
+      double C = I % 7 == 0 ? 0.0 : uniform(-2.0, 2.0);
+      double W = I % 4 == 0 ? uniform(0.0, 0.25) : 0.0;
+      V.push_back(f64i::fromEndpoints(C - W, C + W));
+      R.push_back(C);
+    };
+    for (int I = 0; I < M * N + 1; ++I)
+      entry(I, A, ARef);
+    for (int I = 0; I < N + 1; ++I)
+      entry(I + 1, X, XRef);
+    for (int I = 0; I < M; ++I) {
+      double Yv = uniform(-2.0, 2.0);
+      Y1.push_back(f64i::fromPoint(Yv));
+      Y0.push_back(f64i::fromPoint(Yv));
+      YRef.push_back(Yv);
+    }
+    opt_mvm_O1(A.data(), X.data(), Y1.data(), M, N);
+    opt_mvm_O0(A.data(), X.data(), Y0.data(), M, N);
+    for (int I = 0; I < M; ++I) {
+      long double Ref = YRef[I];
+      for (int J = 0; J < N; ++J)
+        Ref += ARef[I * N + J] * XRef[J];
+      expectTightened(toI(Y1[I]), toI(Y0[I]));
+      EXPECT_TRUE(containsLd(toI(Y1[I]), Ref)) << "mvm n=" << N;
+      EXPECT_TRUE(containsLd(toI(Y0[I]), Ref)) << "mvm n=" << N;
+    }
+
+    // ffnn row: s = b[0] + sum W[i] * x[i].
+    Interval R1 = toI(opt_ffnn_row_O1(A.data(), X.data() + N, X.data(), N));
+    Interval R0 = toI(opt_ffnn_row_O0(A.data(), X.data() + N, X.data(), N));
+    long double Ref = XRef[N];
+    for (int J = 0; J < N; ++J)
+      Ref += ARef[J] * XRef[J];
+    expectTightened(R1, R0);
+    EXPECT_TRUE(containsLd(R1, Ref)) << "ffnn n=" << N;
+    EXPECT_TRUE(containsLd(R0, Ref)) << "ffnn n=" << N;
+
+    // potrf: s = A[j][j] - sum_k A[j][k]^2 on a square matrix.
+    const int Dim = 1 + N;
+    std::vector<f64i> S;
+    std::vector<long double> SRef;
+    for (int I = 0; I < Dim * Dim; ++I)
+      entry(I, S, SRef);
+    const int Row = Dim - 1;
+    R1 = toI(opt_potrf_diag_O1(S.data(), Dim, Row));
+    R0 = toI(opt_potrf_diag_O0(S.data(), Dim, Row));
+    Ref = SRef[Row * Dim + Row];
+    for (int K = 0; K < Row; ++K)
+      Ref -= SRef[Row * Dim + K] * SRef[Row * Dim + K];
+    expectTightened(R1, R0);
+    EXPECT_TRUE(containsLd(R1, Ref)) << "potrf n=" << Dim;
+    EXPECT_TRUE(containsLd(R0, Ref)) << "potrf n=" << Dim;
+  }
 }

@@ -1,6 +1,7 @@
 /* Kernels exercising the mid-end optimizer: guard-derived sign facts,
    sign-specialized multiplies and divides, FMA fusion, CSE,
-   loop-invariant hoisting and sign-versioned loops. Compiled twice
+   loop-invariant hoisting, sign-versioned loops and the axpy/dot loops
+   -O routes to row kernels. Compiled twice
    (default -O and -O0) so the exec test can compare enclosures. */
 
 double opt_horner(const double *coef, double x, int d) {
@@ -97,4 +98,29 @@ void opt_scale(double alpha, const double *x, double *y, int n) {
   for (int i = 0; i < n; i++) {
     y[i] = x[i] * alpha;
   }
+}
+
+void opt_mvm(const double *A, const double *x, double *y, int m, int n) {
+  for (int i = 0; i < m; i++) {
+    for (int j = 0; j < n; j++) {
+      y[i] = y[i] + A[i * n + j] * x[j];
+    }
+  }
+}
+
+double opt_ffnn_row(const double *W, const double *b, const double *x,
+                    int n) {
+  double s = b[0];
+  for (int i = 0; i < n; i++) {
+    s = s + W[i] * x[i];
+  }
+  return s;
+}
+
+double opt_potrf_diag(const double *A, int n, int j) {
+  double s = A[j * n + j];
+  for (int k = 0; k < j; k++) {
+    s = s - A[j * n + k] * A[j * n + k];
+  }
+  return s;
 }

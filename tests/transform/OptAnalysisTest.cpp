@@ -75,10 +75,10 @@ std::string sorted(std::vector<std::string> Lines) {
   return Out;
 }
 
-/// The analysis of function \p Fn in \p Src, rendered as four sorted
+/// The analysis of function \p Fn in \p Src, rendered as five sorted
 /// listings.
 struct Rendered {
-  std::string Facts, Hoists, Hazards, Versions;
+  std::string Facts, Hoists, Hazards, Versions, Rows;
 };
 
 Rendered analyze(std::string_view Src, const char *Fn,
@@ -122,6 +122,19 @@ Rendered analyze(std::string_view Src, const char *Fn,
     Lines.push_back("loop " + std::to_string(Loop->loc().Line) + ": " +
                     V->Name);
   R.Versions = sorted(Lines);
+  Lines.clear();
+  for (const auto &[Loop, K] : Info.RowKernels) {
+    static const char *Kinds[] = {"axpy", "dot", "dotsub"};
+    auto row = [](const RowKernelLoop::Row &Row) {
+      return Row.Base->Name + (Row.Offset ? "[" + nodeName(Row.Offset) + " + j]"
+                                          : std::string("[j]"));
+    };
+    Lines.push_back("loop " + std::to_string(Loop->loc().Line) + ": " +
+                    Kinds[static_cast<int>(K.K)] + " " + nodeName(K.Scalar) +
+                    ", " + row(K.First) + ", " + row(K.Second) + ", from " +
+                    nodeName(K.Lower) + " to " + nodeName(K.Upper));
+  }
+  R.Rows = sorted(Lines);
   return R;
 }
 
@@ -361,6 +374,50 @@ TEST(OptAnalysis, InnermostLoopsVersionOnAnInvariantMultiplier) {
   EXPECT_EQ(analyze(Src, "gemm").Versions, "loop 5: a\n");
   EXPECT_EQ(analyze(Src, "axpy").Versions, "loop 10: alpha\n");
   EXPECT_EQ(analyze(Src, "ger").Versions, "loop 16: xi\n");
+}
+
+TEST(OptAnalysis, AxpyAndDotLoopsAreRowKernels) {
+  // gemm's j-loop scales row B by its version variable a into row C;
+  // mvm's and potrf's k-loops accumulate a product of two rows into a
+  // fixed location. ger subtracts (no axpy) and the outer loops nest.
+  const char *Src =
+      "void gemm(double *C, const double *A, const double *B, int n) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    for (int k = 0; k < n; k++) {\n"
+      "      double a = A[i * n + k];\n"
+      "      for (int j = 0; j < n; j++)\n"
+      "        C[i * n + j] = C[i * n + j] + a * B[k * n + j];\n"
+      "    }\n"
+      "}\n"
+      "void mvm(const double *A, const double *x, double *y, int m,\n"
+      "         int n) {\n"
+      "  for (int i = 0; i < m; i++)\n"
+      "    for (int j = 0; j < n; j++)\n"
+      "      y[i] += A[i * n + j] * x[j];\n"
+      "}\n"
+      "double potrf(double *A, int n, int j) {\n"
+      "  double s = A[j];\n"
+      "  for (int k = j + 1; k < n; k++)\n"
+      "    s = s - A[k + j] * A[k];\n"
+      "  return s;\n"
+      "}\n"
+      "void ger(double *A, const double *x, const double *y, int n) {\n"
+      "  for (int i = 0; i < n; i++) {\n"
+      "    double xi = x[i];\n"
+      "    for (int j = 0; j < n; j++)\n"
+      "      A[i * n + j] -= xi * y[j];\n"
+      "  }\n"
+      "}\n";
+  EXPECT_EQ(analyze(Src, "gemm").Rows,
+            "loop 5: axpy 6:39 a, C[6:13 binary + j], B[6:47 binary + j], "
+            "from 5:20 int to 5:27 n\n");
+  EXPECT_EQ(analyze(Src, "mvm").Rows,
+            "loop 12: dot 13:8 [], A[13:19 binary + j], x[j], from 12:18 int "
+            "to 12:25 n\n");
+  EXPECT_EQ(analyze(Src, "potrf").Rows,
+            "loop 17: dotsub 18:5 s, A[18:19 j + j], A[j], from 17:18 binary "
+            "to 17:27 n\n");
+  EXPECT_EQ(analyze(Src, "ger").Rows, "");
 }
 
 TEST(OptAnalysis, VersionVariableMostMultipliesThenDeclarationOrder) {

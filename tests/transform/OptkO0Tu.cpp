@@ -15,5 +15,8 @@
 #define opt_axpy opt_axpy_O0
 #define opt_axmy opt_axmy_O0
 #define opt_scale opt_scale_O0
+#define opt_mvm opt_mvm_O0
+#define opt_ffnn_row opt_ffnn_row_O0
+#define opt_potrf_diag opt_potrf_diag_O0
 
 #include "optk_O0.cpp"

@@ -21,5 +21,8 @@
 #define opt_axpy opt_axpy_O1
 #define opt_axmy opt_axmy_O1
 #define opt_scale opt_scale_O1
+#define opt_mvm opt_mvm_O1
+#define opt_ffnn_row opt_ffnn_row_O1
+#define opt_potrf_diag opt_potrf_diag_O1
 
 #include "optk_O1.cpp"

@@ -115,14 +115,27 @@ TEST(Profile, StrippingInstrumentationRoundTrips) {
   EXPECT_EQ(stripInstrumentation(compileWith(Kernel, Prof)),
             compileWith(Kernel, Plain));
 
+  // A strided dot keeps its loop at -O; the unit-stride one below is a
+  // row-kernel call there, while --profile keeps the per-element loop
+  // whose operations it instruments.
   const char *Loop = "double dot(const double *a, const double *b, int n) {\n"
                      "  double s = 0.0;\n"
                      "  for (int i = 0; i < n; i++)\n"
-                     "    s = s + a[i] * b[i];\n"
+                     "    s = s + a[2 * i] * b[i];\n"
                      "  return s;\n"
                      "}\n";
   EXPECT_EQ(stripInstrumentation(compileWith(Loop, Prof)),
             compileWith(Loop, Plain));
+  const char *Dot = "double dot(const double *a, const double *b, int n) {\n"
+                    "  double s = 0.0;\n"
+                    "  for (int i = 0; i < n; i++)\n"
+                    "    s = s + a[i] * b[i];\n"
+                    "  return s;\n"
+                    "}\n";
+  EXPECT_THAT(stripInstrumentation(compileWith(Dot, Prof)),
+              HasSubstr("s = ia_add_f64(s, ia_mul_f64(a[i], b[i]));"));
+  EXPECT_THAT(compileWith(Dot, Plain),
+              HasSubstr("ia_dot_f64(&s, &a[0], &b[0], (unsigned long)n);"));
 }
 
 TEST(Profile, DoubleDoubleTargetInstruments) {

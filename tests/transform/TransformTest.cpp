@@ -95,12 +95,25 @@ TEST(Transform, IndexLiftingAndPointers) {
       "}\n");
   EXPECT_THAT(Out, HasSubstr("void axpy(f64i alpha, f64i *x, f64i *y"));
   // y[i] moves with the loop counter, so the update carries nothing from
-  // one iteration to the next and fuses. alpha's run-time sign picks one
-  // of three copies of the loop (sign versioning).
-  EXPECT_THAT(Out, HasSubstr("if (ia_inf_f64(alpha) >= 0.0)"));
-  EXPECT_THAT(Out, HasSubstr("y[i] = ia_fma_pu_f64(alpha, x[i], y[i])"));
-  EXPECT_THAT(Out, HasSubstr("y[i] = ia_fma_nu_f64(alpha, x[i], y[i])"));
-  EXPECT_THAT(Out, HasSubstr("y[i] = ia_fma_f64(alpha, x[i], y[i])"));
+  // one iteration to the next and fuses; alpha's sign would version the
+  // loop. The whole axpy loop is one row-kernel call, which makes the
+  // sign test and runs the fused copy it picks.
+  EXPECT_THAT(Out, HasSubstr("  if (0 < n)\n"
+                             "  {\n"
+                             "    ia_axpy_f64(&y[0], alpha, &x[0], "
+                             "(unsigned long)n);\n"
+                             "  }\n"));
+  EXPECT_THAT(Out, Not(HasSubstr("for (")));
+
+  // -O0 keeps the per-element loop.
+  TransformOptions O0;
+  O0.OptLevel = 0;
+  EXPECT_THAT(compile("void axpy(double alpha, double *x, double *y, int n) {\n"
+                      "  for (int i = 0; i < n; i++)\n"
+                      "    y[i] = y[i] + alpha * x[i];\n"
+                      "}\n",
+                      O0),
+              HasSubstr("y[i] = ia_add_f64(y[i], ia_mul_f64(alpha, x[i]))"));
 }
 
 TEST(Transform, MathFunctionsMap) {
@@ -460,10 +473,12 @@ TEST(Optimizer, LoopCarriedMulAddStaysUnfused) {
   // element on every iteration, the add is the loop-carried recurrence,
   // so FMA fusion is suppressed — fused, every iteration's multiply
   // would sit on the recurrence's critical path.
+  // At -O the unfused loop is one dot row-kernel call.
   const char *Carried =
       "y[i] = ia_add_f64(y[i], ia_mul_f64(a[(i * n) + j], b[j]))";
   std::string Out = compile(MacKernel);
-  EXPECT_THAT(Out, HasSubstr(Carried));
+  EXPECT_THAT(Out, HasSubstr("ia_dot_f64(&y[i], &a[i * n], &b[0], "
+                             "(unsigned long)n);"));
   EXPECT_THAT(Out, Not(HasSubstr("ia_fma")));
 
   // The same update in an i-loop moves every iteration and fuses.
@@ -490,7 +505,8 @@ TEST(Optimizer, LoopCarriedMulAddStaysUnfused) {
               "    s += a[i] * b[i];\n"
               "  return s;\n"
               "}\n");
-  EXPECT_THAT(Compound, HasSubstr("s = ia_add_f64(s, ia_mul_f64(a[i], b[i]))"));
+  EXPECT_THAT(Compound,
+              HasSubstr("ia_dot_f64(&s, &a[0], &b[0], (unsigned long)n);"));
   EXPECT_THAT(Compound, Not(HasSubstr("ia_fma")));
 
   TransformOptions Opts;
@@ -512,42 +528,53 @@ const char *GemmKernel =
     "    }\n"
     "}\n";
 
+const char *GemmMinusKernel =
+    "void gemm(double *C, const double *A, const double *B, int n) {\n"
+    "  for (int i = 0; i < n; i++)\n"
+    "    for (int k = 0; k < n; k++) {\n"
+    "      double a = A[i * n + k];\n"
+    "      for (int j = 0; j < n; j++)\n"
+    "        C[i * n + j] = C[i * n + j] - a * B[k * n + j];\n"
+    "    }\n"
+    "}\n";
+
 } // namespace
 
 TEST(Optimizer, SignVersioningCopiesTheInnermostLoop) {
   // a's sign is unknown statically: one test per k iteration picks the
   // copy whose multiply by a is specialized for it. Only the innermost
-  // loop is copied.
-  std::string Out = compile(GemmKernel);
+  // loop is copied. (The `+` form of this loop is an axpy row kernel.)
+  std::string Out = compile(GemmMinusKernel);
   EXPECT_THAT(Out, HasSubstr("      f64i a = A[(i * n) + k];\n"
                              "      if (ia_inf_f64(a) >= 0.0)\n"
                              "      {\n"
                              "        for (int j = 0; j < n; j++)\n"
                              "        {\n"
-                             "          C[(i * n) + j] = ia_fma_pu_f64(a, "
-                             "B[(k * n) + j], C[(i * n) + j]);\n"
+                             "          C[(i * n) + j] = ia_fma_nu_f64("
+                             "ia_neg_f64(a), B[(k * n) + j], C[(i * n) + j]);\n"
                              "        }\n"
                              "      }\n"
                              "      else if (ia_sup_f64(a) <= 0.0)\n"
                              "      {\n"
                              "        for (int j = 0; j < n; j++)\n"
                              "        {\n"
-                             "          C[(i * n) + j] = ia_fma_nu_f64(a, "
-                             "B[(k * n) + j], C[(i * n) + j]);\n"
+                             "          C[(i * n) + j] = ia_fma_pu_f64("
+                             "ia_neg_f64(a), B[(k * n) + j], C[(i * n) + j]);\n"
                              "        }\n"
                              "      }\n"
                              "      else\n"
                              "      {\n"
                              "        for (int j = 0; j < n; j++)\n"
                              "        {\n"
-                             "          C[(i * n) + j] = ia_fma_f64(a, "
-                             "B[(k * n) + j], C[(i * n) + j]);\n"
+                             "          C[(i * n) + j] = ia_fma_f64("
+                             "ia_neg_f64(a), B[(k * n) + j], C[(i * n) + j]);\n"
                              "        }\n"
                              "      }\n"));
   // Scalar library too.
   TransformOptions Ss;
   Ss.ScalarLibrary = true;
-  EXPECT_THAT(compile(GemmKernel, Ss), HasSubstr("ia_fma_nu_f64(a, "));
+  EXPECT_THAT(compile(GemmMinusKernel, Ss),
+              HasSubstr("ia_fma_nu_f64(ia_neg_f64(a), "));
 
   // A hoisted invariant is computed once, ahead of the test.
   std::string Hoist = compile(
@@ -591,6 +618,138 @@ TEST(Optimizer, SignVersioningStaysOffWhereSpecializationDoes) {
     EXPECT_THAT(Out, Not(HasSubstr("ia_inf_f64")));
     EXPECT_THAT(Out, Not(HasSubstr("ia_sup_f64")));
   }
+}
+
+TEST(Optimizer, AxpyAndDotLoopsBecomeRowKernelCalls) {
+  // gemm's j-loop is an axpy on the k-loop's a; the call sits behind the
+  // loop's own entry test and replaces the three versioned copies.
+  std::string Gemm = compile(GemmKernel);
+  EXPECT_THAT(Gemm, HasSubstr("      f64i a = A[(i * n) + k];\n"
+                              "      if (0 < n)\n"
+                              "      {\n"
+                              "        ia_axpy_f64(&C[i * n], a, &B[k * n], "
+                              "(unsigned long)n);\n"
+                              "      }\n"));
+  EXPECT_THAT(Gemm, Not(HasSubstr("ia_inf_f64")));
+
+  // potrf's k-loops: squared and mixed subtracting dots, scalar
+  // accumulators; a loop that starts past 0 offsets every row and counts
+  // U - L without signed arithmetic.
+  std::string Potrf = compile(
+      "void potrf(double *A, int n, int j, long m) {\n"
+      "  double s = A[j * n + j];\n"
+      "  for (int k = 0; k < j; k++)\n"
+      "    s = s - A[j * n + k] * A[j * n + k];\n"
+      "  for (int k = j + 1; k < n; ++k)\n"
+      "    s -= A[k + j * n] * A[k];\n"
+      "  for (long k = 2; k < m; k += 1)\n"
+      "    s = s + A[k] * A[k + 1];\n"
+      "  A[0] = s;\n"
+      "}\n");
+  EXPECT_THAT(Potrf, HasSubstr("  if (0 < j)\n  {\n"
+                               "    ia_dotsub_f64(&s, &A[j * n], &A[j * n], "
+                               "(unsigned long)j);\n"));
+  EXPECT_THAT(Potrf, HasSubstr("  if ((j + 1) < n)\n  {\n"
+                               "    ia_dotsub_f64(&s, &A[(j * n) + (j + 1)], "
+                               "&A[j + 1], (unsigned long)n - "
+                               "(unsigned long)(j + 1));\n"));
+  EXPECT_THAT(Potrf, HasSubstr("    ia_dot_f64(&s, &A[2], &A[1 + 2], "
+                               "(unsigned long)m - (unsigned long)2);\n"));
+  EXPECT_THAT(Potrf, Not(HasSubstr("for (")));
+
+  // Loops that keep their per-element code: two statements, a nested
+  // loop, a break, a reduce pragma, a strided row, a float row, a
+  // down-counting loop, a bound the body writes through the index, an
+  // accumulator that moves, and a product the range analysis signs.
+  const char *Kept[] = {
+      "void f(double *y, double *x, double a, int n) {\n"
+      "  for (int i = 0; i < n; i++) {\n"
+      "    y[i] = y[i] + a * x[i];\n"
+      "    x[i] = 0.0;\n"
+      "  }\n"
+      "}\n",
+      "double f(double *x, double *z, int n) {\n"
+      "  double s = 0.0;\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    for (int j = 0; j < n; j++)\n"
+      "      s = s + x[i] * z[j];\n"
+      "  return s;\n"
+      "}\n",
+      "double f(double *x, double *z, int n) {\n"
+      "  double s = 0.0;\n"
+      "  for (int i = 0; i < n; i++) {\n"
+      "    if (i > 3)\n"
+      "      break;\n"
+      "    s = s + x[i] * z[i];\n"
+      "  }\n"
+      "  return s;\n"
+      "}\n",
+      "double f(double *x, double *z, int n) {\n"
+      "  double s = 0.0;\n"
+      "  #pragma igen reduce s\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    s = s + x[i] * z[i];\n"
+      "  return s;\n"
+      "}\n",
+      "double f(double *x, double *z, int n) {\n"
+      "  double s = 0.0;\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    s = s + x[2 * i] * z[i];\n"
+      "  return s;\n"
+      "}\n",
+      "void f(float *y, float *x, float a, int n) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    y[i] = y[i] + a * x[i];\n"
+      "}\n",
+      "double f(double *x, double *z, int n) {\n"
+      "  double s = 0.0;\n"
+      "  for (int i = n - 1; i >= 0; i--)\n"
+      "    s = s + x[i] * z[i];\n"
+      "  return s;\n"
+      "}\n",
+      "double f(double *x, double *z, int *len) {\n"
+      "  double s = 0.0;\n"
+      "  for (int i = 0; i < len[0]; i++)\n"
+      "    s = s + x[i] * z[i];\n"
+      "  return s;\n"
+      "}\n",
+      "void f(double *y, double *x, double *z, int n) {\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    y[i] = y[i] + x[i] * z[i];\n"
+      "}\n",
+      "double f(double *x, double *z, int n) {\n"
+      "  double s = 0.0;\n"
+      "  for (int i = 0; i < n; i++)\n"
+      "    s = s + x[i] * 2.0 * z[i];\n"
+      "  return s;\n"
+      "}\n",
+  };
+  for (const char *Src : Kept) {
+    std::string Out = compile(Src);
+    EXPECT_THAT(Out, Not(HasSubstr("ia_axpy_f64"))) << Src;
+    EXPECT_THAT(Out, Not(HasSubstr("ia_dot"))) << Src;
+  }
+
+  // -O0, double-double, --profile and --batch-loops keep the loops.
+  TransformOptions O0;
+  O0.OptLevel = 0;
+  TransformOptions Dd;
+  Dd.Prec = TransformOptions::Precision::DoubleDouble;
+  TransformOptions Prof;
+  Prof.Profile = true;
+  TransformOptions Batch;
+  Batch.EnableBatchLoops = true;
+  for (const TransformOptions &Opts : {O0, Dd, Prof, Batch})
+    for (const char *Src : {GemmKernel, MacKernel}) {
+      std::string Out = compile(Src, Opts);
+      EXPECT_THAT(Out, Not(HasSubstr("ia_axpy_f64")));
+      EXPECT_THAT(Out, Not(HasSubstr("ia_dot")));
+    }
+
+  // The scalar library gets the same calls.
+  TransformOptions Ss;
+  Ss.ScalarLibrary = true;
+  EXPECT_THAT(compile(GemmKernel, Ss), HasSubstr("ia_axpy_f64(&C[i * n], a"));
 }
 
 TEST(Optimizer, NonCarriedMulAddInLoopStillFuses) {

@@ -25,6 +25,18 @@
 //   then repeating: opcode byte, then 1-2 register bytes (mod 8); binary
 //   ops write to a destination register chosen by the opcode byte's high
 //   bits. The register file has 8 slots; programs run at most 48 ops.
+//   Opcode bytes 240..255 select the entry points -O emits beyond the
+//   generic calls, each followed by one operand byte X:
+//     axpy     r[k] = r[k] + a * r[off + k], k < n, through ia_axpy_f64
+//              (a = r[X % 8], n = 1 + X/8 % 4, off = X/32 % 5: the rows
+//              are identical, overlap or are disjoint)
+//     dot/sub  r[d] = r[d] +- r[k] * r[off + k], k < n, in order, through
+//              ia_dot_f64/ia_dotsub_f64 on &r[d] (d = X % 8, which may
+//              lie inside either row)
+//     fma_pu/nu, mul_pu/nu  behind the sign test the emitted code makes
+//              on its first operand (a = r[X % 8]), then a second byte:
+//              b = r[Y % 8], destination r[Y/8 % 8]
+//   The oracle evaluates the same operations in the same order.
 //
 //===----------------------------------------------------------------------===//
 
@@ -112,6 +124,90 @@ Oracle oLibm(Oracle X, long double (*F)(long double), __float128 Deriv,
 // >> long-double libm error, << double interval widths.
 const __float128 kLibmSlack = static_cast<__float128>(1e-17);
 
+/// Containment check, skipped when the oracle cannot vouch. Prints the
+/// violation and returns true when \p RI provably excludes \p RO.
+bool violates(int Op, f64i RI, const Oracle &RO) {
+  double Lo = ia_inf_f64(RI);
+  double Hi = ia_sup_f64(RI);
+  if (std::isnan(Lo) || std::isnan(Hi))
+    return false; // NaN interval: contains everything by convention
+  if (!qfinite(RO.Q) || !qfinite(RO.A))
+    return false; // oracle overflowed or gave up
+  __float128 QLo = static_cast<__float128>(Lo);
+  __float128 QHi = static_cast<__float128>(Hi);
+  if (QLo - (RO.Q + RO.A) > 0 || (RO.Q - RO.A) - QHi > 0) {
+    std::fprintf(stderr,
+                 "SOUNDNESS VIOLATION: op %d produced [%a, %a] "
+                 "excluding oracle %.36Lg (+/- %.6Lg)\n",
+                 Op, Lo, Hi, static_cast<long double>(RO.Q),
+                 static_cast<long double>(RO.A));
+    return true;
+  }
+  return false;
+}
+
+/// Opcodes 240.. (see the file comment): the row kernels over the
+/// register file and the sign-specialized fma/mul. Returns true on
+/// violation.
+template <typename NextFn>
+bool runRowOrSignOp(int Op, int X, NextFn &NextByte, f64i *IReg,
+                    Oracle *OReg) {
+  const int Code = 12 + Op; // reported opcode, after the generic 0..11
+  if (Op <= 2) {
+    const int N = 1 + X / 8 % 4, Off = X / 32 % 5, D = X % 8;
+    if (Op == 0) {
+      const f64i A = IReg[D];
+      const Oracle OA = OReg[D];
+      ia_axpy_f64(IReg, A, IReg + Off, static_cast<unsigned long>(N));
+      for (int K = 0; K < N; ++K)
+        OReg[K] = oFma(OA, OReg[Off + K], OReg[K]);
+      for (int K = 0; K < N; ++K)
+        if (violates(Code, IReg[K], OReg[K]))
+          return true;
+      return false;
+    }
+    if (Op == 1)
+      ia_dot_f64(IReg + D, IReg, IReg + Off, static_cast<unsigned long>(N));
+    else
+      ia_dotsub_f64(IReg + D, IReg, IReg + Off,
+                    static_cast<unsigned long>(N));
+    for (int K = 0; K < N; ++K) {
+      const Oracle P = oMul(OReg[K], OReg[Off + K]);
+      OReg[D] = Op == 1 ? oAdd(OReg[D], P) : oSub(OReg[D], P);
+    }
+    return violates(Code, IReg[D], OReg[D]);
+  }
+  const int Y = NextByte();
+  if (Y < 0)
+    return false;
+  const int A = X % 8, B = Y % 8, D = Y / 8 % 8;
+  const f64i Ia = IReg[A], Ib = IReg[B], Id = IReg[D];
+  const bool NonNeg = ia_inf_f64(Ia) >= 0.0, NonPos = ia_sup_f64(Ia) <= 0.0;
+  f64i RI;
+  Oracle RO;
+  switch (Op) {
+  case 3:
+    RI = NonNeg ? ia_fma_pu_f64(Ia, Ib, Id) : ia_fma_f64(Ia, Ib, Id);
+    RO = oFma(OReg[A], OReg[B], OReg[D]);
+    break;
+  case 4:
+    RI = NonPos ? ia_fma_nu_f64(Ia, Ib, Id) : ia_fma_f64(Ia, Ib, Id);
+    RO = oFma(OReg[A], OReg[B], OReg[D]);
+    break;
+  case 5:
+    RI = NonNeg ? ia_mul_pu_f64(Ia, Ib) : ia_mul_f64(Ia, Ib);
+    RO = oMul(OReg[A], OReg[B]);
+    break;
+  default: // 6
+    RI = NonPos ? ia_mul_nu_f64(Ia, Ib) : ia_mul_f64(Ia, Ib);
+    RO = oMul(OReg[A], OReg[B]);
+    break;
+  }
+  IReg[D] = RI;
+  OReg[D] = RO;
+  return violates(Code, RI, RO);
+}
+
 /// The interpreter: runs the byte program on both representations and
 /// checks containment after every op. Returns true on violation.
 bool runProgram(const uint8_t *Data, size_t Size) {
@@ -147,6 +243,14 @@ bool runProgram(const uint8_t *Data, size_t Size) {
     int OpByte = NextByte();
     if (OpByte < 0)
       break;
+    if (OpByte >= 240) {
+      int X = NextByte();
+      if (X < 0)
+        break;
+      if (runRowOrSignOp((OpByte - 240) % 7, X, NextByte, IReg, OReg))
+        return true;
+      continue;
+    }
     int Op = OpByte % 12;
     int D = (OpByte / 12) % NumRegs;
     int AByte = NextByte();
@@ -240,23 +344,8 @@ bool runProgram(const uint8_t *Data, size_t Size) {
     IReg[D] = RI;
     OReg[D] = RO;
 
-    // Containment check, skipped when the oracle cannot vouch.
-    double Lo = ia_inf_f64(RI);
-    double Hi = ia_sup_f64(RI);
-    if (std::isnan(Lo) || std::isnan(Hi))
-      continue; // NaN interval: contains everything by convention
-    if (!qfinite(RO.Q) || !qfinite(RO.A))
-      continue; // oracle overflowed or gave up
-    __float128 QLo = static_cast<__float128>(Lo);
-    __float128 QHi = static_cast<__float128>(Hi);
-    if (QLo - (RO.Q + RO.A) > 0 || (RO.Q - RO.A) - QHi > 0) {
-      std::fprintf(stderr,
-                   "SOUNDNESS VIOLATION: op %d produced [%a, %a] "
-                   "excluding oracle %.36Lg (+/- %.6Lg)\n",
-                   Op, Lo, Hi, static_cast<long double>(RO.Q),
-                   static_cast<long double>(RO.A));
+    if (violates(Op, RI, RO))
       return true;
-    }
   }
   return false;
 }
