@@ -1,46 +1,43 @@
-//===- Evaluator.cpp - AST-walking interval evaluator ------------------------===//
+//===- Evaluator.cpp - Serve back end of the lowered form --------------------===//
 //
 // Part of the IGen reproduction. BSD 3-Clause license.
 //
 //===----------------------------------------------------------------------===//
 //
-// Bit-identity contract: every rule here is the runtime image of the
-// corresponding `-O0 --target=ss` emission in
-// transform/IntervalTransform.cpp (cross-referenced per case below).
-// The transform's compile-time constant folding needs no mirroring: it
-// evaluates the same pure interval ops under FE_UPWARD that we execute
-// here, and %.17g materialization round-trips, so folded and
-// interpreted constants carry identical bits.
+// Bit-identity contract: the evaluator makes no lowering decision. It runs
+// the nodes the transformer lowered (transform/Lowered.h) and calls, for
+// each interval op, the very runtime function the `--target=ss` artifact
+// calls (interval/igen_lib.h in its scalar configuration), under the same
+// FE_UPWARD mode, in the same order. Constants carry the enclosure the
+// printed C reconstructs exactly, so served and AOT results agree bit for
+// bit at every optimization level (ExecServeCompareTest pins this).
+//
+// What the evaluator adds is safety: memory accesses (and the whole row of
+// a row-kernel or batch-loop call) are bounds-checked, a step budget and
+// a deadline bound the work, and everything outside the f64 scalar subset
+// is a typed error.
 //
 //===----------------------------------------------------------------------===//
 
 #include "server/Evaluator.h"
 
-#include "analysis/ReductionAnalysis.h"
 #include "frontend/AST.h"
-#include "frontend/Sema.h"
-#include "interval/Accumulator.h"
-#include "interval/DecimalFp.h"
-#include "interval/Elementary.h"
-#include "interval/Interval32.h"
-#include "interval/TBool.h"
-#include "interval/Ulp.h"
-#include "support/Diagnostics.h"
+#include "transform/Lowered.h"
 
-#include <cmath>
-#include <cstdint>
-#include <deque>
-#include <map>
-#include <set>
-#include <unordered_map>
+#define IGEN_F64I_SCALAR 1
+#include "interval/igen_lib.h"
+
+#include <algorithm>
 
 using namespace igen;
 using namespace igen::server;
+namespace L = igen::lowered;
+namespace rt = igen_cfg_scalar;
 
 namespace {
 
-/// Thrown to unwind out of any depth of interpretation; converted to a
-/// typed EvalResult at the evalFunction boundary.
+/// Thrown to unwind out of any depth of evaluation; converted to a typed
+/// EvalResult at the evalFunction boundary.
 struct EvalAbort {
   EvalError E;
 };
@@ -50,10 +47,9 @@ struct EvalAbort {
 }
 
 /// A pointer value: base buffer plus a signed offset, with the extent
-/// carried along so the interpreter can bounds-check accesses the AOT
-/// code would execute blind. (Out-of-range access is undefined behavior
-/// in the compiled artifact; in the daemon it must be a typed error,
-/// not a memory-safety hole.)
+/// carried along so every access can be bounds-checked. (Out-of-range
+/// access is undefined behavior in the compiled artifact; in the daemon
+/// it must be a typed error, not a memory-safety hole.)
 struct PtrVal {
   Interval *Base = nullptr;
   long long Size = 0;
@@ -68,56 +64,31 @@ struct Value {
   TBool B = TBool::False;
   PtrVal P;
 
-  static Value makeInt(long long X) {
-    Value R;
-    R.Kind = K::Int;
-    R.I = X;
-    return R;
-  }
-  static Value makeIv(const Interval &X) {
-    Value R;
-    R.Kind = K::Iv;
-    R.V = X;
-    return R;
-  }
-  static Value makeTB(TBool X) {
-    Value R;
-    R.Kind = K::TB;
-    R.B = X;
-    return R;
-  }
-  static Value makePtr(PtrVal X) {
-    Value R;
-    R.Kind = K::Ptr;
-    R.P = X;
-    return R;
-  }
+  static Value makeInt(long long X) { return {K::Int, X, {}, {}, {}}; }
+  static Value makeIv(const Interval &X) { return {K::Iv, 0, X, {}, {}}; }
+  static Value makeTB(TBool X) { return {K::TB, 0, {}, X, {}}; }
+  static Value makePtr(PtrVal X) { return {K::Ptr, 0, {}, {}, X}; }
 };
 
-struct Flow {
-  enum class K { Normal, Break, Continue, Return };
-  K Kind = K::Normal;
-  Value Ret; ///< K::Return with a value expression
-  bool HasRet = false;
-};
+/// How a statement ends; a returned value waits in Interp::Ret.
+enum class Flow { Normal, Break, Continue, Return };
 
-/// An addressable storage slot, for lvalues.
+/// An addressable storage location: a frame slot or an array element.
 struct LValue {
-  enum class K { Slot, Element };
-  K Kind = K::Slot;
-  Value *Slot = nullptr;     ///< variable slot
-  Interval *Element = nullptr; ///< bounds-checked array element
+  Value *Slot = nullptr;
+  Interval *Element = nullptr;
 };
 
 struct Frame {
-  std::unordered_map<const VarDecl *, Value *> Slots;
-  std::deque<Value> Storage; ///< stable addresses for AddrOf
-  std::deque<std::vector<Interval>> LocalArrays;
+  std::vector<Value> Slots;
+  /// Local arrays; a reallocation moves the vectors, not their elements.
+  std::vector<std::vector<Interval>> LocalArrays;
+  std::vector<rt::acc_f64> Accs;
 };
 
 class Interp {
 public:
-  Interp(const InMemoryProgram &Prog, const EvalOptions &Opts)
+  Interp(const L::Program &Prog, const EvalOptions &Opts)
       : Prog(Prog), Opts(Opts) {
     if (Opts.HasDeadline)
       NextDeadlineCheck = DeadlineCheckEvery;
@@ -127,20 +98,11 @@ public:
                  const std::vector<EvalArg> &Args);
 
 private:
-  const InMemoryProgram &Prog;
+  const L::Program &Prog;
   const EvalOptions &Opts;
   unsigned long long Steps = 0;
   unsigned Depth = 0;
-  /// Reduction sites are a per-function static analysis; cache them so
-  /// recursive calls do not re-run the pass per invocation.
-  std::map<const FunctionDecl *, ReductionAnalysisResult> ReductionCache;
-  /// Active accumulator feeds (transform: UpdateToAcc), keyed by the
-  /// update statement. A stack because loops nest and functions recurse.
-  struct AccEntry {
-    const ReductionSite *Site;
-    SumAccumulatorF64 *Acc;
-  };
-  std::map<const ExprStmt *, std::vector<AccEntry>> UpdateToAcc;
+  Value Ret; ///< the value of the last executed return (None: void)
 
   /// Amortization interval for wall-clock deadline polls: frequent
   /// enough that a hung loop is cancelled within microseconds of the
@@ -163,45 +125,23 @@ private:
            "evaluation exceeded the request's wall-clock deadline");
   }
 
+  /// Charges \p N units of work against the step budget; polls the
+  /// deadline when due. A row or batch call charges one unit per element
+  /// before it runs, so it cannot overrun the budget.
   void step(unsigned long long N = 1) {
-    Steps += N;
-    if (Steps > Opts.StepLimit)
+    if (N > Opts.StepLimit - std::min(Steps, Opts.StepLimit))
       fail("step-limit", "evaluation exceeded the per-request step budget");
+    Steps += N;
     if (Steps >= NextDeadlineCheck)
       checkDeadlineNow();
   }
-
-  const FunctionDecl *findDefined(const std::string &Name) const {
-    for (const TopLevelItem &Item : Prog.Ast->TU.Items)
-      if (Item.Function && Item.Function->Body &&
-          Item.Function->Name == Name)
-        return Item.Function;
-    return nullptr;
-  }
-
-  const ReductionAnalysisResult &reductionsFor(const FunctionDecl *F) {
-    auto It = ReductionCache.find(F);
-    if (It != ReductionCache.end())
-      return It->second;
-    DiagnosticsEngine Scratch;
-    auto *MutF = const_cast<FunctionDecl *>(F);
-    return ReductionCache.emplace(F, analyzeReductions(MutF, Scratch))
-        .first->second;
-  }
-
-  // --- category helpers (transform: Cat / asInterval / asTBool) ---
-
-  /// Static mirror of the transform's TBool category: float comparisons,
-  /// logical ops over them, and their negations.
-  static bool isTBoolExpr(const Expr *E);
 
   Interval asInterval(const Value &V) {
     switch (V.Kind) {
     case Value::K::Iv:
       return V.V;
     case Value::K::Int:
-      // transform asInterval: ia_cst_f64((double)(i))
-      return Interval::fromPoint(static_cast<double>(V.I));
+      return rt::ia_cst_f64(static_cast<double>(V.I));
     case Value::K::TB:
       fail("unsupported", "cannot use a comparison result as a value");
     default:
@@ -213,17 +153,24 @@ private:
     if (V.Kind == Value::K::TB)
       return V.B;
     if (V.Kind == Value::K::Int)
-      return tboolFromBool(V.I != 0); // ia_bool2tb
+      return rt::ia_bool2tb(V.I != 0);
     fail("unsupported", "cannot use this value as a condition");
   }
 
+  long long asInt(const Value &V, const char *What) {
+    if (V.Kind != Value::K::Int)
+      fail("unsupported", std::string("invalid ") + What);
+    return V.I;
+  }
+
+  /// A plain condition; an interval one was converted by the lowering
+  /// (ia_cvt2bool_tb), whose unknown case is a typed error here instead of
+  /// the process-global UnknownBranchHandler (which a concurrent daemon
+  /// cannot safely retarget per request).
   bool cvtCond(const Value &V, const char *Where) {
     if (V.Kind == Value::K::Int)
       return V.I != 0;
     if (V.Kind == Value::K::TB) {
-      // ia_cvt2bool_tb, with Unknown surfaced as a typed error instead
-      // of the process-global UnknownBranchHandler (which a concurrent
-      // daemon cannot safely retarget per request).
       if (V.B == TBool::Unknown)
         fail("unknown-branch",
              std::string("interval condition is unknown at ") + Where);
@@ -232,839 +179,601 @@ private:
     fail("unsupported", "invalid condition value");
   }
 
-  Interval &element(const PtrVal &P, long long Idx) {
+  /// The \p N elements starting at \p P, bounds-checked as a whole.
+  Interval *row(const PtrVal &P, long long Idx, unsigned long long N) {
     long long At = P.Off + Idx;
-    if (!P.Base || At < 0 || At >= P.Size)
+    if (!P.Base || At < 0 || At > P.Size ||
+        N > static_cast<unsigned long long>(P.Size - At))
       fail("out-of-bounds",
-           "array access at index " + std::to_string(At) +
-               " outside buffer of " + std::to_string(P.Size));
-    return P.Base[At];
+           "array access at index " + std::to_string(At) + " (+" +
+               std::to_string(N) + ") outside buffer of " +
+               std::to_string(P.Size));
+    return P.Base + At;
+  }
+  Interval &element(const PtrVal &P, long long Idx) { return *row(P, Idx, 1); }
+
+  PtrVal asPtr(const Value &V) {
+    if (V.Kind != Value::K::Ptr)
+      fail("unsupported", "expected an array");
+    return V.P;
+  }
+  /// The double element an Index or Deref node designates.
+  Interval &elementOf(const L::Expr *E, Frame &F) {
+    PtrVal P = asPtr(expr(E->A[0], F));
+    long long Idx =
+        E->Kind == L::EK::Index ? asInt(expr(E->A[1], F), "array subscript")
+                                : 0;
+    if (E->C != L::Cat::Interval)
+      fail("unsupported", "only double arrays are supported by eval");
+    return element(P, Idx);
+  }
+  void store(const LValue &Lv, const Interval &V) {
+    if (Lv.Element)
+      *Lv.Element = V;
+    else
+      *Lv.Slot = Value::makeIv(V);
   }
 
-  Value *slotFor(Frame &F, const VarDecl *D) {
-    auto It = F.Slots.find(D);
-    if (It != F.Slots.end())
-      return It->second;
-    F.Storage.emplace_back();
-    Value *S = &F.Storage.back();
-    F.Slots[D] = S;
-    return S;
-  }
+  Value expr(const L::Expr *E, Frame &F);
+  Value iop(const L::Expr *E, Frame &F);
+  Value unary(const L::Expr *E, Frame &F);
+  Value binary(const L::Expr *E, Frame &F);
+  Value cast(const L::Expr *E, Frame &F);
+  Interval iv(const L::Expr *E, Frame &F) { return asInterval(expr(E, F)); }
+  LValue lvalue(const L::Expr *E, Frame &F);
 
-  // --- expressions ---
+  Flow stmt(const L::Stmt *S, Frame &F);
+  Flow loop(const L::Stmt *S, Frame &F);
+  void decl(const L::Stmt *S, Frame &F);
+  void ifTBool(const L::Stmt *S, Frame &F);
+  void rowKernel(const L::Stmt *S, Frame &F);
+  void batchLoop(const L::Stmt *S, Frame &F);
 
-  Value evalExpr(const Expr *E, Frame &F);
-  Value evalUnary(const UnaryExpr *U, Frame &F);
-  Value evalBinary(const BinaryExpr *B, Frame &F);
-  Value evalCall(const CallExpr *C, Frame &F);
-  Value evalCast(const CastExpr *C, Frame &F);
-  LValue evalLValue(const Expr *E, Frame &F);
-  Value loadLValue(const LValue &L, const Type *Ty);
-  void storeLValue(const LValue &L, const Value &V);
-
-  // --- statements ---
-
-  Flow execStmt(const Stmt *S, Frame &F);
-  Flow execCompound(const CompoundStmt *S, Frame &F);
-  Flow execIf(const IfStmt *S, Frame &F);
-  Flow execFor(const ForStmt *S, Frame &F, const FunctionDecl *Fn);
-  void execDecl(const VarDecl *D, Frame &F);
-
-  // transform: collectJoinTargets / collectAssignTargetsInExpr
-  static bool collectAssignTargets(const Expr *E,
-                                   std::set<const VarDecl *> &Targets);
-  static bool collectJoinTargets(const Stmt *S,
-                                 std::set<const VarDecl *> &Targets);
-
-  Value callFunction(const FunctionDecl *Fn, std::vector<Value> Args);
-
-  const FunctionDecl *CurFn = nullptr;
+  Value call(const L::Function &Fn, std::vector<Value> Args);
 };
 
-bool Interp::isTBoolExpr(const Expr *E) {
-  E = ignoreParens(E);
-  if (const auto *B = dynCast<BinaryExpr>(E)) {
-    bool FloatOp =
-        (B->LHS->type() && B->LHS->type()->isFloatingOrVector()) ||
-        (B->RHS->type() && B->RHS->type()->isFloatingOrVector());
-    switch (B->O) {
-    case BinaryExpr::Op::LT:
-    case BinaryExpr::Op::GT:
-    case BinaryExpr::Op::LE:
-    case BinaryExpr::Op::GE:
-    case BinaryExpr::Op::EQ:
-    case BinaryExpr::Op::NE:
-      return FloatOp;
-    case BinaryExpr::Op::LAnd:
-    case BinaryExpr::Op::LOr:
-      return isTBoolExpr(B->LHS) || isTBoolExpr(B->RHS);
-    default:
-      return false;
-    }
-  }
-  if (const auto *U = dynCast<UnaryExpr>(E))
-    if (U->O == UnaryExpr::Op::LogicalNot)
-      return isTBoolExpr(U->Sub);
-  return false;
-}
-
-Value Interp::evalExpr(const Expr *E, Frame &F) {
+Value Interp::expr(const L::Expr *E, Frame &F) {
   step();
-  switch (E->kind()) {
-  case Expr::Kind::IntLiteral:
-    return Value::makeInt(cast<IntLiteralExpr>(E)->Value);
-  case Expr::Kind::FloatLiteral: {
-    const auto *FL = cast<FloatLiteralExpr>(E);
-    if (FL->IsTolerance) {
-      // transform FloatLiteral/IsTolerance: [-t, t] via the decimal
-      // enclosure's outer hull.
-      DdInterval Enc = ddIntervalFromDecimal(FL->Spelling);
-      Interval Hull = Enc.outerHull();
-      return Value::makeIv(Interval(Hull.Hi, Hull.Hi));
-    }
-    double V = FL->Value;
-    if (V == std::trunc(V) && std::fabs(V) < 0x1p53)
-      return Value::makeIv(Interval::fromPoint(V));
-    return Value::makeIv(Interval::fromEndpoints(nextDown(V), nextUp(V)));
-  }
-  case Expr::Kind::DeclRef: {
-    const auto *Ref = cast<DeclRefExpr>(E);
-    if (!Ref->Decl)
-      fail("unsupported", "reference to undeclared name '" + Ref->Name +
-                              "'");
-    auto It = F.Slots.find(Ref->Decl);
-    if (It == F.Slots.end())
+  switch (E->Kind) {
+  case L::EK::IntLit:
+    return Value::makeInt(E->Int);
+  case L::EK::Const:
+    return Value::makeIv(E->K->F64);
+  case L::EK::Var: {
+    if (E->Slot < 0)
       fail("unsupported",
-           "read of uninitialized variable '" + Ref->Name + "'");
-    return *It->second;
-  }
-  case Expr::Kind::Paren:
-    return evalExpr(cast<ParenExpr>(E)->Sub, F);
-  case Expr::Kind::Unary:
-    return evalUnary(cast<UnaryExpr>(E), F);
-  case Expr::Kind::Binary:
-    return evalBinary(cast<BinaryExpr>(E), F);
-  case Expr::Kind::Conditional: {
-    const auto *C = cast<ConditionalExpr>(E);
-    if (isTBoolExpr(C->Cond))
-      fail("unsupported", "interval-dependent '?:' conditions are not "
-                          "supported; rewrite as an if statement");
-    Value Cond = evalExpr(C->Cond, F);
-    // Plain condition: C evaluates only the taken side, and the emitted
-    // `(c ? a : b)` does the same.
-    const Expr *Side = cvtCond(Cond, "?:") ? C->Then : C->Else;
-    Value V = evalExpr(Side, F);
-    if (E->type() && E->type()->isFloatingOrVector())
-      return Value::makeIv(asInterval(V));
+           "reference to undeclared name '" + std::string(E->Text) + "'");
+    const Value &V = F.Slots[E->Slot];
+    if (V.Kind == Value::K::None)
+      fail("unsupported", "read of uninitialized variable");
     return V;
   }
-  case Expr::Kind::Call:
-    return evalCall(cast<CallExpr>(E), F);
-  case Expr::Kind::Index: {
-    const auto *I = cast<IndexExpr>(E);
-    Value Base = evalExpr(I->Base, F);
-    Value Idx = evalExpr(I->Idx, F);
-    if (Base.Kind != Value::K::Ptr || Idx.Kind != Value::K::Int)
-      fail("unsupported", "invalid array subscript");
-    if (!(E->type() && E->type()->isFloating()))
-      fail("unsupported", "only double arrays are supported by eval");
-    return Value::makeIv(element(Base.P, Idx.I));
+  case L::EK::IOp:
+    return iop(E, F);
+  case L::EK::Unary:
+    return unary(E, F);
+  case L::EK::Binary:
+    return binary(E, F);
+  case L::EK::Paren:
+    return expr(E->A[0], F);
+  case L::EK::Cond:
+    // C evaluates only the taken side, and so does the emitted `(c ? a :
+    // b)`; an interval condition here was rejected at compile time.
+    return expr(cvtCond(expr(E->A[0], F), "?:") ? E->A[1] : E->A[2], F);
+  case L::EK::Index:
+    return Value::makeIv(elementOf(E, F));
+  case L::EK::Cast:
+    return cast(E, F);
+  case L::EK::IStore: {
+    Interval V = iv(E->A[1], F);
+    store(lvalue(E->A[0], F), V);
+    return Value::makeIv(V);
   }
-  case Expr::Kind::Cast:
-    return evalCast(cast<CastExpr>(E), F);
+  case L::EK::Call: {
+    const L::Function *Callee = Prog.findEntry(E->Text);
+    if (!Callee)
+      fail("unsupported", "call to external function '" +
+                              std::string(E->Text) +
+                              "' cannot be evaluated in-process");
+    if (Callee->ParamSlots.size() != E->Args->size())
+      fail("bad-argument",
+           "wrong number of arguments to '" + std::string(E->Text) + "'");
+    std::vector<Value> Args;
+    Args.reserve(E->Args->size());
+    for (const L::Expr *A : *E->Args)
+      Args.push_back(expr(A, F));
+    return call(*Callee, std::move(Args));
+  }
+  case L::EK::Extern:
+    switch (E->Callee) {
+    case CalleeKind::Intrinsic:
+      fail("unsupported", "SIMD intrinsics are not supported by the eval "
+                          "tier; compile ahead of time for vector kernels");
+    case CalleeKind::Allocation:
+      fail("unsupported", "allocation calls are not supported by eval");
+    default:
+      fail("unsupported", "call to external function '" +
+                              std::string(E->Text) +
+                              "' cannot be evaluated in-process");
+    }
   }
   fail("unsupported", "unsupported expression kind");
 }
 
-Value Interp::evalUnary(const UnaryExpr *U, Frame &F) {
-  switch (U->O) {
-  case UnaryExpr::Op::Neg: {
-    Value Sub = evalExpr(U->Sub, F);
-    if (Sub.Kind == Value::K::Iv)
-      return Value::makeIv(iNeg(Sub.V));
-    if (Sub.Kind == Value::K::Int)
-      return Value::makeInt(-Sub.I);
-    fail("unsupported", "invalid operand to unary '-'");
+// The runtime functions behind the interval-op table, by signature.
+Value apply(f64i (*Fn)(f64i), const Interval *A) {
+  return Value::makeIv(Fn(A[0]));
+}
+Value apply(f64i (*Fn)(f64i, f64i), const Interval *A) {
+  return Value::makeIv(Fn(A[0], A[1]));
+}
+Value apply(f64i (*Fn)(f64i, f64i, f64i), const Interval *A) {
+  return Value::makeIv(Fn(A[0], A[1], A[2]));
+}
+Value apply(tbool (*Fn)(f64i, f64i), const Interval *A) {
+  return Value::makeTB(Fn(A[0], A[1]));
+}
+
+Value Interp::iop(const L::Expr *E, Frame &F) {
+  if (E->S != L::Sfx::F64 && E->S != L::Sfx::None)
+    fail("unsupported",
+         E->S == L::Sfx::Dd
+             ? "double-double operations are not supported by the eval tier"
+             : "SIMD vector operations are not supported by the eval tier; "
+               "compile ahead of time for vector kernels");
+  switch (E->O) {
+  case L::Op::Cvt2Bool:
+    return Value::makeInt(cvtCond(expr(E->A[0], F), "a loop condition"));
+  case L::Op::NotTb:
+    return Value::makeTB(rt::ia_not_tb(asTBool(expr(E->A[0], F))));
+  case L::Op::AndTb:
+  case L::Op::OrTb: {
+    // ia_and_tb/ia_or_tb are plain calls: both operands evaluate.
+    TBool A = asTBool(expr(E->A[0], F));
+    TBool B = asTBool(expr(E->A[1], F));
+    return Value::makeTB(E->O == L::Op::AndTb ? rt::ia_and_tb(A, B)
+                                              : rt::ia_or_tb(A, B));
   }
-  case UnaryExpr::Op::Plus:
-    return evalExpr(U->Sub, F);
-  case UnaryExpr::Op::LogicalNot: {
-    Value Sub = evalExpr(U->Sub, F);
-    if (Sub.Kind == Value::K::TB)
-      return Value::makeTB(tboolNot(Sub.B));
-    if (Sub.Kind == Value::K::Int)
-      return Value::makeInt(Sub.I == 0 ? 1 : 0);
-    fail("unsupported", "invalid operand to '!'");
+  case L::Op::Bool2Tb:
+    return Value::makeTB(asTBool(expr(E->A[0], F)));
+  case L::Op::Cst:
+  case L::Op::CstOfDouble:
+    return Value::makeIv(rt::ia_cst_f64(
+        static_cast<double>(asInt(expr(E->A[0], F), "interval operand"))));
+  case L::Op::FenvGuard:
+    // The daemon checks the FP environment itself, per request.
+    return expr(E->A[0], F);
+  case L::Op::Promote:
+  case L::Op::Narrow:
+    fail("unsupported",
+         "double-double operations are not supported by the eval tier");
+  default:
+    break;
   }
-  case UnaryExpr::Op::BitNot: {
-    Value Sub = evalExpr(U->Sub, F);
-    if (Sub.Kind != Value::K::Int)
-      fail("unsupported", "invalid operand to '~'");
-    return Value::makeInt(~Sub.I);
+  Interval A[3];
+  const unsigned Arity = L::opInfo(E->O).Arity;
+  for (unsigned I = 0; I < Arity; ++I)
+    A[I] = iv(E->A[I], F);
+  switch (E->O) {
+#define IGEN_EVAL_OP(Name, Stem, Arity)                                        \
+  case L::Op::Name:                                                            \
+    return apply(rt::ia_##Stem##_f64, A);
+    IGEN_LOWERED_IV_OPS(IGEN_EVAL_OP)
+    IGEN_LOWERED_CMP_OPS(IGEN_EVAL_OP)
+#undef IGEN_EVAL_OP
+  default:
+    fail("unsupported", "interval operation has no eval kernel");
   }
-  case UnaryExpr::Op::PreInc:
-  case UnaryExpr::Op::PreDec:
-  case UnaryExpr::Op::PostInc:
-  case UnaryExpr::Op::PostDec: {
-    LValue L = evalLValue(U->Sub, F);
-    if (L.Kind != LValue::K::Slot || L.Slot->Kind != Value::K::Int)
+}
+
+Value Interp::unary(const L::Expr *E, Frame &F) {
+  using UOp = UnaryExpr::Op;
+  switch (E->UOp) {
+  case UOp::Neg:
+    return Value::makeInt(-asInt(expr(E->A[0], F), "operand to unary '-'"));
+  case UOp::LogicalNot:
+    return Value::makeInt(asInt(expr(E->A[0], F), "operand to '!'") == 0);
+  case UOp::BitNot:
+    return Value::makeInt(~asInt(expr(E->A[0], F), "operand to '~'"));
+  case UOp::PreInc:
+  case UOp::PreDec:
+  case UOp::PostInc:
+  case UOp::PostDec: {
+    LValue Lv = lvalue(E->A[0], F);
+    if (!Lv.Slot || Lv.Slot->Kind != Value::K::Int)
       fail("unsupported", "++/-- on floating-point values is not "
                           "supported in the IGen C subset");
-    bool Pre = U->O == UnaryExpr::Op::PreInc ||
-               U->O == UnaryExpr::Op::PreDec;
-    bool Inc = U->O == UnaryExpr::Op::PreInc ||
-               U->O == UnaryExpr::Op::PostInc;
-    long long Old = L.Slot->I;
-    L.Slot->I = Inc ? Old + 1 : Old - 1;
-    return Value::makeInt(Pre ? L.Slot->I : Old);
+    bool Pre = E->UOp == UOp::PreInc || E->UOp == UOp::PreDec;
+    bool Inc = E->UOp == UOp::PreInc || E->UOp == UOp::PostInc;
+    long long Old = Lv.Slot->I;
+    Lv.Slot->I = Inc ? Old + 1 : Old - 1;
+    return Value::makeInt(Pre ? Lv.Slot->I : Old);
   }
-  case UnaryExpr::Op::Deref: {
-    Value Sub = evalExpr(U->Sub, F);
-    if (Sub.Kind != Value::K::Ptr)
-      fail("unsupported", "dereference of a non-pointer value");
-    if (!(U->type() && U->type()->isFloating()))
-      fail("unsupported", "only double pointers are supported by eval");
-    return Value::makeIv(element(Sub.P, 0));
-  }
-  case UnaryExpr::Op::AddrOf: {
-    LValue L = evalLValue(U->Sub, F);
+  case UOp::Deref:
+    return Value::makeIv(elementOf(E, F));
+  case UOp::AddrOf: {
+    LValue Lv = lvalue(E->A[0], F);
     PtrVal P;
-    if (L.Kind == LValue::K::Element) {
-      P.Base = L.Element;
-      P.Size = 1; // a borrowed one-element view; AOT has the same UB edge
+    P.Size = 1; // a borrowed one-element view; AOT has the same UB edge
+    if (Lv.Element) {
+      P.Base = Lv.Element;
     } else {
-      if (L.Slot->Kind != Value::K::Iv)
+      if (Lv.Slot->Kind != Value::K::Iv)
         fail("unsupported", "'&' is only supported on double variables");
-      P.Base = &L.Slot->V;
-      P.Size = 1;
+      P.Base = &Lv.Slot->V;
     }
     return Value::makePtr(P);
   }
+  default:
+    fail("unsupported", "unsupported unary operator");
   }
-  fail("unsupported", "unsupported unary operator");
 }
 
-Value Interp::evalBinary(const BinaryExpr *B, Frame &F) {
-  if (B->isAssignment()) {
-    // transform transformBinary/assignment: lvalue first, then RHS.
-    LValue L = evalLValue(B->LHS, F);
-    Value RHS = evalExpr(B->RHS, F);
-    bool IntervalTarget =
-        B->LHS->type() && B->LHS->type()->isFloatingOrVector();
-    if (!IntervalTarget) {
-      // Plain (integer) compound assignment.
-      Value Cur = loadLValue(L, B->LHS->type());
-      if (Cur.Kind == Value::K::Ptr || RHS.Kind == Value::K::Ptr)
-        fail("unsupported", "pointer assignment is not supported by eval");
-      long long A = Cur.I, Bv = RHS.I, R = 0;
-      switch (B->O) {
-      case BinaryExpr::Op::Assign:
-        R = RHS.Kind == Value::K::Int ? Bv : 0;
-        if (RHS.Kind != Value::K::Int)
-          fail("unsupported", "invalid integer assignment");
-        break;
-      case BinaryExpr::Op::AddAssign: R = A + Bv; break;
-      case BinaryExpr::Op::SubAssign: R = A - Bv; break;
-      case BinaryExpr::Op::MulAssign: R = A * Bv; break;
-      case BinaryExpr::Op::DivAssign:
-        if (Bv == 0)
-          fail("int-div-zero", "integer division by zero");
-        R = A / Bv;
-        break;
-      default:
-        fail("unsupported", "unsupported assignment operator");
-      }
-      Value Out = Value::makeInt(R);
-      storeLValue(L, Out);
-      return Out;
+Value Interp::binary(const L::Expr *E, Frame &F) {
+  using BOp = BinaryExpr::Op;
+  if (E->BOp >= BOp::Assign) {
+    // Plain (integer) assignment: the right operand first, as C++17
+    // sequences it in the emitted code.
+    Value RHS = expr(E->A[1], F);
+    LValue Lv = lvalue(E->A[0], F);
+    if (!Lv.Slot || RHS.Kind == Value::K::Ptr)
+      fail("unsupported", "pointer assignment is not supported by eval");
+    long long B = asInt(RHS, "integer assignment");
+    long long R = B;
+    if (E->BOp != BOp::Assign) {
+      if (Lv.Slot->Kind != Value::K::Int)
+        fail("unsupported", "read of uninitialized variable");
+      long long A = Lv.Slot->I;
+      if (E->BOp == BOp::DivAssign && B == 0)
+        fail("int-div-zero", "integer division by zero");
+      R = E->BOp == BOp::AddAssign   ? A + B
+          : E->BOp == BOp::SubAssign ? A - B
+          : E->BOp == BOp::MulAssign ? A * B
+                                     : A / B;
     }
-    Interval Value_ = asInterval(RHS);
-    if (B->O != BinaryExpr::Op::Assign) {
-      Interval Cur = asInterval(loadLValue(L, B->LHS->type()));
-      switch (B->O) {
-      case BinaryExpr::Op::AddAssign: Value_ = iAdd(Cur, Value_); break;
-      case BinaryExpr::Op::SubAssign: Value_ = iSub(Cur, Value_); break;
-      case BinaryExpr::Op::MulAssign: Value_ = iMul(Cur, Value_); break;
-      case BinaryExpr::Op::DivAssign: Value_ = iDiv(Cur, Value_); break;
-      default:
-        fail("unsupported", "unsupported assignment operator");
-      }
-    }
-    Value Out = Value::makeIv(Value_);
-    storeLValue(L, Out);
-    return Out;
+    *Lv.Slot = Value::makeInt(R);
+    return *Lv.Slot;
   }
 
-  bool FloatOp =
-      (B->LHS->type() && B->LHS->type()->isFloatingOrVector()) ||
-      (B->RHS->type() && B->RHS->type()->isFloatingOrVector());
-
-  switch (B->O) {
-  case BinaryExpr::Op::Add:
-  case BinaryExpr::Op::Sub:
-  case BinaryExpr::Op::Mul:
-  case BinaryExpr::Op::Div: {
-    Value L = evalExpr(B->LHS, F);
-    Value R = evalExpr(B->RHS, F);
-    if (!FloatOp) {
-      // Pointer arithmetic stays plain C (transform leaves it alone).
-      if (L.Kind == Value::K::Ptr && R.Kind == Value::K::Int &&
-          (B->O == BinaryExpr::Op::Add || B->O == BinaryExpr::Op::Sub)) {
-        PtrVal P = L.P;
-        P.Off += B->O == BinaryExpr::Op::Add ? R.I : -R.I;
-        return Value::makePtr(P);
-      }
-      if (L.Kind != Value::K::Int || R.Kind != Value::K::Int)
-        fail("unsupported", "invalid integer arithmetic operands");
-      switch (B->O) {
-      case BinaryExpr::Op::Add: return Value::makeInt(L.I + R.I);
-      case BinaryExpr::Op::Sub: return Value::makeInt(L.I - R.I);
-      case BinaryExpr::Op::Mul: return Value::makeInt(L.I * R.I);
-      default:
-        if (R.I == 0)
-          fail("int-div-zero", "integer division by zero");
-        return Value::makeInt(L.I / R.I);
-      }
-    }
-    Interval A = asInterval(L), Bv = asInterval(R);
-    switch (B->O) {
-    case BinaryExpr::Op::Add: return Value::makeIv(iAdd(A, Bv));
-    case BinaryExpr::Op::Sub: return Value::makeIv(iSub(A, Bv));
-    case BinaryExpr::Op::Mul: return Value::makeIv(iMul(A, Bv));
-    default: return Value::makeIv(iDiv(A, Bv));
-    }
-  }
-  case BinaryExpr::Op::LT:
-  case BinaryExpr::Op::GT:
-  case BinaryExpr::Op::LE:
-  case BinaryExpr::Op::GE:
-  case BinaryExpr::Op::EQ:
-  case BinaryExpr::Op::NE: {
-    Value L = evalExpr(B->LHS, F);
-    Value R = evalExpr(B->RHS, F);
-    if (!FloatOp) {
-      if (L.Kind != Value::K::Int || R.Kind != Value::K::Int)
-        fail("unsupported", "invalid comparison operands");
-      bool Res;
-      switch (B->O) {
-      case BinaryExpr::Op::LT: Res = L.I < R.I; break;
-      case BinaryExpr::Op::GT: Res = L.I > R.I; break;
-      case BinaryExpr::Op::LE: Res = L.I <= R.I; break;
-      case BinaryExpr::Op::GE: Res = L.I >= R.I; break;
-      case BinaryExpr::Op::EQ: Res = L.I == R.I; break;
-      default: Res = L.I != R.I; break;
-      }
-      return Value::makeInt(Res ? 1 : 0);
-    }
-    if ((B->LHS->type() && B->LHS->type()->isSimdVector()) ||
-        (B->RHS->type() && B->RHS->type()->isSimdVector()))
-      fail("unsupported", "comparisons of SIMD vectors are not supported");
-    Interval A = asInterval(L), Bv = asInterval(R);
-    switch (B->O) {
-    case BinaryExpr::Op::LT: return Value::makeTB(iCmpLT(A, Bv));
-    case BinaryExpr::Op::GT: return Value::makeTB(iCmpGT(A, Bv));
-    case BinaryExpr::Op::LE: return Value::makeTB(iCmpLE(A, Bv));
-    case BinaryExpr::Op::GE: return Value::makeTB(iCmpGE(A, Bv));
-    case BinaryExpr::Op::EQ: return Value::makeTB(iCmpEQ(A, Bv));
-    default: return Value::makeTB(iCmpNE(A, Bv));
-    }
-  }
-  case BinaryExpr::Op::LAnd:
-  case BinaryExpr::Op::LOr: {
-    if (isTBoolExpr(B->LHS) || isTBoolExpr(B->RHS)) {
-      // ia_and_tb/ia_or_tb are plain calls: both operands evaluate.
-      TBool A = asTBool(evalExpr(B->LHS, F));
-      TBool Bb = asTBool(evalExpr(B->RHS, F));
-      return Value::makeTB(B->O == BinaryExpr::Op::LAnd ? tboolAnd(A, Bb)
-                                                        : tboolOr(A, Bb));
-    }
+  if (E->BOp == BOp::LAnd || E->BOp == BOp::LOr) {
     // Plain: C short-circuit semantics.
-    Value L = evalExpr(B->LHS, F);
-    bool LB = cvtCond(L, "&&/||");
-    if (B->O == BinaryExpr::Op::LAnd && !LB)
-      return Value::makeInt(0);
-    if (B->O == BinaryExpr::Op::LOr && LB)
-      return Value::makeInt(1);
-    return Value::makeInt(cvtCond(evalExpr(B->RHS, F), "&&/||") ? 1 : 0);
+    bool LB = cvtCond(expr(E->A[0], F), "&&/||");
+    if (LB == (E->BOp == BOp::LOr))
+      return Value::makeInt(LB);
+    return Value::makeInt(cvtCond(expr(E->A[1], F), "&&/||"));
   }
-  default: {
-    Value L = evalExpr(B->LHS, F);
-    Value R = evalExpr(B->RHS, F);
-    if (L.Kind != Value::K::Int || R.Kind != Value::K::Int)
-      fail("unsupported", "invalid bitwise/shift operands");
-    switch (B->O) {
-    case BinaryExpr::Op::Rem:
-      if (R.I == 0)
-        fail("int-div-zero", "integer remainder by zero");
-      return Value::makeInt(L.I % R.I);
-    case BinaryExpr::Op::Shl: return Value::makeInt(L.I << (R.I & 63));
-    case BinaryExpr::Op::Shr: return Value::makeInt(L.I >> (R.I & 63));
-    case BinaryExpr::Op::BitAnd: return Value::makeInt(L.I & R.I);
-    case BinaryExpr::Op::BitOr: return Value::makeInt(L.I | R.I);
-    default: return Value::makeInt(L.I ^ R.I);
-    }
+
+  Value Lhs = expr(E->A[0], F);
+  Value Rhs = expr(E->A[1], F);
+  // Pointer arithmetic stays plain C.
+  if (Lhs.Kind == Value::K::Ptr && Rhs.Kind == Value::K::Int &&
+      (E->BOp == BOp::Add || E->BOp == BOp::Sub)) {
+    PtrVal P = Lhs.P;
+    P.Off += E->BOp == BOp::Add ? Rhs.I : -Rhs.I;
+    return Value::makePtr(P);
   }
+  long long A = asInt(Lhs, "integer operands");
+  long long B = asInt(Rhs, "integer operands");
+  if ((E->BOp == BOp::Div || E->BOp == BOp::Rem) && B == 0)
+    fail("int-div-zero", E->BOp == BOp::Div ? "integer division by zero"
+                                            : "integer remainder by zero");
+  switch (E->BOp) {
+  case BOp::Add:
+    return Value::makeInt(A + B);
+  case BOp::Sub:
+    return Value::makeInt(A - B);
+  case BOp::Mul:
+    return Value::makeInt(A * B);
+  case BOp::Div:
+    return Value::makeInt(A / B);
+  case BOp::Rem:
+    return Value::makeInt(A % B);
+  case BOp::Shl:
+    return Value::makeInt(A << (B & 63));
+  case BOp::Shr:
+    return Value::makeInt(A >> (B & 63));
+  case BOp::BitAnd:
+    return Value::makeInt(A & B);
+  case BOp::BitOr:
+    return Value::makeInt(A | B);
+  case BOp::BitXor:
+    return Value::makeInt(A ^ B);
+  case BOp::LT:
+    return Value::makeInt(A < B);
+  case BOp::GT:
+    return Value::makeInt(A > B);
+  case BOp::LE:
+    return Value::makeInt(A <= B);
+  case BOp::GE:
+    return Value::makeInt(A >= B);
+  case BOp::EQ:
+    return Value::makeInt(A == B);
+  default: // NE
+    return Value::makeInt(A != B);
   }
 }
 
-Value Interp::evalCast(const CastExpr *C, Frame &F) {
-  Value Sub = evalExpr(C->Sub, F);
-  const Type *From = C->Sub->type();
-  if (C->To->isPointer()) {
+Value Interp::cast(const L::Expr *E, Frame &F) {
+  Value Sub = expr(E->A[0], F);
+  const Type *To = E->To;
+  if (To && To->isPointer()) {
     if (Sub.Kind == Value::K::Ptr)
       return Sub;
     fail("unsupported", "pointer casts are not supported by eval");
   }
-  if (C->To->isFloating()) {
-    if (Sub.Kind == Value::K::Iv) {
-      if (C->To->kind() == Type::Kind::Float && From &&
-          From->kind() == Type::Kind::Double)
-        // ia_f32cast_f64: round outward to the float grid.
-        return Value::makeIv(Interval32::fromInterval(Sub.V).widen());
-      return Sub; // float<->double widening: intervals already double
-    }
-    if (Sub.Kind == Value::K::Int)
-      return Value::makeIv(
-          Interval::fromPoint(static_cast<double>(Sub.I)));
-    fail("unsupported", "invalid cast operand");
-  }
-  // Integer casts: emitted C applies the target width; mirror int.
-  if (Sub.Kind != Value::K::Int)
-    fail("unsupported", "cannot cast an interval to an integer");
-  if (C->To->kind() == Type::Kind::Int)
-    return Value::makeInt(static_cast<int>(Sub.I));
-  if (C->To->kind() == Type::Kind::UInt)
-    return Value::makeInt(
-        static_cast<long long>(static_cast<unsigned>(Sub.I)));
+  // Integer casts: emitted C applies the target width.
+  long long I = asInt(Sub, "integer cast (of an interval?)");
+  if (To && To->kind() == Type::Kind::Int)
+    return Value::makeInt(static_cast<int>(I));
+  if (To && To->kind() == Type::Kind::UInt)
+    return Value::makeInt(static_cast<long long>(static_cast<unsigned>(I)));
   return Sub;
 }
 
-Value Interp::evalCall(const CallExpr *C, Frame &F) {
-  CalleeKind CK = classifyCallee(C->Callee);
-
-  if (CK == CalleeKind::MathFunction) {
-    // transform transformCall: strip the f suffix, canonicalize names.
-    std::string Base = C->Callee;
-    if (!Base.empty() && Base.back() == 'f' && Base != "fabsf")
-      Base.pop_back();
-    if (Base == "fabsf" || Base == "fabs")
-      Base = "abs";
-    if (Base == "fmin")
-      Base = "min";
-    if (Base == "fmax")
-      Base = "max";
-    if (C->Args.empty() ||
-        ((Base == "min" || Base == "max") && C->Args.size() < 2))
-      fail("bad-argument",
-           "wrong number of arguments to '" + C->Callee + "'");
-    Interval Arg = asInterval(evalExpr(C->Args[0], F));
-    if (Base == "min" || Base == "max") {
-      Interval Arg2 = asInterval(evalExpr(C->Args[1], F));
-      return Value::makeIv(Base == "min" ? iMin(Arg, Arg2)
-                                         : iMax(Arg, Arg2));
-    }
-    // -O0 semantics: always the libm-backed kernels, never the _fast
-    // polynomial variants (those are -O1 rewrites).
-    if (Base == "sqrt") return Value::makeIv(iSqrt(Arg));
-    if (Base == "abs") return Value::makeIv(iAbs(Arg));
-    if (Base == "floor") return Value::makeIv(iFloor(Arg));
-    if (Base == "ceil") return Value::makeIv(iCeil(Arg));
-    if (Base == "exp") return Value::makeIv(iExp(Arg));
-    if (Base == "log") return Value::makeIv(iLog(Arg));
-    if (Base == "sin") return Value::makeIv(iSin(Arg));
-    if (Base == "cos") return Value::makeIv(iCos(Arg));
-    if (Base == "tan") return Value::makeIv(iTan(Arg));
-    if (Base == "atan") return Value::makeIv(iAtan(Arg));
-    if (Base == "asin") return Value::makeIv(iAsin(Arg));
-    if (Base == "acos") return Value::makeIv(iAcos(Arg));
-    fail("unsupported",
-         "math function '" + C->Callee + "' has no interval kernel");
-  }
-
-  if (CK == CalleeKind::Intrinsic)
-    fail("unsupported",
-         "SIMD intrinsics are not supported by the eval tier; "
-         "compile ahead of time for vector kernels");
-  if (CK == CalleeKind::Allocation)
-    fail("unsupported", "allocation calls are not supported by eval");
-
-  const FunctionDecl *Callee = findDefined(C->Callee);
-  if (!Callee)
-    fail("unsupported", "call to external function '" + C->Callee +
-                            "' cannot be evaluated in-process");
-  if (Callee->Params.size() != C->Args.size())
-    fail("bad-argument",
-         "wrong number of arguments to '" + C->Callee + "'");
-  std::vector<Value> Args;
-  Args.reserve(C->Args.size());
-  for (size_t I = 0; I < C->Args.size(); ++I) {
-    Value A = evalExpr(C->Args[I], F);
-    const Type *ArgTy = C->Args[I]->type();
-    if (ArgTy && ArgTy->isFloatingOrVector())
-      A = Value::makeIv(asInterval(A));
-    Args.push_back(std::move(A));
-  }
-  return callFunction(Callee, std::move(Args));
+LValue Interp::lvalue(const L::Expr *E, Frame &F) {
+  LValue Lv;
+  if (E->Kind == L::EK::Var && E->Slot >= 0)
+    Lv.Slot = &F.Slots[E->Slot];
+  else if (E->Kind == L::EK::Index ||
+           (E->Kind == L::EK::Unary && E->UOp == UnaryExpr::Op::Deref))
+    Lv.Element = &elementOf(E, F);
+  else
+    fail("unsupported", "unsupported assignment target");
+  return Lv;
 }
 
-LValue Interp::evalLValue(const Expr *E, Frame &F) {
-  E = ignoreParens(E);
-  switch (E->kind()) {
-  case Expr::Kind::DeclRef: {
-    const auto *Ref = cast<DeclRefExpr>(E);
-    if (!Ref->Decl)
-      fail("unsupported", "assignment to undeclared name");
-    LValue L;
-    L.Kind = LValue::K::Slot;
-    L.Slot = slotFor(F, Ref->Decl);
-    return L;
-  }
-  case Expr::Kind::Index: {
-    const auto *I = cast<IndexExpr>(E);
-    Value Base = evalExpr(I->Base, F);
-    Value Idx = evalExpr(I->Idx, F);
-    if (Base.Kind != Value::K::Ptr || Idx.Kind != Value::K::Int)
-      fail("unsupported", "invalid array subscript");
-    LValue L;
-    L.Kind = LValue::K::Element;
-    L.Element = &element(Base.P, Idx.I);
-    return L;
-  }
-  case Expr::Kind::Unary: {
-    const auto *U = cast<UnaryExpr>(E);
-    if (U->O == UnaryExpr::Op::Deref) {
-      Value Sub = evalExpr(U->Sub, F);
-      if (Sub.Kind != Value::K::Ptr)
-        fail("unsupported", "dereference of a non-pointer value");
-      LValue L;
-      L.Kind = LValue::K::Element;
-      L.Element = &element(Sub.P, 0);
-      return L;
-    }
-    break;
-  }
-  default:
-    break;
-  }
-  fail("unsupported", "unsupported assignment target");
-}
-
-Value Interp::loadLValue(const LValue &L, const Type *Ty) {
-  if (L.Kind == LValue::K::Element)
-    return Value::makeIv(*L.Element);
-  if (L.Slot->Kind == Value::K::None) {
-    // Reading an uninitialized variable is UB in the AOT artifact; give
-    // compound assignment a deterministic typed error instead.
-    if (Ty && Ty->isFloating())
-      fail("unsupported", "read of uninitialized variable");
-    fail("unsupported", "read of uninitialized variable");
-  }
-  return *L.Slot;
-}
-
-void Interp::storeLValue(const LValue &L, const Value &V) {
-  if (L.Kind == LValue::K::Element) {
-    if (V.Kind != Value::K::Iv)
-      fail("unsupported", "invalid store to a double array element");
-    *L.Element = V.V;
+void Interp::decl(const L::Stmt *S, Frame &F) {
+  Value &Slot = F.Slots[S->Slot];
+  const VarDecl *D = S->Var;
+  if (!D) { // a CSE or hoist temp
+    Slot = Value::makeIv(iv(S->E, F));
     return;
   }
-  *L.Slot = V;
-}
-
-// --- statements ---
-
-void Interp::execDecl(const VarDecl *D, Frame &F) {
-  Value *S = slotFor(F, D);
   if (D->Ty->isArray()) {
     const Type *Elem = D->Ty->element();
     if (!Elem->isFloating() || Elem->isArray())
       fail("unsupported", "only 1-D double local arrays are supported");
-    F.LocalArrays.emplace_back(
-        static_cast<size_t>(D->Ty->arraySize()),
-        Interval::fromPoint(0.0));
+    if (S->E)
+      fail("unsupported", "array initializers are not supported");
+    F.LocalArrays.emplace_back(static_cast<size_t>(D->Ty->arraySize()),
+                               Interval::fromPoint(0.0));
     PtrVal P;
     P.Base = F.LocalArrays.back().data();
     P.Size = static_cast<long long>(D->Ty->arraySize());
-    *S = Value::makePtr(P);
-    if (D->Init)
-      fail("unsupported", "array initializers are not supported");
+    Slot = Value::makePtr(P);
     return;
   }
   if (D->Ty->isSimdVector())
     fail("unsupported", "SIMD vector locals are not supported by eval");
-  if (!D->Init) {
-    *S = Value();
-    if (D->Ty->isInteger())
-      S->Kind = Value::K::None; // uninitialized until first store
+  if (!S->E) {
+    Slot = Value(); // uninitialized until first store
     return;
   }
-  Value Init = evalExpr(D->Init, F);
-  if (D->Ty->isFloatingOrVector())
-    *S = Value::makeIv(asInterval(Init));
-  else if (D->Ty->isPointer()) {
+  Value Init = expr(S->E, F);
+  if (D->Ty->isFloatingOrVector()) {
+    Slot = Value::makeIv(asInterval(Init));
+  } else if (D->Ty->isPointer()) {
     if (Init.Kind != Value::K::Ptr)
       fail("unsupported", "invalid pointer initializer");
-    *S = Init;
+    Slot = Init;
   } else {
-    if (Init.Kind != Value::K::Int)
-      fail("unsupported", "invalid integer initializer");
-    *S = Init;
+    asInt(Init, "integer initializer");
+    Slot = Init;
   }
 }
 
-bool Interp::collectAssignTargets(const Expr *E,
-                                  std::set<const VarDecl *> &Targets) {
-  const auto *B = dynCast<BinaryExpr>(ignoreParens(E));
-  if (!B)
-    return !dynCast<CallExpr>(ignoreParens(E)); // calls may have effects
-  if (!B->isAssignment())
-    return true;
-  const auto *Ref = dynCast<DeclRefExpr>(ignoreParens(B->LHS));
-  if (!Ref || !Ref->Decl)
-    return false; // array/pointer stores: join unsupported (paper)
-  if (!Ref->Decl->Ty->isFloating())
-    return false; // integer or vector variables: unsupported
-  Targets.insert(Ref->Decl);
-  return collectAssignTargets(B->RHS, Targets);
-}
-
-bool Interp::collectJoinTargets(const Stmt *S,
-                                std::set<const VarDecl *> &Targets) {
-  switch (S->kind()) {
-  case Stmt::Kind::Compound:
-    for (const Stmt *Child : cast<CompoundStmt>(S)->Body)
-      if (!collectJoinTargets(Child, Targets))
-        return false;
-    return true;
-  case Stmt::Kind::ExprStmt:
-    return collectAssignTargets(cast<ExprStmt>(S)->E, Targets);
-  case Stmt::Kind::If: {
-    const auto *If = cast<IfStmt>(S);
-    return collectJoinTargets(If->Then, Targets) &&
-           (!If->Else || collectJoinTargets(If->Else, Targets));
+void Interp::ifTBool(const L::Stmt *S, Frame &F) {
+  // Not reached for the exception policy: stmt() handles it.
+  TBool Cond = asTBool(expr(S->E, F));
+  if (Cond == TBool::True) {
+    stmt(S->Then, F); // join-safe bodies cannot break or return
+    return;
   }
-  case Stmt::Kind::Null:
-    return true;
-  default:
-    return false; // loops, returns, declarations: bail out
-  }
-}
-
-Flow Interp::execIf(const IfStmt *S, Frame &F) {
-  if (!isTBoolExpr(S->Cond)) {
-    Value Cond = evalExpr(S->Cond, F);
-    if (cvtCond(Cond, "if"))
-      return execStmt(S->Then, F);
+  if (Cond == TBool::False) {
     if (S->Else)
-      return execStmt(S->Else, F);
-    return Flow();
+      stmt(S->Else, F);
+    return;
   }
+  // Unknown: both branches from the same state, then the hull.
+  std::vector<Interval> Saved, ThenRes;
+  const L::StmtExt &X = *S->Ext;
+  for (int V : X.Targets) {
+    if (F.Slots[V].Kind != Value::K::Iv)
+      fail("unsupported", "join target is not an initialized interval");
+    Saved.push_back(F.Slots[V].V);
+  }
+  stmt(X.Then2, F);
+  for (size_t I = 0; I < X.Targets.size(); ++I) {
+    Value &Slot = F.Slots[X.Targets[I]];
+    ThenRes.push_back(Slot.V);
+    Slot = Value::makeIv(Saved[I]);
+  }
+  if (X.Else2)
+    stmt(X.Else2, F);
+  for (size_t I = 0; I < X.Targets.size(); ++I) {
+    Value &Slot = F.Slots[X.Targets[I]];
+    Slot = Value::makeIv(rt::ia_join_f64(asInterval(Slot), ThenRes[I]));
+  }
+}
 
-  TBool Cond = asTBool(evalExpr(S->Cond, F));
-  std::set<const VarDecl *> Targets;
-  bool JoinSafe = Opts.JoinBranches && collectJoinTargets(S->Then, Targets) &&
-                  (!S->Else || collectJoinTargets(S->Else, Targets));
-  if (!JoinSafe) {
-    // Exception policy (transform: ia_cvt2bool_tb, may signal).
+void Interp::rowKernel(const L::Stmt *S, Frame &F) {
+  long long Lo = asInt(expr(S->E, F), "row bound");
+  long long Hi = asInt(expr(S->E2, F), "row bound");
+  if (!(Lo < Hi))
+    return;
+  const unsigned long long N = static_cast<unsigned long long>(Hi) -
+                               static_cast<unsigned long long>(Lo);
+  // The whole row is checked before the kernel reads any of it.
+  auto rowPtr = [&](int I) {
+    PtrVal P = asPtr(expr(S->Ext->X[2 * I], F));
+    const L::Expr *Offset = S->Ext->X[2 * I + 1];
+    long long First = Offset ? asInt(expr(Offset, F), "row offset") : 0;
+    if (!S->FromZero)
+      First += Lo;
+    return row(P, First, N);
+  };
+  step(N);
+  if (S->Row == L::Stmt::RowKind::Axpy) {
+    Interval *Y = rowPtr(0);
+    Interval A = iv(S->Ext->Scalar, F);
+    Interval *X = rowPtr(1);
+    rt::ia_axpy_f64(Y, A, X, N);
+    return;
+  }
+  LValue Acc = lvalue(S->Ext->Scalar, F);
+  Interval *Sum = Acc.Element;
+  if (!Sum) {
+    if (Acc.Slot->Kind != Value::K::Iv)
+      fail("unsupported", "read of uninitialized variable");
+    Sum = &Acc.Slot->V;
+  }
+  Interval *X = rowPtr(0);
+  Interval *Z = rowPtr(1);
+  if (S->Row == L::Stmt::RowKind::Dot)
+    rt::ia_dot_f64(Sum, X, Z, N);
+  else
+    rt::ia_dotsub_f64(Sum, X, Z, N);
+}
+
+void Interp::batchLoop(const L::Stmt *S, Frame &F) {
+  PtrVal D = asPtr(expr(S->E, F));
+  const L::StmtExt &X = *S->Ext;
+  PtrVal A = asPtr(expr(X.X[0], F));
+  PtrVal B;
+  if (X.X[1])
+    B = asPtr(expr(X.X[1], F));
+  const unsigned long long N =
+      static_cast<unsigned long>(asInt(expr(X.X[2], F), "trip count"));
+  if (N == 0)
+    return;
+  Interval *Dp = row(D, 0, N), *Ap = row(A, 0, N);
+  Interval *Bp = X.X[1] ? row(B, 0, N) : nullptr;
+  step(N);
+  if (S->Text == "add")
+    rt::ia_arr_add_f64(Dp, Ap, Bp, N);
+  else if (S->Text == "sub")
+    rt::ia_arr_sub_f64(Dp, Ap, Bp, N);
+  else if (S->Text == "mul")
+    rt::ia_arr_mul_f64(Dp, Ap, Bp, N);
+  else if (S->Text == "div")
+    rt::ia_arr_div_f64(Dp, Ap, Bp, N);
+  else
+    rt::ia_arr_sqrt_f64(Dp, Ap, N);
+}
+
+Flow Interp::loop(const L::Stmt *S, Frame &F) {
+  if (S->Kind == L::SK::For)
+    for (const L::Stmt *Init : S->Body) {
+      if (Init->Kind == L::SK::Decl)
+        decl(Init, F);
+      else
+        expr(Init->E, F);
+    }
+  const char *Where = S->Kind == L::SK::For     ? "for"
+                      : S->Kind == L::SK::While ? "while"
+                                                : "do-while";
+  bool First = true;
+  while (true) {
+    step();
+    if (S->E && !(S->Kind == L::SK::Do && First) &&
+        !cvtCond(expr(S->E, F), Where))
+      break;
+    First = false;
+    Flow Fl = stmt(S->Then, F);
+    if (Fl == Flow::Return)
+      return Fl;
+    if (Fl == Flow::Break)
+      break;
+    if (S->E2)
+      expr(S->E2, F);
+  }
+  return Flow::Normal;
+}
+
+Flow Interp::stmt(const L::Stmt *S, Frame &F) {
+  step();
+  switch (S->Kind) {
+  case L::SK::Block:
+    for (const L::Stmt *C : S->Body) {
+      Flow Fl = stmt(C, F);
+      if (Fl != Flow::Normal)
+        return Fl;
+    }
+    return Flow::Normal;
+  case L::SK::Decl:
+    decl(S, F);
+    return Flow::Normal;
+  case L::SK::ExprS:
+    expr(S->E, F);
+    return Flow::Normal;
+  case L::SK::If:
+    if (cvtCond(expr(S->E, F), "if"))
+      return stmt(S->Then, F);
+    return S->Else ? stmt(S->Else, F) : Flow::Normal;
+  case L::SK::IfTBool: {
+    if (S->Join) {
+      ifTBool(S, F);
+      return Flow::Normal;
+    }
+    // Exception policy: ia_cvt2bool_tb signals on unknown.
+    TBool Cond = asTBool(expr(S->E, F));
     if (Cond == TBool::Unknown)
       fail("unknown-branch", "interval branch condition is unknown");
     if (Cond == TBool::True)
-      return execStmt(S->Then, F);
-    if (S->Else)
-      return execStmt(S->Else, F);
-    return Flow();
+      return stmt(S->Then, F);
+    return S->Else ? stmt(S->Else, F) : Flow::Normal;
   }
-
-  // Join mode (transform emitIf): run both branches on the unknown
-  // state and hull the results.
-  if (Cond == TBool::True)
-    return execStmt(S->Then, F);
-  if (Cond == TBool::False) {
-    if (S->Else)
-      return execStmt(S->Else, F);
-    return Flow();
+  case L::SK::For:
+  case L::SK::While:
+  case L::SK::Do:
+    return loop(S, F);
+  case L::SK::Versioned: {
+    Interval V = iv(S->E, F);
+    return stmt(rt::ia_inf_f64(V) >= 0.0   ? S->Then
+                : rt::ia_sup_f64(V) <= 0.0 ? S->Else
+                                           : S->Ext->Then2,
+                F);
   }
-  std::map<const VarDecl *, Interval> Saved, ThenRes;
-  for (const VarDecl *V : Targets) {
-    Value *Slot = slotFor(F, V);
-    if (Slot->Kind != Value::K::Iv)
-      fail("unsupported", "join target is not an initialized interval");
-    Saved.emplace(V, Slot->V);
+  case L::SK::RowKernel:
+    rowKernel(S, F);
+    return Flow::Normal;
+  case L::SK::BatchLoop:
+    batchLoop(S, F);
+    return Flow::Normal;
+  case L::SK::AccInit:
+    rt::isum_init_f64(&F.Accs[S->Slot2], iv(S->E, F));
+    return Flow::Normal;
+  case L::SK::AccFeed:
+    rt::isum_accumulate_f64(&F.Accs[S->Slot2], iv(S->E, F));
+    return Flow::Normal;
+  case L::SK::AccReduce: {
+    if (S->Narrow)
+      fail("unsupported",
+           "double-double operations are not supported by the eval tier");
+    store(lvalue(S->E2, F), rt::isum_reduce_f64(&F.Accs[S->Slot2]));
+    return Flow::Normal;
   }
-  Flow Fl = execStmt(S->Then, F); // join-safe bodies cannot break/return
-  (void)Fl;
-  for (const VarDecl *V : Targets) {
-    Value *Slot = slotFor(F, V);
-    ThenRes.emplace(V, Slot->V);
-    Slot->V = Saved.at(V);
+  case L::SK::TolShadow:
+    // _a = ia_set_tol_f64(a, tol); the parameter holds the point value.
+    F.Slots[S->Slot] =
+        Value::makeIv(rt::ia_set_tol_f64(F.Slots[S->Slot2].V.hi(), S->Tol));
+    return Flow::Normal;
+  case L::SK::Return:
+  case L::SK::TierReturn: // a tier wrapper returns its f64i result
+    Ret = S->E ? expr(S->E, F) : Value();
+    return Flow::Return;
+  case L::SK::Break:
+    return Flow::Break;
+  case L::SK::Continue:
+    return Flow::Continue;
+  case L::SK::Null:
+  case L::SK::Emit: // harden checks and tier snapshots: emission only
+    break;
   }
-  if (S->Else)
-    execStmt(S->Else, F);
-  for (const VarDecl *V : Targets) {
-    Value *Slot = slotFor(F, V);
-    Slot->V = iHull(Slot->V, ThenRes.at(V));
-  }
-  return Flow();
+  return Flow::Normal;
 }
 
-Flow Interp::execFor(const ForStmt *S, Frame &F, const FunctionDecl *Fn) {
-  if (S->Init) {
-    if (const auto *DS = dynCast<DeclStmt>(S->Init)) {
-      for (const VarDecl *D : DS->Decls)
-        execDecl(D, F);
-    } else if (const auto *ES = dynCast<ExprStmt>(S->Init)) {
-      evalExpr(ES->E, F);
-    }
-  }
-
-  // Reduction accumulators (transform emitFor): initialize with the
-  // current target enclosure before the loop, feed terms at the update
-  // statement, finalize after the loop.
-  std::vector<const ReductionSite *> Sites;
-  if (Opts.EnableReductions)
-    Sites = reductionsFor(Fn).sitesForLoop(S);
-  std::deque<SumAccumulatorF64> Accs;
-  for (const ReductionSite *Site : Sites) {
-    Accs.emplace_back();
-    Accs.back().init(asInterval(evalExpr(Site->Target, F)));
-    UpdateToAcc[Site->Update].push_back({Site, &Accs.back()});
-  }
-  auto PopFeeds = [&] {
-    for (const ReductionSite *Site : Sites) {
-      auto &Vec = UpdateToAcc[Site->Update];
-      Vec.pop_back();
-      if (Vec.empty())
-        UpdateToAcc.erase(Site->Update);
-    }
-  };
-
-  Flow Out;
-  while (true) {
-    step();
-    if (S->Cond) {
-      Value Cond = evalExpr(S->Cond, F);
-      if (!cvtCond(Cond, "for"))
-        break;
-    }
-    Flow Fl = execStmt(S->Body, F);
-    if (Fl.Kind == Flow::K::Return) {
-      // A return inside the loop skips the reduce finalization, exactly
-      // as the emitted code jumps past the post-loop assignment.
-      PopFeeds();
-      return Fl;
-    }
-    if (Fl.Kind == Flow::K::Break)
-      break;
-    if (S->Inc)
-      evalExpr(S->Inc, F);
-  }
-  PopFeeds();
-  for (size_t I = 0; I < Sites.size(); ++I) {
-    LValue L = evalLValue(Sites[I]->Target, F);
-    storeLValue(L, Value::makeIv(Accs[I].reduce()));
-  }
-  return Out;
-}
-
-Flow Interp::execCompound(const CompoundStmt *S, Frame &F) {
-  for (const Stmt *Child : S->Body) {
-    Flow Fl = execStmt(Child, F);
-    if (Fl.Kind != Flow::K::Normal)
-      return Fl;
-  }
-  return Flow();
-}
-
-Flow Interp::execStmt(const Stmt *S, Frame &F) {
-  step();
-  switch (S->kind()) {
-  case Stmt::Kind::Compound:
-    return execCompound(cast<CompoundStmt>(S), F);
-  case Stmt::Kind::DeclStmt:
-    for (const VarDecl *D : cast<DeclStmt>(S)->Decls)
-      execDecl(D, F);
-    return Flow();
-  case Stmt::Kind::ExprStmt: {
-    const auto *ES = cast<ExprStmt>(S);
-    auto It = UpdateToAcc.find(ES);
-    if (It != UpdateToAcc.end() && !It->second.empty()) {
-      // Reduction update: feed each term into the accumulator instead
-      // of executing the assignment (transform emitExprStmt).
-      const AccEntry &E = It->second.back();
-      for (const ReductionTerm &T : E.Site->Terms) {
-        Interval Term = asInterval(evalExpr(T.Term, F));
-        if (T.Negated)
-          Term = iNeg(Term);
-        E.Acc->accumulate(Term);
-      }
-      return Flow();
-    }
-    evalExpr(ES->E, F);
-    return Flow();
-  }
-  case Stmt::Kind::If:
-    return execIf(cast<IfStmt>(S), F);
-  case Stmt::Kind::For:
-    return execFor(cast<ForStmt>(S), F, CurFn);
-  case Stmt::Kind::While: {
-    const auto *W = cast<WhileStmt>(S);
-    while (true) {
-      step();
-      if (!cvtCond(evalExpr(W->Cond, F), "while"))
-        break;
-      Flow Fl = execStmt(W->Body, F);
-      if (Fl.Kind == Flow::K::Return)
-        return Fl;
-      if (Fl.Kind == Flow::K::Break)
-        break;
-    }
-    return Flow();
-  }
-  case Stmt::Kind::Do: {
-    const auto *D = cast<DoStmt>(S);
-    while (true) {
-      step();
-      Flow Fl = execStmt(D->Body, F);
-      if (Fl.Kind == Flow::K::Return)
-        return Fl;
-      if (Fl.Kind == Flow::K::Break)
-        break;
-      if (!cvtCond(evalExpr(D->Cond, F), "do-while"))
-        break;
-    }
-    return Flow();
-  }
-  case Stmt::Kind::Return: {
-    const auto *R = cast<ReturnStmt>(S);
-    Flow Fl;
-    Fl.Kind = Flow::K::Return;
-    if (R->Value) {
-      Value V = evalExpr(R->Value, F);
-      bool WantInterval =
-          R->Value->type() && R->Value->type()->isFloatingOrVector();
-      Fl.Ret = WantInterval ? Value::makeIv(asInterval(V)) : V;
-      Fl.HasRet = true;
-    }
-    return Fl;
-  }
-  case Stmt::Kind::Break: {
-    Flow Fl;
-    Fl.Kind = Flow::K::Break;
-    return Fl;
-  }
-  case Stmt::Kind::Continue: {
-    Flow Fl;
-    Fl.Kind = Flow::K::Continue;
-    return Fl;
-  }
-  case Stmt::Kind::Null:
-    return Flow();
-  }
-  return Flow();
-}
-
-Value Interp::callFunction(const FunctionDecl *Fn, std::vector<Value> Args) {
+Value Interp::call(const L::Function &Fn, std::vector<Value> Args) {
   if (++Depth > Opts.MaxCallDepth) {
     --Depth;
     fail("recursion-limit", "user-function call depth exceeded");
@@ -1076,73 +785,56 @@ Value Interp::callFunction(const FunctionDecl *Fn, std::vector<Value> Args) {
     CallsSincePoll = 0;
     checkDeadlineNow();
   }
-  const FunctionDecl *PrevFn = CurFn;
-  CurFn = Fn;
-
-  Frame F;
-  // Harden prologue (transform emitFunctionImpl): a dirty FP
-  // environment on entry poisons an interval-returning function to the
-  // whole line. The serve layer already repaired the environment; we
-  // only honor the verdict here, and only at the outermost frame
-  // (callees run under the now-sound environment, like AOT code whose
+  const FunctionDecl *Decl = Fn.Decl;
+  // A dirty FP environment on entry poisons an interval-returning
+  // function to the whole line. The serve layer already repaired the
+  // environment; only the outermost frame honors the verdict (callees
+  // run under the now-sound environment, like AOT code whose
   // igen_fenv_check repaired on the way in).
-  if (Opts.PoisonedEntry && Depth == 1 && Fn->RetTy->isFloating()) {
+  if (Opts.PoisonedEntry && Depth == 1 && Decl->RetTy->isFloating()) {
     --Depth;
-    CurFn = PrevFn;
     return Value::makeIv(Interval::entire());
   }
 
-  for (size_t I = 0; I < Fn->Params.size(); ++I) {
-    const VarDecl *P = Fn->Params[I];
-    Value *S = slotFor(F, P);
+  Frame F;
+  F.Slots.resize(Fn.Slots.size());
+  F.Accs.resize(static_cast<size_t>(Fn.NumAccs));
+  for (size_t I = 0; I < Fn.ParamSlots.size(); ++I) {
+    const VarDecl *P = Decl->Params[I];
     Value &A = Args[I];
     if (P->HasTolerance) {
-      // Tolerance shadow (transform: _a = ia_set_tol(a, TolUp)). All
-      // body references resolve through Renames to the shadow, so the
-      // slot holds the widened interval directly.
+      // The body reads the shadow (TolShadow); the slot keeps the point.
       if (A.Kind != Value::K::Iv || !A.V.isPoint())
         fail("bad-argument", "tolerance parameter '" + P->Name +
                                  "' takes a point value");
-      DdInterval TolEnc = ddIntervalFromDecimal(P->ToleranceSpelling);
-      double TolUp =
-          TolEnc.hasNaN() ? P->Tolerance : ddToDoubleUp(TolEnc.Hi);
-      *S = Value::makeIv(iSetTol(A.V.Hi, TolUp));
-      continue;
-    }
-    if (P->Ty->isSimdVector())
+    } else if (P->Ty->isSimdVector()) {
       fail("unsupported", "SIMD vector parameters are not supported");
-    if (P->Ty->isFloating()) {
+    } else if (P->Ty->isFloating()) {
       if (A.Kind != Value::K::Iv)
-        fail("bad-argument",
-             "parameter '" + P->Name + "' takes an interval");
-      *S = A;
+        fail("bad-argument", "parameter '" + P->Name + "' takes an interval");
     } else if (P->Ty->isInteger()) {
       if (A.Kind != Value::K::Int)
-        fail("bad-argument",
-             "parameter '" + P->Name + "' takes an integer");
-      *S = A;
+        fail("bad-argument", "parameter '" + P->Name + "' takes an integer");
     } else if (P->Ty->isPointer() || P->Ty->isArray()) {
       if (A.Kind != Value::K::Ptr)
-        fail("bad-argument",
-             "parameter '" + P->Name + "' takes an array");
-      *S = A;
+        fail("bad-argument", "parameter '" + P->Name + "' takes an array");
     } else {
-      fail("unsupported", "unsupported parameter type for '" + P->Name +
-                              "'");
+      fail("unsupported",
+           "unsupported parameter type for '" + P->Name + "'");
     }
+    F.Slots[Fn.ParamSlots[I]] = std::move(A);
   }
 
-  Flow Fl = execCompound(Fn->Body, F);
+  Ret = Value();
+  Flow Fl = stmt(Fn.Body, F);
   --Depth;
-  CurFn = PrevFn;
-
-  if (Fl.Kind == Flow::K::Return && Fl.HasRet)
-    return Fl.Ret;
-  if (Fn->RetTy->isFloating())
+  if (Fl == Flow::Return && Ret.Kind != Value::K::None)
+    return Ret;
+  if (Decl->RetTy->isFloating())
     // Falling off the end of a value-returning function is UB in C;
     // surface it as a typed error instead of an indeterminate value.
     fail("unsupported",
-         "function '" + Fn->Name + "' returned without a value");
+         "function '" + Decl->Name + "' returned without a value");
   return Value();
 }
 
@@ -1150,23 +842,25 @@ EvalResult Interp::run(const std::string &Function,
                        const std::vector<EvalArg> &Args) {
   EvalResult R;
   try {
-    const FunctionDecl *Fn = findDefined(Function);
+    const L::Function *Fn = Prog.findEntry(Function);
     if (!Fn)
       fail("no-such-function",
            "no defined function '" + Function + "' in this program");
-    if (Fn->Params.size() != Args.size())
+    if (Fn->ParamSlots.size() != Args.size())
       fail("bad-argument",
            "function '" + Function + "' takes " +
-               std::to_string(Fn->Params.size()) + " arguments, got " +
+               std::to_string(Fn->ParamSlots.size()) + " arguments, got " +
                std::to_string(Args.size()));
 
     // Marshal the wire arguments; array arguments are copied into the
     // result up front and mutated in place, so outputs fall out for
     // free and the caller's request object stays untouched.
+    size_t NumArrays = 0;
+    for (const EvalArg &A : Args)
+      NumArrays += A.K == EvalArg::Kind::Array;
+    R.ArrayOutputs.reserve(NumArrays); // no reallocation once aliased
     std::vector<Value> CallArgs;
-    std::vector<size_t> ArrayIndex(Args.size(), SIZE_MAX);
-    for (size_t I = 0; I < Args.size(); ++I) {
-      const EvalArg &A = Args[I];
+    for (const EvalArg &A : Args) {
       switch (A.K) {
       case EvalArg::Kind::Scalar:
         CallArgs.push_back(Value::makeIv(A.Scalar));
@@ -1175,11 +869,9 @@ EvalResult Interp::run(const std::string &Function,
         CallArgs.push_back(Value::makeInt(A.IntValue));
         break;
       case EvalArg::Kind::Tolerance:
-        CallArgs.push_back(
-            Value::makeIv(Interval::fromPoint(A.Point)));
+        CallArgs.push_back(Value::makeIv(Interval::fromPoint(A.Point)));
         break;
       case EvalArg::Kind::Array: {
-        ArrayIndex[I] = R.ArrayOutputs.size();
         R.ArrayOutputs.push_back(A.Elements);
         PtrVal P;
         P.Base = R.ArrayOutputs.back().data();
@@ -1189,12 +881,8 @@ EvalResult Interp::run(const std::string &Function,
       }
       }
     }
-    // ArrayOutputs must not reallocate once pointers are taken.
-    for (size_t I = 0; I < Args.size(); ++I)
-      if (ArrayIndex[I] != SIZE_MAX)
-        CallArgs[I].P.Base = R.ArrayOutputs[ArrayIndex[I]].data();
 
-    Value Ret = callFunction(Fn, std::move(CallArgs));
+    Value Ret = call(*Fn, std::move(CallArgs));
     if (Ret.Kind == Value::K::Iv) {
       R.HasReturn = true;
       R.Return = Ret.V;
@@ -1219,9 +907,9 @@ EvalResult igen::server::evalFunction(const InMemoryProgram &Prog,
                                       const std::string &Function,
                                       const std::vector<EvalArg> &Args,
                                       const EvalOptions &Opts) {
-  if (!Prog.Ast) {
+  if (!Prog.Lowered) {
     EvalResult R;
-    R.Error = {"unsupported", "program has no retained AST"};
+    R.Error = {"unsupported", "program has no retained lowered form"};
     return R;
   }
   if (Prog.Opts.Prec == TransformOptions::Precision::DoubleDouble) {
@@ -1231,7 +919,7 @@ EvalResult igen::server::evalFunction(const InMemoryProgram &Prog,
                "tier; use the emitted C artifact"};
     return R;
   }
-  return Interp(Prog, Opts).run(Function, Args);
+  return Interp(*Prog.Lowered, Opts).run(Function, Args);
 }
 
 bool igen::server::describeFunction(const InMemoryProgram &Prog,

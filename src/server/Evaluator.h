@@ -1,34 +1,33 @@
-//===- Evaluator.h - AST-walking interval evaluator -------------*- C++ -*-===//
+//===- Evaluator.h - Serve back end of the lowered form ---------*- C++ -*-===//
 //
 // Part of the IGen reproduction. BSD 3-Clause license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The serve-mode execution tier: interprets a type-checked IGen AST
-/// directly against src/interval/, with no C compiler round-trip. The
-/// interpreter mirrors the *naive* translation — what the transform
-/// emits at `-O0 --target=ss` — operation for operation: every float
-/// expression is an igen::Interval, every float comparison a TBool,
-/// constants get the same enclosure rules (Section IV-B), tolerance
-/// parameters the same upward-widened shadow, reductions the same
-/// SumAccumulatorF64 feeds, and the join branch policy the same
-/// save/run/restore/hull sequence. Because both paths compose the same
-/// pure interval operations in the same order under FE_UPWARD, eval
-/// results are bit-identical to AOT-compiled `-O0 --target=ss` output
-/// (ExecServeCompareTest pins this).
+/// The serve-mode execution tier: runs a cached program's lowered form
+/// (transform/Lowered.h) in-process, with no C compiler round-trip. The
+/// transformer lowers each function once and `igen` prints C from the
+/// same nodes, so the evaluator re-derives nothing: each interval op
+/// calls the runtime function the `--target=ss` artifact's `ia_*` call
+/// runs, in the same order under FE_UPWARD. Eval results are therefore
+/// bit-identical to the AOT `--target=ss` artifact of the same compile
+/// options, at `-O0` and at `-O` alike (sign-specialized ops, FMA
+/// fusion, CSE/hoist temps, `_fast` kernels, sign-versioned loops and
+/// row kernels included); ExecServeCompareTest pins this. The branch
+/// policy and the reduction transformation are compile options, fixed
+/// in the lowered form. Lines that only exist in the emitted C are
+/// skipped: the harden fenv checks (the daemon checks the environment
+/// per request itself) and the --tier snapshot and escalation (a served
+/// tier wrapper returns its f64i result and never escalates).
 ///
-/// The -O1 rewrites (sign-specialized mul/div, FMA fusion, CSE/hoist,
-/// _fast poly kernels) are value-changing-but-still-sound, so the
-/// interpreter deliberately does not replicate them; a request that
-/// asks for opt_level > 0 is still answered with the -O0 semantics and
-/// says so in the response.
-///
-/// Anything outside the interpretable subset (double-double precision,
+/// Anything outside the f64 scalar subset (double-double precision,
 /// SIMD vectors, external calls, allocation) produces a *typed* error —
 /// never an abort — so a hostile or unlucky request cannot take the
-/// daemon down. All state is per-call; the evaluator is re-entrant and
-/// safe to run concurrently on many threads against one shared AST.
+/// daemon down. Every memory access is bounds-checked (a row-kernel or
+/// batch-loop call checks its whole rows before it runs). All state is
+/// per-call; the evaluator is re-entrant and safe to run concurrently on
+/// many threads against one shared program.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,6 +67,8 @@ struct EvalArg {
 ///   unknown-branch     a branch condition evaluated to TBool::Unknown
 ///   bad-argument       argument count/shape does not match the signature
 ///   no-such-function   the cached program has no such defined function
+///   out-of-bounds      an array access (or a row-kernel or batch-loop
+///                      row) reaches outside its buffer
 ///   step-limit         runaway loop tripped the per-request step budget
 ///   recursion-limit    call depth exceeded the per-request bound
 ///   int-div-zero       integer division or remainder by zero
@@ -89,29 +90,28 @@ struct EvalResult {
   long long ReturnInt = 0;
   /// Post-call contents of every Array argument, in argument order.
   std::vector<std::vector<Interval>> ArrayOutputs;
-  /// Interval operations executed (profile counter food).
+  /// Units of work executed, as the step budget counts them: one per
+  /// lowered expression and statement node, one per loop iteration and
+  /// one per element a row-kernel or batch-loop call processes.
   unsigned long long OpsExecuted = 0;
 };
 
 /// Per-request knobs, mirroring the IGEN_* environment the AOT runtime
 /// reads globally — isolated here so concurrent tenants cannot leak
-/// options into each other.
+/// options into each other. Lowering choices (branch policy, reductions,
+/// optimization level) are not here: they are compile options, part of
+/// the program.
 struct EvalOptions {
-  /// Branch policy for TBool conditions: false = exception semantics
-  /// (Unknown is a typed error), true = join where safe.
-  bool JoinBranches = false;
   /// Harden prologue: poison (return whole line) instead of evaluating
   /// when the FP environment was found dirty on entry. The caller does
   /// the actual sentinel check; this just tells the evaluator the
   /// verdict.
   bool PoisonedEntry = false;
-  /// Reduction transformation (loops marked `#pragma igen reduce`).
-  bool EnableReductions = false;
-  /// Abort interpretation after this many executed operations.
+  /// Abort evaluation after this many executed operations.
   unsigned long long StepLimit = 50u * 1000u * 1000u;
   /// Maximum user-function call depth.
   unsigned MaxCallDepth = 128;
-  /// Wall-clock deadline (monotonic). When HasDeadline, the interpreter
+  /// Wall-clock deadline (monotonic). When HasDeadline, the evaluator
   /// polls the clock at call entries and (amortized, every few hundred
   /// ops) at loop back-edges, yielding a typed "deadline-exceeded"
   /// error. Disabled requests pay one integer compare per op, nothing

@@ -625,14 +625,11 @@ std::string ServerCore::dispatch(std::string_view Frame,
           Args.push_back(parseEvalArg(A));
       }
 
-      // Per-request option isolation: defaults come from the program's
-      // own compile options (so eval matches the AOT artifact), and the
-      // request may override each knob without touching any process
-      // global.
+      // Per-request option isolation: the lowering (branch policy,
+      // reductions, opt level) is the program's, fixed at compile time so
+      // eval matches the AOT artifact; the request may set the remaining
+      // knobs without touching any process global.
       EvalOptions EO;
-      EO.JoinBranches =
-          Prog->Opts.Branches == TransformOptions::BranchPolicy::Join;
-      EO.EnableReductions = Prog->Opts.EnableReductions;
       EO.HasDeadline = HasDeadline;
       EO.Deadline = Deadline;
       bool PoisonPolicy = false;
@@ -641,14 +638,15 @@ std::string ServerCore::dispatch(std::string_view Frame,
       if (const JsonValue *O = Req.member("options")) {
         if (!O->isObject())
           bad("bad-option", "'options' must be an object");
-        if (const JsonValue *B = O->member("branch")) {
-          if (!B->isString() || (B->stringValue() != "exception" &&
-                                 B->stringValue() != "join"))
-            bad("bad-option", "branch must be \"exception\" or \"join\"");
-          EO.JoinBranches = B->stringValue() == "join";
-        }
-        if (O->member("reductions"))
-          EO.EnableReductions = getBool(*O, "reductions", false);
+        // Lowering choices are compile options: an eval cannot change
+        // them (a join override would run guard-derived -O ops on states
+        // the exception-policy guards no longer prove).
+        for (const char *Compile : {"branch", "reductions"})
+          if (O->member(Compile))
+            bad("bad-option", std::string("'") + Compile +
+                                  "' is a compile option; compile with "
+                                  "\"options\":{\"" + Compile +
+                                  "\":...} instead");
         if (const JsonValue *FP = O->member("fenv_policy")) {
           if (!FP->isString())
             bad("bad-option", "fenv_policy must be a string");
@@ -723,8 +721,9 @@ std::string ServerCore::dispatch(std::string_view Frame,
         double Width = R.Return.hi() - R.Return.lo();
         Wide = !(Width <= TierWidth); // NaN widths count as wide
       }
-      bool AotExact = Prog->Opts.OptLevel == 0 &&
-                      Prog->Opts.ScalarLibrary &&
+      // The served lowering is the artifact's exactly when the artifact
+      // is the f64 scalar-library one without tier escalation.
+      bool AotExact = Prog->Opts.ScalarLibrary && !Prog->Opts.Tier &&
                       Prog->Opts.Prec == TransformOptions::Precision::Double;
 
       JsonWriter W;

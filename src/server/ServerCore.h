@@ -26,12 +26,23 @@
 ///    "options":{...}}
 ///     Args: number | {"lo":..,"hi":..} | {"hex":"<16hex>"} |
 ///     {"lo_hex":..,"hi_hex":..} | {"int":N} | {"point":X} |
-///     {"array":[...]}. Options: branch, reductions, fenv_policy
-///     ("repair"|"poison"), tier_width, step_limit.
+///     {"array":[...]}. Options: fenv_policy ("repair"|"poison"),
+///     tier_width, step_limit. The evaluator runs the program's lowered
+///     form, the same nodes the emitted C is printed from, so the compile
+///     options decide the semantics: an opt_level 1 program runs the -O
+///     lowering, and the branch policy and reductions are the compiled
+///     ones. An eval that carries "branch" or "reductions" gets a typed
+///     bad-option error naming the compile option to use.
 ///     -> {"ok":true,"result":{...},"arrays":[...],"poisoned":bool,
 ///         "wide":bool,"aot_exact":bool,"ops":N}
 ///     Endpoints come back both as decimal and as IEEE bit patterns
 ///     (lo_hex/hi_hex), so bit-exact transport survives JSON.
+///     aot_exact: the result is bit-identical to the emitted C compiled
+///     for the same options -- true for f64 --target=ss programs without
+///     --tier, at any opt_level (a tier artifact may escalate to its
+///     double-double clone, which the daemon never does). ops: the units
+///     the step budget counts (lowered nodes executed, loop iterations,
+///     and the elements of row-kernel and batch-loop calls).
 ///
 ///   {"op":"stats"}   -> the igen_serve_stats v2 schema (cache
 ///                       hit/miss/evict, per-endpoint counts, log2

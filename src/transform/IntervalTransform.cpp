@@ -6,6 +6,8 @@
 
 #include "transform/IntervalTransform.h"
 
+#include "transform/Lowered.h"
+
 #include "analysis/BatchLoopAnalysis.h"
 #include "frontend/Sema.h"
 #include "interval/DdInterval.h"
@@ -17,133 +19,23 @@
 #include "interval/Ulp.h"
 #include "support/StringExtras.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <set>
+#include <tuple>
+#include <unordered_map>
 
 using namespace igen;
+namespace L = igen::lowered;
+using L::Cat;
 
 namespace {
-
-/// Category of a transformed expression.
-enum class Cat {
-  Plain,    ///< ordinary C value (integers, pointers, plain conditions)
-  Interval, ///< an interval (f64i/ddi or a vector of intervals)
-  TBool,    ///< three-valued boolean from an interval comparison
-};
-
-/// Result of transforming one expression.
-struct TR {
-  std::string Code;
-  Cat C = Cat::Plain;
-  const Type *OrigTy = nullptr;
-
-  // Compile-time interval constant (Section IV-B, "Interval constants").
-  bool IsConst = false;
-  Interval CF64;  ///< enclosure used when targeting double
-  DdInterval CDd; ///< enclosure used when targeting double-double
-};
-
-/// Formats a double as a C expression reconstructing it exactly.
-std::string fmtDouble(double V) {
-  if (std::isnan(V))
-    return "__builtin_nan(\"\")";
-  if (std::isinf(V))
-    return V > 0 ? "__builtin_inf()" : "-__builtin_inf()";
-  std::string Out;
-  appendDouble17g(Out, V); // always round-trips IEEE doubles
-  return Out;
-}
-
-/// Parenthesizes plain compound expressions when embedded.
-std::string maybeParen(const TR &V) {
-  if (V.C != Cat::Plain)
-    return V.Code;
-  if (V.Code.find(' ') != std::string::npos)
-    return "(" + V.Code + ")";
-  return V.Code;
-}
-
 //===----------------------------------------------------------------------===//
 // Profile-site support: source-text reconstruction for reports
 //===----------------------------------------------------------------------===//
-
-const char *unaryOpSpelling(UnaryExpr::Op O) {
-  switch (O) {
-  case UnaryExpr::Op::Neg:
-    return "-";
-  case UnaryExpr::Op::Plus:
-    return "+";
-  case UnaryExpr::Op::LogicalNot:
-    return "!";
-  case UnaryExpr::Op::BitNot:
-    return "~";
-  case UnaryExpr::Op::PreInc:
-  case UnaryExpr::Op::PostInc:
-    return "++";
-  case UnaryExpr::Op::PreDec:
-  case UnaryExpr::Op::PostDec:
-    return "--";
-  case UnaryExpr::Op::Deref:
-    return "*";
-  case UnaryExpr::Op::AddrOf:
-    return "&";
-  }
-  return "?";
-}
-
-const char *binaryOpSpelling(BinaryExpr::Op O) {
-  switch (O) {
-  case BinaryExpr::Op::Add:
-    return "+";
-  case BinaryExpr::Op::Sub:
-    return "-";
-  case BinaryExpr::Op::Mul:
-    return "*";
-  case BinaryExpr::Op::Div:
-    return "/";
-  case BinaryExpr::Op::Rem:
-    return "%";
-  case BinaryExpr::Op::Shl:
-    return "<<";
-  case BinaryExpr::Op::Shr:
-    return ">>";
-  case BinaryExpr::Op::BitAnd:
-    return "&";
-  case BinaryExpr::Op::BitOr:
-    return "|";
-  case BinaryExpr::Op::BitXor:
-    return "^";
-  case BinaryExpr::Op::LT:
-    return "<";
-  case BinaryExpr::Op::GT:
-    return ">";
-  case BinaryExpr::Op::LE:
-    return "<=";
-  case BinaryExpr::Op::GE:
-    return ">=";
-  case BinaryExpr::Op::EQ:
-    return "==";
-  case BinaryExpr::Op::NE:
-    return "!=";
-  case BinaryExpr::Op::LAnd:
-    return "&&";
-  case BinaryExpr::Op::LOr:
-    return "||";
-  case BinaryExpr::Op::Assign:
-    return "=";
-  case BinaryExpr::Op::AddAssign:
-    return "+=";
-  case BinaryExpr::Op::SubAssign:
-    return "-=";
-  case BinaryExpr::Op::MulAssign:
-    return "*=";
-  case BinaryExpr::Op::DivAssign:
-    return "/=";
-  }
-  return "?";
-}
 
 /// Reconstructs approximate source text for a profile site's "where"
 /// column. Best effort only — reports consume it, nothing parses it.
@@ -162,12 +54,12 @@ std::string unparseExpr(const Expr *E) {
   case Expr::Kind::Unary: {
     const auto *U = cast<UnaryExpr>(E);
     if (U->O == UnaryExpr::Op::PostInc || U->O == UnaryExpr::Op::PostDec)
-      return unparseExpr(U->Sub) + unaryOpSpelling(U->O);
-    return std::string(unaryOpSpelling(U->O)) + unparseExpr(U->Sub);
+      return unparseExpr(U->Sub) + L::opSpelling(U->O);
+    return std::string(L::opSpelling(U->O)) + unparseExpr(U->Sub);
   }
   case Expr::Kind::Binary: {
     const auto *B = cast<BinaryExpr>(E);
-    return unparseExpr(B->LHS) + " " + binaryOpSpelling(B->O) + " " +
+    return unparseExpr(B->LHS) + " " + L::opSpelling(B->O) + " " +
            unparseExpr(B->RHS);
   }
   case Expr::Kind::Conditional: {
@@ -429,13 +321,54 @@ std::string escapeCString(const std::string &S) {
   return Out;
 }
 
+
+
+/// Result of lowering one expression: its node plus what the lowering of
+/// the enclosing expression needs to know about it.
+struct TR {
+  TR(L::Expr *N = nullptr, const Type *OrigTy = nullptr)
+      : N(N), OrigTy(OrigTy) {}
+
+  L::Expr *N;
+  const Type *OrigTy;
+
+  // Compile-time interval constant (Section IV-B, "Interval constants").
+  bool IsConst = false;
+  Interval CF64;  ///< enclosure used when targeting double
+  DdInterval CDd; ///< enclosure used when targeting double-double
+
+  Cat C() const { return N->C; }
+};
+
+/// The math functions with interval kernels (classifyCallee's set, after
+/// the float suffix and fabs/fmin/fmax are canonicalized), with their
+/// certified-polynomial `_fast` variants.
+std::optional<L::Op> mathOp(const std::string &Base, bool Fast) {
+  static const std::tuple<const char *, L::Op, L::Op> Table[] = {
+      {"sqrt", L::Op::Sqrt, L::Op::Sqrt},  {"abs", L::Op::Abs, L::Op::Abs},
+      {"ceil", L::Op::Ceil, L::Op::Ceil},
+      {"floor", L::Op::Floor, L::Op::Floor},
+      {"exp", L::Op::Exp, L::Op::ExpFast}, {"log", L::Op::Log, L::Op::LogFast},
+      {"sin", L::Op::Sin, L::Op::SinFast}, {"cos", L::Op::Cos, L::Op::CosFast},
+      {"tan", L::Op::Tan, L::Op::Tan},     {"atan", L::Op::Atan, L::Op::Atan},
+      {"asin", L::Op::Asin, L::Op::Asin},  {"acos", L::Op::Acos, L::Op::Acos},
+  };
+  for (const auto &[Name, Plain, FastOp] : Table)
+    if (Base == Name)
+      return Fast ? FastOp : Plain;
+  return std::nullopt;
+}
+
 class Transformer {
 public:
   Transformer(ASTContext &Ctx, DiagnosticsEngine &Diags,
               const TransformOptions &Opts)
       : Ctx(Ctx), Diags(&Diags), Opts(Opts) {}
 
-  std::string run();
+  /// Lowers and prints the translation unit. With \p Keep, the lowered
+  /// functions move there after printing; without, each is freed once
+  /// printed, so a one-shot compile never holds a whole TU's nodes.
+  std::string run(L::Program *Keep);
 
   const ProfileSiteTable &siteTable() const { return SiteTable; }
 
@@ -451,20 +384,24 @@ private:
            TMode == TierMode::DdClone;
   }
   std::string sfx() const { return isDd() ? "dd" : "f64"; }
+  L::Sfx sfxOp() const { return isDd() ? L::Sfx::Dd : L::Sfx::F64; }
   std::string scalarIntervalType() const { return isDd() ? "ddi" : "f64i"; }
 
   /// Promoted spelling of a SIMD vector type (Table II).
   std::string vecTypeName(const Type *T) const {
+    return T->isSimdVector() ? L::sfxName(vecSfx(T)) : scalarIntervalType();
+  }
+  L::Sfx vecSfx(const Type *T) const {
     switch (T->kind()) {
     case Type::Kind::M128D:
-      return isDd() ? "ddi_2" : "m256di_1";
+      return isDd() ? L::Sfx::Ddi2 : L::Sfx::M256di1;
     case Type::Kind::M128:
     case Type::Kind::M256D:
-      return isDd() ? "ddi_4" : "m256di_2";
+      return isDd() ? L::Sfx::Ddi4 : L::Sfx::M256di2;
     case Type::Kind::M256:
-      return isDd() ? "ddi_8" : "m256di_4";
+      return isDd() ? L::Sfx::Ddi8 : L::Sfx::M256di4;
     default:
-      return scalarIntervalType();
+      return sfxOp();
     }
   }
 
@@ -529,6 +466,81 @@ private:
     return U && U->O == UnaryExpr::Op::Deref;
   }
 
+  // Node construction.
+  L::Expr *node(L::EK K, Cat C) { return Fn->Store->newExpr(K, C); }
+  L::Expr *iop(L::Op O, L::Sfx S, std::initializer_list<L::Expr *> Args,
+               Cat C = Cat::Interval) {
+    L::Expr *N = node(L::EK::IOp, C);
+    N->O = O;
+    N->S = S;
+    unsigned I = 0;
+    for (L::Expr *A : Args)
+      N->A[I++] = A;
+    return N;
+  }
+  L::Expr *plain(L::EK K, L::Expr *A, L::Expr *B, Cat C = Cat::Plain) {
+    L::Expr *N = node(K, C);
+    N->A[0] = A;
+    N->A[1] = B;
+    return N;
+  }
+  L::Expr *unary(UnaryExpr::Op O, L::Expr *Sub, Cat C = Cat::Plain) {
+    L::Expr *N = plain(L::EK::Unary, Sub, nullptr, C);
+    N->UOp = O;
+    return N;
+  }
+  L::Expr *binary(BinaryExpr::Op O, L::Expr *A, L::Expr *B) {
+    L::Expr *N = plain(L::EK::Binary, A, B);
+    N->BOp = O;
+    return N;
+  }
+  /// A reference to frame slot \p Slot; one shared node per slot.
+  L::Expr *var(int Slot, Cat C) {
+    if (Slot >= static_cast<int>(VarNodes.size()))
+      VarNodes.resize(Slot + 1);
+    L::Expr *&N = VarNodes[Slot];
+    if (!N || N->C != C) {
+      N = node(L::EK::Var, C);
+      N->Slot = Slot;
+    }
+    return N;
+  }
+  /// Reference to a source variable (its tolerance shadow when renamed).
+  L::Expr *declRef(const DeclRefExpr *Ref) {
+    auto It = Renames.find(Ref->Decl);
+    const Type *Ty = Ref->type();
+    Cat C = It != Renames.end() || (Ty && Ty->isFloatingOrVector())
+                ? Cat::Interval
+                : Cat::Plain;
+    if (It != Renames.end())
+      return var(It->second, C);
+    if (!Ref->Decl) {
+      L::Expr *N = node(L::EK::Var, C);
+      N->Text = Ref->Name;
+      return N;
+    }
+    return var(varSlot(Ref->Decl), C);
+  }
+  L::Stmt *add(L::Stmt *S) {
+    Cur->push_back(S);
+    return S;
+  }
+  L::Stmt *emit(std::string Text) {
+    L::Stmt *S = Fn->Store->newStmt(L::SK::Emit);
+    S->Text = Fn->Store->own(std::move(Text));
+    return add(S);
+  }
+  int varSlot(const VarDecl *D) {
+    auto [It, New] = SlotOf.try_emplace(D, static_cast<int>(Fn->Slots.size()));
+    if (New)
+      Fn->Slots.push_back(D->Name);
+    return It->second;
+  }
+  int tempSlot(std::string Name) {
+    Fn->Slots.push_back(std::move(Name));
+    return static_cast<int>(Fn->Slots.size()) - 1;
+  }
+
   // Expressions.
   TR transformExpr(const Expr *E);
   TR transformBinary(const BinaryExpr *B);
@@ -560,39 +572,43 @@ private:
       return 'n';
     return 'u';
   }
-  std::string specializedMul(const Expr *LE, const Expr *RE,
-                             const std::string &LC, const std::string &RC);
-  std::string specializedDiv(const Expr *RE, const std::string &LC,
-                             const std::string &RC);
-  /// Fuses add/sub-of-mul into ia_fma_* (empty string: no fusion).
-  std::string tryFuseFma(const Expr *MulSide, const Expr *AddendExpr,
-                         const std::string &AddendCode, bool NegateMul,
-                         bool NegateAddend);
-  const std::string *findActiveTemp(const Expr *E) const;
+  L::Expr *specializedMul(const Expr *LE, const Expr *RE, L::Expr *LC,
+                          L::Expr *RC);
+  L::Expr *specializedDiv(const Expr *RE, L::Expr *LC, L::Expr *RC);
+  /// Fuses add/sub-of-mul into ia_fma_* (null: no fusion).
+  L::Expr *tryFuseFma(const Expr *MulSide, L::Expr *Addend, bool NegateMul,
+                      bool NegateAddend);
+  int findActiveTemp(const Expr *E) const;
   size_t emitCseTemps(const Stmt *S);
   void popTemps(size_t N) { ActiveTemps.resize(ActiveTemps.size() - N); }
   TR makeConstant(const Interval &F64, const DdInterval &Dd,
                   const Type *OrigTy);
-  std::string materializeConst(const TR &V) const;
-  std::string asInterval(const TR &V);
-  std::string asTBool(const TR &V);
-  std::string lvalueOf(const Expr *E);
+  L::Expr *asInterval(const TR &V);
+  L::Expr *asTBool(const TR &V);
+  L::Expr *asCondition(const TR &V) {
+    return V.C() == Cat::TBool ? iop(L::Op::Cvt2Bool, L::Sfx::None, {V.N},
+                                     Cat::Plain)
+                               : V.N;
+  }
+  L::Expr *lvalueOf(const Expr *E);
 
   // Statements.
   void emitStmt(const Stmt *S);
   void emitCompound(const CompoundStmt *S);
-  /// Emits a statement as a brace-wrapped body (flattens compounds).
-  void emitBody(const Stmt *S);
+  /// Lowers a statement as a brace-wrapped body (flattens compounds).
+  L::Stmt *body(const Stmt *S);
   void emitIf(const IfStmt *S);
   void emitFor(const ForStmt *S);
-  void emitLoopCopy(const ForStmt *S, const VarDecl *V, char Class);
+  L::Stmt *loopCopy(const ForStmt *S, const VarDecl *V, char Class);
   void emitRowKernel(const RowKernelLoop &K);
-  void emitWhileCond(std::string Keyword, const Expr *Cond);
-  void emitDecl(const VarDecl *D);
+  L::Stmt *lowerDecl(const VarDecl *D);
+  /// A CSE or hoist temp holding \p Init, reused for \p Rep while active.
+  void emitTemp(std::string Name, const Expr *Rep, L::Expr *Init);
   void emitExprStmt(const ExprStmt *S);
-  std::string forHeader(const ForStmt *S);
+  L::Stmt *forHeader(const ForStmt *S);
   void emitFunction(FunctionDecl *F);
   void emitFunctionImpl(FunctionDecl *F, const std::string &EmitName);
+  void finishFunction(std::unique_ptr<L::Function> LF);
 
   // Join-mode branch support: collects scalar interval variables assigned
   // within \p S; returns false if the branch does anything the join
@@ -601,38 +617,21 @@ private:
   bool collectAssignTargetsInExpr(const Expr *E,
                                   std::set<VarDecl *> &Targets);
 
-  void line(const std::string &Text) {
-    Body += std::string(Indent * 2, ' ');
-    Body += Text;
-    Body += '\n';
-  }
   std::string freshTemp() { return formatString("_t%d", ++TempCounter); }
 
-  /// Profiling hook wrapped around every scalar ia_* arithmetic call the
-  /// transformer emits. With Opts.Profile off it returns \p Call verbatim
-  /// (making the unprofiled output byte-identical by construction); with
-  /// it on, the call is rewritten to the corresponding iap_* wrapper
-  /// carrying a freshly assigned static site ID, and the site's metadata
-  /// (op, enclosing function, source location, reconstructed text) is
-  /// recorded in SiteTable. Called at emission time, so sign-specialized
-  /// and FMA-fused rewrites inherit the originating expression's site.
-  std::string prof(std::string Call, const Expr *Origin) {
-    if (!Opts.Profile)
-      return Call;
-    size_t Paren = Call.find('(');
-    if (Paren == std::string::npos || Call.compare(0, 3, "ia_") != 0)
-      return Call;
-    std::string Op = Call.substr(3, Paren - 3);
-    // Only the scalar f64/dd runtime has iap_* wrappers; vector calls
-    // (ia_*_m256di_k / ia_*_ddi_k) pass through uninstrumented.
-    if (endsWith(Op, "_f64"))
-      Op.resize(Op.size() - 4);
-    else if (endsWith(Op, "_dd"))
-      Op.resize(Op.size() - 3);
-    else
-      return Call;
+  /// Profiling hook on every scalar interval arithmetic op the lowering
+  /// picks. With Opts.Profile off it returns \p N unchanged; with it on,
+  /// an f64/dd op gets a freshly assigned site ID (the printer routes it
+  /// through the iap_* wrapper) and the site's metadata (op, enclosing
+  /// function, source location, reconstructed text) is recorded in
+  /// SiteTable. Sign-specialized and FMA-fused ops inherit the
+  /// originating expression's site. Vector ops stay uninstrumented.
+  L::Expr *prof(L::Expr *N, const Expr *Origin) {
+    N->Origin = Origin;
+    if (!Opts.Profile || (N->S != L::Sfx::F64 && N->S != L::Sfx::Dd))
+      return N;
     ProfileSite Site;
-    Site.Op = Op;
+    Site.Op = L::opInfo(N->O).Stem;
     Site.Func = CurFuncName;
     if (Origin) {
       Site.Line = Origin->loc().Line;
@@ -641,34 +640,25 @@ private:
       if (Site.Text.size() > 60)
         Site.Text = Site.Text.substr(0, 57) + "...";
     }
-    unsigned Id = static_cast<unsigned>(SiteTable.Sites.size());
+    N->Site = static_cast<int>(SiteTable.Sites.size());
     SiteTable.Sites.push_back(std::move(Site));
-    return "iap" + Call.substr(2, Paren - 2) +
-           formatString("(_igen_prof_base + %uu, ", Id) +
-           Call.substr(Paren + 1);
+    return N;
   }
 
-  /// Drops site- and region-table rows whose IDs never appear in the
-  /// emitted body and renumbers the survivors (one shared pass per table;
-  /// see compactIdReferences). Rewrites like FMA fusion build (and
-  /// thereby instrument) their operand code before deciding to replace
-  /// it, which can orphan a site; the embedded tables must only describe
+  /// Drops the site- and region-table rows of \p F that no node of its
+  /// final body references, and renumbers the survivors densely after the
+  /// rows of earlier functions. Rewrites like FMA fusion lower (and
+  /// thereby instrument) their operands before deciding to replace them,
+  /// which can orphan a site; the embedded tables must only describe
   /// entries that can actually execute.
-  void compactSites() {
-    std::vector<bool> KeepSite = compactIdReferences(
-        Body, "_igen_prof_base + ", SiteTable.Sites.size());
-    filterByMask(SiteTable.Sites, KeepSite);
-    std::vector<bool> KeepRegion = compactIdReferences(
-        Body, "_igen_tier_base + ", SiteTable.Regions.size());
-    filterByMask(SiteTable.Regions, KeepRegion);
-  }
+  void compactSites(L::Function &F);
 
   template <typename T>
-  static void filterByMask(std::vector<T> &Rows,
+  static void filterByMask(std::vector<T> &Rows, size_t Begin,
                            const std::vector<bool> &Keep) {
-    size_t Next = 0;
-    for (size_t I = 0; I < Rows.size(); ++I)
-      if (Keep[I]) {
+    size_t Next = Begin;
+    for (size_t I = Begin; I < Rows.size(); ++I)
+      if (Keep[I - Begin]) {
         if (Next != I)
           Rows[Next] = std::move(Rows[I]);
         ++Next;
@@ -682,24 +672,34 @@ private:
   DiagnosticsEngine *Diags;
   TransformOptions Opts;
   std::string Body;
-  int Indent = 0;
+  L::Program *Keep = nullptr;
+  /// Without Keep: the nodes of the function being lowered.
+  std::unique_ptr<L::NodeStore> FunctionStore;
   int TempCounter = 0;
   int AccCounter = 0;
   bool UsedGeneratedIntrinsics = false;
-  std::map<const VarDecl *, std::string> Renames;
+
+  // Per-function lowering state.
+  L::Function *Fn = nullptr;
+  std::vector<L::Stmt *> *Cur = nullptr;
+  std::unordered_map<const VarDecl *, int> SlotOf;
+  std::vector<L::Expr *> VarNodes; ///< per slot (see var())
+  std::map<const VarDecl *, int> Renames;
   ReductionAnalysisResult Reductions;
-  std::map<const Stmt *, std::pair<const ReductionSite *, std::string>>
+  /// Reduction update statement -> its site and accumulator (AccInit).
+  std::map<const Stmt *, std::pair<const ReductionSite *, const L::Stmt *>>
       UpdateToAcc;
 
   // Profiling state (per translation unit).
   ProfileSiteTable SiteTable;
   std::string CurFuncName;
+  /// Rows of SiteTable already final (earlier functions).
+  size_t SitesDone = 0, RegionsDone = 0;
 
   // --tier state (set per function while emitting the wrapper).
   TierMode TMode = TierMode::Off;
   unsigned TierRegionId = 0;
   bool TierMovable = true;
-  std::string TierCloneCall; ///< "<name>__dd(<snapshotted args>)"
 
   /// Functions *defined* in this TU (for --harden: calls to these need
   /// no post-call fenv guard, their own prologue re-checks; calls to
@@ -708,9 +708,9 @@ private:
 
   // Mid-end optimizer state (per function).
   OptFunctionInfo OptInfo;
-  /// Enclosures currently available in a named temp (_cseN/_hoistN),
-  /// innermost scope last. transformExpr consults this before emitting.
-  std::vector<std::pair<const Expr *, std::string>> ActiveTemps;
+  /// Enclosures currently available in a temp slot (_cseN/_hoistN),
+  /// innermost scope last. transformExpr consults this before lowering.
+  std::vector<std::pair<const Expr *, int>> ActiveTemps;
   int HoistCounter = 0;
   int CseCounter = 0;
   /// The loop copy being emitted by a sign-versioned for-loop: its
@@ -720,58 +720,41 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// Constants
+// Constants and category conversions
 //===----------------------------------------------------------------------===//
 
 TR Transformer::makeConstant(const Interval &F64, const DdInterval &Dd,
                              const Type *OrigTy) {
   TR R;
-  R.C = Cat::Interval;
+  R.N = node(L::EK::Const, Cat::Interval);
+  L::Constant *K = Fn->Store->newConstant();
+  K->F64 = F64;
+  K->Dd = Dd;
+  K->PrintUp = isRoundUpward();
+  R.N->K = K;
   R.OrigTy = OrigTy;
   R.IsConst = true;
   R.CF64 = F64;
   R.CDd = Dd;
-  R.Code = materializeConst(R);
   return R;
 }
 
-std::string Transformer::materializeConst(const TR &V) const {
-  if (!isDd()) {
-    const Interval &I = V.CF64;
-    if (I.isPoint())
-      return "ia_cst_f64(" + fmtDouble(I.hi()) + ")";
-    return "ia_set_f64(" + fmtDouble(I.lo()) + ", " + fmtDouble(I.hi()) +
-           ")";
-  }
-  const DdInterval &I = V.CDd;
-  bool Point = I.NegLo.H == -I.Hi.H && I.NegLo.L == -I.Hi.L;
-  if (Point && I.Hi.L == 0.0)
-    return "ia_cst_dd(" + fmtDouble(I.Hi.H) + ")";
-  return "ia_set_ddc(" + fmtDouble(-I.NegLo.H) + ", " +
-         fmtDouble(-I.NegLo.L) + ", " + fmtDouble(I.Hi.H) + ", " +
-         fmtDouble(I.Hi.L) + ")";
-}
-
-//===----------------------------------------------------------------------===//
-// Category conversions
-//===----------------------------------------------------------------------===//
-
-std::string Transformer::asInterval(const TR &V) {
-  if (V.C == Cat::Interval)
-    return V.Code;
-  if (V.C == Cat::TBool) {
+L::Expr *Transformer::asInterval(const TR &V) {
+  if (V.C() == Cat::Interval)
+    return V.N;
+  if (V.C() == Cat::TBool) {
     Diags->error(SourceLoc(), "cannot use a comparison result as a value");
-    return V.Code;
+    return V.N;
   }
   if (V.OrigTy && V.OrigTy->isInteger())
-    return "ia_cst_" + sfx() + "((double)(" + V.Code + "))";
-  return "ia_cst_" + sfx() + "(" + V.Code + ")";
+    return iop(L::Op::CstOfDouble, sfxOp(), {V.N});
+  return iop(L::Op::Cst, sfxOp(), {V.N});
 }
 
-std::string Transformer::asTBool(const TR &V) {
-  if (V.C == Cat::TBool)
-    return V.Code;
-  return "ia_bool2tb(" + V.Code + ")";
+L::Expr *Transformer::asTBool(const TR &V) {
+  if (V.C() == Cat::TBool)
+    return V.N;
+  return iop(L::Op::Bool2Tb, L::Sfx::None, {V.N}, Cat::TBool);
 }
 
 //===----------------------------------------------------------------------===//
@@ -779,20 +762,16 @@ std::string Transformer::asTBool(const TR &V) {
 //===----------------------------------------------------------------------===//
 
 TR Transformer::transformExpr(const Expr *E) {
-  if (const std::string *Temp = findActiveTemp(E)) {
-    TR R;
-    R.Code = *Temp;
-    R.C = Cat::Interval;
-    R.OrigTy = E->type();
-    return R;
-  }
+  int Temp = findActiveTemp(E);
+  if (Temp >= 0)
+    return {var(Temp, Cat::Interval), E->type()};
   switch (E->kind()) {
   case Expr::Kind::IntLiteral: {
     const auto *I = cast<IntLiteralExpr>(E);
-    TR R;
-    R.Code = I->Spelling;
-    R.OrigTy = E->type();
-    return R;
+    L::Expr *N = node(L::EK::IntLit, Cat::Plain);
+    N->Text = I->Spelling;
+    N->Int = I->Value;
+    return {N, E->type()};
   }
   case Expr::Kind::FloatLiteral: {
     const auto *F = cast<FloatLiteralExpr>(E);
@@ -819,21 +798,12 @@ TR Transformer::transformExpr(const Expr *E) {
       DdI = DdInterval::fromPoint(V);
     return makeConstant(F64I, DdI, E->type());
   }
-  case Expr::Kind::DeclRef: {
-    const auto *Ref = cast<DeclRefExpr>(E);
-    TR R;
-    auto It = Renames.find(Ref->Decl);
-    R.Code = It != Renames.end() ? It->second : Ref->Name;
-    R.OrigTy = E->type();
-    if (It != Renames.end() ||
-        (E->type() && E->type()->isFloatingOrVector()))
-      R.C = Cat::Interval;
-    return R;
-  }
+  case Expr::Kind::DeclRef:
+    return {declRef(cast<DeclRefExpr>(E)), E->type()};
   case Expr::Kind::Paren: {
     TR R = transformExpr(cast<ParenExpr>(E)->Sub);
-    if (R.C == Cat::Plain && !R.IsConst)
-      R.Code = "(" + R.Code + ")";
+    if (R.C() == Cat::Plain && !R.IsConst)
+      R.N = plain(L::EK::Paren, R.N, nullptr);
     return R;
   }
   case Expr::Kind::Unary:
@@ -845,21 +815,16 @@ TR Transformer::transformExpr(const Expr *E) {
     TR Cond = transformExpr(C->Cond);
     TR Then = transformExpr(C->Then);
     TR Else = transformExpr(C->Else);
-    if (Cond.C == Cat::TBool)
+    if (Cond.C() == Cat::TBool)
       Diags->error(E->loc(),
                    "interval-dependent '?:' conditions are not supported; "
                    "rewrite as an if statement");
-    TR R;
-    R.OrigTy = E->type();
-    if (E->type() && E->type()->isFloatingOrVector()) {
-      R.C = Cat::Interval;
-      R.Code = "(" + Cond.Code + " ? " + asInterval(Then) + " : " +
-               asInterval(Else) + ")";
-    } else {
-      R.Code =
-          "(" + Cond.Code + " ? " + Then.Code + " : " + Else.Code + ")";
-    }
-    return R;
+    bool IsInterval = E->type() && E->type()->isFloatingOrVector();
+    L::Expr *N = node(L::EK::Cond, IsInterval ? Cat::Interval : Cat::Plain);
+    N->A[0] = Cond.N;
+    N->A[1] = IsInterval ? asInterval(Then) : Then.N;
+    N->A[2] = IsInterval ? asInterval(Else) : Else.N;
+    return {N, E->type()};
   }
   case Expr::Kind::Call:
     return transformCall(cast<CallExpr>(E));
@@ -867,236 +832,204 @@ TR Transformer::transformExpr(const Expr *E) {
     const auto *I = cast<IndexExpr>(E);
     TR Base = transformExpr(I->Base);
     TR Idx = transformExpr(I->Idx);
-    TR R;
-    R.Code = Base.Code + "[" + Idx.Code + "]";
-    R.OrigTy = E->type();
-    if (E->type() && E->type()->isFloatingOrVector())
-      R.C = Cat::Interval;
+    bool IsInterval = E->type() && E->type()->isFloatingOrVector();
+    L::Expr *N = plain(L::EK::Index, Base.N, Idx.N,
+                       IsInterval ? Cat::Interval : Cat::Plain);
     if (cloneMemLvalue(E))
-      R.Code = "ia_promote_f64_dd(" + R.Code + ")";
-    return R;
+      N = iop(L::Op::Promote, L::Sfx::None, {N});
+    return {N, E->type()};
   }
   case Expr::Kind::Cast:
     return transformCast(cast<CastExpr>(E));
   }
-  return TR();
+  return {node(L::EK::IntLit, Cat::Plain), nullptr};
 }
 
 TR Transformer::transformUnary(const UnaryExpr *U) {
   TR Sub = transformExpr(U->Sub);
-  TR R;
-  R.OrigTy = U->type();
+  const Type *Ty = U->type();
+  auto un = [&](Cat C = Cat::Plain) -> TR {
+    return {unary(U->O, Sub.N, C), Ty};
+  };
   switch (U->O) {
   case UnaryExpr::Op::Neg:
     if (Sub.IsConst) {
       RoundUpwardScope Up;
-      return makeConstant(iNeg(Sub.CF64), ddiNeg(Sub.CDd), U->type());
+      return makeConstant(iNeg(Sub.CF64), ddiNeg(Sub.CDd), Ty);
     }
-    if (Sub.C == Cat::Interval) {
-      R.C = Cat::Interval;
-      std::string OpSfx = (Sub.OrigTy && Sub.OrigTy->isSimdVector())
-                              ? vecTypeName(Sub.OrigTy)
-                              : sfx();
-      R.Code = prof("ia_neg_" + OpSfx + "(" + Sub.Code + ")", U);
-      return R;
+    if (Sub.C() == Cat::Interval) {
+      L::Sfx S = Sub.OrigTy && Sub.OrigTy->isSimdVector()
+                     ? vecSfx(Sub.OrigTy)
+                     : sfxOp();
+      return {prof(iop(L::Op::Neg, S, {Sub.N}), U), Ty};
     }
-    R.Code = Sub.Code[0] == '-' ? "-(" + Sub.Code + ")"
-                                : "-" + maybeParen(Sub);
-    return R;
+    return un();
   case UnaryExpr::Op::Plus:
     return Sub;
   case UnaryExpr::Op::LogicalNot:
-    if (Sub.C == Cat::TBool) {
-      R.C = Cat::TBool;
-      R.Code = "ia_not_tb(" + Sub.Code + ")";
-      return R;
-    }
-    R.Code = "!" + maybeParen(Sub);
-    return R;
+    if (Sub.C() == Cat::TBool)
+      return {iop(L::Op::NotTb, L::Sfx::None, {Sub.N}, Cat::TBool), Ty};
+    return un();
   case UnaryExpr::Op::BitNot:
-    R.Code = "~" + maybeParen(Sub);
-    return R;
+    return un();
   case UnaryExpr::Op::PreInc:
   case UnaryExpr::Op::PreDec:
   case UnaryExpr::Op::PostInc:
-  case UnaryExpr::Op::PostDec: {
-    if (Sub.C == Cat::Interval) {
+  case UnaryExpr::Op::PostDec:
+    if (Sub.C() == Cat::Interval) {
       Diags->error(U->loc(), "++/-- on floating-point values is not "
                              "supported in the IGen C subset");
       return Sub;
     }
-    bool Pre =
-        U->O == UnaryExpr::Op::PreInc || U->O == UnaryExpr::Op::PreDec;
-    bool Inc =
-        U->O == UnaryExpr::Op::PreInc || U->O == UnaryExpr::Op::PostInc;
-    R.Code = Pre ? (std::string(Inc ? "++" : "--") + Sub.Code)
-                 : (Sub.Code + (Inc ? "++" : "--"));
-    return R;
-  }
-  case UnaryExpr::Op::Deref:
-    R.Code = "*" + maybeParen(Sub);
-    if (U->type() && U->type()->isFloatingOrVector())
-      R.C = Cat::Interval;
+    return un();
+  case UnaryExpr::Op::Deref: {
+    TR R = un(Ty && Ty->isFloatingOrVector() ? Cat::Interval : Cat::Plain);
     if (cloneMemLvalue(U))
-      R.Code = "ia_promote_f64_dd(" + R.Code + ")";
-    return R;
-  case UnaryExpr::Op::AddrOf:
-    R.Code = "&" + maybeParen(Sub);
+      R.N = iop(L::Op::Promote, L::Sfx::None, {R.N});
     return R;
   }
-  return R;
+  case UnaryExpr::Op::AddrOf:
+    return un();
+  }
+  return un();
 }
 
-const std::string *Transformer::findActiveTemp(const Expr *E) const {
+int Transformer::findActiveTemp(const Expr *E) const {
   if (ActiveTemps.empty())
-    return nullptr;
+    return -1;
   switch (ignoreParens(E)->kind()) {
   case Expr::Kind::Binary:
   case Expr::Kind::Unary:
   case Expr::Kind::Call:
     break; // only op nodes ever become temps
   default:
-    return nullptr;
+    return -1;
   }
-  for (const auto &[Rep, Name] : ActiveTemps)
+  for (const auto &[Rep, Slot] : ActiveTemps)
     if (exprCseEqual(Rep, E))
-      return &Name;
-  return nullptr;
+      return Slot;
+  return -1;
 }
 
-std::string Transformer::specializedMul(const Expr *LE, const Expr *RE,
-                                        const std::string &LC,
-                                        const std::string &RC) {
+L::Expr *Transformer::specializedMul(const Expr *LE, const Expr *RE,
+                                     L::Expr *LC, L::Expr *RC) {
   const char SL = signClassOf(LE), SR = signClassOf(RE);
   if (SL == 'u' && SR == 'u')
-    return "";
+    return nullptr;
   // Multiplication commutes and argument evaluation order is unspecified
   // in C anyway, but only reorder operands we know are side-effect-free.
   const bool Swappable = exprIsPureValue(LE) && exprIsPureValue(RE);
-  auto call = [&](const char *V, const std::string &A,
-                  const std::string &B) {
-    return std::string("ia_mul_") + V + "_f64(" + A + ", " + B + ")";
+  auto call = [&](L::Op O, L::Expr *A, L::Expr *B) {
+    return iop(O, L::Sfx::F64, {A, B});
   };
   if (SL == 'p' && SR == 'p')
-    return call("pp", LC, RC);
+    return call(L::Op::MulPP, LC, RC);
   if (SL == 'n' && SR == 'n')
-    return call("nn", LC, RC);
+    return call(L::Op::MulNN, LC, RC);
   if (SL == 'p' && SR == 'n')
-    return call("pn", LC, RC);
+    return call(L::Op::MulPN, LC, RC);
   if (SL == 'n' && SR == 'p')
-    return Swappable ? call("pn", RC, LC) : "";
+    return Swappable ? call(L::Op::MulPN, RC, LC) : nullptr;
   if (SL == 'p')
-    return call("pu", LC, RC);
+    return call(L::Op::MulPU, LC, RC);
   if (SR == 'p')
-    return Swappable ? call("pu", RC, LC) : "";
+    return Swappable ? call(L::Op::MulPU, RC, LC) : nullptr;
   if (SL == 'n')
-    return call("nu", LC, RC);
-  return Swappable ? call("nu", RC, LC) : ""; // SR == 'n'
+    return call(L::Op::MulNU, LC, RC);
+  return Swappable ? call(L::Op::MulNU, RC, LC) : nullptr; // SR == 'n'
 }
 
-std::string Transformer::specializedDiv(const Expr *RE,
-                                        const std::string &LC,
-                                        const std::string &RC) {
+L::Expr *Transformer::specializedDiv(const Expr *RE, L::Expr *LC,
+                                     L::Expr *RC) {
   const ValueFact F = OptInfo.factFor(RE);
   if (F.provenPos())
-    return "ia_div_p_f64(" + LC + ", " + RC + ")";
+    return iop(L::Op::DivP, L::Sfx::F64, {LC, RC});
   if (F.provenNeg())
-    return "ia_div_n_f64(" + LC + ", " + RC + ")";
-  return "";
+    return iop(L::Op::DivN, L::Sfx::F64, {LC, RC});
+  return nullptr;
 }
 
 /// Fuses `mul(a,b) + addend` (NegateMul/NegateAddend select the sub
 /// forms) into one ia_fma_* call. \p MulSide must be a floating scalar
 /// multiply that was not const-folded or CSE'd by the caller.
-std::string Transformer::tryFuseFma(const Expr *MulSide,
-                                    const Expr *AddendExpr,
-                                    const std::string &AddendCode,
-                                    bool NegateMul, bool NegateAddend) {
+L::Expr *Transformer::tryFuseFma(const Expr *MulSide, L::Expr *Addend,
+                                 bool NegateMul, bool NegateAddend) {
   const auto *M = dynCast<BinaryExpr>(ignoreParens(MulSide));
   if (!M || M->O != BinaryExpr::Op::Mul || !scalarF64(M->type()))
-    return "";
-  (void)AddendExpr;
+    return nullptr;
   TR A = transformExpr(M->LHS);
   TR Bv = transformExpr(M->RHS);
   if (A.IsConst && Bv.IsConst)
-    return ""; // would have folded; keep the constant path
-  std::string AC = asInterval(A), BC = asInterval(Bv);
+    return nullptr; // would have folded; keep the constant path
+  L::Expr *AC = asInterval(A), *BC = asInterval(Bv);
   char SA = signClassOf(M->LHS);
   const char SB = signClassOf(M->RHS);
   if (NegateMul) {
     // -(a*b) + c == (-a)*b + c; negation flips a's sign class exactly.
-    AC = "ia_neg_f64(" + AC + ")";
+    AC = iop(L::Op::Neg, L::Sfx::F64, {AC});
     SA = SA == 'p' ? 'n' : SA == 'n' ? 'p' : 'u';
   }
-  std::string CC = AddendCode;
+  L::Expr *CC = Addend;
   if (NegateAddend)
-    CC = "ia_neg_f64(" + CC + ")";
+    CC = iop(L::Op::Neg, L::Sfx::F64, {CC});
   const bool Swappable =
       exprIsPureValue(M->LHS) && exprIsPureValue(M->RHS) && !NegateMul;
-  auto call = [&](const char *V, const std::string &X,
-                  const std::string &Y) {
-    return std::string("ia_fma") + (*V ? "_" : "") + V + "_f64(" + X +
-           ", " + Y + ", " + CC + ")";
+  auto call = [&](L::Op O, L::Expr *X, L::Expr *Y) {
+    return iop(O, L::Sfx::F64, {X, Y, CC});
   };
   if (SA == 'p' && SB == 'p')
-    return call("pp", AC, BC);
+    return call(L::Op::FmaPP, AC, BC);
   if (SA == 'n' && SB == 'n')
-    return call("nn", AC, BC);
+    return call(L::Op::FmaNN, AC, BC);
   if (SA == 'p' && SB == 'n')
-    return call("pn", AC, BC);
+    return call(L::Op::FmaPN, AC, BC);
   if (SA == 'n' && SB == 'p')
-    return Swappable ? call("pn", BC, AC) : call("", AC, BC);
+    return Swappable ? call(L::Op::FmaPN, BC, AC) : call(L::Op::Fma, AC, BC);
   if (SA == 'p')
-    return call("pu", AC, BC);
+    return call(L::Op::FmaPU, AC, BC);
   if (SB == 'p')
-    return Swappable ? call("pu", BC, AC) : call("", AC, BC);
+    return Swappable ? call(L::Op::FmaPU, BC, AC) : call(L::Op::Fma, AC, BC);
   if (SA == 'n')
-    return call("nu", AC, BC);
+    return call(L::Op::FmaNU, AC, BC);
   if (SB == 'n')
-    return Swappable ? call("nu", BC, AC) : call("", AC, BC);
-  return call("", AC, BC);
+    return Swappable ? call(L::Op::FmaNU, BC, AC) : call(L::Op::Fma, AC, BC);
+  return call(L::Op::Fma, AC, BC);
 }
 
 TR Transformer::transformBinary(const BinaryExpr *B) {
+  const Type *Ty = B->type();
   if (B->isAssignment()) {
-    std::string LHS = lvalueOf(B->LHS);
+    L::Expr *LHS = lvalueOf(B->LHS);
     TR RHS = transformExpr(B->RHS);
     bool IntervalTarget =
         B->LHS->type() && B->LHS->type()->isFloatingOrVector();
-    TR R;
-    R.OrigTy = B->type();
-    if (!IntervalTarget) {
-      const char *OpStr = B->O == BinaryExpr::Op::Assign      ? " = "
-                          : B->O == BinaryExpr::Op::AddAssign ? " += "
-                          : B->O == BinaryExpr::Op::SubAssign ? " -= "
-                          : B->O == BinaryExpr::Op::MulAssign ? " *= "
-                                                              : " /= ";
-      R.Code = LHS + OpStr + RHS.Code;
-      return R;
-    }
-    R.C = Cat::Interval;
-    std::string OpSfx = B->LHS->type()->isSimdVector()
-                            ? vecTypeName(B->LHS->type())
-                            : sfx();
-    std::string Value = asInterval(RHS);
+    if (!IntervalTarget)
+      return {binary(B->O, LHS, RHS.N), Ty};
+    L::Sfx OpSfx = B->LHS->type()->isSimdVector() ? vecSfx(B->LHS->type())
+                                                  : sfxOp();
+    L::Expr *Value = asInterval(RHS);
+    auto store = [&](L::Expr *V) -> TR {
+      return {plain(L::EK::IStore, LHS, V, Cat::Interval),
+              Ty};
+    };
     // Clone memory ABI: the stored element is f64i; compound updates
     // promote the current value into the dd arithmetic and the final
     // value narrows back to its outer f64 hull on the way out.
     const bool MemAbi = cloneMemLvalue(B->LHS);
-    const std::string Cur =
-        MemAbi ? "ia_promote_f64_dd(" + LHS + ")" : LHS;
+    L::Expr *Cur =
+        MemAbi ? iop(L::Op::Promote, L::Sfx::None, {LHS}) : LHS;
     if (optOn() && scalarF64(B->LHS->type())) {
-      std::string Opt;
+      L::Expr *Opt = nullptr;
       switch (B->O) {
       case BinaryExpr::Op::AddAssign: // y += a*b  ->  y = fma(a, b, y)
-        if (!RHS.IsConst && !findActiveTemp(B->RHS) &&
+        if (!RHS.IsConst && findActiveTemp(B->RHS) < 0 &&
             !OptInfo.FmaLoopHazards.count(B))
-          Opt = tryFuseFma(B->RHS, nullptr, LHS, false, false);
+          Opt = tryFuseFma(B->RHS, LHS, false, false);
         break;
       case BinaryExpr::Op::SubAssign: // y -= a*b  ->  y = fma(-a, b, y)
-        if (!RHS.IsConst && !findActiveTemp(B->RHS) &&
+        if (!RHS.IsConst && findActiveTemp(B->RHS) < 0 &&
             !OptInfo.FmaLoopHazards.count(B))
-          Opt = tryFuseFma(B->RHS, nullptr, LHS, true, false);
+          Opt = tryFuseFma(B->RHS, LHS, true, false);
         break;
       case BinaryExpr::Op::MulAssign:
         Opt = specializedMul(B->LHS, B->RHS, LHS, Value);
@@ -1107,31 +1040,31 @@ TR Transformer::transformBinary(const BinaryExpr *B) {
       default:
         break;
       }
-      if (!Opt.empty()) {
-        R.Code = LHS + " = " + prof(Opt, B);
-        return R;
-      }
+      if (Opt)
+        return store(prof(Opt, B));
     }
+    L::Op O = L::Op::Add;
     switch (B->O) {
     case BinaryExpr::Op::AddAssign:
-      Value = prof("ia_add_" + OpSfx + "(" + Cur + ", " + Value + ")", B);
+      O = L::Op::Add;
       break;
     case BinaryExpr::Op::SubAssign:
-      Value = prof("ia_sub_" + OpSfx + "(" + Cur + ", " + Value + ")", B);
+      O = L::Op::Sub;
       break;
     case BinaryExpr::Op::MulAssign:
-      Value = prof("ia_mul_" + OpSfx + "(" + Cur + ", " + Value + ")", B);
+      O = L::Op::Mul;
       break;
     case BinaryExpr::Op::DivAssign:
-      Value = prof("ia_div_" + OpSfx + "(" + Cur + ", " + Value + ")", B);
+      O = L::Op::Div;
       break;
     default:
       break;
     }
+    if (B->O != BinaryExpr::Op::Assign)
+      Value = prof(iop(O, OpSfx, {Cur, Value}), B);
     if (MemAbi)
-      Value = "ia_narrow_dd_f64(" + Value + ")";
-    R.Code = LHS + " = " + Value;
-    return R;
+      Value = iop(L::Op::Narrow, L::Sfx::None, {Value});
+    return store(Value);
   }
 
   TR L = transformExpr(B->LHS);
@@ -1139,22 +1072,17 @@ TR Transformer::transformBinary(const BinaryExpr *B) {
   bool FloatOp =
       (B->LHS->type() && B->LHS->type()->isFloatingOrVector()) ||
       (B->RHS->type() && B->RHS->type()->isFloatingOrVector());
+  auto plainOp = [&]() -> TR {
+    return {binary(B->O, L.N, R.N), Ty};
+  };
 
   switch (B->O) {
   case BinaryExpr::Op::Add:
   case BinaryExpr::Op::Sub:
   case BinaryExpr::Op::Mul:
   case BinaryExpr::Op::Div: {
-    TR Out;
-    Out.OrigTy = B->type();
-    if (!FloatOp) {
-      const char *Op = B->O == BinaryExpr::Op::Add   ? " + "
-                       : B->O == BinaryExpr::Op::Sub ? " - "
-                       : B->O == BinaryExpr::Op::Mul ? " * "
-                                                     : " / ";
-      Out.Code = maybeParen(L) + Op + maybeParen(R);
-      return Out;
-    }
+    if (!FloatOp)
+      return plainOp();
     // Constant folding on intervals (Section IV-B). Integer literals
     // fold too: lift them first.
     auto liftConst = [&](TR &V, const Expr *Orig) {
@@ -1191,13 +1119,12 @@ TR Transformer::transformBinary(const BinaryExpr *B) {
         Dd = ddiDiv(L.CDd, R.CDd);
         break;
       }
-      return makeConstant(F64, Dd, B->type());
+      return makeConstant(F64, Dd, Ty);
     }
-    Out.C = Cat::Interval;
-    bool Vector = B->type() && B->type()->isSimdVector();
-    std::string OpSfx = Vector ? vecTypeName(B->type()) : sfx();
-    if (optOn() && !Vector && scalarF64(B->type())) {
-      std::string Opt;
+    bool Vector = Ty && Ty->isSimdVector();
+    L::Sfx OpSfx = Vector ? vecSfx(Ty) : sfxOp();
+    if (optOn() && !Vector && scalarF64(Ty)) {
+      L::Expr *Opt = nullptr;
       switch (B->O) {
       case BinaryExpr::Op::Mul:
         Opt = specializedMul(B->LHS, B->RHS, asInterval(L), asInterval(R));
@@ -1211,36 +1138,33 @@ TR Transformer::transformBinary(const BinaryExpr *B) {
         // feeding a loop-carried accumulation stays unfused.
         if (OptInfo.FmaLoopHazards.count(B))
           break;
-        if (!L.IsConst && !findActiveTemp(B->LHS))
-          Opt = tryFuseFma(B->LHS, B->RHS, asInterval(R), false, false);
-        if (Opt.empty() && !R.IsConst && !findActiveTemp(B->RHS))
-          Opt = tryFuseFma(B->RHS, B->LHS, asInterval(L), false, false);
+        if (!L.IsConst && findActiveTemp(B->LHS) < 0)
+          Opt = tryFuseFma(B->LHS, asInterval(R), false, false);
+        if (!Opt && !R.IsConst && findActiveTemp(B->RHS) < 0)
+          Opt = tryFuseFma(B->RHS, asInterval(L), false, false);
         break;
       case BinaryExpr::Op::Sub:
         // a*b - c = fma(a, b, -c);  c - a*b = fma(-a, b, c).
         if (OptInfo.FmaLoopHazards.count(B))
           break;
-        if (!L.IsConst && !findActiveTemp(B->LHS))
-          Opt = tryFuseFma(B->LHS, B->RHS, asInterval(R), false, true);
-        if (Opt.empty() && !R.IsConst && !findActiveTemp(B->RHS))
-          Opt = tryFuseFma(B->RHS, B->LHS, asInterval(L), true, false);
+        if (!L.IsConst && findActiveTemp(B->LHS) < 0)
+          Opt = tryFuseFma(B->LHS, asInterval(R), false, true);
+        if (!Opt && !R.IsConst && findActiveTemp(B->RHS) < 0)
+          Opt = tryFuseFma(B->RHS, asInterval(L), true, false);
         break;
       default:
         break;
       }
-      if (!Opt.empty()) {
-        Out.Code = prof(Opt, B);
-        return Out;
-      }
+      if (Opt)
+        return {prof(Opt, B), Ty};
     }
-    const char *Name = B->O == BinaryExpr::Op::Add   ? "add"
-                       : B->O == BinaryExpr::Op::Sub ? "sub"
-                       : B->O == BinaryExpr::Op::Mul ? "mul"
-                                                     : "div";
-    Out.Code = prof(std::string("ia_") + Name + "_" + OpSfx + "(" +
-                        asInterval(L) + ", " + asInterval(R) + ")",
-                    B);
-    return Out;
+    L::Op O = B->O == BinaryExpr::Op::Add   ? L::Op::Add
+              : B->O == BinaryExpr::Op::Sub ? L::Op::Sub
+              : B->O == BinaryExpr::Op::Mul ? L::Op::Mul
+                                            : L::Op::Div;
+    L::Expr *LI = asInterval(L);
+    L::Expr *RI = asInterval(R);
+    return {prof(iop(O, OpSfx, {LI, RI}), B), Ty};
   }
   case BinaryExpr::Op::LT:
   case BinaryExpr::Op::GT:
@@ -1248,18 +1172,8 @@ TR Transformer::transformBinary(const BinaryExpr *B) {
   case BinaryExpr::Op::GE:
   case BinaryExpr::Op::EQ:
   case BinaryExpr::Op::NE: {
-    TR Out;
-    Out.OrigTy = B->type();
-    if (!FloatOp) {
-      const char *Op = B->O == BinaryExpr::Op::LT   ? " < "
-                       : B->O == BinaryExpr::Op::GT ? " > "
-                       : B->O == BinaryExpr::Op::LE ? " <= "
-                       : B->O == BinaryExpr::Op::GE ? " >= "
-                       : B->O == BinaryExpr::Op::EQ ? " == "
-                                                    : " != ";
-      Out.Code = maybeParen(L) + Op + maybeParen(R);
-      return Out;
-    }
+    if (!FloatOp)
+      return plainOp();
     if ((B->LHS->type() && B->LHS->type()->isSimdVector()) ||
         (B->RHS->type() && B->RHS->type()->isSimdVector()))
       Diags->error(B->loc(),
@@ -1268,181 +1182,146 @@ TR Transformer::transformBinary(const BinaryExpr *B) {
         (B->O == BinaryExpr::Op::EQ || B->O == BinaryExpr::Op::NE))
       Diags->error(B->loc(),
                    "==/!= on double-double intervals is not supported");
-    const char *Name = B->O == BinaryExpr::Op::LT   ? "cmplt"
-                       : B->O == BinaryExpr::Op::GT ? "cmpgt"
-                       : B->O == BinaryExpr::Op::LE ? "cmple"
-                       : B->O == BinaryExpr::Op::GE ? "cmpge"
-                       : B->O == BinaryExpr::Op::EQ ? "cmpeq"
-                                                    : "cmpne";
-    Out.C = Cat::TBool;
-    Out.Code = std::string("ia_") + Name + "_" + sfx() + "(" +
-               asInterval(L) + ", " + asInterval(R) + ")";
-    return Out;
+    L::Op O = B->O == BinaryExpr::Op::LT   ? L::Op::CmpLT
+              : B->O == BinaryExpr::Op::GT ? L::Op::CmpGT
+              : B->O == BinaryExpr::Op::LE ? L::Op::CmpLE
+              : B->O == BinaryExpr::Op::GE ? L::Op::CmpGE
+              : B->O == BinaryExpr::Op::EQ ? L::Op::CmpEQ
+                                           : L::Op::CmpNE;
+    L::Expr *LI = asInterval(L);
+    L::Expr *RI = asInterval(R);
+    return {iop(O, sfxOp(), {LI, RI}, Cat::TBool), Ty};
   }
   case BinaryExpr::Op::LAnd:
   case BinaryExpr::Op::LOr: {
-    TR Out;
-    Out.OrigTy = B->type();
-    if (L.C == Cat::TBool || R.C == Cat::TBool) {
-      Out.C = Cat::TBool;
-      Out.Code = std::string(B->O == BinaryExpr::Op::LAnd ? "ia_and_tb"
-                                                          : "ia_or_tb") +
-                 "(" + asTBool(L) + ", " + asTBool(R) + ")";
-      return Out;
+    if (L.C() == Cat::TBool || R.C() == Cat::TBool) {
+      L::Expr *LT = asTBool(L);
+      L::Expr *RT = asTBool(R);
+      return {iop(B->O == BinaryExpr::Op::LAnd ? L::Op::AndTb : L::Op::OrTb,
+                  L::Sfx::None, {LT, RT}, Cat::TBool),
+              Ty};
     }
-    Out.Code = maybeParen(L) +
-               (B->O == BinaryExpr::Op::LAnd ? " && " : " || ") +
-               maybeParen(R);
-    return Out;
+    return plainOp();
   }
-  default: {
-    TR Out;
-    Out.OrigTy = B->type();
-    const char *Op = B->O == BinaryExpr::Op::Rem      ? " % "
-                     : B->O == BinaryExpr::Op::Shl    ? " << "
-                     : B->O == BinaryExpr::Op::Shr    ? " >> "
-                     : B->O == BinaryExpr::Op::BitAnd ? " & "
-                     : B->O == BinaryExpr::Op::BitOr  ? " | "
-                                                      : " ^ ";
-    Out.Code = maybeParen(L) + Op + maybeParen(R);
-    return Out;
-  }
+  default:
+    return plainOp();
   }
 }
 
-std::string Transformer::lvalueOf(const Expr *E) {
+L::Expr *Transformer::lvalueOf(const Expr *E) {
   const Expr *Stripped = ignoreParens(E);
+  const Type *Ty = Stripped->type();
   switch (Stripped->kind()) {
-  case Expr::Kind::DeclRef: {
-    const auto *Ref = cast<DeclRefExpr>(Stripped);
-    auto It = Renames.find(Ref->Decl);
-    return It != Renames.end() ? It->second : Ref->Name;
-  }
+  case Expr::Kind::DeclRef:
+    return declRef(cast<DeclRefExpr>(Stripped));
   case Expr::Kind::Index: {
     const auto *I = cast<IndexExpr>(Stripped);
     TR Idx = transformExpr(I->Idx);
-    return lvalueOf(I->Base) + "[" + Idx.Code + "]";
+    return plain(L::EK::Index, lvalueOf(I->Base), Idx.N,
+                 Ty && Ty->isFloatingOrVector() ? Cat::Interval : Cat::Plain);
   }
   case Expr::Kind::Unary: {
     const auto *U = cast<UnaryExpr>(Stripped);
-    if (U->O == UnaryExpr::Op::Deref)
-      return "*" + lvalueOf(U->Sub);
+    if (U->O == UnaryExpr::Op::Deref) {
+      L::Expr *N = unary(U->O, lvalueOf(U->Sub),
+                         Ty && Ty->isFloatingOrVector() ? Cat::Interval
+                                                        : Cat::Plain);
+      N->LvalueForm = true;
+      return N;
+    }
     break;
   }
   default:
     break;
   }
   Diags->error(Stripped->loc(), "unsupported assignment target");
-  return transformExpr(Stripped).Code;
+  return transformExpr(Stripped).N;
 }
 
 TR Transformer::transformCast(const CastExpr *C) {
   TR Sub = transformExpr(C->Sub);
-  TR R;
-  R.OrigTy = C->type();
+  const Type *Ty = C->type();
   const Type *From = C->Sub->type();
-  if (C->To->isPointer()) {
-    R.Code = "(" + promoteTypeSpelling(C->To) + ")(" + Sub.Code + ")";
-    return R;
-  }
+  auto castTo = [&](std::string Spelling) -> TR {
+    L::Expr *N = plain(L::EK::Cast, Sub.N, nullptr);
+    N->To = C->To;
+    N->Text = Fn->Store->own(std::move(Spelling));
+    return {N, Ty};
+  };
+  if (C->To->isPointer())
+    return castTo(promoteTypeSpelling(C->To));
   if (C->To->isFloating()) {
     if (Sub.IsConst)
-      return makeConstant(Sub.CF64, Sub.CDd, C->type());
-    if (Sub.C == Cat::Interval) {
+      return makeConstant(Sub.CF64, Sub.CDd, Ty);
+    if (Sub.C() == Cat::Interval) {
       if (C->To->kind() == Type::Kind::Float && From &&
-          From->kind() == Type::Kind::Double) {
-        R.C = Cat::Interval;
-        R.Code = prof("ia_f32cast_" + sfx() + "(" + Sub.Code + ")", C);
-        return R;
-      }
+          From->kind() == Type::Kind::Double)
+        return {prof(iop(L::Op::F32Cast, sfxOp(), {Sub.N}), C), Ty};
       return Sub; // float<->double widening: intervals already double
     }
-    R.C = Cat::Interval;
-    R.Code = "ia_cst_" + sfx() + "((double)(" + Sub.Code + "))";
-    return R;
+    return {iop(L::Op::CstOfDouble, sfxOp(), {Sub.N}), Ty};
   }
-  R.Code = "(" + C->To->cName() + ")(" + Sub.Code + ")";
-  return R;
+  return castTo(C->To->cName());
 }
 
 //===----------------------------------------------------------------------===//
 // Calls: math functions, SIMD intrinsics, user functions (Section V)
 //===----------------------------------------------------------------------===//
 
-namespace detail {
-
-/// Hand-optimized interval implementations of common intrinsics
-/// (Section V, "Optimized implementations"), double-precision target.
-const std::map<std::string, std::string> &handOptimizedF64() {
-  static const std::map<std::string, std::string> Map = {
-      {"_mm256_add_pd", "ia_add_m256di_2"},
-      {"_mm256_sub_pd", "ia_sub_m256di_2"},
-      {"_mm256_mul_pd", "ia_mul_m256di_2"},
-      {"_mm256_div_pd", "ia_div_m256di_2"},
-      {"_mm256_sqrt_pd", "ia_sqrt_m256di_2"},
-      {"_mm256_loadu_pd", "ia_loadu_m256di_2"},
-      {"_mm256_load_pd", "ia_loadu_m256di_2"},
-      {"_mm256_storeu_pd", "ia_storeu_m256di_2"},
-      {"_mm256_store_pd", "ia_storeu_m256di_2"},
-      {"_mm256_set1_pd", "ia_set1_m256di_2"},
-      {"_mm256_set_pd", "ia_set_m256di_2"},
-      {"_mm256_setzero_pd", "ia_setzero_m256di_2"},
-      {"_mm_add_pd", "ia_add_m256di_1"},
-      {"_mm_sub_pd", "ia_sub_m256di_1"},
-      {"_mm_mul_pd", "ia_mul_m256di_1"},
-      {"_mm_div_pd", "ia_div_m256di_1"},
-      {"_mm_loadu_pd", "ia_loadu_m256di_1"},
-      {"_mm_load_pd", "ia_loadu_m256di_1"},
-      {"_mm_storeu_pd", "ia_storeu_m256di_1"},
-      {"_mm_store_pd", "ia_storeu_m256di_1"},
-      {"_mm_set1_pd", "ia_set1_m256di_1"},
-      {"_mm_setzero_pd", "ia_setzero_m256di_1"},
-      {"_mm_cvtsd_f64", "ia_extract0_m256di_1"},
-      {"_mm256_extractf128_pd", "ia_extractf128_m256di_2"},
-      {"_mm256_castpd256_pd128", "ia_castlow_m256di_2"},
+/// Hand-optimized interval implementation of an intrinsic (Section V,
+/// "Optimized implementations"), or "" for the automatic path. The
+/// double-double target keeps only some of them hand-written (its sqrt
+/// goes through the generated path, which is what makes IGen-vv-dd slow
+/// in the paper).
+std::string handOptimized(std::string_view Callee, bool Dd) {
+  struct Entry {
+    const char *Intrinsic, *Op;
+    bool Wide, Narrow, HasDd;
   };
-  return Map;
-}
-
-/// Memory/shuffle-free intrinsics that stay hand-written even for the
-/// double-double target (arithmetic goes through the generated automatic
-/// path, which is what makes IGen-vv-dd slow in the paper).
-const std::map<std::string, std::string> &handOptimizedDd() {
-  static const std::map<std::string, std::string> Map = {
-      {"_mm256_loadu_pd", "ia_loadu_ddi_4"},
-      {"_mm256_load_pd", "ia_loadu_ddi_4"},
-      {"_mm256_storeu_pd", "ia_storeu_ddi_4"},
-      {"_mm256_store_pd", "ia_storeu_ddi_4"},
-      {"_mm256_set1_pd", "ia_set1_ddi_4"},
-      {"_mm256_set_pd", "ia_set_ddi_4"},
-      {"_mm256_setzero_pd", "ia_setzero_ddi_4"},
-      {"_mm256_add_pd", "ia_add_ddi_4"},
-      {"_mm256_sub_pd", "ia_sub_ddi_4"},
-      {"_mm256_mul_pd", "ia_mul_ddi_4"},
-      {"_mm256_div_pd", "ia_div_ddi_4"},
-      {"_mm_loadu_pd", "ia_loadu_ddi_2"},
-      {"_mm_load_pd", "ia_loadu_ddi_2"},
-      {"_mm_storeu_pd", "ia_storeu_ddi_2"},
-      {"_mm_store_pd", "ia_storeu_ddi_2"},
-      {"_mm_set1_pd", "ia_set1_ddi_2"},
-      {"_mm_setzero_pd", "ia_setzero_ddi_2"},
-      {"_mm_add_pd", "ia_add_ddi_2"},
-      {"_mm_sub_pd", "ia_sub_ddi_2"},
-      {"_mm_mul_pd", "ia_mul_ddi_2"},
-      {"_mm_div_pd", "ia_div_ddi_2"},
-      {"_mm_cvtsd_f64", "ia_extract0_ddi_2"},
-      {"_mm256_extractf128_pd", "ia_extractf128_ddi_4"},
-      {"_mm256_castpd256_pd128", "ia_castlow_ddi_4"},
+  static const Entry Table[] = {
+      {"add_pd", "add", 1, 1, 1},          {"sub_pd", "sub", 1, 1, 1},
+      {"mul_pd", "mul", 1, 1, 1},          {"div_pd", "div", 1, 1, 1},
+      {"sqrt_pd", "sqrt", 1, 0, 0},        {"loadu_pd", "loadu", 1, 1, 1},
+      {"load_pd", "loadu", 1, 1, 1},       {"storeu_pd", "storeu", 1, 1, 1},
+      {"store_pd", "storeu", 1, 1, 1},     {"set1_pd", "set1", 1, 1, 1},
+      {"set_pd", "set", 1, 0, 1},          {"setzero_pd", "setzero", 1, 1, 1},
+      {"cvtsd_f64", "extract0", 0, 1, 1},
+      {"castpd256_pd128", "castlow", 1, 0, 1},
+      {"extractf128_pd", "extractf128", 1, 0, 1},
   };
-  return Map;
+  const bool Wide = startsWith(Callee, "_mm256_");
+  if (!Wide && !startsWith(Callee, "_mm_"))
+    return "";
+  std::string_view Rest = Callee.substr(Wide ? 7 : 4);
+  for (const Entry &E : Table)
+    if (Rest == E.Intrinsic && (Wide ? E.Wide : E.Narrow) && (!Dd || E.HasDd))
+      return std::string("ia_") + E.Op + "_" +
+             (Dd ? (Wide ? "ddi_4" : "ddi_2")
+                 : (Wide ? "m256di_2" : "m256di_1"));
+  return "";
 }
-
-} // namespace detail
 
 TR Transformer::transformCall(const CallExpr *C) {
-  TR R;
-  R.OrigTy = C->type();
+  const Type *Ty = C->type();
+  const bool IntervalResult = Ty && Ty->isFloatingOrVector();
   CalleeKind CK = classifyCallee(C->Callee);
+  /// Lowers the arguments of an intrinsic or a user-function call; they
+  /// promote exactly like parameters do.
+  auto callArgs = [&](L::Expr *N) {
+    N->Args = Fn->Store->newArgs();
+    for (const Expr *A : C->Args) {
+      TR Arg = transformExpr(A);
+      const Type *ArgTy = A->type();
+      const bool WantInterval = ArgTy && ArgTy->isFloatingOrVector();
+      N->Args->push_back(WantInterval ? asInterval(Arg) : Arg.N);
+    }
+  };
+  auto externCall = [&](std::string Name, CalleeKind K, Cat Ct) {
+    L::Expr *N = node(L::EK::Extern, Ct);
+    N->Text = Fn->Store->own(std::move(Name));
+    N->Callee = K;
+    return N;
+  };
 
   if (CK == CalleeKind::MathFunction) {
     // sinf/cosf/... promote to the double interval versions.
@@ -1458,33 +1337,33 @@ TR Transformer::transformCall(const CallExpr *C) {
     // Every math function has a double-double form: abs/sqrt/min/max are
     // native, the elementary functions fall back to the f64 kernel on the
     // interval's outer hull (sound, though no tighter than f64i).
-    if (C->Args.empty() || ((Base == "min" || Base == "max") &&
-                            C->Args.size() < 2)) {
+    if (C->Args.empty() ||
+        ((Base == "min" || Base == "max") && C->Args.size() < 2)) {
       Diags->error(C->loc(), "wrong number of arguments to '" + C->Callee +
                                  "'");
-      R.C = Cat::Interval;
-      R.Code = "ia_cst_" + sfx() + "(0.0)";
-      return R;
+      L::Expr *Zero = node(L::EK::IntLit, Cat::Plain);
+      Zero->Text = "0.0";
+      return {iop(L::Op::Cst, sfxOp(), {Zero}), Ty};
     }
     TR Arg = transformExpr(C->Args[0]);
-    R.C = Cat::Interval;
     if (Base == "min" || Base == "max") {
       TR Arg2 = transformExpr(C->Args[1]);
-      R.Code = prof("ia_" + Base + "_" + sfx() + "(" + asInterval(Arg) +
-                        ", " + asInterval(Arg2) + ")",
-                    C);
-      return R;
+      L::Expr *A0 = asInterval(Arg);
+      L::Expr *A1 = asInterval(Arg2);
+      return {prof(iop(Base == "min" ? L::Op::Min : L::Op::Max, sfxOp(),
+                       {A0, A1}),
+                   C),
+              Ty};
     }
     // At -O1 and above the transcendentals with certified polynomial
     // kernels (interval/PolyKernels.h) lower to the fast variants: no
     // rounding-mode switch per call, enclosure widened by the certified
     // bound instead of the libm ulp band. -O0 keeps the libm path.
-    static const std::set<std::string> PolyFast = {"exp", "log", "sin",
-                                                   "cos"};
-    if (optOn() && !isDd() && PolyFast.count(Base))
-      Base += "_fast";
-    R.Code = prof("ia_" + Base + "_" + sfx() + "(" + asInterval(Arg) + ")", C);
-    return R;
+    std::optional<L::Op> O = mathOp(Base, optOn() && !isDd());
+    L::Expr *A0 = asInterval(Arg);
+    if (!O) // not reachable for classifyCallee's names
+      return {externCall("ia_" + Base + "_" + sfx(), CK, Cat::Interval), Ty};
+    return {prof(iop(*O, sfxOp(), {A0}), C), Ty};
   }
 
   if (CK == CalleeKind::Intrinsic) {
@@ -1495,7 +1374,6 @@ TR Transformer::transformCall(const CallExpr *C) {
         C->Args.size() == 2) {
       bool Wide = C->Callee == "_mm256_add_pd";
       const char *MulName = Wide ? "_mm256_mul_pd" : "_mm_mul_pd";
-      const char *FmaName = Wide ? "ia_fma_m256di_2" : "ia_fma_m256di_1";
       for (int Side = 0; Side < 2; ++Side) {
         const auto *MC = dynCast<CallExpr>(ignoreParens(C->Args[Side]));
         if (!MC || MC->Callee != MulName || MC->Args.size() != 2)
@@ -1508,84 +1386,75 @@ TR Transformer::transformCall(const CallExpr *C) {
         TR MA = transformExpr(MC->Args[0]);
         TR MB = transformExpr(MC->Args[1]);
         TR Addend = transformExpr(C->Args[1 - Side]);
-        R.C = Cat::Interval;
-        R.Code = std::string(FmaName) + "(" + asInterval(MA) + ", " +
-                 asInterval(MB) + ", " + asInterval(Addend) + ")";
-        return R;
+        L::Expr *A0 = asInterval(MA);
+        L::Expr *A1 = asInterval(MB);
+        L::Expr *A2 = asInterval(Addend);
+        return {iop(L::Op::Fma, Wide ? L::Sfx::M256di2 : L::Sfx::M256di1,
+                    {A0, A1, A2}),
+                Ty};
       }
     }
-    const auto &Hand =
-        isDd() ? detail::handOptimizedDd() : detail::handOptimizedF64();
-    auto It = Hand.find(C->Callee);
-    std::string Name;
-    if (It != Hand.end()) {
-      Name = It->second;
-    } else {
+    std::string Name = handOptimized(C->Callee, isDd());
+    if (Name.empty()) {
       // Automatic path: implementation produced by the SIMD generator
       // and compiled through IGen itself (Fig. 4).
       Name = (isDd() ? "_ci_dd" : "_ci") + C->Callee;
       UsedGeneratedIntrinsics = true;
     }
-    std::string Args;
-    for (size_t I = 0; I < C->Args.size(); ++I) {
-      if (I)
-        Args += ", ";
-      TR Arg = transformExpr(C->Args[I]);
-      const Type *ArgTy = C->Args[I]->type();
-      bool WantInterval = ArgTy && ArgTy->isFloatingOrVector();
-      Args += WantInterval ? asInterval(Arg) : Arg.Code;
-    }
-    R.Code = Name + "(" + Args + ")";
-    if (C->type() && C->type()->isFloatingOrVector())
-      R.C = Cat::Interval;
-    return R;
+    L::Expr *N = externCall(std::move(Name), CK,
+                            IntervalResult ? Cat::Interval : Cat::Plain);
+    callArgs(N);
+    return {N, Ty};
   }
 
   if (CK == CalleeKind::Allocation) {
-    std::string Args;
-    for (size_t I = 0; I < C->Args.size(); ++I) {
-      if (I)
-        Args += ", ";
-      Args += transformExpr(C->Args[I]).Code;
-    }
-    R.Code = C->Callee + "(" + Args + ")";
-    return R;
+    L::Expr *N = externCall(C->Callee, CK, Cat::Plain);
+    N->Args = Fn->Store->newArgs();
+    for (const Expr *A : C->Args)
+      N->Args->push_back(transformExpr(A).N);
+    return {N, Ty};
   }
 
-  // User function: arguments promote exactly like parameters do.
-  std::string Args;
-  for (size_t I = 0; I < C->Args.size(); ++I) {
-    if (I)
-      Args += ", ";
-    TR Arg = transformExpr(C->Args[I]);
-    const Type *ArgTy = C->Args[I]->type();
-    bool WantInterval = ArgTy && ArgTy->isFloatingOrVector();
-    Args += WantInterval ? asInterval(Arg) : Arg.Code;
-  }
-  R.Code = C->Callee + "(" + Args + ")";
-  if (C->type() && C->type()->isFloatingOrVector()) {
-    R.C = Cat::Interval;
+  // User function: a call of a function defined here runs in-process; an
+  // external one only exists in the emitted C.
+  const bool Defined = DefinedFns.count(C->Callee);
+  L::Expr *N = Defined ? node(L::EK::Call, Cat::Plain)
+                       : externCall(C->Callee, CK, Cat::Plain);
+  N->Text = C->Callee;
+  callArgs(N);
+  if (IntervalResult) {
+    N->C = Cat::Interval;
     // --harden: an external callee (declared, not defined here) may have
     // disturbed the FP environment. ia_fenv_guard evaluates the call
     // first, checks after, and poisons its result if required.
-    if (Opts.Harden && !DefinedFns.count(C->Callee))
-      R.Code = "ia_fenv_guard(" + R.Code + ")";
+    if (Opts.Harden && !Defined)
+      N = iop(L::Op::FenvGuard, L::Sfx::None, {N});
   }
-  return R;
+  return {N, Ty};
 }
 
 //===----------------------------------------------------------------------===//
 // Statements
 //===----------------------------------------------------------------------===//
 
-void Transformer::emitDecl(const VarDecl *D) {
-  std::string S = promoteTypeAndName(D->Ty, D->Name);
+L::Stmt *Transformer::lowerDecl(const VarDecl *D) {
+  L::Stmt *S = Fn->Store->newStmt(L::SK::Decl);
+  S->Var = D;
+  S->Slot = varSlot(D);
+  S->Text = Fn->Store->own(promoteTypeAndName(D->Ty, D->Name));
   if (D->Init) {
     TR Init = transformExpr(D->Init);
-    bool WantInterval = D->Ty->isFloatingOrVector();
-    S += " = " + (WantInterval ? asInterval(Init) : Init.Code);
+    S->E = D->Ty->isFloatingOrVector() ? asInterval(Init) : Init.N;
   }
-  line(S + ";");
+  return S;
+}
+
+void Transformer::emitTemp(std::string Name, const Expr *Rep, L::Expr *Init) {
+  L::Stmt *D = add(Fn->Store->newStmt(L::SK::Decl));
+  D->Text = Fn->Store->own(scalarIntervalType() + " " + Name);
+  D->Slot = tempSlot(std::move(Name));
+  D->E = Init;
+  ActiveTemps.push_back({Rep, D->Slot});
 }
 
 void Transformer::emitExprStmt(const ExprStmt *S) {
@@ -1593,17 +1462,20 @@ void Transformer::emitExprStmt(const ExprStmt *S) {
   auto It = UpdateToAcc.find(S);
   if (It != UpdateToAcc.end()) {
     const ReductionSite *Site = It->second.first;
-    const std::string &Acc = It->second.second;
+    const L::Stmt *Acc = It->second.second;
     for (const ReductionTerm &T : Site->Terms) {
       TR Term = transformExpr(T.Term);
-      std::string Code = asInterval(Term);
+      L::Expr *Code = asInterval(Term);
       if (T.Negated)
-        Code = "ia_neg_" + sfx() + "(" + Code + ")";
-      line("isum_accumulate_" + sfx() + "(&" + Acc + ", " + Code + ");");
+        Code = iop(L::Op::Neg, sfxOp(), {Code});
+      L::Stmt *Feed = add(Fn->Store->newStmt(L::SK::AccFeed));
+      Feed->Slot = Acc->Slot;
+      Feed->Slot2 = Acc->Slot2;
+      Feed->E = Code;
     }
     return;
   }
-  line(transformExpr(S->E).Code + ";");
+  add(Fn->Store->newStmt(L::SK::ExprS))->E = transformExpr(S->E).N;
   // --harden: a statement-position external call with a non-interval
   // result got no ia_fenv_guard wrapper; re-check the environment here.
   if (Opts.Harden) {
@@ -1611,7 +1483,7 @@ void Transformer::emitExprStmt(const ExprStmt *S) {
     if (CE && classifyCallee(CE->Callee) == CalleeKind::UserFunction &&
         !DefinedFns.count(CE->Callee) &&
         !(CE->type() && CE->type()->isFloatingOrVector()))
-      line("igen_fenv_check();");
+      emit("igen_fenv_check();");
   }
 }
 
@@ -1656,18 +1528,18 @@ bool Transformer::collectJoinTargets(const Stmt *S,
 
 void Transformer::emitIf(const IfStmt *S) {
   TR Cond = transformExpr(S->Cond);
-  if (Cond.C != Cat::TBool) {
-    line("if (" + Cond.Code + ")");
-    emitBody(S->Then);
-    if (S->Else) {
-      line("else");
-      emitBody(S->Else);
-    }
+  if (Cond.C() != Cat::TBool) {
+    L::Stmt *If = add(Fn->Store->newStmt(L::SK::If));
+    If->E = Cond.N;
+    If->Then = body(S->Then);
+    if (S->Else)
+      If->Else = body(S->Else);
     return;
   }
 
-  std::string Tmp = freshTemp();
-  line("tbool " + Tmp + " = " + Cond.Code + ";");
+  L::Stmt *If = add(Fn->Store->newStmt(L::SK::IfTBool));
+  If->Slot = tempSlot(freshTemp());
+  If->E = Cond.N;
 
   std::set<VarDecl *> Targets;
   bool JoinSafe = Opts.Branches == TransformOptions::BranchPolicy::Join &&
@@ -1679,72 +1551,46 @@ void Transformer::emitIf(const IfStmt *S) {
                      "cannot join this branch (arrays, integers or control "
                      "flow are modified); unknown conditions will signal");
     // Default policy: ia_cvt2bool_tb signals on unknown (Fig. 2).
-    line("if (ia_cvt2bool_tb(" + Tmp + ")) /*may signal*/");
-    emitBody(S->Then);
-    if (S->Else) {
-      line("else");
-      emitBody(S->Else);
-    }
+    If->Then = body(S->Then);
+    if (S->Else)
+      If->Else = body(S->Else);
     return;
   }
 
   // Join mode: run both branches on the unknown state and hull the
   // results (Section IV-B, "Unknown-state in if-else statements").
-  line("if (ia_istrue_tb(" + Tmp + "))");
-  emitBody(S->Then);
-  line("else if (ia_isfalse_tb(" + Tmp + "))");
+  If->Join = true;
+  If->Ext = Fn->Store->newExt();
+  If->Then = body(S->Then);
   if (S->Else)
-    emitBody(S->Else);
-  else
-    line("{ ; }");
-  line("else");
-  line("{");
-  ++Indent;
-  std::string Ty = scalarIntervalType();
-  for (VarDecl *V : Targets)
-    line(Ty + " _sav_" + V->Name + " = " + V->Name + ";");
-  emitBody(S->Then);
+    If->Else = body(S->Else);
+  // A target is saved, restored and hulled where its assignments store:
+  // a tolerance parameter's shadow, not the scalar parameter.
   for (VarDecl *V : Targets) {
-    line(Ty + " _res_" + V->Name + " = " + V->Name + ";");
-    line(V->Name + " = _sav_" + V->Name + ";");
+    auto RIt = Renames.find(V);
+    If->Ext->Targets.push_back(RIt != Renames.end() ? RIt->second
+                                                    : varSlot(V));
   }
+  If->Ext->Then2 = body(S->Then);
   if (S->Else)
-    emitBody(S->Else);
-  else
-    line("{ ; }");
-  for (VarDecl *V : Targets)
-    line(V->Name + " = ia_join_" + sfx() + "(" + V->Name + ", _res_" +
-         V->Name + ");");
-  --Indent;
-  line("}");
+    If->Ext->Else2 = body(S->Else);
 }
 
-std::string Transformer::forHeader(const ForStmt *S) {
-  std::string Init;
+L::Stmt *Transformer::forHeader(const ForStmt *S) {
+  L::Stmt *F = Fn->Store->newStmt(L::SK::For);
   if (S->Init && S->Init->kind() == Stmt::Kind::DeclStmt) {
-    const auto *DS = cast<DeclStmt>(S->Init);
-    for (size_t I = 0; I < DS->Decls.size(); ++I) {
-      const VarDecl *D = DS->Decls[I];
-      std::string Piece = promoteTypeAndName(D->Ty, D->Name);
-      if (D->Init) {
-        TR InitTR = transformExpr(D->Init);
-        Piece += " = " + (D->Ty->isFloatingOrVector() ? asInterval(InitTR)
-                                                      : InitTR.Code);
-      }
-      Init += (I ? ", " : "") + Piece;
-    }
+    for (const VarDecl *D : cast<DeclStmt>(S->Init)->Decls)
+      F->Body.push_back(lowerDecl(D));
   } else if (S->Init && S->Init->kind() == Stmt::Kind::ExprStmt) {
-    Init = transformExpr(cast<ExprStmt>(S->Init)->E).Code;
+    L::Stmt *Piece = Fn->Store->newStmt(L::SK::ExprS);
+    Piece->E = transformExpr(cast<ExprStmt>(S->Init)->E).N;
+    F->Body.push_back(Piece);
   }
-  std::string Cond;
-  if (S->Cond) {
-    TR CondTR = transformExpr(S->Cond);
-    Cond = CondTR.C == Cat::TBool
-               ? "ia_cvt2bool_tb(" + CondTR.Code + ")"
-               : CondTR.Code;
-  }
-  std::string Inc = S->Inc ? transformExpr(S->Inc).Code : "";
-  return "for (" + Init + "; " + Cond + "; " + Inc + ")";
+  if (S->Cond)
+    F->E = asCondition(transformExpr(S->Cond));
+  if (S->Inc)
+    F->E2 = transformExpr(S->Inc).N;
+  return F;
 }
 
 size_t Transformer::emitCseTemps(const Stmt *S) {
@@ -1774,7 +1620,7 @@ size_t Transformer::emitCseTemps(const Stmt *S) {
     int N = 0;
     for (const Expr *Root : Roots)
       forEachSubexprPruned(Root, [&](const Expr *E) {
-        if (findActiveTemp(E))
+        if (findActiveTemp(E) >= 0)
           return false;
         if (exprCseEqual(E, Rep)) {
           ++N;
@@ -1787,16 +1633,14 @@ size_t Transformer::emitCseTemps(const Stmt *S) {
 
   size_t N = 0;
   for (const Expr *Rep : It->second) {
-    if (findActiveTemp(Rep))
+    if (findActiveTemp(Rep) >= 0)
       continue; // already available from a hoist or an enclosing statement
     if (visibleCount(Rep) < 2)
       continue;
     TR Init = transformExpr(Rep);
-    if (Init.IsConst || Init.C != Cat::Interval)
+    if (Init.IsConst || Init.C() != Cat::Interval)
       continue; // constants fold; nothing to reuse
-    std::string Name = formatString("_cse%d", ++CseCounter);
-    line(scalarIntervalType() + " " + Name + " = " + Init.Code + ";");
-    ActiveTemps.push_back({Rep, Name});
+    emitTemp(formatString("_cse%d", ++CseCounter), Rep, Init.N);
     ++N;
   }
   return N;
@@ -1811,16 +1655,16 @@ void Transformer::emitFor(const ForStmt *S) {
   if (Opts.EnableBatchLoops &&
       Opts.Prec == TransformOptions::Precision::Double && !Opts.Profile &&
       TMode != TierMode::DdClone) {
-    if (std::optional<BatchLoop> L = matchBatchLoop(S)) {
-      TR Dst = transformExpr(L->Dst);
-      TR A = transformExpr(L->A);
-      TR Count = transformExpr(L->Count);
-      std::string Call = std::string("ia_arr_") + L->opName() + "_" +
-                         sfx() + "(" + Dst.Code + ", " + A.Code;
-      if (L->B)
-        Call += ", " + transformExpr(L->B).Code;
-      Call += ", (unsigned long)(" + Count.Code + "));";
-      line(Call);
+    if (std::optional<BatchLoop> BL = matchBatchLoop(S)) {
+      L::Stmt *Call = Fn->Store->newStmt(L::SK::BatchLoop);
+      Call->Text = BL->opName();
+      Call->Ext = Fn->Store->newExt();
+      Call->E = transformExpr(BL->Dst).N;
+      Call->Ext->X[0] = transformExpr(BL->A).N;
+      Call->Ext->X[2] = transformExpr(BL->Count).N;
+      if (BL->B)
+        Call->Ext->X[1] = transformExpr(BL->B).N;
+      add(Call);
       return;
     }
   }
@@ -1847,14 +1691,12 @@ void Transformer::emitFor(const ForStmt *S) {
     auto HIt = OptInfo.LoopInvariants.find(S);
     if (HIt != OptInfo.LoopInvariants.end()) {
       for (const Expr *Rep : HIt->second) {
-        if (findActiveTemp(Rep))
+        if (findActiveTemp(Rep) >= 0)
           continue;
         TR Init = transformExpr(Rep);
-        if (Init.IsConst || Init.C != Cat::Interval)
+        if (Init.IsConst || Init.C() != Cat::Interval)
           continue;
-        std::string Name = formatString("_hoist%d", ++HoistCounter);
-        line(scalarIntervalType() + " " + Name + " = " + Init.Code + ";");
-        ActiveTemps.push_back({Rep, Name});
+        emitTemp(formatString("_hoist%d", ++HoistCounter), Rep, Init.N);
         ++Hoisted;
       }
     }
@@ -1864,15 +1706,15 @@ void Transformer::emitFor(const ForStmt *S) {
   if (Opts.EnableReductions)
     Sites = Reductions.sitesForLoop(S);
 
-  std::vector<std::pair<const ReductionSite *, std::string>> Accs;
+  std::vector<std::pair<const ReductionSite *, L::Stmt *>> Accs;
   for (const ReductionSite *Site : Sites) {
-    std::string Acc = formatString("_acc%d", ++AccCounter);
-    Accs.push_back({Site, Acc});
-    UpdateToAcc[Site->Update] = {Site, Acc};
-    line("acc_" + sfx() + " " + Acc + ";");
-    TR Target = transformExpr(Site->Target);
-    line("isum_init_" + sfx() + "(&" + Acc + ", " + asInterval(Target) +
-         ");");
+    L::Stmt *Init = Fn->Store->newStmt(L::SK::AccInit);
+    Init->Slot = tempSlot(formatString("_acc%d", ++AccCounter));
+    Init->Slot2 = Fn->NumAccs++;
+    Accs.push_back({Site, Init});
+    UpdateToAcc[Site->Update] = {Site, Init};
+    Init->E = asInterval(transformExpr(Site->Target));
+    add(Init);
   }
 
   // Sign versioning: one run-time test of the version variable's sign per
@@ -1887,91 +1729,74 @@ void Transformer::emitFor(const ForStmt *S) {
   }
   if (V) {
     auto RIt = Renames.find(V);
-    const std::string &Name = RIt != Renames.end() ? RIt->second : V->Name;
-    line("if (ia_inf_f64(" + Name + ") >= 0.0)");
-    emitLoopCopy(S, V, 'p');
+    L::Stmt *Ver = add(Fn->Store->newStmt(L::SK::Versioned));
+    Ver->E =
+        var(RIt != Renames.end() ? RIt->second : varSlot(V), Cat::Interval);
+    Ver->Then = loopCopy(S, V, 'p');
     DiagnosticsEngine Repeats;
     DiagnosticsEngine *Real = Diags;
     Diags = &Repeats; // the first copy reported everything already
-    line("else if (ia_sup_f64(" + Name + ") <= 0.0)");
-    emitLoopCopy(S, V, 'n');
-    line("else");
-    emitLoopCopy(S, V, 0);
+    Ver->Else = loopCopy(S, V, 'n');
+    Ver->Ext = Fn->Store->newExt();
+    Ver->Ext->Then2 = loopCopy(S, V, 0);
     Diags = Real;
   } else {
-    line(forHeader(S));
-    emitBody(S->Body);
+    L::Stmt *F = add(forHeader(S));
+    F->Then = body(S->Body);
   }
 
-  for (auto &[Site, Acc] : Accs) {
-    std::string Red = "isum_reduce_" + sfx() + "(&" + Acc + ")";
-    if (cloneMemLvalue(Site->Target))
-      Red = "ia_narrow_dd_f64(" + Red + ")";
-    line(lvalueOf(Site->Target) + " = " + Red + ";");
+  for (auto &[Site, Init] : Accs) {
+    L::Stmt *Red = Fn->Store->newStmt(L::SK::AccReduce);
+    Red->Slot = Init->Slot;
+    Red->Slot2 = Init->Slot2;
+    Red->Narrow = cloneMemLvalue(Site->Target);
+    Red->E2 = lvalueOf(Site->Target);
+    add(Red);
     UpdateToAcc.erase(Site->Update);
   }
   popTemps(Hoisted);
 }
 
 void Transformer::emitRowKernel(const RowKernelLoop &K) {
-  const TR Lo = transformExpr(K.Lower), Hi = transformExpr(K.Upper);
+  L::Stmt *R = Fn->Store->newStmt(L::SK::RowKernel);
+  R->Ext = Fn->Store->newExt();
+  R->E = transformExpr(K.Lower).N;
+  R->E2 = transformExpr(K.Upper).N;
   const auto *Zero = dynCast<IntLiteralExpr>(ignoreParens(K.Lower));
-  const bool FromZero = Zero && Zero->Value == 0;
+  R->FromZero = Zero && Zero->Value == 0;
   // &Base[Offset + L]: the first element the loop touches.
-  auto row = [&](const RowKernelLoop::Row &R) {
-    std::string Idx = FromZero ? "0" : Lo.Code;
-    if (R.Offset) {
-      const TR Off = transformExpr(R.Offset);
-      Idx = FromZero ? Off.Code : maybeParen(Off) + " + " + maybeParen(Lo);
-    }
-    std::string Ptr = "&";
-    Ptr += transformExpr(R.Base).Code;
-    Ptr += '[';
-    Ptr += Idx;
-    Ptr += ']';
-    return Ptr;
+  auto row = [&](int I, const RowKernelLoop::Row &Row) {
+    if (Row.Offset)
+      R->Ext->X[2 * I + 1] = transformExpr(Row.Offset).N;
+    R->Ext->X[2 * I] = transformExpr(Row.Base).N;
   };
-  // U - L > 0 as an unsigned long: exact, with no signed overflow.
-  std::string Count = "(unsigned long)" + maybeParen(Hi);
-  if (!FromZero)
-    Count += " - (unsigned long)" + maybeParen(Lo);
-  std::string Call;
-  if (K.K == RowKernelLoop::Kind::Axpy)
-    Call = "ia_axpy_f64(" + row(K.First) + ", " +
-           asInterval(transformExpr(K.Scalar)) + ", " + row(K.Second);
-  else
-    Call = std::string(K.K == RowKernelLoop::Kind::Dot ? "ia_dot_f64"
-                                                       : "ia_dotsub_f64") +
-           "(&" + lvalueOf(K.Scalar) + ", " + row(K.First) + ", " +
-           row(K.Second);
-  line("if (" + maybeParen(Lo) + " < " + maybeParen(Hi) + ")");
-  line("{");
-  ++Indent;
-  line(Call + ", " + Count + ");");
-  --Indent;
-  line("}");
+  if (K.K == RowKernelLoop::Kind::Axpy) {
+    R->Row = L::Stmt::RowKind::Axpy;
+    row(0, K.First);
+    R->Ext->Scalar = asInterval(transformExpr(K.Scalar));
+  } else {
+    R->Row = K.K == RowKernelLoop::Kind::Dot ? L::Stmt::RowKind::Dot
+                                             : L::Stmt::RowKind::DotSub;
+    R->Ext->Scalar = lvalueOf(K.Scalar);
+    row(0, K.First);
+  }
+  row(1, K.Second);
+  add(R);
 }
 
-void Transformer::emitLoopCopy(const ForStmt *S, const VarDecl *V,
+L::Stmt *Transformer::loopCopy(const ForStmt *S, const VarDecl *V,
                                char Class) {
-  line("{");
-  ++Indent;
+  L::Stmt *Block = Fn->Store->newStmt(L::SK::Block);
+  std::vector<L::Stmt *> *Saved = Cur;
+  Cur = &Block->Body;
   VersionVar = V;
   VersionClass = Class;
-  line(forHeader(S));
-  emitBody(S->Body);
+  L::Stmt *F = add(forHeader(S));
+  F->Then = body(S->Body);
   VersionVar = nullptr;
   VersionClass = 0;
-  --Indent;
-  line("}");
-}
-
-void Transformer::emitWhileCond(std::string Keyword, const Expr *Cond) {
-  TR CondTR = transformExpr(Cond);
-  std::string Code = CondTR.C == Cat::TBool
-                         ? "ia_cvt2bool_tb(" + CondTR.Code + ")"
-                         : CondTR.Code;
-  line(Keyword + " (" + Code + ")");
+  Cur = Saved;
+  return Block;
 }
 
 void Transformer::emitCompound(const CompoundStmt *S) {
@@ -1979,30 +1804,27 @@ void Transformer::emitCompound(const CompoundStmt *S) {
     emitStmt(Child);
 }
 
-void Transformer::emitBody(const Stmt *S) {
-  line("{");
-  ++Indent;
+L::Stmt *Transformer::body(const Stmt *S) {
+  L::Stmt *Block = Fn->Store->newStmt(L::SK::Block);
+  std::vector<L::Stmt *> *Saved = Cur;
+  Cur = &Block->Body;
   if (const auto *C = dynCast<CompoundStmt>(S))
     emitCompound(C);
   else
     emitStmt(S);
-  --Indent;
-  line("}");
+  Cur = Saved;
+  return Block;
 }
 
 void Transformer::emitStmt(const Stmt *S) {
   switch (S->kind()) {
   case Stmt::Kind::Compound:
-    line("{");
-    ++Indent;
-    emitCompound(cast<CompoundStmt>(S));
-    --Indent;
-    line("}");
+    add(body(S));
     return;
   case Stmt::Kind::DeclStmt: {
     size_t Temps = emitCseTemps(S);
     for (const VarDecl *D : cast<DeclStmt>(S)->Decls)
-      emitDecl(D);
+      add(lowerDecl(D));
     popTemps(Temps);
     return;
   }
@@ -2020,25 +1842,22 @@ void Transformer::emitStmt(const Stmt *S) {
     return;
   case Stmt::Kind::While: {
     const auto *W = cast<WhileStmt>(S);
-    emitWhileCond("while", W->Cond);
-    emitBody(W->Body);
+    L::Stmt *Loop = Fn->Store->newStmt(L::SK::While);
+    Loop->E = asCondition(transformExpr(W->Cond));
+    add(Loop)->Then = body(W->Body);
     return;
   }
   case Stmt::Kind::Do: {
     const auto *D = cast<DoStmt>(S);
-    line("do");
-    emitBody(D->Body);
-    TR CondTR = transformExpr(D->Cond);
-    std::string Code = CondTR.C == Cat::TBool
-                           ? "ia_cvt2bool_tb(" + CondTR.Code + ")"
-                           : CondTR.Code;
-    line("while (" + Code + ");");
+    L::Stmt *Loop = add(Fn->Store->newStmt(L::SK::Do));
+    Loop->Then = body(D->Body);
+    Loop->E = asCondition(transformExpr(D->Cond));
     return;
   }
   case Stmt::Kind::Return: {
     const auto *R = cast<ReturnStmt>(S);
     if (!R->Value) {
-      line("return;");
+      add(Fn->Store->newStmt(L::SK::Return));
       return;
     }
     size_t Temps = emitCseTemps(S);
@@ -2048,40 +1867,29 @@ void Transformer::emitStmt(const Stmt *S) {
       // re-execute the region at ddi from the entry snapshot when it
       // fires. The meet of the two enclosures is sound (both contain the
       // true result set) and never wider than the f64i answer.
-      std::string Id = formatString("_igen_tier_base + %uu", TierRegionId);
-      line("{");
-      ++Indent;
-      line("f64i _tier_ret = " + asInterval(V) + ";");
-      if (TierMovable) {
-        line("if (igen_tier_escalate(_tier_ret, " + Id + "))");
-        ++Indent;
-        line("_tier_ret = ia_meet_f64(_tier_ret, ia_narrow_dd_f64(" +
-             TierCloneCall + "));");
-        --Indent;
-      } else {
-        line("igen_tier_note_immovable(_tier_ret, " + Id + ");");
-      }
-      line("return _tier_ret;");
-      --Indent;
-      line("}");
+      L::Stmt *Ret = Fn->Store->newStmt(L::SK::TierReturn);
+      Ret->E = asInterval(V);
+      Ret->Region = static_cast<int>(TierRegionId);
+      Ret->Movable = TierMovable;
+      add(Ret);
       popTemps(Temps);
       return;
     }
     // Wrap per the function's (promoted) return type.
     bool WantInterval = R->Value->type() &&
                         R->Value->type()->isFloatingOrVector();
-    line("return " + (WantInterval ? asInterval(V) : V.Code) + ";");
+    add(Fn->Store->newStmt(L::SK::Return))->E = WantInterval ? asInterval(V) : V.N;
     popTemps(Temps);
     return;
   }
   case Stmt::Kind::Break:
-    line("break;");
+    add(Fn->Store->newStmt(L::SK::Break));
     return;
   case Stmt::Kind::Continue:
-    line("continue;");
+    add(Fn->Store->newStmt(L::SK::Continue));
     return;
   case Stmt::Kind::Null:
-    line(";");
+    add(Fn->Store->newStmt(L::SK::Null));
     return;
   }
 }
@@ -2129,10 +1937,26 @@ void Transformer::emitFunctionImpl(FunctionDecl *F,
   UpdateToAcc.clear();
   Renames.clear();
   ActiveTemps.clear();
+  SlotOf.clear();
+  VarNodes.clear();
+
+  auto LF = std::make_unique<L::Function>();
+  if (Keep) {
+    LF->Store = &Keep->Store;
+  } else {
+    // Printed and freed one function at a time.
+    FunctionStore = std::make_unique<L::NodeStore>();
+    LF->Store = FunctionStore.get();
+  }
+  Fn = LF.get();
+  LF->Name = EmitName;
+  LF->Decl = F;
+  LF->Dd = isDd();
+  LF->TierClone = TMode == TierMode::DdClone;
 
   // Header (Fig. 2/3): floating types promote; tolerance parameters keep
   // their scalar type and gain an interval shadow in the body.
-  std::string Header;
+  std::string &Header = LF->Header;
   if (F->IsStatic)
     Header += "static ";
   std::string Ret =
@@ -2147,25 +1971,23 @@ void Transformer::emitFunctionImpl(FunctionDecl *F,
     std::string TypeName = P->HasTolerance ? P->Ty->cName()
                                            : promoteTypeSpelling(P->Ty);
     Header += TypeName + (endsWith(TypeName, "*") ? "" : " ") + P->Name;
+    LF->ParamSlots.push_back(varSlot(P));
   }
   if (F->Params.empty())
     Header += "void";
   Header += ")";
 
   if (!F->Body) {
-    line(Header + ";");
+    finishFunction(std::move(LF));
     return;
   }
-  line(Header);
-  line("{");
-  ++Indent;
+  LF->Body = LF->Store->newStmt(L::SK::Block);
+  Cur = &LF->Body->Body;
   if (Opts.Harden) {
     // Sound-region entry: the caller may arrive with any FP environment.
     std::string Whole = wholeCtorFor(F->RetTy);
-    if (!Whole.empty())
-      line("if (igen_fenv_check()) return " + Whole + ";");
-    else
-      line("igen_fenv_check();");
+    emit(Whole.empty() ? "igen_fenv_check();"
+                       : "if (igen_fenv_check()) return " + Whole + ";");
   }
   if (TMode == TierMode::Wrapper) {
     // Region snapshot, captured at f64i cost: the body may overwrite
@@ -2188,11 +2010,11 @@ void Transformer::emitFunctionImpl(FunctionDecl *F,
       std::string Spell =
           T->isArray() ? promoteTypeSpelling(T->element(), true) + " *"
                        : promoteTypeSpelling(T);
-      line(Spell + (endsWith(Spell, "*") ? "" : " ") + Snap + " = " +
+      emit(Spell + (endsWith(Spell, "*") ? "" : " ") + Snap + " = " +
            P->Name + ";");
       Args += T->isFloating() ? "ia_promote_f64_dd(" + Snap + ")" : Snap;
     }
-    TierCloneCall = F->Name + "__dd(" + Args + ")";
+    LF->TierCloneCall = F->Name + "__dd(" + Args + ")";
     TierRegionId = static_cast<unsigned>(SiteTable.Regions.size());
     TierRegion Region;
     Region.Func = F->Name;
@@ -2203,46 +2025,109 @@ void Transformer::emitFunctionImpl(FunctionDecl *F,
   for (VarDecl *P : F->Params) {
     if (!P->HasTolerance)
       continue;
-    std::string Shadow = "_" + P->Name;
     // _a = a +- tol (Fig. 3). The tolerance literal is widened upward.
     RoundUpwardScope Up;
     DdInterval TolEnc = ddIntervalFromDecimal(P->ToleranceSpelling);
-    double TolUp = TolEnc.hasNaN() ? P->Tolerance
-                                   : ddToDoubleUp(TolEnc.Hi);
-    line(scalarIntervalType() + " " + Shadow + " = ia_set_tol_" + sfx() +
-         "(" + P->Name + ", " + fmtDouble(TolUp) + "); // " + P->Name +
-         " +- " + P->ToleranceSpelling);
-    Renames[P] = Shadow;
+    L::Stmt *Shadow = add(LF->Store->newStmt(L::SK::TolShadow));
+    Shadow->Tol = TolEnc.hasNaN() ? P->Tolerance : ddToDoubleUp(TolEnc.Hi);
+    Shadow->Slot = tempSlot("_" + P->Name);
+    Shadow->Slot2 = varSlot(P);
+    Shadow->Text = P->ToleranceSpelling;
+    Renames[P] = Shadow->Slot;
   }
   emitCompound(F->Body);
-  --Indent;
-  line("}");
+  finishFunction(std::move(LF));
+}
+
+void Transformer::compactSites(L::Function &F) {
+  const bool Sites = Opts.Profile && SiteTable.Sites.size() > SitesDone;
+  const bool Regions = Opts.Tier && SiteTable.Regions.size() > RegionsDone;
+  if (!Sites && !Regions)
+    return;
+  std::vector<L::Expr *> Instrumented;
+  std::vector<L::Stmt *> Exits;
+  L::forEachNode(
+      F,
+      [&](L::Expr &E) {
+        if (E.Site >= 0)
+          Instrumented.push_back(&E);
+      },
+      [&](L::Stmt &S) {
+        if (S.Kind == L::SK::TierReturn)
+          Exits.push_back(&S);
+      });
+  // A shared node is visited once per use; renumber it once.
+  std::sort(Instrumented.begin(), Instrumented.end());
+  Instrumented.erase(std::unique(Instrumented.begin(), Instrumented.end()),
+                     Instrumented.end());
+  // Dense renumbering of [Done, Ids) in creation order; returns the mask.
+  auto renumber = [](size_t Done, size_t Ids, auto &&Refs) {
+    std::vector<bool> Used(Ids - Done, false);
+    for (int *Id : Refs)
+      Used[*Id - Done] = true;
+    std::vector<int> Remap(Ids - Done);
+    int Next = static_cast<int>(Done);
+    for (size_t I = 0; I < Used.size(); ++I) {
+      Remap[I] = Next;
+      Next += Used[I];
+    }
+    for (int *Id : Refs)
+      *Id = Remap[*Id - Done];
+    return Used;
+  };
+  if (Sites) {
+    std::vector<int *> Refs;
+    for (L::Expr *E : Instrumented)
+      Refs.push_back(&E->Site);
+    filterByMask(SiteTable.Sites, SitesDone,
+                 renumber(SitesDone, SiteTable.Sites.size(), Refs));
+  }
+  if (Regions) {
+    std::vector<int *> Refs;
+    for (L::Stmt *S : Exits)
+      Refs.push_back(&S->Region);
+    filterByMask(SiteTable.Regions, RegionsDone,
+                 renumber(RegionsDone, SiteTable.Regions.size(), Refs));
+  }
+}
+
+void Transformer::finishFunction(std::unique_ptr<L::Function> LF) {
+  compactSites(*LF);
+  SitesDone = SiteTable.Sites.size();
+  RegionsDone = SiteTable.Regions.size();
+  L::printFunction(*LF, Body);
+  Fn = nullptr;
+  Cur = nullptr;
+  if (Keep)
+    Keep->Functions.push_back(std::move(LF));
+  else
+    FunctionStore.reset();
 }
 
 //===----------------------------------------------------------------------===//
 // Whole translation unit
 //===----------------------------------------------------------------------===//
 
-std::string Transformer::run() {
+std::string Transformer::run(L::Program *KeepInto) {
+  Keep = KeepInto;
   Body.clear();
   SiteTable = ProfileSiteTable();
   SiteTable.Module = Opts.ModuleName.empty() ? "igen" : Opts.ModuleName;
   SiteTable.SourceFile = Opts.SourceName;
+  SitesDone = RegionsDone = 0;
   DefinedFns.clear();
   for (const TopLevelItem &Item : Ctx.TU.Items)
     if (Item.Function && Item.Function->Body)
       DefinedFns.insert(Item.Function->Name);
   for (const TopLevelItem &Item : Ctx.TU.Items) {
     if (!Item.Function) {
-      line(Item.Directive);
+      Body += Item.Directive;
+      Body += '\n';
       continue;
     }
     emitFunction(Item.Function);
     Body += '\n';
   }
-  if ((Opts.Profile && !SiteTable.Sites.empty()) ||
-      (Opts.Tier && !SiteTable.Regions.empty()))
-    compactSites();
 
   std::string Out;
   Out += "// Generated by igen (IGen reproduction). Do not edit.\n";
@@ -2309,8 +2194,16 @@ std::string igen::transformToIntervals(ASTContext &Ctx,
                                        DiagnosticsEngine &Diags,
                                        const TransformOptions &Options,
                                        ProfileSiteTable *SitesOut) {
+  return transformToIntervals(Ctx, Diags, Options, SitesOut, nullptr);
+}
+
+std::string igen::transformToIntervals(ASTContext &Ctx,
+                                       DiagnosticsEngine &Diags,
+                                       const TransformOptions &Options,
+                                       ProfileSiteTable *SitesOut,
+                                       lowered::Program *Keep) {
   Transformer T(Ctx, Diags, Options);
-  std::string Out = T.run();
+  std::string Out = T.run(Keep);
   if (SitesOut)
     *SitesOut = T.siteTable();
   return Out;

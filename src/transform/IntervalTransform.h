@@ -5,8 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The IGen transformation proper (Section IV): walks the type-checked AST
-/// and emits an equivalent *sound* C function over interval types.
+/// The IGen transformation proper (Section IV): lowers each function of
+/// the type-checked AST once into typed nodes (transform/Lowered.h) that
+/// make every decision below, then prints them as an equivalent *sound*
+/// C function over interval types. The serve evaluator runs the same
+/// nodes.
 ///
 ///  * Types are promoted per Table II (float/double -> f64i or ddi; SIMD
 ///    vectors -> m256di_k or ddi_k).
@@ -130,6 +133,17 @@ struct TransformOptions {
 std::string transformToIntervals(ASTContext &Ctx, DiagnosticsEngine &Diags,
                                  const TransformOptions &Options,
                                  SiteTable *SitesOut = nullptr);
+
+namespace lowered {
+struct Program;
+}
+
+/// transformToIntervals that also moves every lowered function into
+/// \p Keep (transform/Lowered.h), for a back end that runs them. Without
+/// \p Keep each function is freed as soon as it is printed.
+std::string transformToIntervals(ASTContext &Ctx, DiagnosticsEngine &Diags,
+                                 const TransformOptions &Options,
+                                 SiteTable *SitesOut, lowered::Program *Keep);
 
 } // namespace igen
 

@@ -8,17 +8,23 @@
 
 #include "frontend/Parser.h"
 #include "frontend/Sema.h"
+#include "transform/Lowered.h"
 
 using namespace igen;
 
 InMemoryProgram::InMemoryProgram() = default;
 InMemoryProgram::~InMemoryProgram() = default;
 
+namespace {
+
+/// The pipeline behind both entry points. \p KeepLowered: the program
+/// keeps its lowered functions (the serve daemon runs them); otherwise
+/// each is freed as soon as it is printed.
 std::unique_ptr<InMemoryProgram>
-igen::compileToProgram(std::string_view Source, const TransformOptions &Opts,
-                       DiagnosticsEngine &Diags, ProfileSiteTable *SitesOut,
-                       PipelineStage *FailedStage,
-                       const PipelineCancelFn &Cancel) {
+compile(std::string_view Source, const TransformOptions &Opts,
+        DiagnosticsEngine &Diags, ProfileSiteTable *SitesOut,
+        PipelineStage *FailedStage, const PipelineCancelFn &Cancel,
+        bool KeepLowered) {
   auto Fail = [&](PipelineStage S) {
     if (FailedStage)
       *FailedStage = S;
@@ -48,12 +54,26 @@ igen::compileToProgram(std::string_view Source, const TransformOptions &Opts,
     return Fail(PipelineStage::Sema);
   if (Cancelled())
     return Fail(PipelineStage::Cancelled);
-  Prog->EmittedC = transformToIntervals(*Prog->Ast, Diags, Opts, SitesOut);
+  if (KeepLowered)
+    Prog->Lowered = std::make_unique<lowered::Program>();
+  Prog->EmittedC = transformToIntervals(*Prog->Ast, Diags, Opts, SitesOut,
+                                        Prog->Lowered.get());
   if (Diags.hasErrors())
     return Fail(PipelineStage::Transform);
   if (Cancelled())
     return Fail(PipelineStage::Cancelled);
   return Prog;
+}
+
+} // namespace
+
+std::unique_ptr<InMemoryProgram>
+igen::compileToProgram(std::string_view Source, const TransformOptions &Opts,
+                       DiagnosticsEngine &Diags, ProfileSiteTable *SitesOut,
+                       PipelineStage *FailedStage,
+                       const PipelineCancelFn &Cancel) {
+  return compile(Source, Opts, Diags, SitesOut, FailedStage, Cancel,
+                 /*KeepLowered=*/true);
 }
 
 std::optional<std::string>
@@ -62,7 +82,8 @@ igen::compileToIntervals(std::string_view Source,
                          DiagnosticsEngine &Diags,
                          ProfileSiteTable *SitesOut,
                          PipelineStage *FailedStage) {
-  auto Prog = compileToProgram(Source, Opts, Diags, SitesOut, FailedStage);
+  auto Prog = compile(Source, Opts, Diags, SitesOut, FailedStage, {},
+                      /*KeepLowered=*/false);
   if (!Prog)
     return std::nullopt;
   return std::move(Prog->EmittedC);

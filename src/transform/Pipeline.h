@@ -39,13 +39,19 @@ enum class PipelineStage { None, Parse, Sema, Transform, Cancelled };
 /// on a compile error, so cancellation leaves no state behind.
 using PipelineCancelFn = std::function<bool()>;
 
+namespace lowered {
+struct Program;
+}
+
 /// A fully compiled program kept in memory: the type-checked AST (owned,
-/// so references into it stay valid for the lifetime of this object)
-/// plus the emitted interval C text. This is the re-entrant pipeline
-/// product the serve mode caches and the AST-walking evaluator executes;
-/// the one-shot CLI only ever needs \c EmittedC.
+/// so references into it stay valid for the lifetime of this object),
+/// the lowered functions (transform/Lowered.h) and the interval C printed
+/// from them. This is the re-entrant pipeline product the serve mode
+/// caches and its evaluator executes; the one-shot CLI only ever needs
+/// \c EmittedC and never keeps the lowered form.
 struct InMemoryProgram {
   std::unique_ptr<ASTContext> Ast;
+  std::unique_ptr<lowered::Program> Lowered;
   std::string EmittedC;
   TransformOptions Opts;
 
@@ -56,7 +62,8 @@ struct InMemoryProgram {
 };
 
 /// Re-entrant pipeline entry: compiles C source text and returns the
-/// program in memory (AST + emitted interval C) instead of text only.
+/// program in memory (AST, lowered form and emitted interval C) instead
+/// of text only.
 /// Returns nullptr (with diagnostics in \p Diags) on any error; the
 /// partially built AST is discarded, so a failed run leaves no state
 /// behind — callers may invoke this concurrently from many threads.

@@ -8,48 +8,9 @@
 
 #include "support/JsonWriter.h"
 
-#include <cstdlib>
-#include <cstring>
+#include <cstdio>
 
 using namespace igen;
-
-std::vector<bool> igen::compactIdReferences(std::string &Body,
-                                            const char *Tag,
-                                            size_t NumIds) {
-  const size_t TagLen = std::strlen(Tag);
-  std::vector<bool> Used(NumIds, false);
-  for (size_t P = Body.find(Tag); P != std::string::npos;
-       P = Body.find(Tag, P + TagLen)) {
-    size_t Id = std::strtoul(Body.c_str() + P + TagLen, nullptr, 10);
-    if (Id < NumIds)
-      Used[Id] = true;
-  }
-  std::vector<unsigned> Remap(NumIds, 0);
-  unsigned Next = 0;
-  for (size_t I = 0; I < NumIds; ++I) {
-    Remap[I] = Next;
-    Next += Used[I];
-  }
-  if (Next == NumIds)
-    return Used; // dense already; nothing to rewrite
-  std::string NewBody;
-  NewBody.reserve(Body.size());
-  size_t Last = 0;
-  for (size_t P = Body.find(Tag); P != std::string::npos;
-       P = Body.find(Tag, P)) {
-    size_t NumBegin = P + TagLen, NumEnd = NumBegin;
-    while (NumEnd < Body.size() && Body[NumEnd] >= '0' &&
-           Body[NumEnd] <= '9')
-      ++NumEnd;
-    size_t Old = std::strtoul(Body.c_str() + NumBegin, nullptr, 10);
-    NewBody.append(Body, Last, NumBegin - Last);
-    NewBody += std::to_string(Old < NumIds ? Remap[Old] : 0);
-    Last = P = NumEnd;
-  }
-  NewBody.append(Body, Last, std::string::npos);
-  Body = std::move(NewBody);
-  return Used;
-}
 
 std::string igen::siteSidecarJson(const SiteTable &Table) {
   JsonWriter W;

@@ -11,10 +11,10 @@
 /// region (tier regions) — and both need the same two services:
 ///
 ///  * a single renumbering pass after optimizer rewrites: FMA fusion and
-///    sign specialization build (and thereby number) operand code before
-///    deciding to replace it, which can orphan an ID; the emitted tables
-///    must only describe entries whose IDs survive in the final body
-///    (compactIdReferences);
+///    sign specialization lower (and thereby number) operands before
+///    deciding to replace them, which can orphan an ID; the emitted tables
+///    must only describe entries whose IDs survive in the final lowered
+///    form (the transformer renumbers them there, one function at a time);
 ///  * one sidecar-JSON writer, so the `<output>.sites.json` format has
 ///    exactly one producer regardless of which feature requested it
 ///    (writeSiteSidecar / siteSidecarJson).
@@ -65,21 +65,6 @@ struct SiteTable {
 
 /// Historical name from when --profile was the only table producer.
 using ProfileSiteTable = SiteTable;
-
-/// Renumbers the ID references "<Tag><digits>" in \p Body densely: IDs
-/// never referenced are dropped, survivors keep their relative order, and
-/// every reference in \p Body is rewritten to the new numbering. \p NumIds
-/// is the number of IDs handed out (references must be < NumIds). Returns
-/// the keep-mask indexed by old ID, so the caller can filter its table
-/// rows to match:
-///
-///   std::vector<bool> Keep = compactIdReferences(Body, Tag, N);
-///   // erase table entries whose Keep[id] is false
-///
-/// When every ID is referenced, \p Body is left untouched and the mask is
-/// all-true.
-std::vector<bool> compactIdReferences(std::string &Body, const char *Tag,
-                                      size_t NumIds);
 
 /// The `<output>.sites.json` sidecar document for \p Table: schema_version
 /// 1, report "igen_sites", a "sites" array (always) and a "regions" array

@@ -282,8 +282,9 @@ TEST_F(ElemTest, AsinAcosJustOutsideUnitDomain) {
   }
   Interval C = iAcos(Interval::fromEndpoints(Below, std::nextafter(-1.0, 0.0)));
   EXPECT_TRUE(C.hasNaN());
-  if (!std::isnan(C.Hi))
+  if (!std::isnan(C.Hi)) {
     EXPECT_GE(C.hi(), 3.1415926535897931); // acos(-1) rounds to pi
+  }
 }
 
 TEST_F(ElemTest, SinCosAtArgumentReductionCutoff) {

@@ -1,4 +1,4 @@
-//===- EvaluatorTest.cpp - AST-walking interval evaluator tests ---------------===//
+//===- EvaluatorTest.cpp - Serve evaluator tests -----------------------------===//
 //
 // Part of the IGen reproduction. BSD 3-Clause license.
 //
@@ -18,10 +18,11 @@ using namespace igen::server;
 namespace {
 
 std::shared_ptr<const InMemoryProgram>
-compile(const char *Source, bool Join = false, bool Reductions = false) {
+compile(const char *Source, bool Join = false, bool Reductions = false,
+        int OptLevel = 0) {
   DiagnosticsEngine Diags;
   TransformOptions Opts;
-  Opts.OptLevel = 0;
+  Opts.OptLevel = OptLevel;
   Opts.ScalarLibrary = true;
   Opts.EnableReductions = Reductions;
   if (Join)
@@ -33,9 +34,6 @@ compile(const char *Source, bool Join = false, bool Reductions = false) {
 
 EvalResult eval(const InMemoryProgram &P, const std::string &Fn,
                 std::vector<EvalArg> Args, EvalOptions EO = {}) {
-  EO.JoinBranches =
-      P.Opts.Branches == TransformOptions::BranchPolicy::Join;
-  EO.EnableReductions = P.Opts.EnableReductions;
   RoundUpwardScope Up;
   return evalFunction(P, Fn, Args, EO);
 }
@@ -159,6 +157,22 @@ TEST(Evaluator, JoinPolicyHullsBothBranches) {
   EXPECT_DOUBLE_EQ(R.Return.hi(), 1.0);
 }
 
+TEST(Evaluator, JoinPolicyHullsAToleranceShadow) {
+  auto P = compile("double f(double:0.125 a, double b) {\n"
+                   "  if (b > 0.0) { a = 1.0; }\n"
+                   "  return a;\n"
+                   "}",
+                   /*Join=*/true);
+  EvalArg A;
+  A.K = EvalArg::Kind::Tolerance;
+  A.Point = 0.5;
+  EvalResult R = eval(*P, "f", {A, scalar(-1.0, 1.0)});
+  ASSERT_TRUE(R.Ok) << R.Error.Message;
+  // Both branches: a +- 0.125 = [0.375, 0.625] and 1.0.
+  EXPECT_DOUBLE_EQ(R.Return.lo(), 0.375);
+  EXPECT_DOUBLE_EQ(R.Return.hi(), 1.0);
+}
+
 TEST(Evaluator, ReductionAccumulatorRuns) {
   auto P = compile("double dot(double *a, double *b, int n) {\n"
                    "  double s = 0.0;\n"
@@ -276,6 +290,122 @@ TEST(Evaluator, DoubleDoubleProgramsAreRejectedTyped) {
   EvalResult R = evalFunction(*P, "f", {point(1.0)}, {});
   ASSERT_FALSE(R.Ok);
   EXPECT_EQ(R.Error.Code, "unsupported");
+}
+
+// The -O lowering's loops: a sign-versioned loop (opt_axmy is not an
+// axpy, so it stays three loop copies) and row kernels (axpy, dot).
+const char *OptLoops =
+    "void axmy(double alpha, const double *x, double *y, int n) {\n"
+    "  for (int i = 0; i < n; i++) {\n"
+    "    y[i] -= alpha * x[i];\n"
+    "  }\n"
+    "}\n"
+    "void axpy(double alpha, const double *x, double *y, int n) {\n"
+    "  for (int i = 0; i < n; i++) {\n"
+    "    y[i] = y[i] + alpha * x[i];\n"
+    "  }\n"
+    "}\n"
+    "double row(const double *w, const double *x, int k, int n) {\n"
+    "  double s = 0.0;\n"
+    "  for (int i = k; i < n; i++) {\n"
+    "    s = s + w[i] * x[i];\n"
+    "  }\n"
+    "  return s;\n"
+    "}\n";
+
+TEST(Evaluator, OptLevelProgramsRunTheOptLowering) {
+  auto P = compile(OptLoops, false, false, /*OptLevel=*/1);
+  EXPECT_NE(P->EmittedC.find("ia_axpy_f64("), std::string::npos);
+  EXPECT_NE(P->EmittedC.find("ia_dot_f64("), std::string::npos);
+  EXPECT_NE(P->EmittedC.find("ia_inf_f64(alpha) >= 0.0"), std::string::npos);
+  std::vector<Interval> X(4, Interval::fromPoint(2.0));
+  std::vector<Interval> Y(4, Interval::fromPoint(1.0));
+  for (const char *Fn : {"axmy", "axpy"}) {
+    EvalResult R = eval(*P, Fn, {point(3.0), arr(X), arr(Y), intArg(4)});
+    ASSERT_TRUE(R.Ok) << Fn << ": " << R.Error.Message;
+    double Want = std::string(Fn) == "axmy" ? -5.0 : 7.0;
+    for (const Interval &I : R.ArrayOutputs[1]) {
+      EXPECT_DOUBLE_EQ(I.lo(), Want) << Fn;
+      EXPECT_DOUBLE_EQ(I.hi(), Want) << Fn;
+    }
+  }
+  EvalResult R = eval(*P, "row", {arr(X), arr(Y), intArg(1), intArg(4)});
+  ASSERT_TRUE(R.Ok) << R.Error.Message;
+  EXPECT_DOUBLE_EQ(R.Return.lo(), 6.0);
+  EXPECT_DOUBLE_EQ(R.Return.hi(), 6.0);
+}
+
+TEST(Evaluator, RowKernelPastItsArrayIsOutOfBounds) {
+  auto P = compile(OptLoops, false, false, /*OptLevel=*/1);
+  std::vector<Interval> Short(3, Interval::fromPoint(1.0));
+  std::vector<Interval> Long(64, Interval::fromPoint(1.0));
+  // The whole row is checked before the kernel runs: nothing past the
+  // 3-element buffer is read (the ASan job would see it).
+  EvalResult R = eval(*P, "row", {arr(Short), arr(Long), intArg(0),
+                                  intArg(64)});
+  ASSERT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error.Code, "out-of-bounds");
+  R = eval(*P, "row", {arr(Long), arr(Short), intArg(1), intArg(4)});
+  ASSERT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error.Code, "out-of-bounds");
+  R = eval(*P, "axpy", {point(2.0), arr(Long), arr(Short), intArg(64)});
+  ASSERT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error.Code, "out-of-bounds");
+  EXPECT_TRUE(R.ArrayOutputs.empty());
+  // A negative start is caught too.
+  R = eval(*P, "row", {arr(Long), arr(Long), intArg(-2), intArg(4)});
+  ASSERT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error.Code, "out-of-bounds");
+}
+
+TEST(Evaluator, VersionedLoopAndRowKernelStopAtStepLimit) {
+  auto P = compile(OptLoops, false, false, /*OptLevel=*/1);
+  std::vector<Interval> Big(100000, Interval::fromPoint(1.0));
+  EvalOptions EO;
+  EO.StepLimit = 5000;
+  for (const char *Fn : {"axmy", "axpy"}) {
+    EvalResult R =
+        eval(*P, Fn, {point(-1.0), arr(Big), arr(Big), intArg(100000)}, EO);
+    ASSERT_FALSE(R.Ok) << Fn;
+    EXPECT_EQ(R.Error.Code, "step-limit") << Fn;
+    EXPECT_LE(R.OpsExecuted, EO.StepLimit) << Fn;
+  }
+  EvalResult R =
+      eval(*P, "row", {arr(Big), arr(Big), intArg(0), intArg(100000)}, EO);
+  ASSERT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error.Code, "step-limit");
+}
+
+TEST(Evaluator, VersionedLoopAndRowKernelStopAtDeadline) {
+  // A row kernel inside a long loop: every call is a back edge of the
+  // outer loop, so the deadline poll runs between kernel calls.
+  auto P = compile("double rows(const double *w, const double *x, int n,\n"
+                   "            int reps) {\n"
+                   "  double s = 0.0;\n"
+                   "  for (int r = 0; r < reps; r++) {\n"
+                   "    for (int i = 0; i < n; i++) {\n"
+                   "      s = s + w[i] * x[i];\n"
+                   "    }\n"
+                   "  }\n"
+                   "  return s;\n"
+                   "}\n",
+                   false, false, /*OptLevel=*/1);
+  ASSERT_NE(P->EmittedC.find("ia_dot_f64("), std::string::npos);
+  auto P2 = compile(OptLoops, false, false, /*OptLevel=*/1);
+  std::vector<Interval> Row(64, Interval::fromPoint(1.0));
+  EvalOptions EO;
+  EO.HasDeadline = true;
+  EO.Deadline = std::chrono::steady_clock::now(); // already expired
+  EvalResult R = eval(*P, "rows", {arr(Row), arr(Row), intArg(64),
+                                   intArg(1 << 30)},
+                      EO);
+  ASSERT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error.Code, "deadline-exceeded");
+  std::vector<Interval> Big(100000, Interval::fromPoint(1.0));
+  R = eval(*P2, "axmy", {point(-1.0), arr(Big), arr(Big), intArg(100000)},
+           EO);
+  ASSERT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error.Code, "deadline-exceeded");
 }
 
 } // namespace

@@ -72,25 +72,29 @@ TEST_F(ServeConcurrencyTest, MixedOptionEvalsBitIdenticalToSerialReplay) {
                     "  return s;\n"
                     "}");
 
-  // A frame set that mixes programs, argument shapes, and per-request
-  // option overrides (including requests whose options DIFFER from the
-  // program's compiled defaults).
+  // A frame set that mixes programs (one compiled with the join policy),
+  // argument shapes, and the per-request options (fenv_policy,
+  // step_limit, tier_width); some step limits are too small, so typed
+  // errors are part of the mix.
   std::vector<std::string> Frames;
   for (int I = 0; I < 6; ++I) {
     double X = 0.25 * (I + 1);
     Frames.push_back("{\"op\":\"eval\",\"handle\":\"" + HArith +
                      "\",\"function\":\"f\",\"args\":[" +
-                     std::to_string(X) + "]}");
+                     std::to_string(X) + "],\"options\":{\"tier_width\":" +
+                     std::to_string(0.5 * I + 0.25) + "}}");
     Frames.push_back("{\"op\":\"eval\",\"handle\":\"" + HBranch +
                      "\",\"function\":\"g\",\"args\":[{\"lo\":-" +
                      std::to_string(X) + ",\"hi\":" + std::to_string(X) +
                      "}]}");
     Frames.push_back("{\"op\":\"eval\",\"handle\":\"" + HBranch +
                      "\",\"function\":\"g\",\"args\":[1.5],"
-                     "\"options\":{\"branch\":\"exception\"}}");
+                     "\"options\":{\"fenv_policy\":\"poison\"}}");
     Frames.push_back("{\"op\":\"eval\",\"handle\":\"" + HLoop +
                      "\",\"function\":\"h\",\"args\":[0.1,{\"int\":" +
-                     std::to_string(10 * (I + 1)) + "}]}");
+                     std::to_string(10 * (I + 1)) +
+                     "}],\"options\":{\"step_limit\":" +
+                     std::to_string(100 + 60 * I) + "}}");
   }
 
   // Serial replay: the ground truth.

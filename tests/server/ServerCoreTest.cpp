@@ -301,25 +301,78 @@ TEST_F(ServerCoreTest, EvalErrorsAreTypedAndDoNotPoisonTheCore) {
 }
 
 TEST_F(ServerCoreTest, PerRequestOptionOverrides) {
-  std::string H = compileHandle("double f(double x) {\n"
-                                "  double r = 0.0;\n"
-                                "  if (x > 0.0) r = 1.0; else r = -1.0;\n"
-                                "  return r;\n"
-                                "}");
+  const char *Src = "double f(double x) {\n"
+                    "  double r = 0.0;\n"
+                    "  if (x > 0.0) r = 1.0; else r = -1.0;\n"
+                    "  return r;\n"
+                    "}";
+  std::string H = compileHandle(Src);
   // Default (exception policy): unknown branch is a typed error.
   EXPECT_EQ(expectError("{\"op\":\"eval\",\"handle\":\"" + H +
                         "\",\"function\":\"f\",\"args\":"
                         "[{\"lo\":-1.0,\"hi\":1.0}]}"),
             "unknown-branch");
-  // Per-request join override succeeds -- on the same cached program,
-  // with no global state involved.
-  JsonValue V = rpc("{\"op\":\"eval\",\"handle\":\"" + H +
+  // The branch policy is a compile option: an eval-time override is a
+  // typed error naming it, and so is a reductions override.
+  for (const char *Override : {"\"branch\":\"join\"", "\"reductions\":true"}) {
+    JsonValue E = rpc("{\"op\":\"eval\",\"handle\":\"" + H +
+                      "\",\"function\":\"f\",\"args\":"
+                      "[{\"lo\":-1.0,\"hi\":1.0}],\"options\":{" +
+                      Override + "}}");
+    ASSERT_FALSE(E.member("ok")->boolValue()) << Override;
+    EXPECT_EQ(E.member("error")->member("code")->stringValue(), "bad-option");
+    EXPECT_NE(E.member("error")->member("message")->stringValue().find(
+                  "compile option"),
+              std::string::npos);
+  }
+  // The join hull comes from a program compiled with the join policy.
+  std::string HJoin = compileHandle(Src, "\"branch\":\"join\"");
+  JsonValue V = rpc("{\"op\":\"eval\",\"handle\":\"" + HJoin +
                     "\",\"function\":\"f\",\"args\":"
-                    "[{\"lo\":-1.0,\"hi\":1.0}],"
-                    "\"options\":{\"branch\":\"join\"}}");
+                    "[{\"lo\":-1.0,\"hi\":1.0}]}");
   ASSERT_TRUE(V.member("ok")->boolValue());
   EXPECT_DOUBLE_EQ(V.member("result")->member("lo")->numberValue(), -1.0);
   EXPECT_DOUBLE_EQ(V.member("result")->member("hi")->numberValue(), 1.0);
+}
+
+TEST_F(ServerCoreTest, AotExactMeansTheServedLoweringIsTheArtifacts) {
+  const char *Src = "double k_iter(double x, double y, int n) {\n"
+                    "  for (int i = 0; i < n; i++) {\n"
+                    "    double xi = x;\n"
+                    "    x = 1.0 - 1.05 * xi * xi + y;\n"
+                    "    y = 0.3 * xi;\n"
+                    "  }\n"
+                    "  return x;\n"
+                    "}";
+  auto compileWith = [&](const std::string &Opts) {
+    JsonValue V = rpc("{\"op\":\"compile\",\"source\":\"" +
+                      jsonEscape(Src) + "\",\"options\":{" + Opts + "}}");
+    EXPECT_TRUE(V.member("ok")->boolValue()) << Opts;
+    return V.member("handle")->stringValue();
+  };
+  auto evalIter = [&](const std::string &H) {
+    return rpc("{\"op\":\"eval\",\"handle\":\"" + H +
+               "\",\"function\":\"k_iter\",\"args\":[0.3,0.24,"
+               "{\"int\":45}]}");
+  };
+  // f64 --target=ss: exact at -O0 and, since the evaluator runs the -O
+  // lowering, at -O too.
+  JsonValue O0 = evalIter(compileWith("\"opt_level\":0,\"target\":\"ss\""));
+  ASSERT_TRUE(O0.member("ok")->boolValue());
+  EXPECT_TRUE(O0.member("aot_exact")->boolValue());
+  JsonValue O1 = evalIter(compileWith("\"opt_level\":1,\"target\":\"ss\""));
+  ASSERT_TRUE(O1.member("ok")->boolValue());
+  EXPECT_TRUE(O1.member("aot_exact")->boolValue());
+  // --tier: the artifact escalates on these inputs to a tighter meet that
+  // the daemon never computes, so the served result is not the AOT one.
+  JsonValue Tier = evalIter(
+      compileWith("\"opt_level\":0,\"target\":\"ss\",\"tier\":true"));
+  ASSERT_TRUE(Tier.member("ok")->boolValue());
+  EXPECT_FALSE(Tier.member("aot_exact")->boolValue());
+  // The SIMD-register library is not the artifact the scalar runtime is.
+  JsonValue Sv = evalIter(compileWith("\"opt_level\":0,\"target\":\"sv\""));
+  ASSERT_TRUE(Sv.member("ok")->boolValue());
+  EXPECT_FALSE(Sv.member("aot_exact")->boolValue());
 }
 
 TEST_F(ServerCoreTest, AbortFenvPolicyIsRejected) {

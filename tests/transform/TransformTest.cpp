@@ -299,6 +299,21 @@ TEST(Transform, JoinModeBranches) {
   EXPECT_THAT(Out, HasSubstr("r = ia_join_f64(r, _res_r);"));
 }
 
+TEST(Transform, JoinModeHullsAToleranceShadow) {
+  // Assignments to a tolerance parameter store to its interval shadow, so
+  // the join must save, restore and hull the shadow, not the scalar.
+  TransformOptions Opts;
+  Opts.Branches = TransformOptions::BranchPolicy::Join;
+  std::string Out = compile("double f(double:0.1 a, double b) {\n"
+                            "  if (b > 0.0) { a = 1.0; }\n"
+                            "  return a;\n"
+                            "}\n",
+                            Opts);
+  EXPECT_THAT(Out, HasSubstr("f64i _sav__a = _a;"));
+  EXPECT_THAT(Out, HasSubstr("_a = ia_join_f64(_a, _res__a);"));
+  EXPECT_THAT(Out, Not(HasSubstr("_sav_a = a;")));
+}
+
 TEST(Transform, JoinModeFallsBackOnArrayStores) {
   TransformOptions Opts;
   Opts.Branches = TransformOptions::BranchPolicy::Join;

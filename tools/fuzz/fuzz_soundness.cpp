@@ -27,15 +27,21 @@
 //   bits. The register file has 8 slots; programs run at most 48 ops.
 //   Opcode bytes 240..255 select the entry points -O emits beyond the
 //   generic calls, each followed by one operand byte X:
-//     axpy     r[k] = r[k] + a * r[off + k], k < n, through ia_axpy_f64
-//              (a = r[X % 8], n = 1 + X/8 % 4, off = X/32 % 5: the rows
-//              are identical, overlap or are disjoint)
-//     dot/sub  r[d] = r[d] +- r[k] * r[off + k], k < n, in order, through
-//              ia_dot_f64/ia_dotsub_f64 on &r[d] (d = X % 8, which may
-//              lie inside either row)
-//     fma_pu/nu, mul_pu/nu  behind the sign test the emitted code makes
-//              on its first operand (a = r[X % 8]), then a second byte:
-//              b = r[Y % 8], destination r[Y/8 % 8]
+//     240      axpy: r[k] = r[k] + a * r[off + k], k < n, through
+//              ia_axpy_f64 (a = r[X % 8], n = 1 + X/8 % 4, off = X/32 % 5:
+//              the rows are identical, overlap or are disjoint)
+//     241/242  dot/sub: r[d] = r[d] +- r[k] * r[off + k], k < n, in order,
+//              through ia_dot_f64/ia_dotsub_f64 on &r[d] (d = X % 8,
+//              which may lie inside either row)
+//     243..246 fma_pu/nu, mul_pu/nu
+//     247..252 mul_pp/pn/nn, fma_pp/pn/nn
+//     253/254  div_p/div_n
+//     255      the generic ia_div_f64
+//              Each sign-specialized op runs behind the run-time sign test
+//              its precondition needs (the one the emitted code makes),
+//              else the generic op. Operands: a = r[X % 8], then a second
+//              byte Y: b = r[Y % 8], destination (and fma addend)
+//              r[Y/8 % 8].
 //   The oracle evaluates the same operations in the same order.
 //
 //===----------------------------------------------------------------------===//
@@ -106,6 +112,17 @@ Oracle oMul(Oracle X, Oracle Y) {
   return R;
 }
 Oracle oFma(Oracle X, Oracle Y, Oracle Z) { return oAdd(oMul(X, Y), Z); }
+/// X / Y: |x/y - X/Y| <= (a + |X/Y| b) / (|Y| - b) for |x - X| <= a and
+/// |y - Y| <= b; unbounded once the divisor's bound reaches zero.
+Oracle oDiv(Oracle X, Oracle Y) {
+  const __float128 Margin = qabs(Y.Q) - Y.A;
+  if (!(Margin > 0))
+    return {0, kQuadInf};
+  Oracle R{X.Q / Y.Q, 0};
+  R.A = (X.A + qabs(R.Q) * Y.A) / Margin;
+  R.A += qulp(R.Q) + qulp(R.A);
+  return R;
+}
 Oracle oNeg(Oracle X) { return {-X.Q, X.A}; }
 Oracle oAbsv(Oracle X) { return {qabs(X.Q), X.A}; }
 
@@ -147,8 +164,8 @@ bool violates(int Op, f64i RI, const Oracle &RO) {
 }
 
 /// Opcodes 240.. (see the file comment): the row kernels over the
-/// register file and the sign-specialized fma/mul. Returns true on
-/// violation.
+/// register file, the sign-specialized fma/mul/div and the generic
+/// division. Returns true on violation.
 template <typename NextFn>
 bool runRowOrSignOp(int Op, int X, NextFn &NextByte, f64i *IReg,
                     Oracle *OReg) {
@@ -183,9 +200,49 @@ bool runRowOrSignOp(int Op, int X, NextFn &NextByte, f64i *IReg,
   const int A = X % 8, B = Y % 8, D = Y / 8 % 8;
   const f64i Ia = IReg[A], Ib = IReg[B], Id = IReg[D];
   const bool NonNeg = ia_inf_f64(Ia) >= 0.0, NonPos = ia_sup_f64(Ia) <= 0.0;
+  const bool BNonNeg = ia_inf_f64(Ib) >= 0.0, BNonPos = ia_sup_f64(Ib) <= 0.0;
   f64i RI;
   Oracle RO;
   switch (Op) {
+  case 7:
+    RI = NonNeg && BNonNeg ? ia_mul_pp_f64(Ia, Ib) : ia_mul_f64(Ia, Ib);
+    RO = oMul(OReg[A], OReg[B]);
+    break;
+  case 8:
+    RI = NonNeg && BNonPos ? ia_mul_pn_f64(Ia, Ib) : ia_mul_f64(Ia, Ib);
+    RO = oMul(OReg[A], OReg[B]);
+    break;
+  case 9:
+    RI = NonPos && BNonPos ? ia_mul_nn_f64(Ia, Ib) : ia_mul_f64(Ia, Ib);
+    RO = oMul(OReg[A], OReg[B]);
+    break;
+  case 10:
+    RI = NonNeg && BNonNeg ? ia_fma_pp_f64(Ia, Ib, Id)
+                           : ia_fma_f64(Ia, Ib, Id);
+    RO = oFma(OReg[A], OReg[B], OReg[D]);
+    break;
+  case 11:
+    RI = NonNeg && BNonPos ? ia_fma_pn_f64(Ia, Ib, Id)
+                           : ia_fma_f64(Ia, Ib, Id);
+    RO = oFma(OReg[A], OReg[B], OReg[D]);
+    break;
+  case 12:
+    RI = NonPos && BNonPos ? ia_fma_nn_f64(Ia, Ib, Id)
+                           : ia_fma_f64(Ia, Ib, Id);
+    RO = oFma(OReg[A], OReg[B], OReg[D]);
+    break;
+  case 13: // div_p needs a divisor proven positive
+    RI = ia_inf_f64(Ib) > 0.0 ? ia_div_p_f64(Ia, Ib) : ia_div_f64(Ia, Ib);
+    RO = oDiv(OReg[A], OReg[B]);
+    break;
+  case 14: // div_n needs a divisor proven negative
+    RI = ia_sup_f64(Ib) < 0.0 ? ia_div_n_f64(Ia, Ib) : ia_div_f64(Ia, Ib);
+    RO = oDiv(OReg[A], OReg[B]);
+    break;
+  case 15:
+    RI = ia_div_f64(Ia, Ib);
+    RO = oDiv(OReg[A], OReg[B]);
+    break;
   case 3:
     RI = NonNeg ? ia_fma_pu_f64(Ia, Ib, Id) : ia_fma_f64(Ia, Ib, Id);
     RO = oFma(OReg[A], OReg[B], OReg[D]);
@@ -198,7 +255,7 @@ bool runRowOrSignOp(int Op, int X, NextFn &NextByte, f64i *IReg,
     RI = NonNeg ? ia_mul_pu_f64(Ia, Ib) : ia_mul_f64(Ia, Ib);
     RO = oMul(OReg[A], OReg[B]);
     break;
-  default: // 6
+  case 6:
     RI = NonPos ? ia_mul_nu_f64(Ia, Ib) : ia_mul_f64(Ia, Ib);
     RO = oMul(OReg[A], OReg[B]);
     break;
@@ -247,7 +304,7 @@ bool runProgram(const uint8_t *Data, size_t Size) {
       int X = NextByte();
       if (X < 0)
         break;
-      if (runRowOrSignOp((OpByte - 240) % 7, X, NextByte, IReg, OReg))
+      if (runRowOrSignOp(OpByte - 240, X, NextByte, IReg, OReg))
         return true;
       continue;
     }

@@ -17,8 +17,9 @@ Commands:
                         "int:N" (integer scalar), "point:X" (tolerance
                         input), or "array:a;b;c" (interval array, each
                         element a number or "lo,hi").
-                        Options: --branch exception|join
-                        --fenv-policy repair|poison --step-limit N
+                        Options: --fenv-policy repair|poison
+                        --step-limit N (the branch policy and
+                        reductions are compile options)
   stats                 fetch the daemon's counters/histograms report.
   health                fetch serving/draining state and in-flight ages.
   evict [HANDLE|--all]  drop one cached program, or all of them.
@@ -168,7 +169,6 @@ def main(argv):
     e.add_argument("handle")
     e.add_argument("function")
     e.add_argument("args", nargs="*")
-    e.add_argument("--branch", choices=("exception", "join"), default=None)
     e.add_argument("--fenv-policy", choices=("repair", "poison"), default=None)
     e.add_argument("--step-limit", type=int, default=None)
 
@@ -217,8 +217,6 @@ def main(argv):
         req["function"] = ns.function
         req["args"] = [parse_eval_arg(a) for a in ns.args]
         opts = {}
-        if ns.branch:
-            opts["branch"] = ns.branch
         if ns.fenv_policy:
             opts["fenv_policy"] = ns.fenv_policy
         if ns.step_limit is not None:
