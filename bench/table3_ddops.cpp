@@ -8,10 +8,13 @@
 // counts of the vectorized implementations. Flops are *measured* with the
 // counting operation policy (an FMA counts as two flops, comparisons are
 // not flops); intrinsic counts of the AVX implementations are static
-// properties of the code in DdSimd.h, tabulated here next to the paper's
-// numbers. Multiplication is reported per sign case. It uses FMA-based
-// TwoProd instead of Dekker splitting (DESIGN.md substitution 8), so its
-// flop count is lower than the paper's.
+// properties of the code, tabulated here next to the paper's numbers: the
+// AVX backend's primitives in src/interval/DdSimd.h
+// (DdRegs<DdIntervalAvx>::addUp, mulUp, maxUp, signs, select, swap, neg,
+// negFirst, dupFirst, dupSecond, xNonNeg, yNonNeg) as the one ddiMul body
+// in src/interval/DdInterval.h calls them. Multiplication is reported per
+// sign case. It uses FMA-based TwoProd instead of Dekker splitting
+// (DESIGN.md substitution 8), so its flop count is lower than the paper's.
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,9 +35,10 @@ template <typename Fn> uint64_t countFlops(Fn Op) {
   return CountingOps::flops();
 }
 
-/// Intrinsics of a DdSimd.h code path: arithmetic (add/sub/mul/fma,
+/// Intrinsics of an AVX code path: arithmetic (add/sub/mul/fma,
 /// compares, bitwise logic, movemask) and shuffles (permutes, lane
-/// moves, blends). The special-value and overflow screens are left out.
+/// moves, blends). The special-value and overflow screens, and the scalar
+/// fallback of a tie in maxUp, are left out.
 struct Intrinsics {
   int Arith, Shuffles;
   Intrinsics operator+(Intrinsics O) const {
@@ -44,12 +48,17 @@ struct Intrinsics {
   int total() const { return Arith + Shuffles; }
 };
 
-// The building blocks of the AVX ddiMul.
-constexpr Intrinsics PairMul{12, 4};  // ddPairMulUp
-constexpr Intrinsics PairMax{4, 3};   // ddPairMax
-constexpr Intrinsics SignTest{3, 2};  // nonPositive4 + movemask
-constexpr Intrinsics KnownOps{2, 7};  // two sign flips; blendv'd operands
-constexpr Intrinsics StraddleOps{0, 3}; // dupLoWords, dupHiWords, swapDd
+// The building blocks of ddiMul on the AVX backend.
+constexpr Intrinsics PairMul{12, 4}; // mulUp
+// maxUp: RU(H + L) of both pairs (2 adds, 2 lane swaps), the tie test
+// (compare, movemask), the pick (compare, lane duplicate, blendv).
+constexpr Intrinsics PairMax{5, 4};
+constexpr Intrinsics SignTest{3, 2}; // signs: lane moves, add, compare,
+                                     // movemask
+// neg and negFirst (two xors); swap twice, two selects (blendv) and their
+// masks xNonNeg/yNonNeg (one shared in-lane permute, two lane moves).
+constexpr Intrinsics KnownOps{2, 7};
+constexpr Intrinsics StraddleOps{0, 3}; // dupFirst, dupSecond, swap
 
 void printMul(const char *Case, uint64_t Flops, Intrinsics I) {
   std::printf("table3,multiplication-%s,flops,%llu,114\n", Case,
@@ -82,7 +91,8 @@ int main() {
               (unsigned long long)(2 * DivEp));
 
   // Intrinsic counts of the AVX implementations (static; see DdSimd.h).
-  // Addition: twoSum256(6) + 2 adds + 2 fastTwoSum256(3) + 3 shuffles.
+  // Addition (addUp): twoSum256(6) + 2 adds + 2 fastTwoSum256(3) + 3
+  // shuffles.
   std::printf("table3,addition,arith-intrinsics,14,14\n");
   std::printf("table3,addition,shuffles,3,3\n");
   std::printf("table3,addition,total-intrinsics,17,17\n");

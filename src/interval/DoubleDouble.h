@@ -32,9 +32,10 @@
 
 namespace igen {
 
-/// A double-double value ah + al. Normalized when |al| <= ulp(ah)/2-ish;
-/// the directed algorithms keep results normalized via their final
-/// renormalization step.
+/// A double-double value ah + al. The directed algorithms return the RU
+/// form H = RU(H + L) through their final renormalization step; a pair
+/// built elsewhere may have any form (round-to-nearest with a low word of
+/// either sign, or unnormalized), and ddOrder orders every form.
 struct Dd {
   double H = 0.0;
   double L = 0.0;
@@ -45,32 +46,10 @@ struct Dd {
 
   bool hasNaN() const { return std::isnan(H) || std::isnan(L); }
   bool isInf() const { return std::isinf(H); }
-
-  /// Sign of the represented value (normalized inputs: the high word
-  /// dominates). Returns -1, 0, or +1.
-  int sign() const {
-    if (H > 0.0)
-      return 1;
-    if (H < 0.0)
-      return -1;
-    if (L > 0.0)
-      return 1;
-    if (L < 0.0)
-      return -1;
-    return 0;
-  }
 };
 
 /// Exact negation.
 inline Dd ddNeg(const Dd &X) { return Dd(-X.H, -X.L); }
-
-/// Ordering of double-double values (valid for normalized operands and for
-/// +-inf; NaN compares false like IEEE).
-inline bool ddLess(const Dd &X, const Dd &Y) {
-  return X.H < Y.H || (X.H == Y.H && X.L < Y.L);
-}
-
-inline Dd ddMax(const Dd &X, const Dd &Y) { return ddLess(X, Y) ? Y : X; }
 
 /// Default operation policy: plain hardware arithmetic.
 struct FastOps {
@@ -243,7 +222,7 @@ inline Dd ddDivUp(const Dd &X, const Dd &Y) {
 /// Upper bound of the double-double X as a single double: RU(H + L).
 /// H + L is a multiple of the smallest denormal, so RU(H + L) also has
 /// the exact sign of X, even for an unnormalized X whose low word
-/// outweighs its high word (where sign() reads the wrong one).
+/// outweighs its high word (where the high word's sign is the wrong one).
 inline double ddToDoubleUp(const Dd &X) {
   assertRoundUpward();
   return X.H + X.L;
@@ -270,21 +249,53 @@ inline bool ddHeronOperand(const Dd &X) {
 
 } // namespace detail
 
-/// An upper bound of max(X, Y) that is the larger of the two whenever
-/// their order can be proven. RU(H + L) orders values in different double
-/// ulps exactly, unnormalized ones included: RU(X) < RU(Y) puts X at or
-/// below a double that lies below Y. Inside one ulp an upward difference
-/// must confirm the lexicographic order; failing that, the common RU(H + L)
-/// bounds both.
-inline Dd ddMaxUp(const Dd &X, const Dd &Y) {
+/// The signs X - Y may have, as far as ddOrder proves: a nonempty union of
+/// DdBelow (X < Y), DdEqual and DdAbove (X > Y).
+enum DdOrder : unsigned {
+  DdBelow = 1,
+  DdEqual = 2,
+  DdAbove = 4,
+  DdUnordered = DdBelow | DdEqual | DdAbove,
+};
+
+/// The one order of double-doubles, for every form (RU, round-to-nearest
+/// with either sign of low word, unnormalized). Exact where it decides:
+///  - RU(H + L) orders values in different double ulps: RU(X) < RU(Y)
+///    puts X at or below a double that lies below Y;
+///  - inside one ulp, identical words are equal, and an upward difference
+///    must confirm the lexicographic order of (H, L): with M the
+///    lexicographically larger and O the other, RU(O - M) < 0 proves
+///    O < M and RU(O - M) == 0 proves O <= M.
+/// Otherwise (an order the difference does not confirm, NaN words) the
+/// answer is DdUnordered. Requires upward rounding.
+inline unsigned ddOrder(const Dd &X, const Dd &Y) {
   const double UX = ddToDoubleUp(X), UY = ddToDoubleUp(Y);
-  if (UX != UY)
-    return UX < UY ? Y : X;
-  const bool YWins = ddLess(X, Y);
-  const Dd &M = YWins ? Y : X, &O = YWins ? X : Y;
-  if (ddToDoubleUp(ddSubUp(O, M)) <= 0.0)
-    return M;
-  return Dd(UX);
+  if (UX < UY)
+    return DdBelow;
+  if (UY < UX)
+    return DdAbove;
+  if (UX != UY) // NaN
+    return DdUnordered;
+  if (X.H == Y.H && X.L == Y.L)
+    return DdEqual;
+  const bool YAbove = X.H < Y.H || (X.H == Y.H && X.L < Y.L);
+  const double D = ddToDoubleUp(YAbove ? ddSubUp(X, Y) : ddSubUp(Y, X));
+  if (!(D <= 0.0))
+    return DdUnordered;
+  return (YAbove ? DdBelow : DdAbove) | (D < 0.0 ? 0u : DdEqual);
+}
+
+/// An upper bound of max(X, Y): the larger of the two whenever ddOrder
+/// proves their order (X on a tie), otherwise their common RU(H + L),
+/// which bounds both. NaN words give an unspecified result; callers
+/// screen them.
+inline Dd ddMax(const Dd &X, const Dd &Y) {
+  const unsigned O = ddOrder(X, Y);
+  if (!(O & DdBelow))
+    return X;
+  if (!(O & DdAbove))
+    return Y;
+  return Dd(ddToDoubleUp(X));
 }
 
 /// Upward-rounded double-double square root for X >= 0: one Heron step

@@ -25,7 +25,6 @@
 #include <cassert>
 #include <cfenv>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 namespace igen {
@@ -104,31 +103,6 @@ inline int ddResidualSign(const Dd &Q, const Dd &Y, const Dd &X) {
   E.add(-X.H);
   E.add(-X.L);
   return E.sign();
-}
-
-/// Certified upward-rounded double-double division: starts from the fast
-/// widened candidate and, unnecessary in practice but belt-and-braces,
-/// verifies Q >= X/Y by the exact residual sign, nudging upward until the
-/// bound holds. Requires Y != 0 and finite operands.
-template <class Ops = FastOps>
-inline Dd ddDivUpCertified(const Dd &X, const Dd &Y) {
-  Dd Q = ddDivUp<Ops>(X, Y);
-  if (Q.hasNaN() || Q.isInf())
-    return Q;
-  // Q >= X/Y  <=>  Q*Y >= X (Y > 0)  or  Q*Y <= X (Y < 0).
-  int YSign = Y.sign();
-  assert(YSign != 0 && "division by zero must be handled by the caller");
-  for (int Iter = 0; Iter < 8; ++Iter) {
-    int RSign = ddResidualSign(Q, Y, X); // sign of Q*Y - X
-    bool Holds = YSign > 0 ? RSign >= 0 : RSign <= 0;
-    if (Holds)
-      return Q;
-    Q.L = nextUp(Q.L);
-    if (Q.L == 0.0) // crossed zero exactly; keep moving
-      Q.L = std::numeric_limits<double>::denorm_min();
-  }
-  // Could not verify (pathological operands): fall back to +inf bound.
-  return Dd(std::numeric_limits<double>::infinity(), 0.0);
 }
 
 } // namespace igen

@@ -583,8 +583,8 @@ inline ddi ia_div_dd(ddi A, ddi B) { return igen::ddiDiv(A, B); }
 inline ddi ia_neg_dd(ddi A) { return igen::ddiNeg(A); }
 
 /// Double-double sqrt/abs are computed on the scalar representation.
-/// Every sign and the maximum are read from RU(H + L) (ddToDoubleUp,
-/// ddMaxUp), exact also for an unnormalized endpoint whose low word
+/// Every sign is read from RU(H + L) (ddToDoubleUp) and the maximum from
+/// ddMax, exact also for an unnormalized endpoint whose low word
 /// outweighs its high word.
 inline ddi ia_abs_dd(ddi A) {
   igen::DdInterval S = igen_detail::ddiToScalar(A);
@@ -595,7 +595,7 @@ inline ddi ia_abs_dd(ddi A) {
   if (igen::ddToDoubleUp(S.Hi) <= 0.0) // hi <= 0
     return ia_neg_dd(A);
   return igen_detail::ddiFromScalar(igen::DdInterval(
-      igen::Dd(0.0), igen::ddMaxUp(S.NegLo, S.Hi)));
+      igen::Dd(0.0), igen::ddMax(S.NegLo, S.Hi)));
 }
 
 /// sqrt on ddi endpoints at full double-double accuracy: Heron-step

@@ -11,10 +11,13 @@
 ///
 /// Layouts. An array of N igen::Interval values is N contiguous
 /// (-lo, hi) double pairs. IntervalSse stores exactly one such pair per
-/// __m128d and IntervalX2 two pairs per __m256d, so arrays of all three
-/// types share one byte layout; the overloads below reinterpret the SIMD
-/// types onto the canonical Interval kernels (static_asserts verify the
-/// sizes).
+/// __m128d, so both arrays share one byte layout; the overloads at the end
+/// reinterpret IntervalSse arrays onto the canonical Interval kernels (a
+/// static_assert verifies the size).
+///
+/// Entry path. Every elementwise iarr_* entry here and every ddarr_* entry
+/// (DdBatch.h) is one call to detail::runBatch, templated over the element
+/// type, which owns the steps below in one fixed order.
 ///
 /// Rounding. Every entry point establishes upward rounding internally
 /// (RAII) and restores the caller's mode — callers do NOT need to be
@@ -55,14 +58,15 @@
 #include "harden/FenvSentinel.h"
 #include "interval/Interval.h"
 #include "interval/IntervalSimd.h"
-#include "interval/IntervalVector.h"
 #include "interval/Rounding.h"
 #include "runtime/CpuDispatch.h"
 
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 namespace igen::runtime {
@@ -79,10 +83,9 @@ inline constexpr size_t kReduceLanes = 8;
 
 static_assert(sizeof(Interval) == 2 * sizeof(double));
 static_assert(sizeof(IntervalSse) == sizeof(Interval));
-static_assert(sizeof(IntervalX2) == 2 * sizeof(Interval));
 
 //===----------------------------------------------------------------------===//
-// Hardening helpers (sentinel, aliasing contract, fault injection)
+// The entry path (sentinel, aliasing contract, fault injection)
 //===----------------------------------------------------------------------===//
 
 namespace detail {
@@ -91,26 +94,28 @@ namespace detail {
 /// same range (A == B, which every kernel supports). Compared as
 /// integers: A and B may point into unrelated arrays, where raw pointer
 /// ordering is unspecified.
-inline bool partialOverlap(const Interval *A, const Interval *B, size_t N) {
+template <class T>
+inline bool partialOverlap(const T *A, const T *B, size_t N) {
   if (A == B || N == 0)
     return false;
   uintptr_t LA = reinterpret_cast<uintptr_t>(A);
   uintptr_t LB = reinterpret_cast<uintptr_t>(B);
-  uintptr_t Bytes = N * sizeof(Interval);
+  uintptr_t Bytes = N * sizeof(T);
   return LA < LB + Bytes && LB < LA + Bytes;
 }
 
 /// Poison an output batch: every element becomes the whole line. Runs on
 /// the sentinel's cold path only.
-[[gnu::cold]] inline void poisonBatch(Interval *Dst, size_t N) {
+template <class T> [[gnu::cold]] inline void poisonBatch(T *Dst, size_t N) {
   for (size_t I = 0; I < N; ++I)
-    Dst[I] = Interval::entire();
+    Dst[I] = T::entire();
 }
 
-/// Shared iarr_* prologue, run once per kernel invocation with upward
+/// Shared batch prologue, run once per kernel invocation with upward
 /// rounding already established. Returns true when the caller must
 /// poison its results and return.
-inline bool batchPrologue(const char *Where, Interval *Dst, size_t N) {
+template <class T>
+inline bool batchPrologue(const char *Where, T *Dst, size_t N) {
   if (__builtin_expect(harden::checkFenvUpward(Where), 0)) {
     poisonBatch(Dst, N);
     return true;
@@ -122,8 +127,8 @@ inline bool batchPrologue(const char *Where, Interval *Dst, size_t N) {
 /// invocation, copy \p X to \p Scratch with element N % \p N corrupted
 /// and return Scratch.data(); otherwise return \p X unchanged. The
 /// disarmed cost is one relaxed load + branch.
-inline const Interval *maybeCorrupt(const Interval *X, size_t N,
-                                    std::vector<Interval> &Scratch) {
+template <class T>
+inline const T *maybeCorrupt(const T *X, size_t N, std::vector<T> &Scratch) {
   if (__builtin_expect(!harden::faultsArmedFromEnv(), 1) || N == 0)
     return X;
   long long At = 0;
@@ -133,7 +138,7 @@ inline const Interval *maybeCorrupt(const Interval *X, size_t N,
     return X;
   Scratch.assign(X, X + N);
   Scratch[static_cast<size_t>(At) % N] =
-      Nan ? Interval::nan() : Interval::fromPoint(HUGE_VAL);
+      Nan ? T::nan() : T::fromPoint(HUGE_VAL);
   return Scratch.data();
 }
 
@@ -141,14 +146,34 @@ inline const Interval *maybeCorrupt(const Interval *X, size_t N,
 /// \p Scratch when it partially overlaps [Dst, Dst+N). Debug builds
 /// assert instead (the overlap is a caller bug; the copy merely keeps
 /// the behavior defined).
-inline const Interval *resolveOverlap(Interval *Dst, const Interval *In,
-                                      size_t N,
-                                      std::vector<Interval> &Scratch) {
+template <class T>
+inline const T *resolveOverlap(T *Dst, const T *In, size_t N,
+                               std::vector<T> &Scratch) {
   if (__builtin_expect(!partialOverlap(Dst, In, N), 1))
     return In;
-  assert(!"iarr_* input partially overlaps the output range");
+  assert(!"batch input partially overlaps the output range");
   Scratch.assign(In, In + N);
   return Scratch.data();
+}
+
+/// The one entry path of every elementwise iarr_* and ddarr_* kernel:
+/// N == 0 returns; upward rounding for the call; the fenv prologue; the
+/// overlap fallback for each input; the fault on the first input; then
+/// \p Dispatch, called with the resolved input pointers.
+template <class T, size_t K, class DispatchFn>
+inline void runBatch(const char *Where, T *Dst, const T *const (&In)[K],
+                     size_t N, DispatchFn Dispatch) {
+  if (N == 0)
+    return;
+  RoundUpwardScope Up;
+  if (batchPrologue(Where, Dst, N))
+    return;
+  std::vector<T> Scratch[K + 1];
+  std::array<const T *, K> P;
+  for (size_t I = 0; I < K; ++I)
+    P[I] = resolveOverlap(Dst, In[I], N, Scratch[I]);
+  P[0] = maybeCorrupt(P[0], N, Scratch[K]);
+  std::apply(Dispatch, P);
 }
 
 } // namespace detail
@@ -160,46 +185,22 @@ inline const Interval *resolveOverlap(Interval *Dst, const Interval *In,
 /// Dst[i] = X[i] + Y[i].
 inline void iarr_add(Interval *Dst, const Interval *X, const Interval *Y,
                      size_t N) {
-  if (N == 0)
-    return;
-  RoundUpwardScope Up;
-  if (detail::batchPrologue("iarr_add", Dst, N))
-    return;
-  std::vector<Interval> SX, SY, SC;
-  X = detail::resolveOverlap(Dst, X, N, SX);
-  Y = detail::resolveOverlap(Dst, Y, N, SY);
-  X = detail::maybeCorrupt(X, N, SC);
-  kernels().Add(Dst, X, Y, N);
+  detail::runBatch("iarr_add", Dst, {X, Y}, N,
+                   [&](auto... P) { kernels().Add(Dst, P..., N); });
 }
 
 /// Dst[i] = X[i] - Y[i].
 inline void iarr_sub(Interval *Dst, const Interval *X, const Interval *Y,
                      size_t N) {
-  if (N == 0)
-    return;
-  RoundUpwardScope Up;
-  if (detail::batchPrologue("iarr_sub", Dst, N))
-    return;
-  std::vector<Interval> SX, SY, SC;
-  X = detail::resolveOverlap(Dst, X, N, SX);
-  Y = detail::resolveOverlap(Dst, Y, N, SY);
-  X = detail::maybeCorrupt(X, N, SC);
-  kernels().Sub(Dst, X, Y, N);
+  detail::runBatch("iarr_sub", Dst, {X, Y}, N,
+                   [&](auto... P) { kernels().Sub(Dst, P..., N); });
 }
 
 /// Dst[i] = X[i] * Y[i].
 inline void iarr_mul(Interval *Dst, const Interval *X, const Interval *Y,
                      size_t N) {
-  if (N == 0)
-    return;
-  RoundUpwardScope Up;
-  if (detail::batchPrologue("iarr_mul", Dst, N))
-    return;
-  std::vector<Interval> SX, SY, SC;
-  X = detail::resolveOverlap(Dst, X, N, SX);
-  Y = detail::resolveOverlap(Dst, Y, N, SY);
-  X = detail::maybeCorrupt(X, N, SC);
-  kernels().Mul(Dst, X, Y, N);
+  detail::runBatch("iarr_mul", Dst, {X, Y}, N,
+                   [&](auto... P) { kernels().Mul(Dst, P..., N); });
 }
 
 /// Dst[i] = A[i] * B[i] + C[i] (fused single-rounding candidates on the
@@ -207,31 +208,15 @@ inline void iarr_mul(Interval *Dst, const Interval *X, const Interval *Y,
 /// subset of the composed one).
 inline void iarr_fma(Interval *Dst, const Interval *A, const Interval *B,
                      const Interval *C, size_t N) {
-  if (N == 0)
-    return;
-  RoundUpwardScope Up;
-  if (detail::batchPrologue("iarr_fma", Dst, N))
-    return;
-  std::vector<Interval> SA, SB, SCc, SC;
-  A = detail::resolveOverlap(Dst, A, N, SA);
-  B = detail::resolveOverlap(Dst, B, N, SB);
-  C = detail::resolveOverlap(Dst, C, N, SCc);
-  A = detail::maybeCorrupt(A, N, SC);
-  kernels().Fma(Dst, A, B, C, N);
+  detail::runBatch("iarr_fma", Dst, {A, B, C}, N,
+                   [&](auto... P) { kernels().Fma(Dst, P..., N); });
 }
 
 /// Dst[i] = X[i] * S.
 inline void iarr_scale(Interval *Dst, const Interval *X, const Interval &S,
                        size_t N) {
-  if (N == 0)
-    return;
-  RoundUpwardScope Up;
-  if (detail::batchPrologue("iarr_scale", Dst, N))
-    return;
-  std::vector<Interval> SX, SC;
-  X = detail::resolveOverlap(Dst, X, N, SX);
-  X = detail::maybeCorrupt(X, N, SC);
-  kernels().Scale(Dst, X, S, N);
+  detail::runBatch("iarr_scale", Dst, {X}, N,
+                   [&](auto P) { kernels().Scale(Dst, P, S, N); });
 }
 
 /// Dst[i] = X[i] / Y[i]. Every tier routes each element through the same
@@ -243,30 +228,15 @@ inline void iarr_scale(Interval *Dst, const Interval *X, const Interval &S,
 /// of iDiv per element.
 inline void iarr_div(Interval *Dst, const Interval *X, const Interval *Y,
                      size_t N) {
-  if (N == 0)
-    return;
-  RoundUpwardScope Up;
-  if (detail::batchPrologue("iarr_div", Dst, N))
-    return;
-  std::vector<Interval> SX, SY, SC;
-  X = detail::resolveOverlap(Dst, X, N, SX);
-  Y = detail::resolveOverlap(Dst, Y, N, SY);
-  X = detail::maybeCorrupt(X, N, SC);
-  kernels().Div(Dst, X, Y, N);
+  detail::runBatch("iarr_div", Dst, {X, Y}, N,
+                   [&](auto... P) { kernels().Div(Dst, P..., N); });
 }
 
 /// Dst[i] = sqrt(X[i]) with iSqrt semantics (bit-identical across tiers;
 /// negative and NaN inputs degrade per element exactly like iSqrt).
 inline void iarr_sqrt(Interval *Dst, const Interval *X, size_t N) {
-  if (N == 0)
-    return;
-  RoundUpwardScope Up;
-  if (detail::batchPrologue("iarr_sqrt", Dst, N))
-    return;
-  std::vector<Interval> SX, SC;
-  X = detail::resolveOverlap(Dst, X, N, SX);
-  X = detail::maybeCorrupt(X, N, SC);
-  kernels().Sqrt(Dst, X, N);
+  detail::runBatch("iarr_sqrt", Dst, {X}, N,
+                   [&](auto P) { kernels().Sqrt(Dst, P, N); });
 }
 
 /// Dst[i] = certified enclosure of exp(X[i]) (iExpFast semantics: the
@@ -275,55 +245,27 @@ inline void iarr_sqrt(Interval *Dst, const Interval *X, size_t N) {
 /// with the exact scalar operation sequence, so results are
 /// bit-identical across ISA tiers.
 inline void iarr_exp(Interval *Dst, const Interval *X, size_t N) {
-  if (N == 0)
-    return;
-  RoundUpwardScope Up;
-  if (detail::batchPrologue("iarr_exp", Dst, N))
-    return;
-  std::vector<Interval> SX, SC;
-  X = detail::resolveOverlap(Dst, X, N, SX);
-  X = detail::maybeCorrupt(X, N, SC);
-  kernels().Exp(Dst, X, N);
+  detail::runBatch("iarr_exp", Dst, {X}, N,
+                   [&](auto P) { kernels().Exp(Dst, P, N); });
 }
 
 /// Dst[i] = certified enclosure of log(X[i]) (iLogFast semantics).
 inline void iarr_log(Interval *Dst, const Interval *X, size_t N) {
-  if (N == 0)
-    return;
-  RoundUpwardScope Up;
-  if (detail::batchPrologue("iarr_log", Dst, N))
-    return;
-  std::vector<Interval> SX, SC;
-  X = detail::resolveOverlap(Dst, X, N, SX);
-  X = detail::maybeCorrupt(X, N, SC);
-  kernels().Log(Dst, X, N);
+  detail::runBatch("iarr_log", Dst, {X}, N,
+                   [&](auto P) { kernels().Log(Dst, P, N); });
 }
 
 /// Dst[i] = certified enclosure of sin(X[i]) (iSinFast semantics; the
 /// range analysis keeps this scalar in every tier).
 inline void iarr_sin(Interval *Dst, const Interval *X, size_t N) {
-  if (N == 0)
-    return;
-  RoundUpwardScope Up;
-  if (detail::batchPrologue("iarr_sin", Dst, N))
-    return;
-  std::vector<Interval> SX, SC;
-  X = detail::resolveOverlap(Dst, X, N, SX);
-  X = detail::maybeCorrupt(X, N, SC);
-  kernels().Sin(Dst, X, N);
+  detail::runBatch("iarr_sin", Dst, {X}, N,
+                   [&](auto P) { kernels().Sin(Dst, P, N); });
 }
 
 /// Dst[i] = certified enclosure of cos(X[i]) (iCosFast semantics).
 inline void iarr_cos(Interval *Dst, const Interval *X, size_t N) {
-  if (N == 0)
-    return;
-  RoundUpwardScope Up;
-  if (detail::batchPrologue("iarr_cos", Dst, N))
-    return;
-  std::vector<Interval> SX, SC;
-  X = detail::resolveOverlap(Dst, X, N, SX);
-  X = detail::maybeCorrupt(X, N, SC);
-  kernels().Cos(Dst, X, N);
+  detail::runBatch("iarr_cos", Dst, {X}, N,
+                   [&](auto P) { kernels().Cos(Dst, P, N); });
 }
 
 //===----------------------------------------------------------------------===//
@@ -353,19 +295,14 @@ Interval iarr_dot_par(const Interval *X, const Interval *Y, size_t N,
                       unsigned Threads = 0);
 
 //===----------------------------------------------------------------------===//
-// Layout overloads: IntervalSse and IntervalX2 arrays
+// Layout overloads: IntervalSse arrays (igen_lib.h's ia_arr_* with
+// IGEN_BATCH_RUNTIME)
 //===----------------------------------------------------------------------===//
 
 inline Interval *asIntervals(IntervalSse *P) {
   return reinterpret_cast<Interval *>(P);
 }
 inline const Interval *asIntervals(const IntervalSse *P) {
-  return reinterpret_cast<const Interval *>(P);
-}
-inline Interval *asIntervals(IntervalX2 *P) {
-  return reinterpret_cast<Interval *>(P);
-}
-inline const Interval *asIntervals(const IntervalX2 *P) {
   return reinterpret_cast<const Interval *>(P);
 }
 
@@ -381,89 +318,12 @@ inline void iarr_mul(IntervalSse *Dst, const IntervalSse *X,
                      const IntervalSse *Y, size_t N) {
   iarr_mul(asIntervals(Dst), asIntervals(X), asIntervals(Y), N);
 }
-inline void iarr_fma(IntervalSse *Dst, const IntervalSse *A,
-                     const IntervalSse *B, const IntervalSse *C, size_t N) {
-  iarr_fma(asIntervals(Dst), asIntervals(A), asIntervals(B), asIntervals(C),
-           N);
-}
-inline void iarr_scale(IntervalSse *Dst, const IntervalSse *X,
-                       const Interval &S, size_t N) {
-  iarr_scale(asIntervals(Dst), asIntervals(X), S, N);
-}
 inline void iarr_div(IntervalSse *Dst, const IntervalSse *X,
                      const IntervalSse *Y, size_t N) {
   iarr_div(asIntervals(Dst), asIntervals(X), asIntervals(Y), N);
 }
 inline void iarr_sqrt(IntervalSse *Dst, const IntervalSse *X, size_t N) {
   iarr_sqrt(asIntervals(Dst), asIntervals(X), N);
-}
-inline void iarr_exp(IntervalSse *Dst, const IntervalSse *X, size_t N) {
-  iarr_exp(asIntervals(Dst), asIntervals(X), N);
-}
-inline void iarr_log(IntervalSse *Dst, const IntervalSse *X, size_t N) {
-  iarr_log(asIntervals(Dst), asIntervals(X), N);
-}
-inline void iarr_sin(IntervalSse *Dst, const IntervalSse *X, size_t N) {
-  iarr_sin(asIntervals(Dst), asIntervals(X), N);
-}
-inline void iarr_cos(IntervalSse *Dst, const IntervalSse *X, size_t N) {
-  iarr_cos(asIntervals(Dst), asIntervals(X), N);
-}
-inline Interval iarr_sum(const IntervalSse *X, size_t N) {
-  return iarr_sum(asIntervals(X), N);
-}
-inline Interval iarr_dot(const IntervalSse *X, const IntervalSse *Y,
-                         size_t N) {
-  return iarr_dot(asIntervals(X), asIntervals(Y), N);
-}
-
-/// IntervalX2 overloads take N in *packs* (2 intervals each).
-inline void iarr_add(IntervalX2 *Dst, const IntervalX2 *X,
-                     const IntervalX2 *Y, size_t N) {
-  iarr_add(asIntervals(Dst), asIntervals(X), asIntervals(Y), 2 * N);
-}
-inline void iarr_sub(IntervalX2 *Dst, const IntervalX2 *X,
-                     const IntervalX2 *Y, size_t N) {
-  iarr_sub(asIntervals(Dst), asIntervals(X), asIntervals(Y), 2 * N);
-}
-inline void iarr_mul(IntervalX2 *Dst, const IntervalX2 *X,
-                     const IntervalX2 *Y, size_t N) {
-  iarr_mul(asIntervals(Dst), asIntervals(X), asIntervals(Y), 2 * N);
-}
-inline void iarr_fma(IntervalX2 *Dst, const IntervalX2 *A,
-                     const IntervalX2 *B, const IntervalX2 *C, size_t N) {
-  iarr_fma(asIntervals(Dst), asIntervals(A), asIntervals(B), asIntervals(C),
-           2 * N);
-}
-inline void iarr_scale(IntervalX2 *Dst, const IntervalX2 *X,
-                       const Interval &S, size_t N) {
-  iarr_scale(asIntervals(Dst), asIntervals(X), S, 2 * N);
-}
-inline void iarr_div(IntervalX2 *Dst, const IntervalX2 *X,
-                     const IntervalX2 *Y, size_t N) {
-  iarr_div(asIntervals(Dst), asIntervals(X), asIntervals(Y), 2 * N);
-}
-inline void iarr_sqrt(IntervalX2 *Dst, const IntervalX2 *X, size_t N) {
-  iarr_sqrt(asIntervals(Dst), asIntervals(X), 2 * N);
-}
-inline void iarr_exp(IntervalX2 *Dst, const IntervalX2 *X, size_t N) {
-  iarr_exp(asIntervals(Dst), asIntervals(X), 2 * N);
-}
-inline void iarr_log(IntervalX2 *Dst, const IntervalX2 *X, size_t N) {
-  iarr_log(asIntervals(Dst), asIntervals(X), 2 * N);
-}
-inline void iarr_sin(IntervalX2 *Dst, const IntervalX2 *X, size_t N) {
-  iarr_sin(asIntervals(Dst), asIntervals(X), 2 * N);
-}
-inline void iarr_cos(IntervalX2 *Dst, const IntervalX2 *X, size_t N) {
-  iarr_cos(asIntervals(Dst), asIntervals(X), 2 * N);
-}
-inline Interval iarr_sum(const IntervalX2 *X, size_t N) {
-  return iarr_sum(asIntervals(X), 2 * N);
-}
-inline Interval iarr_dot(const IntervalX2 *X, const IntervalX2 *Y,
-                         size_t N) {
-  return iarr_dot(asIntervals(X), asIntervals(Y), 2 * N);
 }
 
 } // namespace igen::runtime

@@ -29,7 +29,7 @@ protected:
     Dd Lo = C, Hi = C;
     Lo.L = addUlps(Lo.L, -R.intIn(0, 8));
     Hi.L = addUlps(Hi.L, R.intIn(0, 8));
-    if (ddLess(Hi, Lo))
+    if (toQuad(Hi) < toQuad(Lo))
       std::swap(Lo, Hi);
     return DdInterval::fromEndpoints(Lo, Hi);
   }
@@ -92,7 +92,7 @@ TEST_F(DdiTest, DivContainsExactQuotients) {
   for (int I = 0; I < 10000; ++I) {
     DdInterval A = randInterval(), B = randInterval();
     // Skip divisors containing zero (degenerate analysis tested below).
-    if (ddNeg(B.NegLo).sign() <= 0 && B.Hi.sign() >= 0)
+    if (-toQuad(B.NegLo) <= 0 && toQuad(B.Hi) >= 0)
       continue;
     DdInterval Q = ddiDiv(A, B);
     __float128 Cands[4] = {

@@ -31,7 +31,7 @@ protected:
     Dd Lo = C, Hi = C;
     Lo.L = addUlps(Lo.L, -R.intIn(0, 8));
     Hi.L = addUlps(Hi.L, R.intIn(0, 8));
-    if (ddLess(Hi, Lo))
+    if (toQuad(Hi) < toQuad(Lo))
       std::swap(Lo, Hi);
     return DdInterval::fromEndpoints(Lo, Hi);
   }
@@ -134,8 +134,31 @@ protected:
     }
   }
 
-  /// The multiply tests' inputs: random intervals, then every ordered
-  /// pair of sign classes.
+  /// A straddling pair whose two candidate products per endpoint share
+  /// one RU(H + L), so the straddle max must order values inside one
+  /// double ulp: X = [-2^k, 2^k] and Y = [-u, v] with u and v in one ulp,
+  /// one of them in round-to-nearest form (a positive low word). The
+  /// first is the example X = [-1, 1], Y = [-A, B] with A = 1 + 2^-60 in
+  /// RU form and B = 1 + 2^-54 in round-to-nearest form.
+  std::pair<DdInterval, DdInterval> sharedUlpStraddle(int I) {
+    double S = 1.0, H = 1.0, Ulp = 0x1p-52, Low = 0x1p-60, Near = 0x1p-54;
+    if (I > 0) {
+      RoundNearestScope RN;
+      int K = R.intIn(-40, 40);
+      S = std::ldexp(1.0, R.intIn(-8, 8));
+      H = std::ldexp(R.uniform(1.0, 2.0), K);
+      Ulp = std::ldexp(0x1p-52, K);
+      Low = Ulp * std::ldexp(R.uniform(0.0, 1.0), -R.intIn(1, 20));
+      Near = Ulp * R.uniform(0.0, 0.5);
+    }
+    Dd U(H + Ulp, -Ulp + Low), V(H, Near);
+    if (I % 2)
+      std::swap(U, V);
+    return {DdInterval(Dd(S), Dd(S)), DdInterval(U, V)};
+  }
+
+  /// The multiply tests' inputs: random intervals, every ordered pair of
+  /// sign classes, then straddling pairs with shared-ulp candidates.
   std::vector<std::pair<DdInterval, DdInterval>> mulInputs() {
     std::vector<std::pair<DdInterval, DdInterval>> In;
     for (int I = 0; I < 10000; ++I) {
@@ -148,6 +171,11 @@ protected:
           DdInterval A = classInterval(CA);
           In.emplace_back(A, classInterval(CB));
         }
+    for (int I = 0; I < 400; ++I) {
+      auto [X, Y] = sharedUlpStraddle(I);
+      In.emplace_back(X, Y);
+      In.emplace_back(Y, X);
+    }
     return In;
   }
 };
@@ -236,7 +264,9 @@ TEST_F(DdAvxTest, MulMatchesScalar) {
     EXPECT_TRUE(sameBits(Got, Ref)) << A.NegLo.H << " " << A.Hi.H << " * "
                                     << B.NegLo.H << " " << B.Hi.H;
     DdInterval Wide = eightCandidateMul(A, B);
-    EXPECT_FALSE(ddLess(Wide.NegLo, Ref.NegLo) || ddLess(Wide.Hi, Ref.Hi))
+    EXPECT_TRUE(
+        test::ddGeExact(Wide.NegLo, test::exactDdSum(Ref.NegLo, Dd(0.0))) &&
+        test::ddGeExact(Wide.Hi, test::exactDdSum(Ref.Hi, Dd(0.0))))
         << A.NegLo.H << " " << A.Hi.H << " * " << B.NegLo.H << " "
         << B.Hi.H;
   }
@@ -273,7 +303,7 @@ TEST_F(DdAvxTest, SpecialValuesFallBack) {
 TEST_F(DdAvxTest, DivMatchesScalarPath) {
   for (int I = 0; I < 5000; ++I) {
     DdInterval A = randInterval(), B = randInterval();
-    if (ddNeg(B.NegLo).sign() <= 0 && B.Hi.sign() >= 0)
+    if (-toQuad(B.NegLo) <= 0 && toQuad(B.Hi) >= 0)
       continue;
     DdInterval Ref = ddiDiv(A, B);
     DdInterval Got =

@@ -135,12 +135,12 @@ TEST_F(DdUpTest, MulIsTight) {
 TEST_F(DdUpTest, DivIsUpperBound) {
   for (int I = 0; I < 20000; ++I) {
     Dd X = R.dd(), Y = R.dd();
-    if (Y.sign() == 0)
+    if (toQuad(Y) == 0)
       continue;
     Dd Z = ddDivUp(X, Y);
     // Z >= X/Y  <=>  sign(Z*Y - X) agrees with the sign of Y.
     int RS = ddResidualSign(Z, Y, X);
-    EXPECT_TRUE(Y.sign() > 0 ? RS >= 0 : RS <= 0)
+    EXPECT_TRUE(toQuad(Y) > 0 ? RS >= 0 : RS <= 0)
         << X.H << "+" << X.L << " / " << Y.H << "+" << Y.L;
   }
 }
@@ -148,7 +148,7 @@ TEST_F(DdUpTest, DivIsUpperBound) {
 TEST_F(DdUpTest, DivIsReasonablyTight) {
   for (int I = 0; I < 5000; ++I) {
     Dd X = R.dd(), Y = R.dd();
-    if (Y.sign() == 0)
+    if (toQuad(Y) == 0)
       continue;
     Dd Z = ddDivUp(X, Y);
     __float128 Exact = toQuad(X) / toQuad(Y);
@@ -170,14 +170,33 @@ TEST_F(DdUpTest, LowerBoundViaNegation) {
 }
 
 TEST(DdMisc, SignAndCompare) {
-  EXPECT_EQ(Dd(1.0, 0.0).sign(), 1);
-  EXPECT_EQ(Dd(-1.0, 0.0).sign(), -1);
-  EXPECT_EQ(Dd(0.0, 0.0).sign(), 0);
-  EXPECT_EQ(Dd(0.0, -1e-300).sign(), -1);
-  EXPECT_TRUE(ddLess(Dd(1.0, -1e-20), Dd(1.0, 0.0)));
-  EXPECT_FALSE(ddLess(Dd(1.0, 0.0), Dd(1.0, 0.0)));
-  EXPECT_TRUE(ddLess(Dd(1.0, 0.0), Dd(2.0, 0.0)));
+  RoundUpwardScope Up;
+  // Signs are orders against zero, also where the high word's sign is
+  // the wrong one (an unnormalized low word outweighs it).
+  const Dd Zero(0.0);
+  EXPECT_EQ(ddOrder(Dd(1.0, 0.0), Zero), DdAbove);
+  EXPECT_EQ(ddOrder(Dd(-1.0, 0.0), Zero), DdBelow);
+  EXPECT_EQ(ddOrder(Dd(0.0, 0.0), Zero), DdEqual);
+  EXPECT_EQ(ddOrder(Dd(-0.0, -0.0), Zero), DdEqual);
+  EXPECT_EQ(ddOrder(Dd(0.0, -1e-300), Zero), DdBelow);
+  EXPECT_EQ(ddOrder(Dd(-0x1p-1074, 0x1p-1073), Zero), DdAbove);
+  EXPECT_EQ(ddOrder(Dd(1.0, -1e-20), Dd(1.0, 0.0)), DdBelow);
+  EXPECT_EQ(ddOrder(Dd(1.0, 0.0), Dd(1.0, 0.0)), DdEqual);
+  EXPECT_EQ(ddOrder(Dd(1.0, 0.0), Dd(2.0, 0.0)), DdBelow);
+  EXPECT_EQ(ddOrder(Dd(2.0, 0.0), Dd(1.0, 0.0)), DdAbove);
   EXPECT_EQ(ddMax(Dd(1.0, 1e-20), Dd(1.0, 0.0)).L, 1e-20);
+  // One value in two forms: the difference proves >= but not >.
+  EXPECT_EQ(ddOrder(Dd(1.0 + 0x1p-52, -0x1p-52), Dd(1.0)),
+            DdAbove | DdEqual);
+  // 1 + 2^-60 in RU form against 1 + 2^-54 in round-to-nearest form:
+  // lexicographically the first is larger, which the difference refutes,
+  // so the order stays open and the max is the common RU bound.
+  const Dd A(1.0 + 0x1p-52, -0x1p-52 + 0x1p-60), B(1.0, 0x1p-54);
+  EXPECT_EQ(ddOrder(A, B), DdUnordered);
+  EXPECT_EQ(ddMax(A, B).H, 1.0 + 0x1p-52);
+  EXPECT_EQ(ddMax(A, B).L, 0.0);
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(ddOrder(Dd(NaN), Zero), DdUnordered);
 }
 
 TEST(DdMisc, CountingOpsMatchesPaperForAdd) {
@@ -207,7 +226,7 @@ TEST(DdMisc, ToDoubleUp) {
 TEST_F(DdUpTest, SqrtDirectedBounds) {
   for (int I = 0; I < 20000; ++I) {
     Dd X = R.dd();
-    if (X.sign() <= 0)
+    if (toQuad(X) <= 0)
       continue;
     Dd Up = ddSqrtUp(X);
     Dd Down = ddSqrtDown(X);
@@ -254,7 +273,7 @@ TEST_F(DdUpTest, DivExtremeScalesStillBounded) {
   // candidate must remain an upper bound (exact residual-sign check).
   for (int I = 0; I < 5000; ++I) {
     Dd X = R.dd(), Y = R.dd();
-    if (Y.sign() == 0 || X.sign() == 0)
+    if (toQuad(Y) == 0 || toQuad(X) == 0)
       continue;
     int EX = 40 * (I % 27) - 520; // scale X across ~+-2^520
     X.H = std::ldexp(X.H, EX);
@@ -263,7 +282,7 @@ TEST_F(DdUpTest, DivExtremeScalesStillBounded) {
     if (Z.hasNaN() || Z.isInf())
       continue; // saturated: trivially an upper bound
     int RS = ddResidualSign(Z, Y, X);
-    EXPECT_TRUE(Y.sign() > 0 ? RS >= 0 : RS <= 0)
+    EXPECT_TRUE(toQuad(Y) > 0 ? RS >= 0 : RS <= 0)
         << X.H << " / " << Y.H;
   }
 }

@@ -96,19 +96,3 @@ TEST(Expansion, ResidualSignMatchesQuad) {
     EXPECT_EQ(S, RefSign);
   }
 }
-
-TEST(Expansion, CertifiedDivisionIsUpperBoundAndTight) {
-  RoundUpwardScope Up;
-  Rng R(14);
-  for (int I = 0; I < 3000; ++I) {
-    Dd X = R.dd(), Y = R.dd();
-    if (Y.sign() == 0)
-      continue;
-    Dd Q = ddDivUpCertified(X, Y);
-    __float128 Exact = toQuad(X) / toQuad(Y);
-    EXPECT_GE(toQuad(Q), Exact);
-    __float128 Err = toQuad(Q) - Exact;
-    __float128 Scale = fabs((double)Exact) + 1e-300;
-    EXPECT_LE((double)(Err / Scale), 0x1p-94);
-  }
-}

@@ -105,8 +105,8 @@ private:
 
 /// An unnormalized dd interval: hi = -k + (k + m) denormal steps > 0
 /// although its H is negative; lo is -j steps, or +j steps (j < m)
-/// behind the same disguise; negated half the time. Dd::sign() reads the
-/// high word, so it gets these endpoints' signs wrong.
+/// behind the same disguise; negated half the time. The high word's sign
+/// is the wrong one for these endpoints.
 inline DdInterval unnormalizedInterval(Rng &R) {
   double U = std::numeric_limits<double>::denorm_min();
   int K = R.intIn(1, 64), M = R.intIn(1, 64), J = R.intIn(0, M - 1);

@@ -6,9 +6,9 @@
 //
 // Covers the batched ddi tier (DdBatch.h):
 //  (a) ddarr_add/sub/mul/fma are bit-identical across every dispatch
-//      tier on inputs of random sign with zeros (the AVX2 DdSimd
-//      kernels mirror the scalar error-free transformations and the
-//      scalar sign-case selection lane for lane);
+//      tier on inputs of random sign with zeros, some endpoints in
+//      round-to-nearest form (both tiers run the same op bodies over
+//      their register backends);
 //  (b) the elementwise kernels enclose the exact endpoint arithmetic,
 //      checked with the expansion oracles (quad precision is not enough
 //      for double-double products);
@@ -58,10 +58,21 @@ std::vector<DdInterval> randomDdIntervals(test::Rng &R, size_t N) {
   return V;
 }
 
+/// The value of \p X in round-to-nearest form: RN(H + L) and the exact
+/// rest, so about half the low words turn positive (the form other
+/// double-double code hands in; the runtime's own results are RU form).
+Dd nearestForm(const Dd &X) {
+  RoundNearestScope RN;
+  double S, E;
+  twoSum(opaque(X.H), opaque(X.L), S, E);
+  return Dd(opaque(S), opaque(E));
+}
+
 /// randomDdIntervals with every other element replaced by an interval
 /// that touches or contains zero: straddling, [0, 0], [0, b] or [a, 0],
 /// zero words of either sign. Covers both cases of the sign-selected
-/// multiply.
+/// multiply. Every third element has its endpoints in round-to-nearest
+/// form.
 std::vector<DdInterval> signMixDdIntervals(test::Rng &R, size_t N) {
   std::vector<DdInterval> V = randomDdIntervals(R, N);
   auto Zero = [&] {
@@ -85,6 +96,8 @@ std::vector<DdInterval> signMixDdIntervals(test::Rng &R, size_t N) {
       break;
     }
   }
+  for (size_t I = 0; I < N; I += 3)
+    V[I] = DdInterval(nearestForm(V[I].NegLo), nearestForm(V[I].Hi));
   return V;
 }
 
