@@ -18,6 +18,11 @@
 //                      its own rows)
 //   par-t1/t2/t4       iarr_sum_par / iarr_dot_par at a fixed thread
 //                      count (bit-identical to each other by design)
+//   loop/row           dd-axpy-s0/-s30: ten rows Y += a * X over ddi,
+//                      as the per-element loop igen emits at -O0 and as
+//                      the -O row kernel ia_axpy_dd (igen_lib.h), with
+//                      0% or 30% of the X elements and of the ten
+//                      multipliers straddling zero
 //
 // The div rows divide by strictly positive divisors: a benign pack of
 // one divisor class keeps every tier on its sign-specialized fast path,
@@ -34,6 +39,7 @@
 
 #include "interval/Accumulator.h"
 #include "interval/Rounding.h"
+#include "interval/igen_lib.h"
 #include "runtime/BatchKernels.h"
 #include "runtime/DdBatch.h"
 
@@ -210,6 +216,48 @@ void runDdRows(Inputs &In, int N) {
            [&] { Sink = ddarr_dot(XP, YP, N).Hi.H; });
 }
 
+/// Y[j] = Y[j] + a * X[j] over ddi as igen emits it without the row
+/// kernel.
+[[gnu::noinline]] void ddAxpyLoop(ddi *Y, ddi A, const ddi *X, int N) {
+  for (int J = 0; J < N; J++)
+    Y[J] = ia_add_dd(Y[J], ia_mul_dd(A, X[J]));
+}
+
+/// The dd axpy row kernel against the loop it replaces: ten multipliers
+/// over one row pair, with \p StraddlePct percent of the X elements and
+/// of the multipliers straddling zero.
+void runDdAxpyRows(int N, int StraddlePct) {
+  Rng R(benchSeed("batch", "dd-axpy", N * 100 + StraddlePct));
+  RoundUpwardScope Up;
+  auto Element = [&](bool Straddle) {
+    const double C = R.uniform(0.25, 2.0);
+    if (Straddle)
+      return ddi::fromScalar(
+          DdInterval::fromEndpoints(Dd(-C), Dd(R.uniform(0.25, 2.0))));
+    const double S = R.uniform(-1.0, 1.0) < 0 ? -C : C;
+    return ddi::fromScalar(DdInterval::fromEndpoints(
+        Dd(S, -std::fabs(S) * 0x1p-60), Dd(nextUp(S), std::fabs(S) * 0x1p-58)));
+  };
+  std::vector<ddi> X(N), Y(N), A(10);
+  for (int K = 0; K < N; ++K) {
+    X[K] = Element(R.uniform(0.0, 100.0) < StraddlePct);
+    Y[K] = Element(false);
+  }
+  for (int K = 0; K < 10; ++K)
+    A[K] = Element(K * 10 < StraddlePct);
+  const std::string Kernel = "dd-axpy-s" + std::to_string(StraddlePct);
+  benchRow(Kernel.c_str(), "loop", N, 20.0 * N, [&] {
+    RoundUpwardScope Up;
+    for (const ddi &M : A)
+      ddAxpyLoop(Y.data(), M, X.data(), N);
+  });
+  benchRow(Kernel.c_str(), "row", N, 20.0 * N, [&] {
+    RoundUpwardScope Up;
+    for (const ddi &M : A)
+      ia_axpy_dd(Y.data(), M, X.data(), static_cast<unsigned long>(N));
+  });
+}
+
 /// Sentinel overhead: the same kernels with the iarr_* entry checks
 /// (fenv sentinel, aliasing guard, fault-injection gate) bypassed by
 /// calling the dispatched kernel table directly. The nosentinel rows
@@ -271,6 +319,9 @@ int main(int Argc, char **Argv) {
     runDdRows(In, N);
     runParallel(In, N);
   }
+  for (int N : {64, 4096})
+    for (int StraddlePct : {0, 30})
+      runDdAxpyRows(N, StraddlePct);
 
   if (JsonPath && !Json.writeTo(JsonPath)) {
     std::fprintf(stderr, "batch_runtime: cannot write %s\n", JsonPath);

@@ -98,16 +98,23 @@ struct DdInterval {
 // Register backends
 //===----------------------------------------------------------------------===//
 
-/// A register backend holds one ddi in a register type R and supplies the
+/// A register backend holds ddi in a register type R and supplies the
 /// pair-level primitives the op bodies below are written in. A register
 /// holds a pair of double-doubles: the negated low endpoint's slot first,
 /// then the high endpoint's. DdRegs<DdInterval> is the scalar backend;
-/// DdSimd.h adds the AVX one. Every backend must give the same bits for
-/// the same primitive, so every op agrees bit for bit across backends.
+/// DdSimd.h adds the AVX one (one ddi per register) and a pack of eight
+/// ddi per register set. Every backend must give the same bits for the
+/// same primitive, so every op agrees bit for bit across backends.
 template <class R> struct DdRegs;
 
 template <class R>
 concept DdRegister = requires { typename DdRegs<R>::Signs; };
+
+/// A backend whose register holds several ddi (lanes): it blends lanes
+/// of known sign into a straddling multiply and runs its fallbacks lane
+/// by lane through the scalar backend.
+template <class R>
+concept DdPackRegister = DdRegister<R> && requires { DdRegs<R>::Lanes; };
 
 /// The scalar backend: one DdInterval, ddAddUp/ddMulUp/ddMax once per
 /// slot. The pairwise operations are always inlined: left to the early
@@ -185,6 +192,8 @@ template <DdRegister R> inline R ddiSub(const R &X, const R &Y) {
   return DdRegs<R>::addUp(X, DdRegs<R>::swap(Y));
 }
 
+template <DdRegister R> inline R ddiMul(const R &X, const R &Y);
+
 namespace detail {
 
 /// Conservative fallback for ddi multiplication/division with special
@@ -194,13 +203,33 @@ inline DdInterval ddiFromOuter(const Interval &I) {
   return DdInterval(Dd(I.NegLo), Dd(I.Hi));
 }
 
-/// ddiMul's special-value and overflow fallback on any backend. Out of
-/// line, so the multiply inlines as small as its common path.
+/// ddiMul's special-value and overflow fallback: the double-precision
+/// hull of one ddi, or for a pack every lane again through the scalar
+/// multiply (whose own fallback then decides lane by lane). Out of line,
+/// so the multiply inlines as small as its common path. Static and
+/// flattened: every translation unit runs its own copy, compiled for its
+/// own -march, never one the linker took from a TU built for another ISA.
 template <DdRegister R>
-[[gnu::cold, gnu::noinline]] R ddiMulOuter(const R &X, const R &Y) {
+[[gnu::cold, gnu::noinline, gnu::flatten]] static R
+ddiMulOuter(const R &X, const R &Y) {
   using B = DdRegs<R>;
-  return B::fromScalar(ddiFromOuter(
-      iMul(B::toScalar(X).outerHull(), B::toScalar(Y).outerHull())));
+  if constexpr (DdPackRegister<R>)
+    return B::lanewise(X, Y, [](const DdInterval &A, const DdInterval &C) {
+      return ddiMul(A, C);
+    });
+  else
+    return B::fromScalar(ddiFromOuter(
+        iMul(B::toScalar(X).outerHull(), B::toScalar(Y).outerHull())));
+}
+
+/// ddiMul's product when neither factor straddles zero (see ddiMul).
+template <DdRegister R>
+[[gnu::always_inline]] inline R
+ddiMulKnownSign(const R &X, const R &Y, const typename DdRegs<R>::Signs &S) {
+  using B = DdRegs<R>;
+  const R NY = B::negFirst(Y);
+  return B::mulUp(B::select(B::yNonNeg(S), X, B::neg(B::swap(X))),
+                  B::select(B::xNonNeg(S), NY, B::swap(NY)));
 }
 
 } // namespace detail
@@ -218,7 +247,10 @@ template <DdRegister R>
 /// eight candidates, hence the result lies within the eight-candidate
 /// enclosure. Special values (NaN or infinite words), and finite inputs
 /// whose product overflows to NaN inside a renormalization, fall back to
-/// the double-precision hull: the max would silently drop a NaN.
+/// the double-precision hull: the max would silently drop a NaN. A pack
+/// whose lanes mix known signs with straddling ones computes both forms
+/// and blends the known-sign lanes in; its tests cover every lane, so a
+/// lane the scalar multiply would send to the fallback sends the pack.
 template <DdRegister R> inline R ddiMul(const R &X, const R &Y) {
   using B = DdRegs<R>;
   assertRoundUpward();
@@ -228,15 +260,20 @@ template <DdRegister R> inline R ddiMul(const R &X, const R &Y) {
   R P;
   bool Overflow;
   if (__builtin_expect(B::signKnown(S), 1)) {
-    const R NY = B::negFirst(Y);
-    P = B::mulUp(B::select(B::yNonNeg(S), X, B::neg(B::swap(X))),
-                 B::select(B::xNonNeg(S), NY, B::swap(NY)));
+    P = detail::ddiMulKnownSign(X, Y, S);
     Overflow = B::unordered(P, P);
   } else {
     const R P1 = B::mulUp(B::dupFirst(X), B::swap(Y));
     const R P2 = B::mulUp(B::dupSecond(X), Y);
     Overflow = B::unordered(P1, P2);
     P = B::maxUp(P2, P1);
+    if constexpr (DdPackRegister<R>) {
+      if (const auto Known = B::knownLanes(S)) {
+        const R K = detail::ddiMulKnownSign(X, Y, S);
+        Overflow = Overflow || B::unordered(K, K);
+        P = B::select(Known, K, P);
+      }
+    }
   }
   if (__builtin_expect(Overflow, 0))
     return detail::ddiMulOuter(X, Y);

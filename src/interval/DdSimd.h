@@ -20,6 +20,10 @@
 /// matching Table III. Every primitive works on a pair of double-doubles
 /// in this layout, whatever the pair holds.
 ///
+/// In TUs built with AVX-512, DdPack8 adds a third backend: eight ddi in
+/// four __m512d, one register per word, every primitive the scalar one
+/// lane by lane (igen_lib.h's ia_axpy_dd runs on it).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef IGEN_INTERVAL_DDSIMD_H
@@ -108,12 +112,22 @@ inline __m256d dupHigh(__m256d X) {
   return _mm256_permute2f128_pd(X, X, 0x11);
 }
 
+/// The AVX backend's pairwise max when RU(H + L) ties (or is NaN) in
+/// either pair: the scalar backend's ddMax. Static and flattened, like
+/// ddiMulOuter, so each TU runs its own copy.
+template <DdRegister R>
+[[gnu::cold, gnu::noinline, gnu::flatten]] static R maxUpTie(const R &A,
+                                                             const R &B) {
+  using Regs = DdRegs<R>;
+  return Regs::fromScalar(
+      DdRegs<DdInterval>::maxUp(Regs::toScalar(A), Regs::toScalar(B)));
+}
+
 } // namespace detail
 
 /// The AVX backend: one pair of double-doubles per __m256d.
 template <> struct DdRegs<DdIntervalAvx> {
   using R = DdIntervalAvx;
-  using Scalar = DdRegs<DdInterval>;
 
   /// Pairwise DD_Add of Fig. 6: 14 arithmetic intrinsics + 3 shuffles
   /// (Table III row 1).
@@ -154,12 +168,9 @@ template <> struct DdRegs<DdIntervalAvx> {
     __m256d UB = _mm256_add_pd(B.V, detail::swap128(B.V));
     __m256d Tie = _mm256_cmp_pd(UA, UB, _CMP_EQ_UQ);
     if (__builtin_expect((_mm256_movemask_pd(Tie) & 0x3) != 0, 0))
-      return maxUpTie(A, B);
+      return detail::maxUpTie(A, B);
     __m256d BAbove = _mm256_cmp_pd(UB, UA, _CMP_GT_OQ);
     return R(_mm256_blendv_pd(A.V, B.V, detail::dupLow(BAbove)));
-  }
-  [[gnu::cold, gnu::noinline]] static R maxUpTie(const R &A, const R &B) {
-    return fromScalar(Scalar::maxUp(A.toScalar(), B.toScalar()));
   }
 
   /// [x1, x0, x3, x2]: swaps the two dd values within each lane.
@@ -220,6 +231,255 @@ template <> struct DdRegs<DdIntervalAvx> {
     _mm256_storeu_pd(&P->NegLo.H, _mm256_permute4x64_pd(V.V, 0xD8));
   }
 };
+
+#if defined(__AVX512F__) && defined(__AVX512DQ__)
+
+/// Eight double-double intervals in four AVX-512 registers, one register
+/// per word and one ddi per lane: W[0] = negLo.H, W[1] = hi.H,
+/// W[2] = negLo.L, W[3] = hi.L -- the AVX layout with every element
+/// widened to eight lanes. A pair's first dd is (W[0], W[2]), its second
+/// (W[1], W[3]).
+struct DdPack8 {
+  __m512d W[4];
+};
+
+namespace detail {
+
+inline void twoSum512(__m512d A, __m512d B, __m512d &S, __m512d &E) {
+  S = _mm512_add_pd(A, B);
+  const __m512d A1 = _mm512_sub_pd(S, B);
+  const __m512d B1 = _mm512_sub_pd(S, A1);
+  E = _mm512_add_pd(_mm512_sub_pd(A, A1), _mm512_sub_pd(B, B1));
+}
+
+inline void fastTwoSum512(__m512d A, __m512d B, __m512d &S, __m512d &E) {
+  S = _mm512_add_pd(A, B);
+  E = _mm512_sub_pd(B, _mm512_sub_pd(S, A));
+}
+
+/// ddAddUp in every lane: its operation sequence, eight lanes wide.
+inline void ddAddUp8(__m512d XH, __m512d XL, __m512d YH, __m512d YL,
+                     __m512d &ZH, __m512d &ZL) {
+  __m512d SH, SE, TH, TE, VH, VE;
+  twoSum512(XH, YH, SH, SE);
+  twoSum512(XL, YL, TH, TE);
+  fastTwoSum512(SH, _mm512_add_pd(SE, TH), VH, VE);
+  fastTwoSum512(VH, _mm512_add_pd(TE, VE), ZH, ZL);
+}
+
+/// ddMulUp in every lane.
+inline void ddMulUp8(__m512d XH, __m512d XL, __m512d YH, __m512d YL,
+                     __m512d &ZH, __m512d &ZL) {
+  const __m512d P = _mm512_mul_pd(XH, YH);
+  const __m512d E = _mm512_fmsub_pd(XH, YH, P); // exact residue
+  const __m512d S1 =
+      _mm512_add_pd(_mm512_mul_pd(XH, YL), _mm512_mul_pd(XL, YH));
+  const __m512d S2 = _mm512_add_pd(S1, _mm512_mul_pd(XL, YL));
+  twoSum512(P, _mm512_add_pd(E, S2), ZH, ZL);
+}
+
+/// ddMax in every lane, ddOrder's decisions included: the larger
+/// RU(H + L); where those tie, identical words give A, else an upward
+/// difference of the lexicographically smaller minus the larger that is
+/// <= 0 confirms the larger; otherwise (and for NaN) RU(A) with a zero
+/// low word.
+inline void ddMax8(__m512d AH, __m512d AL, __m512d BH, __m512d BL,
+                   __m512d &ZH, __m512d &ZL) {
+  const __m512d UA = _mm512_add_pd(AH, AL), UB = _mm512_add_pd(BH, BL);
+  __mmask8 PickB = _mm512_cmp_pd_mask(UB, UA, _CMP_GT_OQ);
+  const __mmask8 Tie = static_cast<__mmask8>(
+      ~(PickB | _mm512_cmp_pd_mask(UB, UA, _CMP_LT_OQ)));
+  if (__builtin_expect(Tie == 0, 1)) {
+    ZH = _mm512_mask_blend_pd(PickB, AH, BH);
+    ZL = _mm512_mask_blend_pd(PickB, AL, BL);
+    return;
+  }
+  const __mmask8 HEq = _mm512_cmp_pd_mask(AH, BH, _CMP_EQ_OQ);
+  const __mmask8 Differ = static_cast<__mmask8>(
+      Tie & ~(HEq & _mm512_cmp_pd_mask(AL, BL, _CMP_EQ_OQ)));
+  const __mmask8 YAbove = static_cast<__mmask8>(
+      _mm512_cmp_pd_mask(AH, BH, _CMP_LT_OQ) |
+      (HEq & _mm512_cmp_pd_mask(AL, BL, _CMP_LT_OQ)));
+  // YAbove ? ddSubUp(A, B) : ddSubUp(B, A).
+  const __m512d Neg = _mm512_set1_pd(-0.0);
+  __m512d DH, DL;
+  ddAddUp8(_mm512_mask_blend_pd(YAbove, BH, AH),
+           _mm512_mask_blend_pd(YAbove, BL, AL),
+           _mm512_xor_pd(_mm512_mask_blend_pd(YAbove, AH, BH), Neg),
+           _mm512_xor_pd(_mm512_mask_blend_pd(YAbove, AL, BL), Neg), DH, DL);
+  const __mmask8 Le = _mm512_cmp_pd_mask(_mm512_add_pd(DH, DL),
+                                         _mm512_setzero_pd(), _CMP_LE_OQ);
+  PickB = static_cast<__mmask8>(PickB | (Differ & Le & YAbove));
+  const __mmask8 Open = static_cast<__mmask8>(Differ & ~Le);
+  ZH = _mm512_mask_blend_pd(Open, _mm512_mask_blend_pd(PickB, AH, BH), UA);
+  ZL = _mm512_mask_blend_pd(Open, _mm512_mask_blend_pd(PickB, AL, BL),
+                            _mm512_setzero_pd());
+}
+
+/// Index vectors of the transposing load and store (vpermt2pd over two
+/// registers, elements 0-7 of the first and 8-15 of the second). With two
+/// registers of two ddi each, pick01 gathers words 0 and 1 of the four
+/// ddi and pick23 words 2 and 3; applied to those results they give the
+/// ddi back. lowHalves and highHalves join the low (high) four elements
+/// of two registers.
+inline __m512i pick01() { return _mm512_set_epi64(13, 9, 5, 1, 12, 8, 4, 0); }
+inline __m512i pick23() { return _mm512_set_epi64(15, 11, 7, 3, 14, 10, 6, 2); }
+inline __m512i lowHalves() {
+  return _mm512_set_epi64(11, 10, 9, 8, 3, 2, 1, 0);
+}
+inline __m512i highHalves() {
+  return _mm512_set_epi64(15, 14, 13, 12, 7, 6, 5, 4);
+}
+
+} // namespace detail
+
+/// The pack backend: ddAddUp, ddMulUp and ddMax in each of eight lanes,
+/// so every lane computes what the scalar backend computes. A multiply
+/// that meets a special value or an overflow in any lane recomputes all
+/// eight lanes with the scalar backend (lanewise).
+template <> struct DdRegs<DdPack8> {
+  using R = DdPack8;
+  static constexpr unsigned Lanes = 8;
+
+  static R addUp(const R &X, const R &Y) {
+    assertRoundUpward();
+    R Z;
+    detail::ddAddUp8(X.W[0], X.W[2], Y.W[0], Y.W[2], Z.W[0], Z.W[2]);
+    detail::ddAddUp8(X.W[1], X.W[3], Y.W[1], Y.W[3], Z.W[1], Z.W[3]);
+    return Z;
+  }
+  static R mulUp(const R &X, const R &Y) {
+    R Z;
+    detail::ddMulUp8(X.W[0], X.W[2], Y.W[0], Y.W[2], Z.W[0], Z.W[2]);
+    detail::ddMulUp8(X.W[1], X.W[3], Y.W[1], Y.W[3], Z.W[1], Z.W[3]);
+    return Z;
+  }
+  static R maxUp(const R &A, const R &B) {
+    R Z;
+    detail::ddMax8(A.W[0], A.W[2], B.W[0], B.W[2], Z.W[0], Z.W[2]);
+    detail::ddMax8(A.W[1], A.W[3], B.W[1], B.W[3], Z.W[1], Z.W[3]);
+    return Z;
+  }
+
+  static R swap(const R &X) { return R{{X.W[1], X.W[0], X.W[3], X.W[2]}}; }
+  /// Negates the second slot, then the first.
+  static R neg(const R &X) { return negFirst(swap(negFirst(swap(X)))); }
+  static R negFirst(const R &X) {
+    const __m512d S = _mm512_set1_pd(-0.0);
+    return R{{_mm512_xor_pd(X.W[0], S), X.W[1], _mm512_xor_pd(X.W[2], S),
+              X.W[3]}};
+  }
+  static R dupFirst(const R &X) { return R{{X.W[0], X.W[0], X.W[2], X.W[2]}}; }
+  static R dupSecond(const R &X) {
+    return R{{X.W[1], X.W[1], X.W[3], X.W[3]}};
+  }
+  static R select(__mmask8 M, const R &T, const R &F) {
+    R Z;
+    for (int K = 0; K < 4; ++K)
+      Z.W[K] = _mm512_mask_blend_pd(M, F.W[K], T.W[K]);
+    return Z;
+  }
+
+  /// RU(H + L) <= 0 of the four endpoints, one lane mask each.
+  struct Signs {
+    __mmask8 XNonNeg, XNonPos, YNonNeg, YNonPos;
+  };
+  static Signs signs(const R &X, const R &Y) {
+    auto NonPos = [](__m512d H, __m512d L) {
+      return _mm512_cmp_pd_mask(_mm512_add_pd(H, L), _mm512_setzero_pd(),
+                                _CMP_LE_OQ);
+    };
+    return {NonPos(X.W[0], X.W[2]), NonPos(X.W[1], X.W[3]),
+            NonPos(Y.W[0], Y.W[2]), NonPos(Y.W[1], Y.W[3])};
+  }
+  /// The lanes where neither factor straddles zero.
+  static __mmask8 knownLanes(const Signs &S) {
+    return static_cast<__mmask8>((S.XNonNeg | S.XNonPos) &
+                                 (S.YNonNeg | S.YNonPos));
+  }
+  static bool signKnown(const Signs &S) { return knownLanes(S) == 0xFF; }
+  static __mmask8 xNonNeg(const Signs &S) { return S.XNonNeg; }
+  static __mmask8 yNonNeg(const Signs &S) { return S.YNonNeg; }
+
+  /// NaN or infinity in any word of any lane.
+  static bool special(const R &X) {
+    const __m512d Inf =
+        _mm512_set1_pd(std::numeric_limits<double>::infinity());
+    __mmask8 Finite = 0xFF;
+    for (const __m512d &W : X.W)
+      Finite = _mm512_mask_cmp_pd_mask(Finite, _mm512_abs_pd(W), Inf,
+                                       _CMP_LT_OQ);
+    return Finite != 0xFF;
+  }
+  static bool unordered(const R &A, const R &B) {
+    __mmask8 M = 0;
+    for (int K = 0; K < 4; ++K)
+      M |= _mm512_cmp_pd_mask(A.W[K], B.W[K], _CMP_UNORD_Q);
+    return M != 0;
+  }
+
+  /// Fn(lane of X, lane of Y) for every lane, on the scalar backend.
+  template <class F> static R lanewise(const R &X, const R &Y, F Fn) {
+    alignas(64) double A[4][Lanes], B[4][Lanes];
+    for (int K = 0; K < 4; ++K) {
+      _mm512_store_pd(A[K], X.W[K]);
+      _mm512_store_pd(B[K], Y.W[K]);
+    }
+    auto Lane = [](const double (*W)[Lanes], unsigned L) {
+      return DdInterval(Dd(W[0][L], W[2][L]), Dd(W[1][L], W[3][L]));
+    };
+    for (unsigned L = 0; L < Lanes; ++L) {
+      const DdInterval Z = Fn(Lane(A, L), Lane(B, L));
+      A[0][L] = Z.NegLo.H;
+      A[1][L] = Z.Hi.H;
+      A[2][L] = Z.NegLo.L;
+      A[3][L] = Z.Hi.L;
+    }
+    R Z;
+    for (int K = 0; K < 4; ++K)
+      Z.W[K] = _mm512_load_pd(A[K]);
+    return Z;
+  }
+
+  /// \p X in every lane.
+  static R broadcast(const DdIntervalAvx &X) {
+    alignas(32) double E[4];
+    _mm256_store_pd(E, X.V);
+    return R{{_mm512_set1_pd(E[0]), _mm512_set1_pd(E[1]),
+              _mm512_set1_pd(E[2]), _mm512_set1_pd(E[3])}};
+  }
+  /// Eight consecutive DdIntervalAvx, transposed: four registers of two
+  /// ddi each become one register per word.
+  static R load(const DdIntervalAvx *P) {
+    using namespace detail;
+    const double *D = reinterpret_cast<const double *>(P);
+    const __m512d Z0 = _mm512_loadu_pd(D), Z1 = _mm512_loadu_pd(D + 8);
+    const __m512d Z2 = _mm512_loadu_pd(D + 16), Z3 = _mm512_loadu_pd(D + 24);
+    const __m512d T0 = _mm512_permutex2var_pd(Z0, pick01(), Z1);
+    const __m512d T1 = _mm512_permutex2var_pd(Z0, pick23(), Z1);
+    const __m512d T2 = _mm512_permutex2var_pd(Z2, pick01(), Z3);
+    const __m512d T3 = _mm512_permutex2var_pd(Z2, pick23(), Z3);
+    return R{{_mm512_permutex2var_pd(T0, lowHalves(), T2),
+              _mm512_permutex2var_pd(T0, highHalves(), T2),
+              _mm512_permutex2var_pd(T1, lowHalves(), T3),
+              _mm512_permutex2var_pd(T1, highHalves(), T3)}};
+  }
+  /// The inverse of load.
+  static void store(DdIntervalAvx *P, const R &V) {
+    using namespace detail;
+    double *D = reinterpret_cast<double *>(P);
+    const __m512d T0 = _mm512_permutex2var_pd(V.W[0], lowHalves(), V.W[1]);
+    const __m512d T2 = _mm512_permutex2var_pd(V.W[0], highHalves(), V.W[1]);
+    const __m512d T1 = _mm512_permutex2var_pd(V.W[2], lowHalves(), V.W[3]);
+    const __m512d T3 = _mm512_permutex2var_pd(V.W[2], highHalves(), V.W[3]);
+    _mm512_storeu_pd(D, _mm512_permutex2var_pd(T0, pick01(), T1));
+    _mm512_storeu_pd(D + 8, _mm512_permutex2var_pd(T0, pick23(), T1));
+    _mm512_storeu_pd(D + 16, _mm512_permutex2var_pd(T2, pick01(), T3));
+    _mm512_storeu_pd(D + 24, _mm512_permutex2var_pd(T2, pick23(), T3));
+  }
+};
+
+#endif
 
 } // namespace igen
 

@@ -304,11 +304,12 @@ namespace igen_detail {
 
 /// True when the \p PN elements at \p P and the \p QN elements at \p Q
 /// share no byte.
-inline bool rowsDisjoint(const f64i *P, unsigned long PN, const f64i *Q,
+template <class T>
+inline bool rowsDisjoint(const T *P, unsigned long PN, const T *Q,
                          unsigned long QN) {
   const std::uintptr_t A = reinterpret_cast<std::uintptr_t>(P);
   const std::uintptr_t B = reinterpret_cast<std::uintptr_t>(Q);
-  return A + PN * sizeof(f64i) <= B || B + QN * sizeof(f64i) <= A;
+  return A + PN * sizeof(T) <= B || B + QN * sizeof(T) <= A;
 }
 
 #if defined(IGEN_ROW_KERNELS_AVX512)
@@ -581,6 +582,59 @@ inline ddi ia_sub_dd(ddi A, ddi B) { return igen::ddiSub(A, B); }
 inline ddi ia_mul_dd(ddi A, ddi B) { return igen::ddiMul(A, B); }
 inline ddi ia_div_dd(ddi A, ddi B) { return igen::ddiDiv(A, B); }
 inline ddi ia_neg_dd(ddi A) { return igen::ddiNeg(A); }
+
+// The ddi row kernel: at -O under --precision=dd the transform lowers
+//
+//   for (j = L; j < U; j++) Y[ey + j] = Y[ey + j] + a * X[ex + j];
+//       -> ia_axpy_dd(&Y[ey + L], a, &X[ex + L], U - L)
+//
+// (or `+= a * X[ex + j]`), and the call returns the bits of the loop
+// Y[j] = ia_add_dd(Y[j], ia_mul_dd(a, X[j])) it replaces. With AVX-512 it
+// runs eight elements per pack of DdSimd.h's DdPack8 backend: the same
+// ddiAdd/ddiMul bodies, every lane computing the scalar backend's
+// operations, a pack whose multiply overflows in some lane recomputed
+// lane by lane. The multiplier is tested once per call: with a NaN or
+// infinite word, every pack would take that fallback, so the loop runs.
+// A pack whose Y holds a NaN word, or whose X a NaN or infinite one, runs
+// element by element: which NaN an addition of two NaN words returns
+// follows its operand order, which the compiler picks per backend.
+// Packs are used only where they cannot change what the loop reads: the
+// rows identical or disjoint. A tail of fewer than eight elements and
+// every other case run the loop.
+
+#if defined(IGEN_ROW_KERNELS_AVX512)
+namespace igen_detail {
+inline void ddAxpyPacks(ddi *Y, ddi A, const ddi *X, unsigned long N) {
+  using Pack = igen::DdRegs<igen::DdPack8>;
+  auto Loop = [&](unsigned long From, unsigned long To) {
+    for (unsigned long J = From; J < To; ++J)
+      Y[J] = ia_add_dd(Y[J], ia_mul_dd(A, X[J]));
+  };
+  const igen::DdPack8 Av = Pack::broadcast(A);
+  unsigned long J = 0;
+  for (; J + Pack::Lanes <= N; J += Pack::Lanes) {
+    const igen::DdPack8 Yv = Pack::load(Y + J), Xv = Pack::load(X + J);
+    if (__builtin_expect(Pack::unordered(Yv, Yv) || Pack::special(Xv), 0))
+      Loop(J, J + Pack::Lanes);
+    else
+      Pack::store(Y + J, igen::ddiAdd(Yv, igen::ddiMul(Av, Xv)));
+  }
+  Loop(J, N);
+}
+} // namespace igen_detail
+#endif
+
+/// Y[j] = ia_add_dd(Y[j], ia_mul_dd(A, X[j])) for j in [0, N).
+inline void ia_axpy_dd(ddi *Y, ddi A, const ddi *X, unsigned long N) {
+#if defined(IGEN_ROW_KERNELS_AVX512)
+  if (!A.hasSpecial() && (Y == X || igen_detail::rowsDisjoint(Y, N, X, N))) {
+    igen_detail::ddAxpyPacks(Y, A, X, N);
+    return;
+  }
+#endif
+  for (unsigned long J = 0; J < N; ++J)
+    Y[J] = ia_add_dd(Y[J], ia_mul_dd(A, X[J]));
+}
 
 /// Double-double sqrt/abs are computed on the scalar representation.
 /// Every sign is read from RU(H + L) (ddToDoubleUp) and the maximum from

@@ -1507,8 +1507,9 @@ private:
       return false;
     if (exprCseEqual(Add->LHS, B->LHS))
       return matchScaledRow(FS, Add->RHS, IV, Mod, K);
-    return exprCseEqual(Add->RHS, B->LHS) &&
-           matchScaledRow(FS, Add->LHS, IV, Mod, K);
+    K.ProductFirst = exprCseEqual(Add->RHS, B->LHS) &&
+                     matchScaledRow(FS, Add->LHS, IV, Mod, K);
+    return K.ProductFirst;
   }
 
   /// `X[ex + j] * Z[ez + j]`, both factors of unknown sign.

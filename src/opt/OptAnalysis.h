@@ -100,6 +100,10 @@ struct RowKernelLoop {
   const Expr *Scalar = nullptr;
   /// axpy: Y (updated) and X. dot: the two factors in source order.
   Row First, Second;
+  /// axpy spelled `Y[..] = a * X[..] + Y[..]`: the addition's operands
+  /// come in the other order (a double-double add is not bitwise
+  /// commutative).
+  bool ProductFirst = false;
 };
 
 struct OptOptions {

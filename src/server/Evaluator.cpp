@@ -597,6 +597,9 @@ void Interp::ifTBool(const L::Stmt *S, Frame &F) {
 }
 
 void Interp::rowKernel(const L::Stmt *S, Frame &F) {
+  if (S->S == L::Sfx::Dd)
+    fail("unsupported",
+         "double-double operations are not supported by the eval tier");
   long long Lo = asInt(expr(S->E, F), "row bound");
   long long Hi = asInt(expr(S->E2, F), "row bound");
   if (!(Lo < Hi))

@@ -1673,10 +1673,16 @@ void Transformer::emitFor(const ForStmt *S) {
   // that computes the per-element loop's bits (igen_lib.h). Not under
   // --profile, which instruments every element operation, nor under
   // --batch-loops, where the batched runtime routes loops; an update the
-  // reduction transformation feeds to an accumulator stays a loop.
-  if (optOn() && !isDd() && !Opts.Profile && !Opts.EnableBatchLoops) {
+  // reduction transformation feeds to an accumulator stays a loop. Under
+  // double-double only `Y = Y + a * X` (or `+=`) routes, to ia_axpy_dd:
+  // the dot shapes wait on their in-order add chain, `a * X + Y` adds in
+  // the other order, and the tier's dd clone keeps f64i memory.
+  if (optOn() && !Opts.Profile && !Opts.EnableBatchLoops &&
+      TMode != TierMode::DdClone) {
     auto RIt = OptInfo.RowKernels.find(S);
     if (RIt != OptInfo.RowKernels.end() &&
+        (!isDd() || (RIt->second.K == RowKernelLoop::Kind::Axpy &&
+                     !RIt->second.ProductFirst)) &&
         !UpdateToAcc.count(RIt->second.Update) &&
         (!Opts.EnableReductions || Reductions.sitesForLoop(S).empty())) {
       emitRowKernel(RIt->second);
@@ -1759,6 +1765,7 @@ void Transformer::emitFor(const ForStmt *S) {
 
 void Transformer::emitRowKernel(const RowKernelLoop &K) {
   L::Stmt *R = Fn->Store->newStmt(L::SK::RowKernel);
+  R->S = sfxOp();
   R->Ext = Fn->Store->newExt();
   R->E = transformExpr(K.Lower).N;
   R->E2 = transformExpr(K.Upper).N;
@@ -1989,11 +1996,12 @@ void Transformer::emitFunctionImpl(FunctionDecl *F,
     emit(Whole.empty() ? "igen_fenv_check();"
                        : "if (igen_fenv_check()) return " + Whole + ";");
   }
-  if (TMode == TierMode::Wrapper) {
+  if (TMode == TierMode::Wrapper && TierMovable) {
     // Region snapshot, captured at f64i cost: the body may overwrite
     // parameters, and on blowup the dd clone re-executes from the entry
     // state. Promotion to ddi is exact, so both tiers start from
     // bit-identical intervals (what makes movability analysis possible).
+    // An immovable region never escalates, so nothing reads a snapshot.
     std::string Args;
     for (size_t I = 0; I < F->Params.size(); ++I) {
       VarDecl *P = F->Params[I];
@@ -2015,6 +2023,8 @@ void Transformer::emitFunctionImpl(FunctionDecl *F,
       Args += T->isFloating() ? "ia_promote_f64_dd(" + Snap + ")" : Snap;
     }
     LF->TierCloneCall = F->Name + "__dd(" + Args + ")";
+  }
+  if (TMode == TierMode::Wrapper) {
     TierRegionId = static_cast<unsigned>(SiteTable.Regions.size());
     TierRegion Region;
     Region.Func = F->Name;

@@ -251,12 +251,12 @@ private:
     ++Indent;
     begin();
     if (S->Row == Stmt::RowKind::Axpy) {
-      put("ia_axpy_f64(");
+      put("ia_axpy_", sfxName(S->S), "(");
       row(S, 0);
       put(", ", S->Ext->Scalar);
     } else {
-      put(S->Row == Stmt::RowKind::Dot ? "ia_dot_f64(&" : "ia_dotsub_f64(&",
-          S->Ext->Scalar, ", ");
+      put(S->Row == Stmt::RowKind::Dot ? "ia_dot_" : "ia_dotsub_",
+          sfxName(S->S), "(&", S->Ext->Scalar, ", ");
       row(S, 0);
     }
     put(", ");

@@ -170,7 +170,7 @@ enum class SK : uint8_t {
   Versioned,  ///< E: the version variable; Then, Else and Ext->Then2 are
               ///< the copies for a proven nonnegative, nonpositive and
               ///< unknown sign
-  RowKernel,  ///< if (E < E2) { ia_axpy/dot/dotsub_f64(rows, count) }
+  RowKernel,  ///< if (E < E2) { ia_axpy/dot/dotsub_<S>(rows, count) }
   BatchLoop,  ///< ia_arr_<Text>_f64(E, X[0][, X[1]], count X[2]) (Ext)
   AccInit,    ///< acc Slot (number Slot2), initialized with E
   AccFeed,    ///< acc Slot += E
@@ -207,6 +207,7 @@ struct Stmt {
   bool Movable = true;   ///< TierReturn
   enum class RowKind : uint8_t { Axpy, Dot, DotSub };
   RowKind Row = RowKind::Axpy;
+  Sfx S = Sfx::None; ///< RowKernel: the interval type (F64 or Dd)
   int Slot = -1;
   int Slot2 = -1;
   union {

@@ -47,116 +47,6 @@ protected:
     return std::memcmp(&A, &B, sizeof(DdInterval)) == 0;
   }
 
-  /// Operand classes for the multiply sweep; every ordered pair of them
-  /// is fed to the multiply tests.
-  enum SignClass {
-    LoPositive,       // lo > 0
-    HiNegative,       // hi < 0
-    Straddling,       // lo < 0 < hi
-    ZeroPoint,        // [0, 0], zero words of either sign
-    ZeroLo,           // [0, b], b > 0
-    ZeroHi,           // [a, 0], a < 0
-    NegZeroEnds,      // -0.0 words as endpoints: [-0, -0], [-0, b], [a, -0]
-    ZeroHighWord,     // endpoints with H == 0 and a nonzero L
-    OneUlpLowWord,    // [c, c + one ulp of the low word], either sign
-    LowOutweighsHigh, // unnormalized: a denormal H, larger opposite L
-    NumSignClasses
-  };
-
-  /// Mostly moderate; one in four in any binade from denormal to near
-  /// DBL_MAX, so that products underflow (and round up to the smallest
-  /// denormal) or overflow.
-  Dd positiveDd() {
-    Dd C = R.dd();
-    if (R.intIn(0, 3) == 0) {
-      RoundNearestScope RN;
-      double H = std::ldexp(R.uniform(0.5, 1.0), R.intIn(-1073, 1024));
-      C = Dd(H, H * std::ldexp(R.uniform(0.0, 1.0), -54));
-    }
-    return C.H < 0 ? ddNeg(C) : C.H > 0 ? C : Dd(1.0);
-  }
-  double signedZero() { return R.intIn(0, 1) ? 0.0 : -0.0; }
-  Dd zeroDd() { return Dd(signedZero(), signedZero()); }
-  /// A positive interval of a few low-word ulps around a random value.
-  DdInterval positiveInterval() {
-    Dd C = positiveDd(), Hi = C;
-    Hi.L = addUlps(Hi.L, R.intIn(1, 8));
-    return DdInterval::fromEndpoints(C, Hi);
-  }
-
-  DdInterval classInterval(int Class) {
-    switch (Class) {
-    case LoPositive:
-      return positiveInterval();
-    case HiNegative:
-      return ddiNeg(positiveInterval());
-    case Straddling:
-      return DdInterval(positiveDd(), positiveDd());
-    case ZeroPoint:
-      return DdInterval(zeroDd(), zeroDd());
-    case ZeroLo:
-      return DdInterval(zeroDd(), positiveDd());
-    case ZeroHi:
-      return DdInterval(positiveDd(), zeroDd());
-    case NegZeroEnds: {
-      Dd NegZero(-0.0, -0.0);
-      switch (R.intIn(0, 2)) {
-      case 0:
-        return DdInterval::fromEndpoints(NegZero, NegZero);
-      case 1:
-        return DdInterval::fromEndpoints(NegZero, positiveDd());
-      default:
-        return DdInterval::fromEndpoints(ddNeg(positiveDd()), NegZero);
-      }
-    }
-    case ZeroHighWord: {
-      // One endpoint (or both) has a zero high word, so the low word
-      // carries its sign; the endpoints are ordered by value.
-      auto ZeroHigh = [&] {
-        return Dd(signedZero(), R.intIn(0, 1) ? R.moderateDouble()
-                                              : R.finiteDouble());
-      };
-      Dd U = ZeroHigh();
-      Dd V = R.intIn(0, 1) ? ZeroHigh()
-             : R.intIn(0, 1) ? positiveDd()
-                             : ddNeg(positiveDd());
-      if (toQuad(V) < toQuad(U))
-        std::swap(U, V);
-      return DdInterval::fromEndpoints(U, V);
-    }
-    case OneUlpLowWord: {
-      Dd C = R.dd(), Hi = C;
-      Hi.L = nextUp(Hi.L);
-      return DdInterval::fromEndpoints(C, Hi);
-    }
-    default: // LowOutweighsHigh
-      return test::unnormalizedInterval(R);
-    }
-  }
-
-  /// A straddling pair whose two candidate products per endpoint share
-  /// one RU(H + L), so the straddle max must order values inside one
-  /// double ulp: X = [-2^k, 2^k] and Y = [-u, v] with u and v in one ulp,
-  /// one of them in round-to-nearest form (a positive low word). The
-  /// first is the example X = [-1, 1], Y = [-A, B] with A = 1 + 2^-60 in
-  /// RU form and B = 1 + 2^-54 in round-to-nearest form.
-  std::pair<DdInterval, DdInterval> sharedUlpStraddle(int I) {
-    double S = 1.0, H = 1.0, Ulp = 0x1p-52, Low = 0x1p-60, Near = 0x1p-54;
-    if (I > 0) {
-      RoundNearestScope RN;
-      int K = R.intIn(-40, 40);
-      S = std::ldexp(1.0, R.intIn(-8, 8));
-      H = std::ldexp(R.uniform(1.0, 2.0), K);
-      Ulp = std::ldexp(0x1p-52, K);
-      Low = Ulp * std::ldexp(R.uniform(0.0, 1.0), -R.intIn(1, 20));
-      Near = Ulp * R.uniform(0.0, 0.5);
-    }
-    Dd U(H + Ulp, -Ulp + Low), V(H, Near);
-    if (I % 2)
-      std::swap(U, V);
-    return {DdInterval(Dd(S), Dd(S)), DdInterval(U, V)};
-  }
-
   /// The multiply tests' inputs: random intervals, every ordered pair of
   /// sign classes, then straddling pairs with shared-ulp candidates.
   std::vector<std::pair<DdInterval, DdInterval>> mulInputs() {
@@ -165,14 +55,14 @@ protected:
       DdInterval A = randInterval();
       In.emplace_back(A, randInterval());
     }
-    for (int CA = 0; CA < NumSignClasses; ++CA)
-      for (int CB = 0; CB < NumSignClasses; ++CB)
+    for (int CA = 0; CA < test::NumDdSignClasses; ++CA)
+      for (int CB = 0; CB < test::NumDdSignClasses; ++CB)
         for (int I = 0; I < 200; ++I) {
-          DdInterval A = classInterval(CA);
-          In.emplace_back(A, classInterval(CB));
+          DdInterval A = test::ddClassInterval(R, CA);
+          In.emplace_back(A, test::ddClassInterval(R, CB));
         }
     for (int I = 0; I < 400; ++I) {
-      auto [X, Y] = sharedUlpStraddle(I);
+      auto [X, Y] = test::sharedUlpStraddle(R, I);
       In.emplace_back(X, Y);
       In.emplace_back(Y, X);
     }

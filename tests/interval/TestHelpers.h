@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <utility>
 
 namespace igen::test {
 
@@ -136,6 +137,119 @@ inline bool containsQuad(const DdInterval &I, __float128 Q) {
   __float128 Lo = -toQuad(I.NegLo);
   __float128 Hi = toQuad(I.Hi);
   return Lo <= Q && Q <= Hi;
+}
+
+/// Sign and representation classes of dd intervals for the multiply
+/// sweeps: every ordered pair of them is fed to the multiply tests.
+enum DdSignClass {
+  LoPositive,       // lo > 0
+  HiNegative,       // hi < 0
+  Straddling,       // lo < 0 < hi
+  ZeroPoint,        // [0, 0], zero words of either sign
+  ZeroLo,           // [0, b], b > 0
+  ZeroHi,           // [a, 0], a < 0
+  NegZeroEnds,      // -0.0 words as endpoints: [-0, -0], [-0, b], [a, -0]
+  ZeroHighWord,     // endpoints with H == 0 and a nonzero L
+  OneUlpLowWord,    // [c, c + one ulp of the low word], either sign
+  LowOutweighsHigh, // unnormalized: a denormal H, larger opposite L
+  NumDdSignClasses
+};
+
+/// A positive dd: mostly moderate; one in four in any binade from
+/// denormal to near DBL_MAX, so that products underflow (and round up to
+/// the smallest denormal) or overflow.
+inline Dd positiveDd(Rng &R) {
+  Dd C = R.dd();
+  if (R.intIn(0, 3) == 0) {
+    RoundNearestScope RN;
+    double H = std::ldexp(R.uniform(0.5, 1.0), R.intIn(-1073, 1024));
+    C = Dd(H, H * std::ldexp(R.uniform(0.0, 1.0), -54));
+  }
+  return C.H < 0 ? ddNeg(C) : C.H > 0 ? C : Dd(1.0);
+}
+
+inline double signedZero(Rng &R) { return R.intIn(0, 1) ? 0.0 : -0.0; }
+
+/// A positive interval of a few low-word ulps around a random value.
+inline DdInterval positiveDdInterval(Rng &R) {
+  Dd C = positiveDd(R), Hi = C;
+  Hi.L = addUlps(Hi.L, R.intIn(1, 8));
+  return DdInterval::fromEndpoints(C, Hi);
+}
+
+/// An interval of DdSignClass \p Class.
+inline DdInterval ddClassInterval(Rng &R, int Class) {
+  auto ZeroDd = [&] { return Dd(signedZero(R), signedZero(R)); };
+  switch (Class) {
+  case LoPositive:
+    return positiveDdInterval(R);
+  case HiNegative:
+    return ddiNeg(positiveDdInterval(R));
+  case Straddling:
+    return DdInterval(positiveDd(R), positiveDd(R));
+  case ZeroPoint:
+    return DdInterval(ZeroDd(), ZeroDd());
+  case ZeroLo:
+    return DdInterval(ZeroDd(), positiveDd(R));
+  case ZeroHi:
+    return DdInterval(positiveDd(R), ZeroDd());
+  case NegZeroEnds: {
+    Dd NegZero(-0.0, -0.0);
+    switch (R.intIn(0, 2)) {
+    case 0:
+      return DdInterval::fromEndpoints(NegZero, NegZero);
+    case 1:
+      return DdInterval::fromEndpoints(NegZero, positiveDd(R));
+    default:
+      return DdInterval::fromEndpoints(ddNeg(positiveDd(R)), NegZero);
+    }
+  }
+  case ZeroHighWord: {
+    // One endpoint (or both) has a zero high word, so the low word
+    // carries its sign; the endpoints are ordered by value.
+    auto ZeroHigh = [&] {
+      return Dd(signedZero(R),
+                R.intIn(0, 1) ? R.moderateDouble() : R.finiteDouble());
+    };
+    Dd U = ZeroHigh();
+    Dd V = R.intIn(0, 1)   ? ZeroHigh()
+           : R.intIn(0, 1) ? positiveDd(R)
+                           : ddNeg(positiveDd(R));
+    if (toQuad(V) < toQuad(U))
+      std::swap(U, V);
+    return DdInterval::fromEndpoints(U, V);
+  }
+  case OneUlpLowWord: {
+    Dd C = R.dd(), Hi = C;
+    Hi.L = nextUp(Hi.L);
+    return DdInterval::fromEndpoints(C, Hi);
+  }
+  default: // LowOutweighsHigh
+    return unnormalizedInterval(R);
+  }
+}
+
+/// A straddling pair whose two candidate products per endpoint share
+/// one RU(H + L), so the straddle max must order values inside one
+/// double ulp: X = [-2^k, 2^k] and Y = [-u, v] with u and v in one ulp,
+/// one of them in round-to-nearest form (a positive low word). The
+/// first is the example X = [-1, 1], Y = [-A, B] with A = 1 + 2^-60 in
+/// RU form and B = 1 + 2^-54 in round-to-nearest form.
+inline std::pair<DdInterval, DdInterval> sharedUlpStraddle(Rng &R, int I) {
+  double S = 1.0, H = 1.0, Ulp = 0x1p-52, Low = 0x1p-60, Near = 0x1p-54;
+  if (I > 0) {
+    RoundNearestScope RN;
+    int K = R.intIn(-40, 40);
+    S = std::ldexp(1.0, R.intIn(-8, 8));
+    H = std::ldexp(R.uniform(1.0, 2.0), K);
+    Ulp = std::ldexp(0x1p-52, K);
+    Low = Ulp * std::ldexp(R.uniform(0.0, 1.0), -R.intIn(1, 20));
+    Near = Ulp * R.uniform(0.0, 0.5);
+  }
+  Dd U(H + Ulp, -Ulp + Low), V(H, Near);
+  if (I % 2)
+    std::swap(U, V);
+  return {DdInterval(Dd(S), Dd(S)), DdInterval(U, V)};
 }
 
 //===----------------------------------------------------------------------===//

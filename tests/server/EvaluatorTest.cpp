@@ -335,6 +335,24 @@ TEST(Evaluator, OptLevelProgramsRunTheOptLowering) {
   EXPECT_DOUBLE_EQ(R.Return.hi(), 6.0);
 }
 
+TEST(Evaluator, DoubleDoubleRowKernelIsRejectedTyped) {
+  // Under --precision=dd the axpy loop lowers to the dd row kernel; the
+  // evaluator refuses it the way it refuses every dd operation.
+  DiagnosticsEngine Diags;
+  TransformOptions Opts;
+  Opts.Prec = TransformOptions::Precision::DoubleDouble;
+  auto P = compileToProgram(OptLoops, Opts, Diags);
+  ASSERT_NE(P, nullptr);
+  EXPECT_NE(P->EmittedC.find("ia_axpy_dd("), std::string::npos);
+  std::vector<Interval> X(4, Interval::fromPoint(2.0));
+  RoundUpwardScope Up;
+  EvalResult R = evalFunction(*P, "axpy", {point(3.0), arr(X), arr(X),
+                                           intArg(4)}, {});
+  ASSERT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error.Code, "unsupported");
+  EXPECT_NE(R.Error.Message.find("double-double"), std::string::npos);
+}
+
 TEST(Evaluator, RowKernelPastItsArrayIsOutOfBounds) {
   auto P = compile(OptLoops, false, false, /*OptLevel=*/1);
   std::vector<Interval> Short(3, Interval::fromPoint(1.0));

@@ -95,6 +95,8 @@ TEST(TierTransform, ImmovableRegionSkipsRerun) {
                              "_igen_tier_base + 0u);"));
   EXPECT_THAT(Out, Not(HasSubstr("ia_narrow_dd_f64(g__dd(")));
   EXPECT_THAT(Out, Not(HasSubstr("igen_tier_escalate")));
+  // Nothing reads an entry snapshot, so none is taken.
+  EXPECT_THAT(Out, Not(HasSubstr("_tier_in_")));
 }
 
 TEST(TierTransform, CloneUsesUniformF64MemoryAbi) {

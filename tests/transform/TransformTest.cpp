@@ -745,7 +745,8 @@ TEST(Optimizer, AxpyAndDotLoopsBecomeRowKernelCalls) {
     EXPECT_THAT(Out, Not(HasSubstr("ia_dot"))) << Src;
   }
 
-  // -O0, double-double, --profile and --batch-loops keep the loops.
+  // -O0, --profile and --batch-loops keep the loops; double-double emits
+  // no f64 kernel (its axpy is ia_axpy_dd, see below).
   TransformOptions O0;
   O0.OptLevel = 0;
   TransformOptions Dd;
@@ -765,6 +766,49 @@ TEST(Optimizer, AxpyAndDotLoopsBecomeRowKernelCalls) {
   TransformOptions Ss;
   Ss.ScalarLibrary = true;
   EXPECT_THAT(compile(GemmKernel, Ss), HasSubstr("ia_axpy_f64(&C[i * n], a"));
+}
+
+TEST(Optimizer, DdAxpyLoopsBecomeIaAxpyDd) {
+  // Under double-double only the axpy shape routes, with the source's
+  // add order Y + a * X (or +=); the dot shapes, a * X + Y (a dd add is
+  // not bitwise commutative), -O0 and --profile keep the loop.
+  TransformOptions Dd;
+  Dd.Prec = TransformOptions::Precision::DoubleDouble;
+  EXPECT_THAT(compile(GemmKernel, Dd),
+              HasSubstr("      ddi a = A[(i * n) + k];\n"
+                        "      if (0 < n)\n"
+                        "      {\n"
+                        "        ia_axpy_dd(&C[i * n], a, &B[k * n], "
+                        "(unsigned long)n);\n"
+                        "      }\n"));
+  EXPECT_THAT(compile("void f(double *y, double *x, double a, int n) {\n"
+                      "  for (int i = 0; i < n; i++)\n"
+                      "    y[i] += a * x[i];\n"
+                      "}\n",
+                      Dd),
+              HasSubstr("ia_axpy_dd(&y[0], a, &x[0], (unsigned long)n);"));
+  const std::string ProductFirst =
+      compile("void f(double *y, double *x, double a, int n) {\n"
+              "  for (int i = 0; i < n; i++)\n"
+              "    y[i] = a * x[i] + y[i];\n"
+              "}\n",
+              Dd);
+  EXPECT_THAT(ProductFirst,
+              HasSubstr("y[i] = ia_add_dd(ia_mul_dd(a, x[i]), y[i]);"));
+  EXPECT_THAT(compile(MacKernel, Dd), Not(HasSubstr("ia_dot")));
+  TransformOptions DdO0 = Dd;
+  DdO0.OptLevel = 0;
+  TransformOptions DdProf = Dd;
+  DdProf.Profile = true;
+  for (const TransformOptions &Opts : {DdO0, DdProf})
+    EXPECT_THAT(compile(GemmKernel, Opts), Not(HasSubstr("ia_axpy_dd")));
+  // The f64 build of that product-first loop still routes: its fma adds
+  // in one rounding, whatever the order.
+  EXPECT_THAT(compile("void f(double *y, double *x, double a, int n) {\n"
+                      "  for (int i = 0; i < n; i++)\n"
+                      "    y[i] = a * x[i] + y[i];\n"
+                      "}\n"),
+              HasSubstr("ia_axpy_f64(&y[0], a, &x[0]"));
 }
 
 TEST(Optimizer, NonCarriedMulAddInLoopStillFuses) {
