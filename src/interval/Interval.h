@@ -53,6 +53,11 @@ struct Interval {
   /// The degenerate interval [X, X].
   static Interval fromPoint(double X) { return Interval(-X, X); }
 
+  /// Identity conversions, so code written over f64i converts to and from
+  /// Interval the same way whether f64i is this type or IntervalSse.
+  static Interval fromInterval(const Interval &I) { return I; }
+  Interval toInterval() const { return *this; }
+
   /// The whole real line [-inf, +inf].
   static Interval entire() {
     double Inf = std::numeric_limits<double>::infinity();

@@ -49,7 +49,6 @@
 #if !defined(IGEN_F64I_SCALAR) && defined(__AVX512F__) &&                    \
     defined(__AVX512DQ__) && defined(__AVX512VL__) && defined(__FMA__)
 #define IGEN_ROW_KERNELS_AVX512 1
-#include "runtime/Lane.h"
 #endif
 
 #include <cmath>
@@ -108,27 +107,11 @@ inline f64i ia_set_f64(double Lo, double Hi) {
 }
 inline f64i ia_cst_f64(double X) { return f64i::fromPoint(X); }
 inline f64i ia_set_tol_f64(double X, double Tol) {
-#if defined(IGEN_F64I_SCALAR)
-  return igen::iSetTol(X, Tol);
-#else
   return f64i::fromInterval(igen::iSetTol(X, Tol));
-#endif
 }
 
-inline double ia_inf_f64(f64i X) {
-#if defined(IGEN_F64I_SCALAR)
-  return -X.NegLo;
-#else
-  return X.lo();
-#endif
-}
-inline double ia_sup_f64(f64i X) {
-#if defined(IGEN_F64I_SCALAR)
-  return X.Hi;
-#else
-  return X.hi();
-#endif
-}
+inline double ia_inf_f64(f64i X) { return X.lo(); }
+inline double ia_sup_f64(f64i X) { return X.hi(); }
 
 inline f64i ia_add_f64(f64i A, f64i B) { return igen::iAdd(A, B); }
 inline f64i ia_sub_f64(f64i A, f64i B) { return igen::iSub(A, B); }
@@ -174,66 +157,33 @@ inline f64i ia_floor_f64(f64i A) { return igen::iFloor(A); }
 inline f64i ia_ceil_f64(f64i A) { return igen::iCeil(A); }
 inline f64i ia_join_f64(f64i A, f64i B) { return igen::iHull(A, B); }
 inline f64i ia_min_f64(f64i A, f64i B) {
-#if defined(IGEN_F64I_SCALAR)
-  return igen::iMin(A, B);
-#else
   return f64i::fromInterval(igen::iMin(A.toInterval(), B.toInterval()));
-#endif
 }
 inline f64i ia_max_f64(f64i A, f64i B) {
-#if defined(IGEN_F64I_SCALAR)
-  return igen::iMax(A, B);
-#else
   return f64i::fromInterval(igen::iMax(A.toInterval(), B.toInterval()));
-#endif
 }
 /// Rounds the interval outward to the single-precision grid: sound
 /// replacement for a (float) cast in the source (values are promoted to
 /// double intervals, Table II).
 inline f64i ia_f32cast_f64(f64i A) {
-#if defined(IGEN_F64I_SCALAR)
-  return igen::Interval32::fromInterval(A).widen();
-#else
   return f64i::fromInterval(
       igen::Interval32::fromInterval(A.toInterval()).widen());
-#endif
 }
 
-#if defined(IGEN_F64I_SCALAR)
-inline f64i ia_exp_f64(f64i A) { return igen::iExp(A); }
-inline f64i ia_log_f64(f64i A) { return igen::iLog(A); }
-inline f64i ia_sin_f64(f64i A) { return igen::iSin(A); }
-inline f64i ia_cos_f64(f64i A) { return igen::iCos(A); }
-inline f64i ia_tan_f64(f64i A) { return igen::iTan(A); }
-inline f64i ia_atan_f64(f64i A) { return igen::iAtan(A); }
-inline f64i ia_asin_f64(f64i A) { return igen::iAsin(A); }
-inline f64i ia_acos_f64(f64i A) { return igen::iAcos(A); }
-#else
-inline f64i ia_exp_f64(f64i A) {
-  return f64i::fromInterval(igen::iExp(A.toInterval()));
-}
-inline f64i ia_log_f64(f64i A) {
-  return f64i::fromInterval(igen::iLog(A.toInterval()));
-}
-inline f64i ia_sin_f64(f64i A) {
-  return f64i::fromInterval(igen::iSin(A.toInterval()));
-}
-inline f64i ia_cos_f64(f64i A) {
-  return f64i::fromInterval(igen::iCos(A.toInterval()));
-}
-inline f64i ia_tan_f64(f64i A) {
-  return f64i::fromInterval(igen::iTan(A.toInterval()));
-}
-inline f64i ia_atan_f64(f64i A) {
-  return f64i::fromInterval(igen::iAtan(A.toInterval()));
-}
-inline f64i ia_asin_f64(f64i A) {
-  return f64i::fromInterval(igen::iAsin(A.toInterval()));
-}
-inline f64i ia_acos_f64(f64i A) {
-  return f64i::fromInterval(igen::iAcos(A.toInterval()));
-}
-#endif
+/// Elementary functions run on the scalar representation.
+#define IGEN_F64_VIA_SCALAR(NAME, KERNEL)                                    \
+  inline f64i ia_##NAME##_f64(f64i A) {                                      \
+    return f64i::fromInterval(igen::KERNEL(A.toInterval()));                 \
+  }
+
+IGEN_F64_VIA_SCALAR(exp, iExp)
+IGEN_F64_VIA_SCALAR(log, iLog)
+IGEN_F64_VIA_SCALAR(sin, iSin)
+IGEN_F64_VIA_SCALAR(cos, iCos)
+IGEN_F64_VIA_SCALAR(tan, iTan)
+IGEN_F64_VIA_SCALAR(atan, iAtan)
+IGEN_F64_VIA_SCALAR(asin, iAsin)
+IGEN_F64_VIA_SCALAR(acos, iAcos)
 
 /// Certified polynomial fast paths (interval/PolyKernels.h), emitted by
 /// the transform at -O1 and above in place of the libm-widened versions:
@@ -241,25 +191,12 @@ inline f64i ia_acos_f64(f64i A) {
 /// statically certified kernel bound instead of the libm ulp band.
 /// Outside the fast domain they defer to the libm path, so they accept
 /// the same inputs as the plain versions.
-#if defined(IGEN_F64I_SCALAR)
-inline f64i ia_exp_fast_f64(f64i A) { return igen::iExpFast(A); }
-inline f64i ia_log_fast_f64(f64i A) { return igen::iLogFast(A); }
-inline f64i ia_sin_fast_f64(f64i A) { return igen::iSinFast(A); }
-inline f64i ia_cos_fast_f64(f64i A) { return igen::iCosFast(A); }
-#else
-inline f64i ia_exp_fast_f64(f64i A) {
-  return f64i::fromInterval(igen::iExpFast(A.toInterval()));
-}
-inline f64i ia_log_fast_f64(f64i A) {
-  return f64i::fromInterval(igen::iLogFast(A.toInterval()));
-}
-inline f64i ia_sin_fast_f64(f64i A) {
-  return f64i::fromInterval(igen::iSinFast(A.toInterval()));
-}
-inline f64i ia_cos_fast_f64(f64i A) {
-  return f64i::fromInterval(igen::iCosFast(A.toInterval()));
-}
-#endif
+IGEN_F64_VIA_SCALAR(exp_fast, iExpFast)
+IGEN_F64_VIA_SCALAR(log_fast, iLogFast)
+IGEN_F64_VIA_SCALAR(sin_fast, iSinFast)
+IGEN_F64_VIA_SCALAR(cos_fast, iCosFast)
+
+#undef IGEN_F64_VIA_SCALAR
 
 inline tbool ia_cmplt_f64(f64i A, f64i B) { return igen::iCmpLT(A, B); }
 inline tbool ia_cmple_f64(f64i A, f64i B) { return igen::iCmpLE(A, B); }
@@ -283,11 +220,10 @@ inline tbool ia_cmpne_f64(f64i A, f64i B) { return igen::iCmpNE(A, B); }
 // axpy kernel makes that loop's sign-version test of a once and runs the
 // copy it picks (ia_fma_pu/nu/plain); the dot kernels apply ia_mul_f64
 // and then ia_add_f64 (ia_sub_f64) in source order. With AVX-512 they run
-// four elements per register through the lanewise pack ops of
-// runtime/Lane.h, which compute every lane with the SSE operation's own
-// candidates, NaN screen and maxima in the same order, and recompute a
-// pack whose screen fires element by element with the per-element op.
-// Packs are used only where they cannot change what the loop reads:
+// four elements per IntervalX4 register through the same pack op bodies
+// (IntervalSimd.h) as the per-element ops, which compute every interval
+// as the 128-bit op does, fallback included. Packs are used only where
+// they cannot change what the loop reads:
 // axpy needs its two rows disjoint or identical, dot needs the
 // accumulator outside both rows; anything else runs the per-element loop.
 
@@ -314,42 +250,31 @@ inline bool rowsDisjoint(const T *P, unsigned long PN, const T *Q,
 
 #if defined(IGEN_ROW_KERNELS_AVX512)
 
-using RowLanes = igen::runtime::lanes::Avx512Lanes;
-using RowPack = RowLanes::Pack;
+using RowPack = igen::IntervalX4;
+using RowRegs = igen::F64Regs<RowPack>;
 
+/// The \p K (<= 4) elements at \p P; the masked load fills dead lanes
+/// with a benign interval.
 inline RowPack rowLoad(const f64i *P, unsigned long K) {
-  const double *D = reinterpret_cast<const double *>(P);
-  if (K >= 4)
-    return RowPack(_mm512_loadu_pd(D));
-  const __mmask8 M = static_cast<__mmask8>((1u << (2 * K)) - 1);
-  return RowPack(
-      _mm512_mask_loadu_pd(igen::runtime::lanes::avx512::benign512(), M, D));
+  const igen::Interval *I = reinterpret_cast<const igen::Interval *>(P);
+  return RowPack(K >= 4 ? RowRegs::load(I) : RowRegs::maskLoad(I, K));
 }
 inline void rowStore(f64i *P, unsigned long K, const RowPack &V) {
-  double *D = reinterpret_cast<double *>(P);
+  igen::Interval *I = reinterpret_cast<igen::Interval *>(P);
   if (K >= 4)
-    _mm512_storeu_pd(D, V.V);
+    RowRegs::store(I, V.V);
   else
-    _mm512_mask_storeu_pd(D, static_cast<__mmask8>((1u << (2 * K)) - 1),
-                          V.V);
+    RowRegs::maskStore(I, K, V.V);
 }
 
-inline f64i rowElem(const igen::Interval &I) { return f64i::fromInterval(I); }
-
 /// Y[j] = Fused(A, X[j], Y[j]) four elements at a time, a masked pack
-/// last. Fused is an Avx512Lanes fma; a pack whose NaN screen fires is
-/// recomputed with the per-element op \p Elem.
+/// last. Fused is a pack fma (igen::pack::fma/fmaPU/fmaNU).
 template <typename PackOp>
 inline void axpyPacks(f64i *Y, f64i A, const f64i *X, unsigned long N,
-                      PackOp Fused, f64i (*Elem)(f64i, f64i, f64i)) {
-  const RowPack Av = RowLanes::broadcast(A.toInterval());
-  auto ElemI = [Elem](const igen::Interval &P, const igen::Interval &Q,
-                      const igen::Interval &R) {
-    return Elem(rowElem(P), rowElem(Q), rowElem(R)).toInterval();
-  };
+                      PackOp Fused) {
+  const RowPack Av = RowRegs::broadcast(A.toInterval());
   auto Step = [&](unsigned long J, unsigned long K) {
-    rowStore(Y + J, K,
-             Fused(Av, rowLoad(X + J, K), rowLoad(Y + J, K), ElemI));
+    rowStore(Y + J, K, Fused(Av, rowLoad(X + J, K), rowLoad(Y + J, K)));
   };
   unsigned long J = 0;
   for (; J + 4 <= N; J += 4)
@@ -363,13 +288,10 @@ inline void axpyPacks(f64i *Y, f64i A, const f64i *X, unsigned long N,
 template <bool Sub>
 inline void dotPacks(f64i *S, const f64i *X, const f64i *Z,
                      unsigned long N) {
-  auto Mul = [](const igen::Interval &A, const igen::Interval &B) {
-    return ia_mul_f64(rowElem(A), rowElem(B)).toInterval();
-  };
   f64i Acc = *S;
   auto Fold = [&](unsigned long J, unsigned long K) {
     const __m512d P =
-        RowLanes::mul(rowLoad(X + J, K), rowLoad(Z + J, K), Mul).V;
+        igen::pack::mul(rowLoad(X + J, K), rowLoad(Z + J, K)).V;
     const __m128d Lanes[4] = {
         _mm512_castpd512_pd128(P), _mm512_extractf64x2_pd(P, 1),
         _mm512_extractf64x2_pd(P, 2), _mm512_extractf64x2_pd(P, 3)};
@@ -409,21 +331,18 @@ inline void dotRow(f64i *S, const f64i *X, const f64i *Z, unsigned long N) {
 inline void ia_axpy_f64(f64i *Y, f64i A, const f64i *X, unsigned long N) {
 #if defined(IGEN_ROW_KERNELS_AVX512)
   if (Y == X || igen_detail::rowsDisjoint(Y, N, X, N)) {
-    using igen_detail::RowLanes;
     if (ia_inf_f64(A) >= 0.0)
-      igen_detail::axpyPacks(
-          Y, A, X, N,
-          [](const auto &...P) { return RowLanes::fmaPU(P...); },
-          ia_fma_pu_f64);
+      igen_detail::axpyPacks(Y, A, X, N, [](const auto &...P) {
+        return igen::pack::fmaPU(P...);
+      });
     else if (ia_sup_f64(A) <= 0.0)
-      igen_detail::axpyPacks(
-          Y, A, X, N,
-          [](const auto &...P) { return RowLanes::fmaNU(P...); },
-          ia_fma_nu_f64);
+      igen_detail::axpyPacks(Y, A, X, N, [](const auto &...P) {
+        return igen::pack::fmaNU(P...);
+      });
     else
-      igen_detail::axpyPacks(
-          Y, A, X, N, [](const auto &...P) { return RowLanes::fma(P...); },
-          ia_fma_f64);
+      igen_detail::axpyPacks(Y, A, X, N, [](const auto &...P) {
+        return igen::pack::fma(P...);
+      });
     return;
   }
 #endif
@@ -537,11 +456,7 @@ inline void isum_accumulate_f64(acc_f64 *Acc, f64i T) {
   Acc->accumulate(T);
 }
 inline f64i isum_reduce_f64(const acc_f64 *Acc) {
-#if defined(IGEN_F64I_SCALAR)
-  return Acc->reduce();
-#else
   return f64i::fromInterval(Acc->reduce());
-#endif
 }
 
 //===----------------------------------------------------------------------===//
@@ -720,23 +635,14 @@ IGEN_DD_HULL_FALLBACK(ceil, iCeil)
 /// Free of rounding; used to lift an escalation region's live-in snapshot
 /// onto the ddi tier.
 inline ddi ia_promote_f64_dd(f64i X) {
-#if defined(IGEN_F64I_SCALAR)
-  return igen_detail::ddiFromScalar(igen::DdInterval::fromInterval(X));
-#else
   return igen_detail::ddiFromScalar(
       igen::DdInterval::fromInterval(X.toInterval()));
-#endif
 }
 
 /// Sound ddi -> f64i narrowing: the outer double hull (lo rounded down,
 /// hi rounded up), i.e. the tightest f64i superset of the ddi enclosure.
 inline f64i ia_narrow_dd_f64(ddi X) {
-  igen::Interval H = igen_detail::ddiToScalar(X).outerHull();
-#if defined(IGEN_F64I_SCALAR)
-  return H;
-#else
-  return f64i::fromInterval(H);
-#endif
+  return f64i::fromInterval(igen_detail::ddiToScalar(X).outerHull());
 }
 
 /// Intersection of two enclosures of the same real value: both are sound,
@@ -867,11 +773,7 @@ inline void ia_storeu_m256di_1(f64i *P, m256di_1 V) {
   _mm256_storeu_pd(reinterpret_cast<double *>(P), V.Part[0].V);
 }
 inline m256di_2 ia_set1_m256di_2(f64i X) {
-#if defined(IGEN_F64I_SCALAR)
-  igen::Interval I = X;
-#else
   igen::Interval I = X.toInterval();
-#endif
   m256di_2 R;
   R.Part[0] = igen::IntervalX2::broadcast(I);
   R.Part[1] = igen::IntervalX2::broadcast(I);
@@ -881,42 +783,25 @@ inline m256di_1 ia_setzero_m256di_1() { return m256di_1(); }
 inline m256di_2 ia_setzero_m256di_2() { return m256di_2(); }
 inline m256di_4 ia_setzero_m256di_4() { return m256di_4(); }
 inline m256di_1 ia_set1_m256di_1(f64i X) {
-#if defined(IGEN_F64I_SCALAR)
-  igen::Interval I = X;
-#else
-  igen::Interval I = X.toInterval();
-#endif
   m256di_1 R;
-  R.Part[0] = igen::IntervalX2::broadcast(I);
+  R.Part[0] = igen::IntervalX2::broadcast(X.toInterval());
   return R;
 }
 /// Mirrors _mm256_set_pd(e3, e2, e1, e0): element i of the result is Ei.
 inline m256di_2 ia_set_m256di_2(f64i E3, f64i E2, f64i E1, f64i E0) {
-#if defined(IGEN_F64I_SCALAR)
-  igen::Interval I0 = E0, I1 = E1, I2 = E2, I3 = E3;
-#else
-  igen::Interval I0 = E0.toInterval(), I1 = E1.toInterval(),
-                 I2 = E2.toInterval(), I3 = E3.toInterval();
-#endif
   m256di_2 R;
-  R.Part[0] = igen::IntervalX2::fromIntervals(I0, I1);
-  R.Part[1] = igen::IntervalX2::fromIntervals(I2, I3);
+  R.Part[0] =
+      igen::IntervalX2::fromIntervals(E0.toInterval(), E1.toInterval());
+  R.Part[1] =
+      igen::IntervalX2::fromIntervals(E2.toInterval(), E3.toInterval());
   return R;
 }
 /// Extracts interval lane \p I.
 inline f64i ia_extract_m256di_1(m256di_1 V, int I) {
-#if defined(IGEN_F64I_SCALAR)
-  return V.Part[0].interval(I);
-#else
   return f64i::fromInterval(V.Part[0].interval(I));
-#endif
 }
 inline f64i ia_extract_m256di_2(m256di_2 V, int I) {
-#if defined(IGEN_F64I_SCALAR)
-  return V.interval(I);
-#else
   return f64i::fromInterval(V.interval(I));
-#endif
 }
 /// _mm_cvtsd_f64 equivalent: the low interval of the vector.
 inline f64i ia_extract0_m256di_1(m256di_1 V) {

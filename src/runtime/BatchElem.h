@@ -52,7 +52,7 @@ void logAvx2(Interval *Dst, const Interval *X, size_t N);
 
 // AVX-512 tier (BatchElemAvx512.cpp, -mavx512f -mavx512dq -mavx512vl):
 // four intervals per __m512d, with a masked-lane tail (dead lanes carry
-// a benign 1.0 inside every fast domain) instead of a scalar remainder
+// a benign [1, 1] inside every fast domain) instead of a scalar remainder
 // loop. Same no-FMA operation sequence as every other tier.
 void expAvx512(Interval *Dst, const Interval *X, size_t N);
 void logAvx512(Interval *Dst, const Interval *X, size_t N);

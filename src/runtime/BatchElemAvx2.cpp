@@ -18,11 +18,11 @@
 namespace igen::runtime::elem {
 
 void expAvx2(Interval *Dst, const Interval *X, size_t N) {
-  expKernel<Avx2VecOps>(Dst, X, N);
+  expKernel<F64Regs<IntervalX2>>(Dst, X, N);
 }
 
 void logAvx2(Interval *Dst, const Interval *X, size_t N) {
-  logKernel<Avx2VecOps>(Dst, X, N);
+  logKernel<F64Regs<IntervalX2>>(Dst, X, N);
 }
 
 } // namespace igen::runtime::elem

@@ -18,11 +18,11 @@
 namespace igen::runtime::elem {
 
 void expAvx512(Interval *Dst, const Interval *X, size_t N) {
-  expKernel<Avx512VecOps>(Dst, X, N);
+  expKernel<F64Regs<IntervalX4>>(Dst, X, N);
 }
 
 void logAvx512(Interval *Dst, const Interval *X, size_t N) {
-  logKernel<Avx512VecOps>(Dst, X, N);
+  logKernel<F64Regs<IntervalX4>>(Dst, X, N);
 }
 
 } // namespace igen::runtime::elem

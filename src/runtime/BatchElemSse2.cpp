@@ -17,11 +17,11 @@
 namespace igen::runtime::elem {
 
 void expSse2(Interval *Dst, const Interval *X, size_t N) {
-  expKernel<Sse2VecOps>(Dst, X, N);
+  expKernel<F64Regs<IntervalSse>>(Dst, X, N);
 }
 
 void logSse2(Interval *Dst, const Interval *X, size_t N) {
-  logKernel<Sse2VecOps>(Dst, X, N);
+  logKernel<F64Regs<IntervalSse>>(Dst, X, N);
 }
 
 } // namespace igen::runtime::elem

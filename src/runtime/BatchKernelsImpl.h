@@ -8,18 +8,21 @@
 /// The kernel templates behind every per-ISA batched-kernel TU. Each
 /// kernel is one loop skeleton instantiated over a Lane.h backend:
 ///
-///   [optional NT peel]  scalar prefix until Dst reaches kNtAlign
+///   [optional NT peel]  128-bit prefix until Dst reaches kNtAlign
 ///   [unrolled body]     kUnroll packs per iteration
 ///   [pack body]         one pack per iteration
-///   [tail]              masked pack (kMaskedTail) or scalar loop
+///   [tail]              masked pack (kMaskedTail) or 128-bit loop
 ///
-/// The scalar tail / peel elements use the same scalar routines the
-/// ScalarLanes backend uses, so a batch is bit-identical no matter how
-/// it is carved into peel, packs, and tail. The multiply additionally
-/// runs a group-screened body (kGroupMul): four pack pairs share one
-/// bitwise-OR special-value screen and skip the per-pack NaN check.
+/// Peels and tails run the tier's 128-bit op, which computes an interval
+/// exactly as a lane pair of the wider pack does, so a batch is
+/// bit-identical no matter how it is carved into peel, packs, and tail.
+/// The multiply starts with a group-screened loop (kGroupMul): four pack
+/// pairs share one bitwise-OR special-value screen and skip the per-pack
+/// check.
 ///
-/// A TU instantiates makeTable<Backend>(...) and is done.
+/// A TU instantiates makeTable<Backend>(...) and is done. Everything here
+/// is static, and every op is flattened into its own TU: a tier calls no
+/// weak definition the linker may take from a TU built for another ISA.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,8 +34,90 @@
 #include "runtime/Lane.h"
 
 #include <cstdint>
+#include <type_traits>
 
 namespace igen::runtime::impl {
+
+//===----------------------------------------------------------------------===//
+// The tier ops
+//===----------------------------------------------------------------------===//
+//
+// The SIMD tiers run the pack ops, fma fused where the TU has FMA; each
+// op is flattened into the tier's TU. The scalar tier is the reference:
+// the scalar ops, fma composed (even where the TU could fuse), left to
+// the compiler's inlining, which vectorizes its loops.
+
+template <class P> [[gnu::flatten]] static inline P addOp(const P &X,
+                                                         const P &Y) {
+  return pack::add(X, Y);
+}
+
+template <class P> [[gnu::flatten]] static inline P subOp(const P &X,
+                                                         const P &Y) {
+  return pack::sub(X, Y);
+}
+
+template <class P> [[gnu::flatten]] static inline P mulOp(const P &X,
+                                                         const P &Y) {
+  return pack::mul(X, Y);
+}
+
+template <class P>
+[[gnu::flatten]] static inline P fmaOp(const P &A, const P &B, const P &C) {
+  return pack::fma(A, B, C);
+}
+
+/// Division through the sign-specialized ops exactly when their
+/// preconditions hold (NaN endpoints fail both compares): iDivP for a
+/// strictly positive divisor, iDivN for a strictly negative one, the
+/// generic iDiv otherwise. A pack whose divisors are not all of one sign
+/// is routed interval by interval.
+template <class P>
+[[gnu::flatten]] static inline P divOp(const P &X, const P &Y) {
+  using R = F64Regs<P>;
+  assertRoundUpward();
+  typename R::Mask Neg = R::ltMask(Y.V, R::zero());
+  if (R::everyLo(Neg)) // -lo < 0, i.e. lo > 0
+    return pack::divP(X, Y);
+  if (R::everyHi(Neg)) // hi < 0
+    return pack::divN(X, Y);
+  return igen::detail::fallback<P>(
+      [](const IntervalSse &A, const IntervalSse &B) { return divOp(A, B); },
+      [](const IntervalSse &A, const IntervalSse &B) {
+        return igen::detail::viaScalar<iDiv>(A, B);
+      },
+      X, Y);
+}
+
+template <class P> [[gnu::flatten]] static inline P sqrtOp(const P &X) {
+  return pack::sqrt(X);
+}
+
+static inline Interval addOp(const Interval &X, const Interval &Y) {
+  return iAdd(X, Y);
+}
+static inline Interval subOp(const Interval &X, const Interval &Y) {
+  return iSub(X, Y);
+}
+static inline Interval mulOp(const Interval &X, const Interval &Y) {
+  return iMul(X, Y);
+}
+static inline Interval fmaOp(const Interval &A, const Interval &B,
+                             const Interval &C) {
+  return iAdd(iMul(A, B), C);
+}
+static inline Interval divOp(const Interval &X, const Interval &Y) {
+  if (-Y.NegLo > 0.0)
+    return iDivP(X, Y);
+  if (Y.Hi < 0.0)
+    return iDivN(X, Y);
+  return iDiv(X, Y);
+}
+static inline Interval sqrtOp(const Interval &X) { return iSqrt(X); }
+
+//===----------------------------------------------------------------------===//
+// The loops
+//===----------------------------------------------------------------------===//
 
 /// Decides the store flavor for a batch. When streaming pays off and Dst
 /// can be aligned to L::kNtAlign by peeling at most a few leading
@@ -48,131 +133,74 @@ inline bool useNtStores(const Interval *Dst, size_t N, size_t &Peel) {
   return true;
 }
 
-/// Two-source elementwise body: X[i] op Y[i] -> Dst[i].
-template <class L, bool NT, class PackOp, class ScalarOp>
-inline void body2(Interval *Dst, const Interval *X, const Interval *Y,
-                  size_t N, PackOp VOp, ScalarOp SOp) {
+/// The group-screened multiply (kGroupMul): four pack pairs share one
+/// bitwise-OR special-value screen and skip the per-pack check. Returns
+/// the number of elements stored.
+template <class L, bool NT, class OpFn>
+static inline size_t mulGroups(Interval *Dst, size_t N, OpFn Op,
+                               const Interval *X, const Interval *Y) {
   constexpr size_t P = L::kIntervals;
   size_t I = 0;
+  for (; I + 4 * P <= N; I += 4 * P) {
+    L::prefetchMul(X, Y, I);
+    auto X0 = L::load(X + I), Y0 = L::load(Y + I);
+    auto X1 = L::load(X + I + P), Y1 = L::load(Y + I + P);
+    auto X2 = L::load(X + I + 2 * P), Y2 = L::load(Y + I + 2 * P);
+    auto X3 = L::load(X + I + 3 * P), Y3 = L::load(Y + I + 3 * P);
+    if (__builtin_expect(L::anySpecial(X0, Y0, X1, Y1, X2, Y2, X3, Y3), 0)) {
+      L::template store<NT>(Dst + I, Op(X0, Y0));
+      L::template store<NT>(Dst + I + P, Op(X1, Y1));
+      L::template store<NT>(Dst + I + 2 * P, Op(X2, Y2));
+      L::template store<NT>(Dst + I + 3 * P, Op(X3, Y3));
+      continue;
+    }
+    L::template store<NT>(Dst + I, pack::mulUnchecked(X0, Y0));
+    L::template store<NT>(Dst + I + P, pack::mulUnchecked(X1, Y1));
+    L::template store<NT>(Dst + I + 2 * P, pack::mulUnchecked(X2, Y2));
+    L::template store<NT>(Dst + I + 3 * P, pack::mulUnchecked(X3, Y3));
+  }
+  return I;
+}
+
+/// Elementwise body: Op(S[i]...) -> Dst[i], one to three sources; the
+/// multiply (Group) starts with its group-screened loop where the backend
+/// has one.
+template <class L, bool NT, bool Group, class OpFn, class... Src>
+static inline void body(Interval *Dst, size_t N, OpFn Op, const Src *...S) {
+  constexpr size_t P = L::kIntervals;
+  size_t I = 0;
+  if constexpr (Group && L::kGroupMul)
+    I = mulGroups<L, NT>(Dst, N, Op, S...);
   if constexpr (L::kUnroll >= 2) {
     for (; I + 2 * P <= N; I += 2 * P) {
-      L::template store<NT>(Dst + I, VOp(L::load(X + I), L::load(Y + I)));
-      L::template store<NT>(
-          Dst + I + P, VOp(L::load(X + I + P), L::load(Y + I + P)));
+      L::template store<NT>(Dst + I, Op(L::load(S + I)...));
+      L::template store<NT>(Dst + I + P, Op(L::load(S + I + P)...));
     }
   }
   for (; I + P <= N; I += P)
-    L::template store<NT>(Dst + I, VOp(L::load(X + I), L::load(Y + I)));
+    L::template store<NT>(Dst + I, Op(L::load(S + I)...));
   if constexpr (L::kMaskedTail) {
-    if (I < N) {
-      size_t K = N - I;
-      L::maskStore(Dst + I, K,
-                   VOp(L::maskLoad(X + I, K), L::maskLoad(Y + I, K)));
-    }
-  } else {
-    for (; I < N; ++I)
-      Dst[I] = SOp(X[I], Y[I]);
+    if (I < N)
+      L::maskStore(Dst + I, N - I, Op(L::maskLoad(S + I, N - I)...));
+  } else if constexpr (P > 1) {
+    body<typename L::Elem, false, false>(Dst + I, N - I, Op, (S + I)...);
   }
 }
 
-/// One-source elementwise body: op(X[i]) -> Dst[i].
-template <class L, bool NT, class PackOp, class ScalarOp>
-inline void body1(Interval *Dst, const Interval *X, size_t N, PackOp VOp,
-                  ScalarOp SOp) {
-  constexpr size_t P = L::kIntervals;
-  size_t I = 0;
-  if constexpr (L::kUnroll >= 2) {
-    for (; I + 2 * P <= N; I += 2 * P) {
-      L::template store<NT>(Dst + I, VOp(L::load(X + I)));
-      L::template store<NT>(Dst + I + P, VOp(L::load(X + I + P)));
+/// Runs \p Op over a batch: after a 128-bit peel with non-temporal stores
+/// when streaming pays off, with plain stores otherwise.
+template <class L, bool Group = false, class OpFn, class... Src>
+static inline void run(Interval *Dst, size_t N, OpFn Op, const Src *...S) {
+  if constexpr (L::kNtStores) {
+    size_t Peel;
+    if (useNtStores<L>(Dst, N, Peel)) {
+      body<typename L::Elem, false, false>(Dst, Peel, Op, S...);
+      body<L, true, Group>(Dst + Peel, N - Peel, Op, (S + Peel)...);
+      L::storeFence();
+      return;
     }
   }
-  for (; I + P <= N; I += P)
-    L::template store<NT>(Dst + I, VOp(L::load(X + I)));
-  if constexpr (L::kMaskedTail) {
-    if (I < N) {
-      size_t K = N - I;
-      L::maskStore(Dst + I, K, VOp(L::maskLoad(X + I, K)));
-    }
-  } else {
-    for (; I < N; ++I)
-      Dst[I] = SOp(X[I]);
-  }
-}
-
-/// Three-source elementwise body: fma(A[i], B[i], C[i]) -> Dst[i].
-template <class L, bool NT, class PackOp, class ScalarOp>
-inline void body3(Interval *Dst, const Interval *A, const Interval *B,
-                  const Interval *C, size_t N, PackOp VOp, ScalarOp SOp) {
-  constexpr size_t P = L::kIntervals;
-  size_t I = 0;
-  if constexpr (L::kUnroll >= 2) {
-    for (; I + 2 * P <= N; I += 2 * P) {
-      L::template store<NT>(
-          Dst + I, VOp(L::load(A + I), L::load(B + I), L::load(C + I)));
-      L::template store<NT>(Dst + I + P,
-                            VOp(L::load(A + I + P), L::load(B + I + P),
-                                L::load(C + I + P)));
-    }
-  }
-  for (; I + P <= N; I += P)
-    L::template store<NT>(
-        Dst + I, VOp(L::load(A + I), L::load(B + I), L::load(C + I)));
-  if constexpr (L::kMaskedTail) {
-    if (I < N) {
-      size_t K = N - I;
-      L::maskStore(Dst + I, K,
-                   VOp(L::maskLoad(A + I, K), L::maskLoad(B + I, K),
-                       L::maskLoad(C + I, K)));
-    }
-  } else {
-    for (; I < N; ++I)
-      Dst[I] = SOp(A[I], B[I], C[I]);
-  }
-}
-
-/// Multiply body: group-screened where the backend supports it (four
-/// pack pairs share one special-value screen and skip the per-pack
-/// check), checked per pack otherwise.
-template <class L, bool NT>
-inline void mulBody(Interval *Dst, const Interval *X, const Interval *Y,
-                    size_t N) {
-  constexpr size_t P = L::kIntervals;
-  size_t I = 0;
-  if constexpr (L::kGroupMul) {
-    for (; I + 4 * P <= N; I += 4 * P) {
-      L::prefetchMul(X, Y, I);
-      auto X0 = L::load(X + I), Y0 = L::load(Y + I);
-      auto X1 = L::load(X + I + P), Y1 = L::load(Y + I + P);
-      auto X2 = L::load(X + I + 2 * P), Y2 = L::load(Y + I + 2 * P);
-      auto X3 = L::load(X + I + 3 * P), Y3 = L::load(Y + I + 3 * P);
-      if (__builtin_expect(
-              L::anySpecial(X0, Y0, X1, Y1, X2, Y2, X3, Y3), 0)) {
-        L::template store<NT>(Dst + I, L::mul(X0, Y0));
-        L::template store<NT>(Dst + I + P, L::mul(X1, Y1));
-        L::template store<NT>(Dst + I + 2 * P, L::mul(X2, Y2));
-        L::template store<NT>(Dst + I + 3 * P, L::mul(X3, Y3));
-        continue;
-      }
-      L::template store<NT>(Dst + I, L::mulUnchecked(X0, Y0));
-      L::template store<NT>(Dst + I + P, L::mulUnchecked(X1, Y1));
-      L::template store<NT>(Dst + I + 2 * P, L::mulUnchecked(X2, Y2));
-      L::template store<NT>(Dst + I + 3 * P, L::mulUnchecked(X3, Y3));
-    }
-  }
-  for (; I + P <= N; I += P)
-    L::template store<NT>(Dst + I,
-                          L::mul(L::load(X + I), L::load(Y + I)));
-  if constexpr (L::kMaskedTail) {
-    if (I < N) {
-      size_t K = N - I;
-      L::maskStore(Dst + I, K,
-                   L::mul(L::maskLoad(X + I, K), L::maskLoad(Y + I, K)));
-    }
-  } else {
-    for (; I < N; ++I)
-      Dst[I] = iMul(X[I], Y[I]);
-  }
+  body<L, false, Group>(Dst, N, Op, S...);
 }
 
 //===----------------------------------------------------------------------===//
@@ -180,140 +208,69 @@ inline void mulBody(Interval *Dst, const Interval *X, const Interval *Y,
 //===----------------------------------------------------------------------===//
 
 template <class L>
-void addK(Interval *Dst, const Interval *X, const Interval *Y, size_t N) {
-  auto V = [](const typename L::Pack &A, const typename L::Pack &B) {
-    return L::add(A, B);
-  };
-  auto S = [](const Interval &A, const Interval &B) { return iAdd(A, B); };
-  if constexpr (L::kNtStores) {
-    size_t Peel;
-    if (useNtStores<L>(Dst, N, Peel)) {
-      for (size_t I = 0; I < Peel; ++I)
-        Dst[I] = iAdd(X[I], Y[I]);
-      body2<L, true>(Dst + Peel, X + Peel, Y + Peel, N - Peel, V, S);
-      L::storeFence();
-      return;
-    }
-  }
-  body2<L, false>(Dst, X, Y, N, V, S);
+static void addK(Interval *Dst, const Interval *X, const Interval *Y,
+                 size_t N) {
+  run<L>(Dst, N, [](const auto &A, const auto &B) { return addOp(A, B); },
+         X, Y);
 }
 
 template <class L>
-void subK(Interval *Dst, const Interval *X, const Interval *Y, size_t N) {
-  auto V = [](const typename L::Pack &A, const typename L::Pack &B) {
-    return L::sub(A, B);
-  };
-  auto S = [](const Interval &A, const Interval &B) { return iSub(A, B); };
-  if constexpr (L::kNtStores) {
-    size_t Peel;
-    if (useNtStores<L>(Dst, N, Peel)) {
-      for (size_t I = 0; I < Peel; ++I)
-        Dst[I] = iSub(X[I], Y[I]);
-      body2<L, true>(Dst + Peel, X + Peel, Y + Peel, N - Peel, V, S);
-      L::storeFence();
-      return;
-    }
-  }
-  body2<L, false>(Dst, X, Y, N, V, S);
+static void subK(Interval *Dst, const Interval *X, const Interval *Y,
+                 size_t N) {
+  run<L>(Dst, N, [](const auto &A, const auto &B) { return subOp(A, B); },
+         X, Y);
 }
 
 template <class L>
-void mulK(Interval *Dst, const Interval *X, const Interval *Y, size_t N) {
-  if constexpr (L::kNtStores) {
-    size_t Peel;
-    if (useNtStores<L>(Dst, N, Peel)) {
-      for (size_t I = 0; I < Peel; ++I)
-        Dst[I] = iMul(X[I], Y[I]);
-      mulBody<L, true>(Dst + Peel, X + Peel, Y + Peel, N - Peel);
-      L::storeFence();
-      return;
-    }
-  }
-  mulBody<L, false>(Dst, X, Y, N);
+static void mulK(Interval *Dst, const Interval *X, const Interval *Y,
+                 size_t N) {
+  run<L, true>(Dst, N,
+               [](const auto &A, const auto &B) { return mulOp(A, B); }, X,
+               Y);
 }
 
 template <class L>
-void fmaK(Interval *Dst, const Interval *A, const Interval *B,
-          const Interval *C, size_t N) {
-  auto V = [](const typename L::Pack &X, const typename L::Pack &Y,
-              const typename L::Pack &Z) { return L::fma(X, Y, Z); };
-  auto S = [](const Interval &X, const Interval &Y, const Interval &Z) {
-    return lanes::fmaComposed(X, Y, Z);
-  };
-  if constexpr (L::kNtStores) {
-    size_t Peel;
-    if (useNtStores<L>(Dst, N, Peel)) {
-      for (size_t I = 0; I < Peel; ++I)
-        Dst[I] = lanes::fmaComposed(A[I], B[I], C[I]);
-      body3<L, true>(Dst + Peel, A + Peel, B + Peel, C + Peel, N - Peel,
-                     V, S);
-      L::storeFence();
-      return;
-    }
-  }
-  body3<L, false>(Dst, A, B, C, N, V, S);
+static void fmaK(Interval *Dst, const Interval *A, const Interval *B,
+                 const Interval *C, size_t N) {
+  run<L>(
+      Dst, N,
+      [](const auto &X, const auto &Y, const auto &Z) {
+        return fmaOp(X, Y, Z);
+      },
+      A, B, C);
 }
 
 template <class L>
-void scaleK(Interval *Dst, const Interval *X, Interval S, size_t N) {
+static void scaleK(Interval *Dst, const Interval *X, Interval S, size_t N) {
   const typename L::Pack SV = L::broadcast(S);
-  auto V = [&SV](const typename L::Pack &A) { return L::mul(A, SV); };
-  auto SOp = [&S](const Interval &A) { return iMul(A, S); };
-  if constexpr (L::kNtStores) {
-    size_t Peel;
-    if (useNtStores<L>(Dst, N, Peel)) {
-      for (size_t I = 0; I < Peel; ++I)
-        Dst[I] = iMul(X[I], S);
-      body1<L, true>(Dst + Peel, X + Peel, N - Peel, V, SOp);
-      L::storeFence();
-      return;
-    }
-  }
-  body1<L, false>(Dst, X, N, V, SOp);
+  const typename L::Elem::Pack SE = L::Elem::broadcast(S);
+  run<L>(
+      Dst, N,
+      [&SV, &SE](const auto &A) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(A)>,
+                                     typename L::Pack>)
+          return mulOp(A, SV);
+        else
+          return mulOp(A, SE);
+      },
+      X);
 }
 
 template <class L>
-void divK(Interval *Dst, const Interval *X, const Interval *Y, size_t N) {
-  auto V = [](const typename L::Pack &A, const typename L::Pack &B) {
-    return L::div(A, B);
-  };
-  auto S = [](const Interval &A, const Interval &B) {
-    return lanes::divAuto(A, B);
-  };
-  if constexpr (L::kNtStores) {
-    size_t Peel;
-    if (useNtStores<L>(Dst, N, Peel)) {
-      for (size_t I = 0; I < Peel; ++I)
-        Dst[I] = lanes::divAuto(X[I], Y[I]);
-      body2<L, true>(Dst + Peel, X + Peel, Y + Peel, N - Peel, V, S);
-      L::storeFence();
-      return;
-    }
-  }
-  body2<L, false>(Dst, X, Y, N, V, S);
+static void divK(Interval *Dst, const Interval *X, const Interval *Y,
+                 size_t N) {
+  run<L>(Dst, N, [](const auto &A, const auto &B) { return divOp(A, B); },
+         X, Y);
 }
 
 template <class L>
-void sqrtK(Interval *Dst, const Interval *X, size_t N) {
-  auto V = [](const typename L::Pack &A) { return L::sqrt(A); };
-  auto S = [](const Interval &A) { return iSqrt(A); };
-  if constexpr (L::kNtStores) {
-    size_t Peel;
-    if (useNtStores<L>(Dst, N, Peel)) {
-      for (size_t I = 0; I < Peel; ++I)
-        Dst[I] = iSqrt(X[I]);
-      body1<L, true>(Dst + Peel, X + Peel, N - Peel, V, S);
-      L::storeFence();
-      return;
-    }
-  }
-  body1<L, false>(Dst, X, N, V, S);
+static void sqrtK(Interval *Dst, const Interval *X, size_t N) {
+  run<L>(Dst, N, [](const auto &A) { return sqrtOp(A); }, X);
 }
 
 /// One fully populated dispatch row for a backend. The elementary
-/// kernels keep their per-ISA hand-written (or core-template) entry
-/// points because their structure is screen-heavy rather than
-/// loop-shaped.
+/// kernels keep their per-ISA entry points (ElemCores.h) because their
+/// structure is screen-heavy rather than loop-shaped.
 template <class L>
 constexpr KernelTable makeTable(const char *Name, ElemFn Exp, ElemFn Log,
                                 ElemFn Sin, ElemFn Cos) {

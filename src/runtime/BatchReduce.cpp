@@ -26,9 +26,10 @@
 // endpoints): IEEE ops are lanewise, so the packed sequence is
 // bit-identical to running the scalar sequence on each lane, and the
 // scalar tail below reuses that exact sequence. Dot products come from
-// one fixed IntervalX2 multiply compiled into this TU (the scalar iMul
-// for tail elements), so reduction bits do not depend on the dispatched
-// elementwise ISA tier at all.
+// the pack multiply of interval/IntervalSimd.h compiled into this TU (two
+// at a time, the 128-bit op for tail elements, which computes the same
+// bits), so reduction bits do not depend on the dispatched elementwise
+// ISA tier at all.
 //
 //===----------------------------------------------------------------------===//
 
@@ -168,7 +169,7 @@ DdPartial sumChunk(const Interval *X, size_t N) {
 
 /// Accumulates the products X[i] * Y[i] of one chunk, the multiplies
 /// fused into the accumulation loop (IntervalX2 iMul, two at a time; the
-/// scalar iMul for tail elements). Requires upward rounding.
+/// IntervalSse iMul for tail elements). Requires upward rounding.
 DdPartial dotChunk(const Interval *X, const Interval *Y, size_t N) {
   assertRoundUpward();
   ChunkAcc Acc;
@@ -181,7 +182,11 @@ DdPartial dotChunk(const Interval *X, const Interval *Y, size_t N) {
     };
     Acc.step8(Prod(0), Prod(2), Prod(4), Prod(6));
   }
-  return Acc.finish(I, N, [X, Y](size_t J) { return iMul(X[J], Y[J]); });
+  return Acc.finish(I, N, [X, Y](size_t J) {
+    return iMul(IntervalSse::fromInterval(X[J]),
+                IntervalSse::fromInterval(Y[J]))
+        .toInterval();
+  });
 }
 
 /// Merges chunk partials in a fixed pairwise tree over the chunk index.

@@ -6,7 +6,9 @@
 ///
 /// \file
 /// Lane-parallel transcriptions of the PolyKernels.h exp/log point cores,
-/// generic over a small vector-ops backend (SSE2, AVX2, AVX-512). Every
+/// generic over the register width: V is the F64Regs primitive set of
+/// interval/IntervalSimd.h and IntervalVector.h (128-, 256- or 512-bit),
+/// the one the interval pack ops run on. Every
 /// vector operation corresponds 1:1 to a scalar operation of the core
 /// (plain mul/add/sub/div, NO FMA even on tiers that have it, no
 /// reassociation), so under the same ambient upward rounding every lane is
@@ -24,16 +26,22 @@
 /// re-checks and widens via libm — identical to what the scalar tier
 /// would produce for that element.
 ///
-/// A backend provides plain double/int64 lane primitives; predicates
+/// The primitives are plain double/int64 lane operations; predicates
 /// return bool over all lanes so mask-register ISAs (AVX-512) and
-/// movemask ISAs share one kernel body.
+/// movemask ISAs share one kernel body. The masked tail of the 512-bit
+/// set fills its dead lanes with the benign [1, 1], inside both fast
+/// domains.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef IGEN_RUNTIME_ELEMCORES_H
 #define IGEN_RUNTIME_ELEMCORES_H
 
+#include "interval/IntervalSimd.h"
 #include "interval/PolyKernels.h"
+#if defined(__AVX__)
+#include "interval/IntervalVector.h"
+#endif
 
 #include <bit>
 #include <cstddef>
@@ -42,177 +50,6 @@
 #include <limits>
 
 namespace igen::runtime::elem {
-
-//===----------------------------------------------------------------------===//
-// Vector-ops backends
-//===----------------------------------------------------------------------===//
-
-/// SSE2: one interval per __m128d.
-struct Sse2VecOps {
-  using D = __m128d;
-  using I = __m128i;
-  static constexpr size_t kIntervals = 1;
-  static constexpr bool kMaskedTail = false;
-
-  static D load(const Interval *P) { return _mm_loadu_pd(&P->NegLo); }
-  static void store(Interval *P, D V) { _mm_storeu_pd(&P->NegLo, V); }
-  static D set1(double X) { return _mm_set1_pd(X); }
-  static I set1i(int64_t X) { return _mm_set1_epi64x(X); }
-  /// Sign bit of every negated-lower lane (lane 0 of each pair).
-  static D signLo() {
-    return _mm_castsi128_pd(
-        _mm_set_epi64x(0, std::numeric_limits<int64_t>::min()));
-  }
-  static D absMask() {
-    return _mm_castsi128_pd(_mm_set1_epi64x(0x7FFFFFFFFFFFFFFFll));
-  }
-  static D add(D A, D B) { return _mm_add_pd(A, B); }
-  static D sub(D A, D B) { return _mm_sub_pd(A, B); }
-  static D mul(D A, D B) { return _mm_mul_pd(A, B); }
-  static D div(D A, D B) { return _mm_div_pd(A, B); }
-  static D and_(D A, D B) { return _mm_and_pd(A, B); }
-  static D or_(D A, D B) { return _mm_or_pd(A, B); }
-  static D xor_(D A, D B) { return _mm_xor_pd(A, B); }
-  static I castDI(D A) { return _mm_castpd_si128(A); }
-  static D castID(I A) { return _mm_castsi128_pd(A); }
-  static I addI(I A, I B) { return _mm_add_epi64(A, B); }
-  static I subI(I A, I B) { return _mm_sub_epi64(A, B); }
-  static I andI(I A, I B) { return _mm_and_si128(A, B); }
-  static I orI(I A, I B) { return _mm_or_si128(A, B); }
-  template <int N> static I slli(I A) { return _mm_slli_epi64(A, N); }
-  template <int N> static I srli(I A) { return _mm_srli_epi64(A, N); }
-  /// Full-width compare mask (all-ones lanes), usable as a -1 integer.
-  static D cmpGt(D A, D B) { return _mm_cmpgt_pd(A, B); }
-  /// select(Mask, T, F): T where Mask is all-ones. The discarded value is
-  /// exact, so bitwise selection preserves bit-identity with the scalar
-  /// branch.
-  static D select(D Mask, D T, D F) {
-    return _mm_or_pd(_mm_and_pd(Mask, T), _mm_andnot_pd(Mask, F));
-  }
-  static bool allLe(D A, D B) {
-    return _mm_movemask_pd(_mm_cmple_pd(A, B)) == 0x3;
-  }
-  static bool allInRange(D A, D Lo, D Hi) {
-    return _mm_movemask_pd(
-               _mm_and_pd(_mm_cmpge_pd(A, Lo), _mm_cmple_pd(A, Hi))) ==
-           0x3;
-  }
-};
-
-#if defined(__AVX2__)
-/// AVX2: two intervals per __m256d. The 256-bit width and the AVX2
-/// integer ops (64-bit add/sub/shift across the full register) are where
-/// this tier wins, not the instruction mix.
-struct Avx2VecOps {
-  using D = __m256d;
-  using I = __m256i;
-  static constexpr size_t kIntervals = 2;
-  static constexpr bool kMaskedTail = false;
-
-  static D load(const Interval *P) { return _mm256_loadu_pd(&P->NegLo); }
-  static void store(Interval *P, D V) { _mm256_storeu_pd(&P->NegLo, V); }
-  static D set1(double X) { return _mm256_set1_pd(X); }
-  static I set1i(int64_t X) { return _mm256_set1_epi64x(X); }
-  static D signLo() {
-    const int64_t S = std::numeric_limits<int64_t>::min();
-    return _mm256_castsi256_pd(_mm256_set_epi64x(0, S, 0, S));
-  }
-  static D absMask() {
-    return _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFll));
-  }
-  static D add(D A, D B) { return _mm256_add_pd(A, B); }
-  static D sub(D A, D B) { return _mm256_sub_pd(A, B); }
-  static D mul(D A, D B) { return _mm256_mul_pd(A, B); }
-  static D div(D A, D B) { return _mm256_div_pd(A, B); }
-  static D and_(D A, D B) { return _mm256_and_pd(A, B); }
-  static D or_(D A, D B) { return _mm256_or_pd(A, B); }
-  static D xor_(D A, D B) { return _mm256_xor_pd(A, B); }
-  static I castDI(D A) { return _mm256_castpd_si256(A); }
-  static D castID(I A) { return _mm256_castsi256_pd(A); }
-  static I addI(I A, I B) { return _mm256_add_epi64(A, B); }
-  static I subI(I A, I B) { return _mm256_sub_epi64(A, B); }
-  static I andI(I A, I B) { return _mm256_and_si256(A, B); }
-  static I orI(I A, I B) { return _mm256_or_si256(A, B); }
-  template <int N> static I slli(I A) { return _mm256_slli_epi64(A, N); }
-  template <int N> static I srli(I A) { return _mm256_srli_epi64(A, N); }
-  static D cmpGt(D A, D B) { return _mm256_cmp_pd(A, B, _CMP_GT_OQ); }
-  static D select(D Mask, D T, D F) {
-    return _mm256_blendv_pd(F, T, Mask);
-  }
-  static bool allLe(D A, D B) {
-    return _mm256_movemask_pd(_mm256_cmp_pd(A, B, _CMP_LE_OQ)) == 0xF;
-  }
-  static bool allInRange(D A, D Lo, D Hi) {
-    return _mm256_movemask_pd(
-               _mm256_and_pd(_mm256_cmp_pd(A, Lo, _CMP_GE_OQ),
-                             _mm256_cmp_pd(A, Hi, _CMP_LE_OQ))) == 0xF;
-  }
-};
-#endif // __AVX2__
-
-#if defined(__AVX512F__) && defined(__AVX512DQ__) && defined(__AVX512VL__)
-/// AVX-512: four intervals per __m512d. Compares produce mask registers;
-/// where the cores need an all-ones *vector* mask (the log normalization
-/// select doubles as a -1 integer), _mm512_movm_epi64 (DQ) expands it.
-struct Avx512VecOps {
-  using D = __m512d;
-  using I = __m512i;
-  static constexpr size_t kIntervals = 4;
-  static constexpr bool kMaskedTail = true;
-
-  static D load(const Interval *P) { return _mm512_loadu_pd(&P->NegLo); }
-  static void store(Interval *P, D V) { _mm512_storeu_pd(&P->NegLo, V); }
-  /// Masked-lane tail: K live intervals, dead lanes filled with the
-  /// benign 1.0 (inside every fast domain).
-  static D maskLoad(const Interval *P, size_t K) {
-    __mmask8 M = static_cast<__mmask8>((1u << (2 * K)) - 1);
-    return _mm512_mask_loadu_pd(_mm512_set1_pd(1.0), M, &P->NegLo);
-  }
-  static void maskStore(Interval *P, size_t K, D V) {
-    __mmask8 M = static_cast<__mmask8>((1u << (2 * K)) - 1);
-    _mm512_mask_storeu_pd(&P->NegLo, M, V);
-  }
-  static D set1(double X) { return _mm512_set1_pd(X); }
-  static I set1i(int64_t X) { return _mm512_set1_epi64(X); }
-  static D signLo() {
-    const int64_t S = std::numeric_limits<int64_t>::min();
-    return _mm512_castsi512_pd(_mm512_set_epi64(0, S, 0, S, 0, S, 0, S));
-  }
-  static D absMask() {
-    return _mm512_castsi512_pd(_mm512_set1_epi64(0x7FFFFFFFFFFFFFFFll));
-  }
-  static D add(D A, D B) { return _mm512_add_pd(A, B); }
-  static D sub(D A, D B) { return _mm512_sub_pd(A, B); }
-  static D mul(D A, D B) { return _mm512_mul_pd(A, B); }
-  static D div(D A, D B) { return _mm512_div_pd(A, B); }
-  static D and_(D A, D B) { return _mm512_and_pd(A, B); }
-  static D or_(D A, D B) { return _mm512_or_pd(A, B); }
-  static D xor_(D A, D B) { return _mm512_xor_pd(A, B); }
-  static I castDI(D A) { return _mm512_castpd_si512(A); }
-  static D castID(I A) { return _mm512_castsi512_pd(A); }
-  static I addI(I A, I B) { return _mm512_add_epi64(A, B); }
-  static I subI(I A, I B) { return _mm512_sub_epi64(A, B); }
-  static I andI(I A, I B) { return _mm512_and_si512(A, B); }
-  static I orI(I A, I B) { return _mm512_or_si512(A, B); }
-  template <int N> static I slli(I A) { return _mm512_slli_epi64(A, N); }
-  template <int N> static I srli(I A) { return _mm512_srli_epi64(A, N); }
-  static D cmpGt(D A, D B) {
-    return _mm512_castsi512_pd(
-        _mm512_movm_epi64(_mm512_cmp_pd_mask(A, B, _CMP_GT_OQ)));
-  }
-  static D select(D Mask, D T, D F) {
-    return _mm512_mask_blend_pd(
-        _mm512_movepi64_mask(_mm512_castpd_si512(Mask)), F, T);
-  }
-  static bool allLe(D A, D B) {
-    return _mm512_cmp_pd_mask(A, B, _CMP_LE_OQ) == 0xFF;
-  }
-  static bool allInRange(D A, D Lo, D Hi) {
-    return (_mm512_cmp_pd_mask(A, Lo, _CMP_GE_OQ) &
-            _mm512_cmp_pd_mask(A, Hi, _CMP_LE_OQ)) == 0xFF;
-  }
-};
-#endif // AVX-512
 
 //===----------------------------------------------------------------------===//
 // The cores, operation for operation

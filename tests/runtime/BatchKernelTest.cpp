@@ -9,8 +9,10 @@
 //      encloses (for the fused FMA tier: is enclosed by *and* still
 //      sound against) the scalar reference computed with the Interval
 //      operations; div and sqrt are additionally bit-identical to the
-//      sign-specialized scalar routing on all inputs, and every
-//      (tier, op) kernel-table row is verified populated;
+//      sign-specialized scalar routing on all inputs; fma and mul give an
+//      element one bit pattern wherever it sits in a batch; the SIMD
+//      tiers are bit-identical to each other; and every (tier, op)
+//      kernel-table row is verified populated;
 //  (b) sum/dot are bit-identical across 1/2/4 threads and across ISA
 //      overrides, and enclose the sequential SumAccumulatorF64 result;
 //  (c) worker threads restore round-to-nearest after every reduction
@@ -26,7 +28,10 @@
 #include "support/Knobs.h"
 #include "../interval/TestHelpers.h"
 
+#include <array>
 #include <cfenv>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -483,11 +488,156 @@ TEST_P(BatchKernelIsaTest, ElementaryEnclosesTrueValues) {
   check("log", [](long double V) { return logl(V); });
 }
 
+/// The interval's bits with every NaN word replaced by one pattern: which
+/// NaN an operation returns follows the operand order the compiler picks.
+std::pair<uint64_t, uint64_t> canonBits(const Interval &I) {
+  auto Word = [](double D) {
+    uint64_t B;
+    std::memcpy(&B, &D, sizeof B);
+    return std::isnan(D) ? uint64_t(0x7ff8000000000000ull) : B;
+  };
+  return {Word(I.NegLo), Word(I.Hi)};
+}
+
+/// Operand triples whose products and fused sums are sensitive to how an
+/// element is computed: a fused/composed split (fma([1/3], [3], [-1]) is
+/// [-2^-54, -2^-54] fused, [-2^-53, 0] composed), signed-zero candidate
+/// ties ([0, 2^-1074] * [-0, 1]: negLo +0.0 from the scalar op, -0.0 from
+/// the packs), 0 * inf, overflow and straddling operands.
+std::vector<std::array<Interval, 3>> positionSensitiveTriples() {
+  const double Third = 1.0 / 3.0, Tiny = 0x1p-1074, Inf = HUGE_VAL;
+  return {
+      {Interval::fromPoint(Third), Interval::fromPoint(3.0),
+       Interval::fromPoint(-1.0)},
+      {Interval::fromEndpoints(0.0, Tiny), Interval(0.0, 1.0),
+       Interval::fromPoint(0.0)},
+      {Interval::fromEndpoints(0.0, Inf), Interval::fromEndpoints(-1.0, 2.0),
+       Interval::fromEndpoints(-1.0, 1.0)},
+      {Interval::fromEndpoints(-1e300, 1e300), Interval::fromPoint(1e300),
+       Interval::fromPoint(1.0)},
+      {Interval::fromEndpoints(-2.0, 3.0), Interval::fromEndpoints(-5.0, 0.5),
+       Interval::fromEndpoints(0.25, 0.5)},
+      {Interval(-0.0, 2.0), Interval(2.0, -0.0), Interval(0.0, -0.0)},
+  };
+}
+
+/// iarr_fma and iarr_mul give an element the same bits wherever it sits:
+/// at every index of 1..9 equal elements (pack, tail or masked tail),
+/// next to a NaN element, and in the non-temporal peel and body of a
+/// large batch whose Dst is off 64-byte alignment.
+TEST_P(BatchKernelIsaTest, FmaMulBitsIndependentOfPosition) {
+  Isa Tier = static_cast<Isa>(GetParam());
+  if (!isaSupported(Tier))
+    GTEST_SKIP() << "CPU lacks " << isaName(Tier);
+  IsaGuard Restore;
+  forceIsa(Tier);
+
+  const Interval NaNI = Interval::nan();
+  for (const auto &T : positionSensitiveTriples()) {
+    for (int Op = 0; Op < 2; ++Op) {
+      const char *Name = Op == 0 ? "fma" : "mul";
+      auto Run = [&](Interval *D, const Interval *A, const Interval *B,
+                     const Interval *C, size_t N) {
+        if (Op == 0)
+          iarr_fma(D, A, B, C, N);
+        else
+          iarr_mul(D, A, B, N);
+      };
+      Interval One;
+      Run(&One, &T[0], &T[1], &T[2], 1);
+      const auto Want = canonBits(One);
+      for (size_t N = 1; N <= 9; ++N)
+        for (long Hole = -1; Hole < static_cast<long>(N); ++Hole) {
+          std::vector<Interval> A(N, T[0]), B(N, T[1]), C(N, T[2]), D(N);
+          if (Hole >= 0)
+            A[Hole] = B[Hole] = C[Hole] = NaNI;
+          Run(D.data(), A.data(), B.data(), C.data(), N);
+          for (size_t I = 0; I < N; ++I) {
+            if (static_cast<long>(I) == Hole)
+              continue;
+            EXPECT_TRUE(canonBits(D[I]) == Want)
+                << isaName(Tier) << " " << Name << " N=" << N << " @" << I
+                << " NaN @" << Hole << ": [" << D[I].lo() << ", "
+                << D[I].hi() << "] vs [" << One.lo() << ", " << One.hi()
+                << "]";
+          }
+        }
+      // Large enough for non-temporal stores; Dst one element past a
+      // 64-byte boundary, so the stores start with a peel.
+      const size_t N = 32768 + 5;
+      std::vector<Interval> A(N, T[0]), B(N, T[1]), C(N, T[2]);
+      std::vector<Interval> Buf(N + 8);
+      Interval *D = Buf.data();
+      while (reinterpret_cast<uintptr_t>(D) % 64 != 16)
+        ++D;
+      Run(D, A.data(), B.data(), C.data(), N);
+      size_t Bad = 0;
+      for (size_t I = 0; I < N; ++I)
+        Bad += canonBits(D[I]) != Want;
+      EXPECT_EQ(Bad, 0u) << isaName(Tier) << " " << Name
+                         << " unaligned large batch";
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllIsas, BatchKernelIsaTest,
                          ::testing::Range(0, NumIsas),
                          [](const ::testing::TestParamInfo<int> &Info) {
                            return isaName(static_cast<Isa>(Info.param));
                          });
+
+/// The SIMD tiers agree bit for bit (NaN words canonicalized) on add,
+/// sub, mul and scale for every input, specials included; on fma, the
+/// tiers that fuse agree with each other, and so do the tiers that
+/// compose.
+TEST(BatchKernelCrossTierTest, SimdTiersBitIdentical) {
+  IsaGuard Restore;
+  std::vector<Isa> Simd;
+  for (Isa Tier : supportedIsas())
+    if (Tier != Isa::Scalar)
+      Simd.push_back(Tier);
+  if (Simd.size() < 2)
+    GTEST_SKIP() << "fewer than two SIMD tiers";
+  test::Rng R(0xc055);
+  for (size_t N : {1ul, 3ul, 7ul, 17ul, 64ul, 1023ul}) {
+    std::vector<Interval> X = randomIntervals(R, N, /*Specials=*/true);
+    std::vector<Interval> Y = randomIntervals(R, N, /*Specials=*/true);
+    std::vector<Interval> Z = randomIntervals(R, N, /*Specials=*/true);
+    const auto Triples = positionSensitiveTriples();
+    for (size_t I = 0; I < N; I += 5) {
+      const auto &T = Triples[I % Triples.size()];
+      X[I] = T[0];
+      Y[I] = T[1];
+      Z[I] = T[2];
+    }
+    const Interval S = Interval::fromEndpoints(-0.0, 0x1p-1074);
+    // Per tier: add, sub, mul, scale, fma results back to back.
+    std::vector<std::vector<Interval>> Got;
+    for (Isa Tier : Simd) {
+      forceIsa(Tier);
+      std::vector<Interval> D(5 * N);
+      iarr_add(D.data(), X.data(), Y.data(), N);
+      iarr_sub(D.data() + N, X.data(), Y.data(), N);
+      iarr_mul(D.data() + 2 * N, X.data(), Y.data(), N);
+      iarr_scale(D.data() + 3 * N, X.data(), S, N);
+      iarr_fma(D.data() + 4 * N, X.data(), Y.data(), Z.data(), N);
+      Got.push_back(std::move(D));
+    }
+    const char *Ops[] = {"add", "sub", "mul", "scale", "fma"};
+    auto Fuses = [](Isa T) { return T == Isa::Avx2Fma || T == Isa::Avx512; };
+    for (size_t K = 0; K < Simd.size(); ++K)
+      for (size_t J = 0; J < K; ++J)
+        for (size_t I = 0; I < 5 * N; ++I) {
+          if (I >= 4 * N && Fuses(Simd[J]) != Fuses(Simd[K]))
+            break;
+          EXPECT_TRUE(canonBits(Got[K][I]) == canonBits(Got[J][I]))
+              << Ops[I / N] << " @" << I % N << ": " << isaName(Simd[K])
+              << " [" << Got[K][I].lo() << ", " << Got[K][I].hi() << "] vs "
+              << isaName(Simd[J]) << " [" << Got[J][I].lo() << ", "
+              << Got[J][I].hi() << "]";
+        }
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // Kernel-table completeness

@@ -10,8 +10,10 @@ when the headers change. This compiles, once against each tree's src/:
     generated-kernel directory that have a *.pre.c input beside them;
     default NEW_TREE/build/bench_kernels_gen, built by the
     igen_bench_kernels target);
-  * each tree's own src/runtime/DdBatchKernels*.cpp, adding the per-file
-    options its src/runtime/CMakeLists.txt sets.
+  * each tree's own runtime TUs (src/runtime/DdBatchKernels*.cpp,
+    BatchKernels*.cpp, BatchElem*.cpp, BatchReduce.cpp) and Fig. 8's
+    precompiled baseline (src/baselines/BaselineIntervals.cpp), adding
+    the per-file options the CMakeLists.txt beside each sets.
 Every unit gets the C++ standard and the add_compile_options of its
 tree's top-level CMakeLists.txt, plus -DNDEBUG (the benchmark builds
 Release). The compiler is the one NEW_TREE/build was configured with
@@ -37,7 +39,10 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
-RUNTIME_TUS = ["DdBatchKernels.cpp", "DdBatchKernelsAvx2.cpp"]
+# Source patterns, relative to src/, compiled from each tree.
+TREE_TUS = ["runtime/DdBatchKernels*.cpp", "runtime/BatchKernels*.cpp",
+            "runtime/BatchElem*.cpp", "runtime/BatchReduce.cpp",
+            "baselines/BaselineIntervals.cpp"]
 HEADER = re.compile(r"^<(.+)>:$")
 LOCAL_LABEL = re.compile(r"\.LC\d+")
 # An address comment that only repeats the next instruction's offset.
@@ -61,12 +66,20 @@ def project_flags(tree):
     return ["-std=c++" + std.group(1)] + opts.group(1).split() + ["-DNDEBUG"]
 
 
-def file_options(tree, name):
-    """The COMPILE_OPTIONS src/runtime/CMakeLists.txt sets for one file."""
-    text = open(os.path.join(tree, "src", "runtime", "CMakeLists.txt")).read()
+def file_options(tree, rel):
+    """The COMPILE_OPTIONS the CMakeLists.txt beside src/<rel> sets for it."""
+    d, name = os.path.split(rel)
+    text = open(os.path.join(tree, "src", d, "CMakeLists.txt")).read()
     m = re.search(r"set_source_files_properties\(\s*%s\s+PROPERTIES\s+"
                   r"COMPILE_OPTIONS\s+\"([^\"]*)\"" % re.escape(name), text)
     return m.group(1).split(";") if m else []
+
+
+def tree_tus(tree):
+    """The TREE_TUS of one tree, relative to its src/."""
+    src = os.path.join(tree, "src")
+    return sorted(os.path.relpath(p, src) for pat in TREE_TUS
+                  for p in glob.glob(os.path.join(src, pat)))
 
 
 def compiler(tree):
@@ -89,7 +102,10 @@ def compile_unit(job):
 
 
 def functions(obj):
-    """Maps each function of an object file to its instruction lines."""
+    """Maps each function of an object file to its instruction lines (none
+    when the unit exists in one tree only)."""
+    if not os.path.exists(obj):
+        return {}
     out = subprocess.run(["objdump", "-d", "-r", "-C", "--no-addresses",
                           "--no-show-raw-insn", obj],
                          capture_output=True, text=True, check=True).stdout
@@ -140,12 +156,14 @@ def main():
             name = os.path.basename(k)[:-len(".cpp")]
             jobs.append((cxx, k, os.path.join(work, side, name + ".o"),
                          flags))
-        for tu in RUNTIME_TUS:
-            src = os.path.join(tree, "src", "runtime", tu)
-            jobs.append((cxx, src, os.path.join(work, side, tu[:-4] + ".o"),
+        for tu in tree_tus(tree):
+            name = os.path.basename(tu)[:-len(".cpp")]
+            jobs.append((cxx, os.path.join(tree, "src", tu),
+                         os.path.join(work, side, name + ".o"),
                          flags + file_options(tree, tu)))
+    tus = sorted(set(tree_tus(trees[0])) | set(tree_tus(trees[1])))
     units = [os.path.basename(k)[:-len(".cpp")] for k in kernels] + \
-        [tu[:-4] for tu in RUNTIME_TUS]
+        [os.path.basename(tu)[:-len(".cpp")] for tu in tus]
 
     with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
         errors = [e for e in pool.map(compile_unit, jobs) if e]
@@ -154,8 +172,8 @@ def main():
 
     differ = total = 0
     for unit in units:
-        old = functions(os.path.join(work, "old", unit + ".o"))
-        new = functions(os.path.join(work, "new", unit + ".o"))
+        old, new = (functions(os.path.join(work, side, unit + ".o"))
+                    for side in ("old", "new"))
         for fn in sorted(set(old) | set(new)):
             total += 1
             if fn not in old:
