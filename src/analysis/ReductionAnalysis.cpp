@@ -6,144 +6,18 @@
 
 #include "analysis/ReductionAnalysis.h"
 
+#include "analysis/AstQueries.h"
+
+#include <algorithm>
+
 using namespace igen;
-
-bool igen::exprStructurallyEqual(const Expr *A, const Expr *B) {
-  A = ignoreParens(A);
-  B = ignoreParens(B);
-  if (A->kind() != B->kind())
-    return false;
-  switch (A->kind()) {
-  case Expr::Kind::IntLiteral:
-    return cast<IntLiteralExpr>(A)->Value == cast<IntLiteralExpr>(B)->Value;
-  case Expr::Kind::FloatLiteral:
-    return cast<FloatLiteralExpr>(A)->Value ==
-           cast<FloatLiteralExpr>(B)->Value;
-  case Expr::Kind::DeclRef:
-    return cast<DeclRefExpr>(A)->Name == cast<DeclRefExpr>(B)->Name;
-  case Expr::Kind::Unary: {
-    const auto *UA = cast<UnaryExpr>(A), *UB = cast<UnaryExpr>(B);
-    return UA->O == UB->O && exprStructurallyEqual(UA->Sub, UB->Sub);
-  }
-  case Expr::Kind::Binary: {
-    const auto *BA = cast<BinaryExpr>(A), *BB = cast<BinaryExpr>(B);
-    return BA->O == BB->O && exprStructurallyEqual(BA->LHS, BB->LHS) &&
-           exprStructurallyEqual(BA->RHS, BB->RHS);
-  }
-  case Expr::Kind::Conditional: {
-    const auto *CA = cast<ConditionalExpr>(A), *CB = cast<ConditionalExpr>(B);
-    return exprStructurallyEqual(CA->Cond, CB->Cond) &&
-           exprStructurallyEqual(CA->Then, CB->Then) &&
-           exprStructurallyEqual(CA->Else, CB->Else);
-  }
-  case Expr::Kind::Call: {
-    const auto *CA = cast<CallExpr>(A), *CB = cast<CallExpr>(B);
-    if (CA->Callee != CB->Callee || CA->Args.size() != CB->Args.size())
-      return false;
-    for (size_t I = 0; I < CA->Args.size(); ++I)
-      if (!exprStructurallyEqual(CA->Args[I], CB->Args[I]))
-        return false;
-    return true;
-  }
-  case Expr::Kind::Index: {
-    const auto *IA = cast<IndexExpr>(A), *IB = cast<IndexExpr>(B);
-    return exprStructurallyEqual(IA->Base, IB->Base) &&
-           exprStructurallyEqual(IA->Idx, IB->Idx);
-  }
-  case Expr::Kind::Cast: {
-    const auto *CA = cast<CastExpr>(A), *CB = cast<CastExpr>(B);
-    return CA->To == CB->To && exprStructurallyEqual(CA->Sub, CB->Sub);
-  }
-  case Expr::Kind::Paren:
-    return false; // unreachable: parens stripped above
-  }
-  return false;
-}
-
-bool igen::exprReferencesVar(const Expr *E, const std::string &Name) {
-  switch (E->kind()) {
-  case Expr::Kind::IntLiteral:
-  case Expr::Kind::FloatLiteral:
-    return false;
-  case Expr::Kind::DeclRef:
-    return cast<DeclRefExpr>(E)->Name == Name;
-  case Expr::Kind::Unary:
-    return exprReferencesVar(cast<UnaryExpr>(E)->Sub, Name);
-  case Expr::Kind::Binary: {
-    const auto *B = cast<BinaryExpr>(E);
-    return exprReferencesVar(B->LHS, Name) ||
-           exprReferencesVar(B->RHS, Name);
-  }
-  case Expr::Kind::Conditional: {
-    const auto *C = cast<ConditionalExpr>(E);
-    return exprReferencesVar(C->Cond, Name) ||
-           exprReferencesVar(C->Then, Name) ||
-           exprReferencesVar(C->Else, Name);
-  }
-  case Expr::Kind::Call: {
-    const auto *C = cast<CallExpr>(E);
-    for (const Expr *Arg : C->Args)
-      if (exprReferencesVar(Arg, Name))
-        return true;
-    return false;
-  }
-  case Expr::Kind::Index: {
-    const auto *I = cast<IndexExpr>(E);
-    return exprReferencesVar(I->Base, Name) ||
-           exprReferencesVar(I->Idx, Name);
-  }
-  case Expr::Kind::Cast:
-    return exprReferencesVar(cast<CastExpr>(E)->Sub, Name);
-  case Expr::Kind::Paren:
-    return exprReferencesVar(cast<ParenExpr>(E)->Sub, Name);
-  }
-  return false;
-}
 
 namespace {
 
-/// Induction variable name of a for-loop (from `int i = 0` or `i = 0`).
-std::string loopInductionVar(const ForStmt *For) {
-  if (!For->Init)
-    return {};
-  if (const auto *DS = dynCast<DeclStmt>(For->Init)) {
-    if (DS->Decls.size() == 1)
-      return DS->Decls.front()->Name;
-    return {};
-  }
-  if (const auto *ES = dynCast<ExprStmt>(For->Init)) {
-    if (const auto *B = dynCast<BinaryExpr>(ES->E))
-      if (B->O == BinaryExpr::Op::Assign)
-        if (const auto *Ref = dynCast<DeclRefExpr>(ignoreParens(B->LHS)))
-          return Ref->Name;
-  }
-  return {};
-}
-
-/// The variable at the root of an lvalue chain ("y" in y, y[i], *y).
-const DeclRefExpr *rootVariable(const Expr *E) {
-  E = ignoreParens(E);
-  while (true) {
-    if (const auto *I = dynCast<IndexExpr>(E)) {
-      E = ignoreParens(I->Base);
-      continue;
-    }
-    if (const auto *U = dynCast<UnaryExpr>(E)) {
-      if (U->O == UnaryExpr::Op::Deref) {
-        E = ignoreParens(U->Sub);
-        continue;
-      }
-      return nullptr;
-    }
-    return dynCast<DeclRefExpr>(E);
-  }
-}
-
 /// Flattens an additive expression tree into signed terms.
-void flattenAdditive(Expr *E, bool Negated,
+void flattenAdditive(const Expr *E, bool Negated,
                      std::vector<ReductionTerm> &Out) {
-  Expr *Stripped = ignoreParens(E);
-  if (auto *B = dynCast<BinaryExpr>(Stripped)) {
+  if (const auto *B = dynCast<BinaryExpr>(ignoreParens(E))) {
     if (B->O == BinaryExpr::Op::Add) {
       flattenAdditive(B->LHS, Negated, Out);
       flattenAdditive(B->RHS, Negated, Out);
@@ -158,91 +32,94 @@ void flattenAdditive(Expr *E, bool Negated,
   Out.push_back(ReductionTerm{E, Negated});
 }
 
-/// True if \p S (excluding the statement \p Skip and the subtree
-/// \p SkipSubtree) references variable \p Name.
-bool stmtUsesVarExcluding(const Stmt *S, const std::string &Name,
-                          const Stmt *Skip, const Stmt *SkipSubtree) {
-  if (S == Skip || S == SkipSubtree)
-    return false;
-  switch (S->kind()) {
-  case Stmt::Kind::Compound:
-    for (const Stmt *Child : cast<CompoundStmt>(S)->Body)
-      if (stmtUsesVarExcluding(Child, Name, Skip, SkipSubtree))
-        return true;
-    return false;
-  case Stmt::Kind::DeclStmt:
-    for (const VarDecl *D : cast<DeclStmt>(S)->Decls)
-      if (D->Init && exprReferencesVar(D->Init, Name))
-        return true;
-    return false;
-  case Stmt::Kind::ExprStmt:
-    return exprReferencesVar(cast<ExprStmt>(S)->E, Name);
-  case Stmt::Kind::If: {
-    const auto *If = cast<IfStmt>(S);
-    return exprReferencesVar(If->Cond, Name) ||
-           stmtUsesVarExcluding(If->Then, Name, Skip, SkipSubtree) ||
-           (If->Else &&
-            stmtUsesVarExcluding(If->Else, Name, Skip, SkipSubtree));
-  }
-  case Stmt::Kind::For: {
-    const auto *For = cast<ForStmt>(S);
-    return (For->Init &&
-            stmtUsesVarExcluding(For->Init, Name, Skip, SkipSubtree)) ||
-           (For->Cond && exprReferencesVar(For->Cond, Name)) ||
-           (For->Inc && exprReferencesVar(For->Inc, Name)) ||
-           stmtUsesVarExcluding(For->Body, Name, Skip, SkipSubtree);
-  }
-  case Stmt::Kind::While: {
-    const auto *W = cast<WhileStmt>(S);
-    return exprReferencesVar(W->Cond, Name) ||
-           stmtUsesVarExcluding(W->Body, Name, Skip, SkipSubtree);
-  }
-  case Stmt::Kind::Do: {
-    const auto *D = cast<DoStmt>(S);
-    return exprReferencesVar(D->Cond, Name) ||
-           stmtUsesVarExcluding(D->Body, Name, Skip, SkipSubtree);
-  }
-  case Stmt::Kind::Return: {
-    const auto *R = cast<ReturnStmt>(S);
-    return R->Value && exprReferencesVar(R->Value, Name);
+/// The terms \p Assign adds to its target, or none when it is not an
+/// accumulation (`t += ...`, `t -= ...`, or `t = <sum holding t once>`).
+std::vector<ReductionTerm> accumulatedTerms(const BinaryExpr *Assign) {
+  std::vector<ReductionTerm> Terms;
+  switch (Assign->O) {
+  case BinaryExpr::Op::AddAssign:
+  case BinaryExpr::Op::SubAssign:
+    flattenAdditive(Assign->RHS, Assign->O == BinaryExpr::Op::SubAssign,
+                    Terms);
+    return Terms;
+  case BinaryExpr::Op::Assign: {
+    std::vector<ReductionTerm> All;
+    flattenAdditive(Assign->RHS, false, All);
+    int TargetHits = 0;
+    for (const ReductionTerm &T : All) {
+      if (!T.Negated && exprEqual(T.Term, Assign->LHS))
+        ++TargetHits;
+      else
+        Terms.push_back(T);
+    }
+    if (TargetHits != 1)
+      Terms.clear();
+    return Terms;
   }
   default:
-    return false;
+    return Terms;
+  }
+}
+
+/// True when \p E refers to the variable \p D anywhere.
+bool mentions(const Expr *E, const VarDecl *D) {
+  bool Found = false;
+  forEachDeclRef(E, [&](const DeclRefExpr *Ref) {
+    Found = Found || Ref->Decl == D;
+  });
+  return Found;
+}
+
+/// True when the element \p Target addresses is computed without a load:
+/// the write sets track variables, not memory.
+bool loadFreeIndices(const Expr *Target) {
+  for (const Expr *E = ignoreParens(Target);;) {
+    if (const auto *I = dynCast<IndexExpr>(E)) {
+      if (!exprIsPureValue(I->Idx, /*AllowLoads=*/false))
+        return false;
+      E = ignoreParens(I->Base);
+      continue;
+    }
+    const auto *U = dynCast<UnaryExpr>(E);
+    if (!U || U->O != UnaryExpr::Op::Deref)
+      return true;
+    E = ignoreParens(U->Sub);
   }
 }
 
 class ReductionFinder {
 public:
-  ReductionFinder(DiagnosticsEngine &Diags, ReductionAnalysisResult &Result)
-      : Diags(Diags), Result(Result) {}
+  ReductionFinder(const WriteSets &Writes, DiagnosticsEngine &Diags,
+                  ReductionAnalysisResult &Result)
+      : Writes(Writes), Diags(Diags), Result(Result) {}
 
-  void visitStmt(Stmt *S) {
+  void visitStmt(const Stmt *S) {
     switch (S->kind()) {
     case Stmt::Kind::Compound:
-      for (Stmt *Child : cast<CompoundStmt>(S)->Body)
+      for (const Stmt *Child : cast<CompoundStmt>(S)->Body)
         visitStmt(Child);
       return;
     case Stmt::Kind::If: {
-      auto *If = cast<IfStmt>(S);
+      const auto *If = cast<IfStmt>(S);
       visitStmt(If->Then);
       if (If->Else)
         visitStmt(If->Else);
       return;
     }
     case Stmt::Kind::For: {
-      auto *For = cast<ForStmt>(S);
-      for (const std::string &Var : For->ReduceVars)
-        ActiveVars.push_back(Var);
-      LoopStack.push_back(For);
-      size_t SitesBefore = Result.Sites.size();
+      const auto *For = cast<ForStmt>(S);
+      Active.insert(Active.end(), For->ReduceDecls.begin(),
+                    For->ReduceDecls.end());
+      Loops.push_back(For);
+      const size_t SitesBefore = Result.Sites.size();
       visitStmt(For->Body);
-      LoopStack.pop_back();
-      if (!For->ReduceVars.empty()) {
+      Loops.pop_back();
+      if (!For->ReduceDecls.empty()) {
         if (Result.Sites.size() == SitesBefore)
           Diags.warning(For->loc(),
                         "#pragma igen reduce: no reduction statement "
                         "found in this loop nest");
-        ActiveVars.resize(ActiveVars.size() - For->ReduceVars.size());
+        Active.resize(Active.size() - For->ReduceDecls.size());
       }
       return;
     }
@@ -261,98 +138,71 @@ public:
   }
 
 private:
-  void visitUpdate(ExprStmt *S) {
-    if (ActiveVars.empty() || LoopStack.empty())
-      return;
-    auto *Assign = dynCast<BinaryExpr>(ignoreParens(S->E));
-    if (!Assign)
-      return;
-    Expr *Target = Assign->LHS;
-    const DeclRefExpr *Root = rootVariable(Target);
-    if (!Root)
-      return;
-    bool IsActive = false;
-    for (const std::string &Var : ActiveVars)
-      if (Var == Root->Name)
-        IsActive = true;
-    if (!IsActive)
-      return;
-
-    std::vector<ReductionTerm> Terms;
-    if (Assign->O == BinaryExpr::Op::AddAssign) {
-      flattenAdditive(Assign->RHS, false, Terms);
-    } else if (Assign->O == BinaryExpr::Op::SubAssign) {
-      flattenAdditive(Assign->RHS, true, Terms);
-    } else if (Assign->O == BinaryExpr::Op::Assign) {
-      // target = <sum containing exactly one occurrence of target>.
-      std::vector<ReductionTerm> All;
-      flattenAdditive(Assign->RHS, false, All);
-      int TargetHits = 0;
-      for (const ReductionTerm &T : All) {
-        if (!T.Negated && exprStructurallyEqual(T.Term, Target)) {
-          ++TargetHits;
-          continue;
-        }
-        Terms.push_back(T);
-      }
-      if (TargetHits != 1)
-        return; // not of the form t = t + ...
-      // The remaining terms must not mention the target variable again.
-      for (const ReductionTerm &T : Terms)
-        if (exprReferencesVar(T.Term, Root->Name))
-          return;
-    } else {
-      return;
-    }
-    if (Terms.empty())
-      return;
-
-    // Accumulator level: walk outward while the target is invariant in
-    // the loop (its induction variable does not appear in the target),
-    // never beyond the loop carrying the pragma, and never past a loop
-    // whose body uses the target outside the update statement itself
-    // (hoisting the final reduction past such a use would be wrong).
-    ForStmt *PragmaLoop = nullptr;
-    for (ForStmt *L : LoopStack)
-      for (const std::string &V : L->ReduceVars)
-        if (V == Root->Name && !PragmaLoop)
-          PragmaLoop = L;
-    ForStmt *Accum = nullptr;
-    for (auto It = LoopStack.rbegin(); It != LoopStack.rend(); ++It) {
-      std::string IV = loopInductionVar(*It);
-      if (IV.empty() || exprReferencesVar(Target, IV))
-        break;
-      if (Accum && stmtUsesVarExcluding(*It, Root->Name, S, Accum))
-        break;
-      Accum = *It;
-      if (*It == PragmaLoop)
-        break;
-    }
-    if (!Accum)
-      return; // varies even in the innermost loop: no reduction carried
-
-    ReductionSite Site;
-    Site.Update = S;
-    Site.Target = Target;
-    Site.Terms = std::move(Terms);
-    Site.AccumLoop = Accum;
-    Result.Sites.push_back(std::move(Site));
-  }
-
+  const WriteSets &Writes;
   DiagnosticsEngine &Diags;
   ReductionAnalysisResult &Result;
-  std::vector<std::string> ActiveVars;
-  std::vector<ForStmt *> LoopStack;
+  /// The declarations the pragmas of the enclosing loops name, and those
+  /// for-loops, outermost first.
+  std::vector<const VarDecl *> Active;
+  std::vector<const ForStmt *> Loops;
+
+  void visitUpdate(const ExprStmt *S) {
+    const auto *Assign = dynCast<BinaryExpr>(ignoreParens(S->E));
+    if (!Assign || !Assign->isAssignment())
+      return;
+    const Expr *Target = Assign->LHS;
+    const VarDecl *Root = lvalueRoot(Target);
+    if (!Root || std::find(Active.begin(), Active.end(), Root) == Active.end())
+      return;
+    std::vector<ReductionTerm> Terms = accumulatedTerms(Assign);
+    if (Terms.empty() || !loadFreeIndices(Target))
+      return;
+    // A term that reads the root would read it stale: the accumulator
+    // holds the running value until the loop ends.
+    for (const ReductionTerm &T : Terms)
+      if (mentions(T.Term, Root))
+        return;
+    const ForStmt *Accum = accumLoop(S, Target, Root);
+    if (!Accum)
+      return; // the innermost loop carries nothing
+    Result.Sites.push_back({S, Target, std::move(Terms), Accum});
+  }
+
+  /// The outermost loop that carries the update \p S, walking from the
+  /// innermost outward and never beyond the pragma loop naming \p Root:
+  /// \p Target stays one location in it, and nothing else in it refers
+  /// to \p Root (the final reduction is hoisted past the loop).
+  const ForStmt *accumLoop(const ExprStmt *S, const Expr *Target,
+                           const VarDecl *Root) const {
+    const ForStmt *Pragma = *std::find_if(
+        Loops.begin(), Loops.end(), [&](const ForStmt *L) {
+          return std::count(L->ReduceDecls.begin(), L->ReduceDecls.end(),
+                            Root) != 0;
+        });
+    const ForStmt *Accum = nullptr;
+    for (auto It = Loops.rbegin(); It != Loops.rend() && Accum != Pragma;
+         ++It) {
+      if (!fixedLocation(Target, Writes.loopAndInit(*It)))
+        break;
+      bool OtherUse = false;
+      forEachExprIn(*It, [&](const Expr *E) {
+        OtherUse = OtherUse || (E != S->E && mentions(E, Root));
+      });
+      if (OtherUse)
+        break;
+      Accum = *It;
+    }
+    return Accum;
+  }
 };
 
 } // namespace
 
-ReductionAnalysisResult igen::analyzeReductions(FunctionDecl *F,
+ReductionAnalysisResult igen::analyzeReductions(const FunctionDecl &F,
+                                                const WriteSets &Writes,
                                                 DiagnosticsEngine &Diags) {
   ReductionAnalysisResult Result;
-  if (!F->Body)
-    return Result;
-  ReductionFinder Finder(Diags, Result);
-  Finder.visitStmt(F->Body);
+  if (F.Body)
+    ReductionFinder(Writes, Diags, Result).visitStmt(F.Body);
   return Result;
 }

@@ -13,12 +13,15 @@
 ///
 ///     target = target + t1 [+ t2 ...]      (or +=, or t + target)
 ///
-/// is a reduction when `target` names a pragma variable (optionally
-/// indexed by expressions invariant in the carrying loop). The analysis
-/// also computes the loop level at which the accumulator must be
-/// initialized and reduced: the outermost loop of the enclosing nest in
-/// which the target is still invariant (Polly's reduction dependence gives
-/// the same level).
+/// is a reduction when the root of `target` is the declaration a pragma
+/// name resolves to, no term refers to that declaration, and indices in
+/// `target` load nothing. It is carried by a loop when the target is the
+/// same location on every iteration (no variable it reads is in the
+/// loop's write set, init included) and nothing else in the loop refers
+/// to the root declaration. The accumulator wraps the outermost loop,
+/// from the innermost outward and never beyond the pragma loop, that
+/// carries the update (Polly's reduction dependence gives the same
+/// level).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,42 +31,34 @@
 #include "frontend/AST.h"
 #include "support/Diagnostics.h"
 
-#include <map>
 #include <vector>
 
 namespace igen {
 
+class WriteSets;
+
 /// One additive term of a detected reduction.
 struct ReductionTerm {
-  Expr *Term;
+  const Expr *Term;
   bool Negated; ///< target = target - term
 };
 
 /// A detected reduction statement.
 struct ReductionSite {
   /// The full update statement (an ExprStmt holding the assignment).
-  ExprStmt *Update = nullptr;
+  const ExprStmt *Update = nullptr;
   /// The accumulation target (DeclRef or IndexExpr over the pragma var).
-  Expr *Target = nullptr;
+  const Expr *Target = nullptr;
   /// The terms accumulated per iteration.
   std::vector<ReductionTerm> Terms;
   /// Loop around which the accumulator is initialized/reduced: the
-  /// outermost loop in which Target is invariant.
-  ForStmt *AccumLoop = nullptr;
+  /// outermost loop that carries the update.
+  const ForStmt *AccumLoop = nullptr;
 };
 
-/// Result of analyzing one function: reduction sites grouped by their
-/// accumulation loop, plus a map from update statements to sites for the
-/// transformer.
+/// Result of analyzing one function: its reduction sites.
 struct ReductionAnalysisResult {
   std::vector<ReductionSite> Sites;
-
-  const ReductionSite *siteForUpdate(const Stmt *S) const {
-    for (const ReductionSite &Site : Sites)
-      if (Site.Update == S)
-        return &Site;
-    return nullptr;
-  }
 
   /// Sites whose accumulator wraps the given loop.
   std::vector<const ReductionSite *> sitesForLoop(const Stmt *Loop) const {
@@ -75,16 +70,11 @@ struct ReductionAnalysisResult {
   }
 };
 
-/// Structural equality of expressions (used to match the target on both
-/// sides of the update and to test invariance).
-bool exprStructurallyEqual(const Expr *A, const Expr *B);
-
-/// True if \p E references the variable named \p Name.
-bool exprReferencesVar(const Expr *E, const std::string &Name);
-
-/// Runs reduction detection over \p F. Emits warnings for pragma loops in
-/// which no reduction could be identified.
-ReductionAnalysisResult analyzeReductions(FunctionDecl *F,
+/// Runs reduction detection over \p F, whose write sets are \p Writes.
+/// Sites are in source order. Emits warnings for pragma loops in which
+/// no reduction could be identified.
+ReductionAnalysisResult analyzeReductions(const FunctionDecl &F,
+                                          const WriteSets &Writes,
                                           DiagnosticsEngine &Diags);
 
 } // namespace igen

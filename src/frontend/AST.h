@@ -351,6 +351,8 @@ public:
   Stmt *Body = nullptr;
   /// Variables named by a preceding `#pragma igen reduce` (Section VI-B).
   std::vector<std::string> ReduceVars;
+  /// The declarations Sema resolved those names to, in the same order.
+  std::vector<const VarDecl *> ReduceDecls;
 
   static bool classof(const Stmt *S) { return S->kind() == Kind::For; }
 };

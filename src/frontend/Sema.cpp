@@ -147,11 +147,15 @@ void Sema::checkStmt(Stmt *S) {
     if (For->Inc)
       checkExpr(For->Inc);
     checkStmt(For->Body);
-    // Reduction pragma variables must be visible here.
-    for (const std::string &Var : For->ReduceVars)
-      if (!lookup(Var))
+    // Reduction pragma variables must be visible here; the analysis
+    // matches updates against the declarations they name.
+    for (const std::string &Var : For->ReduceVars) {
+      if (const VarDecl *D = lookup(Var))
+        For->ReduceDecls.push_back(D);
+      else
         Diags.error(For->loc(), "reduction variable '" + Var +
                                     "' is not in scope");
+    }
     popScope();
     return;
   }

@@ -236,8 +236,12 @@ inline Interval iDiv(const Interval &X, const Interval &Y) {
   double H2 = (-Xn) / Yh; // a/d
   double H3 = Xh / (-Yn); // b/c
   double H4 = Xh / Yh;    // b/d
-  double Check = ((N1 + N2) + (N3 + N4)) + ((H1 + H2) + (H3 + H4));
-  if (__builtin_expect(std::isnan(Check), 0))
+  // Each endpoint's candidates are screened on their own, as the pack
+  // op's lanes are: -inf among one endpoint's and +inf among the other's
+  // is no NaN ([0, inf] / [tiny, 1] is [0, inf]).
+  if (__builtin_expect(std::isnan((N1 + N2) + (N3 + N4)) ||
+                           std::isnan((H1 + H2) + (H3 + H4)),
+                       0))
     return detail::divSlow(X, Y);
   return Interval(detail::max4(N1, N2, N3, N4), detail::max4(H1, H2, H3, H4));
 }

@@ -6,6 +6,8 @@
 
 #include "opt/Movability.h"
 
+#include "analysis/AstQueries.h"
+
 #include <cmath>
 #include <set>
 #include <vector>
@@ -37,7 +39,9 @@ public:
     MovabilityInfo Info;
     if (!F.Body)
       return Info;
-    HasFloatStore = bodyHasFloatStore(F.Body);
+    forEachExprIn(F.Body, [&](const Expr *E) {
+      HasFloatStore = HasFloatStore || exprHasFloatStore(E);
+    });
     for (const VarDecl *P : F.Params)
       if (!P->HasTolerance)
         Exact.insert(P);
@@ -67,94 +71,11 @@ private:
   }
 
   static bool exprHasFloatStore(const Expr *E) {
-    if (!E)
-      return false;
     if (isFloatMemWrite(E))
       return true;
     bool Found = false;
     forEachChild(E, [&](const Expr *C) { Found |= exprHasFloatStore(C); });
     return Found;
-  }
-
-  static bool bodyHasFloatStore(const Stmt *S) {
-    if (!S)
-      return false;
-    switch (S->kind()) {
-    case Stmt::Kind::Compound: {
-      for (const Stmt *C : cast<CompoundStmt>(S)->Body)
-        if (bodyHasFloatStore(C))
-          return true;
-      return false;
-    }
-    case Stmt::Kind::DeclStmt: {
-      for (const VarDecl *D : cast<DeclStmt>(S)->Decls)
-        if (exprHasFloatStore(D->Init))
-          return true;
-      return false;
-    }
-    case Stmt::Kind::ExprStmt:
-      return exprHasFloatStore(cast<ExprStmt>(S)->E);
-    case Stmt::Kind::If: {
-      const auto *I = cast<IfStmt>(S);
-      return exprHasFloatStore(I->Cond) || bodyHasFloatStore(I->Then) ||
-             bodyHasFloatStore(I->Else);
-    }
-    case Stmt::Kind::For: {
-      const auto *L = cast<ForStmt>(S);
-      return bodyHasFloatStore(L->Init) || exprHasFloatStore(L->Cond) ||
-             exprHasFloatStore(L->Inc) || bodyHasFloatStore(L->Body);
-    }
-    case Stmt::Kind::While: {
-      const auto *W = cast<WhileStmt>(S);
-      return exprHasFloatStore(W->Cond) || bodyHasFloatStore(W->Body);
-    }
-    case Stmt::Kind::Do: {
-      const auto *D = cast<DoStmt>(S);
-      return exprHasFloatStore(D->Cond) || bodyHasFloatStore(D->Body);
-    }
-    case Stmt::Kind::Return:
-      return exprHasFloatStore(cast<ReturnStmt>(S)->Value);
-    case Stmt::Kind::Break:
-    case Stmt::Kind::Continue:
-    case Stmt::Kind::Null:
-      return false;
-    }
-    return false;
-  }
-
-  template <typename Fn> static void forEachChild(const Expr *E, Fn F) {
-    switch (E->kind()) {
-    case Expr::Kind::IntLiteral:
-    case Expr::Kind::FloatLiteral:
-    case Expr::Kind::DeclRef:
-      return;
-    case Expr::Kind::Unary:
-      F(cast<UnaryExpr>(E)->Sub);
-      return;
-    case Expr::Kind::Binary:
-      F(cast<BinaryExpr>(E)->LHS);
-      F(cast<BinaryExpr>(E)->RHS);
-      return;
-    case Expr::Kind::Conditional:
-      F(cast<ConditionalExpr>(E)->Cond);
-      F(cast<ConditionalExpr>(E)->Then);
-      F(cast<ConditionalExpr>(E)->Else);
-      return;
-    case Expr::Kind::Call:
-      for (const Expr *A : cast<CallExpr>(E)->Args)
-        F(A);
-      return;
-    case Expr::Kind::Index:
-      F(cast<IndexExpr>(E)->Base);
-      F(cast<IndexExpr>(E)->Idx);
-      return;
-    case Expr::Kind::Cast:
-      F(cast<CastExpr>(E)->Sub);
-      return;
-    case Expr::Kind::Paren:
-      F(cast<ParenExpr>(E)->Sub);
-      return;
-    }
   }
 
   //===--------------------------------------------------------------------===//

@@ -20,15 +20,14 @@
 
 #include "opt/OptAnalysis.h"
 
+#include "analysis/AstQueries.h"
 #include "analysis/BatchLoopAnalysis.h"
-#include "analysis/ReductionAnalysis.h"
 #include "frontend/Sema.h"
 #include "interval/Ulp.h"
 
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <iterator>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -192,236 +191,6 @@ ValueFact toFloatGrid(const ValueFact &A) {
 bool finiteBounds(const ValueFact &A) {
   return A.NoNaN && A.Lo > -Inf && A.Hi < Inf;
 }
-
-/// Calls \p Fn on each direct subexpression of \p E.
-template <typename FnT> void forEachChild(const Expr *E, FnT &&Fn) {
-  switch (E->kind()) {
-  case Expr::Kind::Paren:
-    Fn(cast<ParenExpr>(E)->Sub);
-    return;
-  case Expr::Kind::Unary:
-    Fn(cast<UnaryExpr>(E)->Sub);
-    return;
-  case Expr::Kind::Binary:
-    Fn(cast<BinaryExpr>(E)->LHS);
-    Fn(cast<BinaryExpr>(E)->RHS);
-    return;
-  case Expr::Kind::Conditional:
-    Fn(cast<ConditionalExpr>(E)->Cond);
-    Fn(cast<ConditionalExpr>(E)->Then);
-    Fn(cast<ConditionalExpr>(E)->Else);
-    return;
-  case Expr::Kind::Call:
-    for (const Expr *A : cast<CallExpr>(E)->Args)
-      Fn(A);
-    return;
-  case Expr::Kind::Index:
-    Fn(cast<IndexExpr>(E)->Base);
-    Fn(cast<IndexExpr>(E)->Idx);
-    return;
-  case Expr::Kind::Cast:
-    Fn(cast<CastExpr>(E)->Sub);
-    return;
-  default:
-    return;
-  }
-}
-
-/// Calls \p Fn on each expression statement \p S holds, nested
-/// statements included: initializers, conditions, increments and
-/// returned values, in source order (a do-loop's condition after its
-/// body).
-template <typename FnT> void forEachExprIn(const Stmt *S, FnT &&Fn) {
-  switch (S->kind()) {
-  case Stmt::Kind::Compound:
-    for (const Stmt *Sub : cast<CompoundStmt>(S)->Body)
-      forEachExprIn(Sub, Fn);
-    return;
-  case Stmt::Kind::DeclStmt:
-    for (const VarDecl *D : cast<DeclStmt>(S)->Decls)
-      if (D->Init)
-        Fn(D->Init);
-    return;
-  case Stmt::Kind::ExprStmt:
-    Fn(cast<ExprStmt>(S)->E);
-    return;
-  case Stmt::Kind::If: {
-    const auto *I = cast<IfStmt>(S);
-    Fn(I->Cond);
-    forEachExprIn(I->Then, Fn);
-    if (I->Else)
-      forEachExprIn(I->Else, Fn);
-    return;
-  }
-  case Stmt::Kind::For: {
-    const auto *F = cast<ForStmt>(S);
-    if (F->Init)
-      forEachExprIn(F->Init, Fn);
-    if (F->Cond)
-      Fn(F->Cond);
-    if (F->Inc)
-      Fn(F->Inc);
-    if (F->Body)
-      forEachExprIn(F->Body, Fn);
-    return;
-  }
-  case Stmt::Kind::While: {
-    const auto *W = cast<WhileStmt>(S);
-    Fn(W->Cond);
-    forEachExprIn(W->Body, Fn);
-    return;
-  }
-  case Stmt::Kind::Do: {
-    const auto *D = cast<DoStmt>(S);
-    forEachExprIn(D->Body, Fn);
-    Fn(D->Cond);
-    return;
-  }
-  case Stmt::Kind::Return:
-    if (const Expr *V = cast<ReturnStmt>(S)->Value)
-      Fn(V);
-    return;
-  default:
-    return;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Variable writes
-//===----------------------------------------------------------------------===//
-
-/// A small set of variables, sorted by address.
-using VarSet = std::vector<const VarDecl *>;
-
-bool setHas(const VarSet &S, const VarDecl *D) {
-  return std::binary_search(S.begin(), S.end(), D, std::less<>());
-}
-
-void sortUnique(VarSet &S) {
-  std::sort(S.begin(), S.end(), std::less<>());
-  S.erase(std::unique(S.begin(), S.end()), S.end());
-}
-
-/// What one walk over a function body finds out about writes: for each
-/// loop, the variables an iteration may write (its condition, body and
-/// increment assign, increment, decrement or declare them, nested loops
-/// included); for each for-loop, what its init statement writes; and the
-/// variables whose address is taken. analyzeFunctionForOpt builds it once
-/// and both the range fixpoint and the loop-invariant collector read it.
-class WriteSets {
-public:
-  explicit WriteSets(const Stmt *Body) {
-    VarSet Outside;
-    walk(Body, Outside);
-    sortUnique(AddrTaken);
-  }
-
-  /// Variables one iteration of the for/while/do statement \p Loop may
-  /// write.
-  const VarSet &loop(const Stmt *Loop) const { return Loops.at(Loop); }
-  /// Variables the init statement of \p F writes or declares.
-  const VarSet &forInit(const ForStmt *F) const { return ForInits.at(F); }
-  bool addressTaken(const VarDecl *D) const { return setHas(AddrTaken, D); }
-
-private:
-  std::unordered_map<const Stmt *, VarSet> Loops;
-  std::unordered_map<const ForStmt *, VarSet> ForInits;
-  VarSet AddrTaken;
-
-  /// Appends the writes of \p S to \p Out and records every loop in it.
-  void walk(const Stmt *S, VarSet &Out) {
-    switch (S->kind()) {
-    case Stmt::Kind::Compound:
-      for (const Stmt *Sub : cast<CompoundStmt>(S)->Body)
-        walk(Sub, Out);
-      return;
-    case Stmt::Kind::DeclStmt:
-      for (const VarDecl *D : cast<DeclStmt>(S)->Decls) {
-        Out.push_back(D); // re-initialized every time it runs
-        if (D->Init)
-          walk(D->Init, Out);
-      }
-      return;
-    case Stmt::Kind::ExprStmt:
-      walk(cast<ExprStmt>(S)->E, Out);
-      return;
-    case Stmt::Kind::If: {
-      const auto *I = cast<IfStmt>(S);
-      walk(I->Cond, Out);
-      walk(I->Then, Out);
-      if (I->Else)
-        walk(I->Else, Out);
-      return;
-    }
-    case Stmt::Kind::For: {
-      const auto *F = cast<ForStmt>(S);
-      VarSet Init, Iter;
-      if (F->Init)
-        walk(F->Init, Init);
-      if (F->Cond)
-        walk(F->Cond, Iter);
-      if (F->Inc)
-        walk(F->Inc, Iter);
-      if (F->Body)
-        walk(F->Body, Iter);
-      Out.insert(Out.end(), Init.begin(), Init.end());
-      sortUnique(Init);
-      ForInits[F] = std::move(Init);
-      finishLoop(F, std::move(Iter), Out);
-      return;
-    }
-    case Stmt::Kind::While: {
-      const auto *W = cast<WhileStmt>(S);
-      VarSet Iter;
-      walk(W->Cond, Iter);
-      walk(W->Body, Iter);
-      finishLoop(W, std::move(Iter), Out);
-      return;
-    }
-    case Stmt::Kind::Do: {
-      const auto *D = cast<DoStmt>(S);
-      VarSet Iter;
-      walk(D->Body, Iter);
-      walk(D->Cond, Iter);
-      finishLoop(D, std::move(Iter), Out);
-      return;
-    }
-    case Stmt::Kind::Return:
-      if (const Expr *V = cast<ReturnStmt>(S)->Value)
-        walk(V, Out);
-      return;
-    case Stmt::Kind::Break:
-    case Stmt::Kind::Continue:
-    case Stmt::Kind::Null:
-      return;
-    }
-  }
-
-  void finishLoop(const Stmt *Loop, VarSet Iter, VarSet &Out) {
-    sortUnique(Iter);
-    Out.insert(Out.end(), Iter.begin(), Iter.end());
-    Loops[Loop] = std::move(Iter);
-  }
-
-  void walk(const Expr *E, VarSet &Out) {
-    if (const auto *B = dynCast<BinaryExpr>(E)) {
-      if (B->isAssignment())
-        if (const auto *Ref = dynCast<DeclRefExpr>(ignoreParens(B->LHS)))
-          if (Ref->Decl)
-            Out.push_back(Ref->Decl);
-    } else if (const auto *U = dynCast<UnaryExpr>(E)) {
-      const auto *Ref = dynCast<DeclRefExpr>(ignoreParens(U->Sub));
-      if (Ref && Ref->Decl) {
-        if (U->O == UnaryExpr::Op::PreInc || U->O == UnaryExpr::Op::PreDec ||
-            U->O == UnaryExpr::Op::PostInc || U->O == UnaryExpr::Op::PostDec)
-          Out.push_back(Ref->Decl);
-        else if (U->O == UnaryExpr::Op::AddrOf)
-          AddrTaken.push_back(Ref->Decl);
-      }
-    }
-    forEachChild(E, [&](const Expr *Sub) { walk(Sub, Out); });
-  }
-};
 
 //===----------------------------------------------------------------------===//
 // Range analysis
@@ -985,110 +754,6 @@ private:
 
 namespace {
 
-/// Structural equality with DeclRefs compared by resolved declaration,
-/// not by name, so shadowed variables never alias a hoisted temp.
-bool cseEqualImpl(const Expr *A, const Expr *B) {
-  A = ignoreParens(A);
-  B = ignoreParens(B);
-  if (A->kind() == Expr::Kind::DeclRef && B->kind() == Expr::Kind::DeclRef) {
-    const auto *RA = cast<DeclRefExpr>(A), *RB = cast<DeclRefExpr>(B);
-    if (RA->Decl || RB->Decl)
-      return RA->Decl == RB->Decl;
-  }
-  if (A->kind() != B->kind())
-    return false;
-  switch (A->kind()) {
-  case Expr::Kind::Unary: {
-    const auto *UA = cast<UnaryExpr>(A), *UB = cast<UnaryExpr>(B);
-    return UA->O == UB->O && cseEqualImpl(UA->Sub, UB->Sub);
-  }
-  case Expr::Kind::Binary: {
-    const auto *BA = cast<BinaryExpr>(A), *BB = cast<BinaryExpr>(B);
-    return BA->O == BB->O && cseEqualImpl(BA->LHS, BB->LHS) &&
-           cseEqualImpl(BA->RHS, BB->RHS);
-  }
-  case Expr::Kind::Call: {
-    const auto *CA = cast<CallExpr>(A), *CB = cast<CallExpr>(B);
-    if (CA->Callee != CB->Callee || CA->Args.size() != CB->Args.size())
-      return false;
-    for (size_t I = 0; I < CA->Args.size(); ++I)
-      if (!cseEqualImpl(CA->Args[I], CB->Args[I]))
-        return false;
-    return true;
-  }
-  case Expr::Kind::Index: {
-    const auto *IA = cast<IndexExpr>(A), *IB = cast<IndexExpr>(B);
-    return cseEqualImpl(IA->Base, IB->Base) &&
-           cseEqualImpl(IA->Idx, IB->Idx);
-  }
-  case Expr::Kind::Cast: {
-    const auto *CA = cast<CastExpr>(A), *CB = cast<CastExpr>(B);
-    return CA->To == CB->To && cseEqualImpl(CA->Sub, CB->Sub);
-  }
-  default:
-    return exprStructurallyEqual(A, B); // literals and leaves
-  }
-}
-
-/// Side-effect-free expression whose transformed form is a plain
-/// expression (safe to evaluate once, early, into a temp). With
-/// \p AllowLoads, Index/Deref reads are allowed (fine within one
-/// statement; not across loop iterations).
-bool isPureExpr(const Expr *E, bool AllowLoads) {
-  switch (E->kind()) {
-  case Expr::Kind::IntLiteral:
-  case Expr::Kind::FloatLiteral:
-  case Expr::Kind::DeclRef:
-    return true;
-  case Expr::Kind::Paren:
-    return isPureExpr(cast<ParenExpr>(E)->Sub, AllowLoads);
-  case Expr::Kind::Unary: {
-    const auto *U = cast<UnaryExpr>(E);
-    if (U->O == UnaryExpr::Op::Neg || U->O == UnaryExpr::Op::Plus)
-      return isPureExpr(U->Sub, AllowLoads);
-    if (U->O == UnaryExpr::Op::Deref)
-      return AllowLoads && isPureExpr(U->Sub, AllowLoads);
-    return false;
-  }
-  case Expr::Kind::Binary: {
-    const auto *B = cast<BinaryExpr>(E);
-    switch (B->O) {
-    case BinaryExpr::Op::Add:
-    case BinaryExpr::Op::Sub:
-    case BinaryExpr::Op::Mul:
-    case BinaryExpr::Op::Div:
-    case BinaryExpr::Op::Rem:
-    case BinaryExpr::Op::Shl:
-    case BinaryExpr::Op::Shr:
-    case BinaryExpr::Op::BitAnd:
-    case BinaryExpr::Op::BitOr:
-    case BinaryExpr::Op::BitXor:
-      return isPureExpr(B->LHS, AllowLoads) && isPureExpr(B->RHS, AllowLoads);
-    default:
-      return false; // assignments, comparisons, && / ||
-    }
-  }
-  case Expr::Kind::Call: {
-    const auto *C = cast<CallExpr>(E);
-    if (classifyCallee(C->Callee) != CalleeKind::MathFunction)
-      return false;
-    for (const Expr *A : C->Args)
-      if (!isPureExpr(A, AllowLoads))
-        return false;
-    return true;
-  }
-  case Expr::Kind::Index: {
-    const auto *I = cast<IndexExpr>(E);
-    return AllowLoads && isPureExpr(I->Base, AllowLoads) &&
-           isPureExpr(I->Idx, AllowLoads);
-  }
-  case Expr::Kind::Cast:
-    return isPureExpr(cast<CastExpr>(E)->Sub, AllowLoads);
-  default:
-    return false;
-  }
-}
-
 /// A node worth naming: a floating-typed operation (not a bare leaf).
 bool isFloatingOpNode(const Expr *E) {
   E = ignoreParens(E);
@@ -1108,14 +773,6 @@ bool isFloatingOpNode(const Expr *E) {
   default:
     return false;
   }
-}
-
-template <typename FnT> void forEachDeclRef(const Expr *E, FnT &&Fn) {
-  if (const auto *Ref = dynCast<DeclRefExpr>(E)) {
-    Fn(Ref);
-    return;
-  }
-  forEachChild(E, [&](const Expr *Sub) { forEachDeclRef(Sub, Fn); });
 }
 
 int countOps(const Expr *E) {
@@ -1149,20 +806,6 @@ private:
   // the hoisting candidates of the loop and the for-loops around it.
   std::vector<std::pair<const VarDecl *, int>> Tally;
   std::vector<const Expr *> Hoists;
-
-  /// Everything loop \p L writes or declares, a for-loop's init included.
-  VarSet loopWrites(const Stmt *L) const {
-    const VarSet &Iter = Writes.loop(L);
-    const auto *FS = dynCast<ForStmt>(L);
-    if (!FS)
-      return Iter;
-    const VarSet &Init = Writes.forInit(FS);
-    VarSet Mod;
-    Mod.reserve(Iter.size() + Init.size());
-    std::set_union(Iter.begin(), Iter.end(), Init.begin(), Init.end(),
-                   std::back_inserter(Mod), std::less<>());
-    return Mod;
-  }
 
   /// Walks \p Body with \p L as the innermost loop, writing \p Mod.
   void walkLoopBody(const Stmt *L, const Stmt *Body, VarSet Mod) {
@@ -1201,7 +844,7 @@ private:
         return;
       // Everything the loop writes or declares, its init included: the
       // hoisted code and the versioning test run before the init.
-      VarSet Mod = loopWrites(F);
+      VarSet Mod = Writes.loopAndInit(F);
       collectLoopInvariants(F, Mod);
       collectVersionVar(F, Mod);
       Fors.push_back(F);
@@ -1212,10 +855,10 @@ private:
       return;
     }
     case Stmt::Kind::While:
-      walkLoopBody(S, cast<WhileStmt>(S)->Body, loopWrites(S));
+      walkLoopBody(S, cast<WhileStmt>(S)->Body, Writes.loopAndInit(S));
       return;
     case Stmt::Kind::Do:
-      walkLoopBody(S, cast<DoStmt>(S)->Body, loopWrites(S));
+      walkLoopBody(S, cast<DoStmt>(S)->Body, Writes.loopAndInit(S));
       return;
     default:
       return;
@@ -1237,30 +880,15 @@ private:
       return;
     if (B->O == BinaryExpr::Op::AddAssign ||
         B->O == BinaryExpr::Op::SubAssign) {
-      if (invariantTarget(B->LHS))
+      if (fixedLocation(B->LHS, LoopMod))
         Info.FmaLoopHazards.insert(B);
       return;
     }
     if (B->O != BinaryExpr::Op::Assign)
       return;
-    if (invariantTarget(B->LHS))
+    if (fixedLocation(B->LHS, LoopMod))
       markCarriedAddSub(B->LHS, B->RHS);
     collectFmaHazards(B->RHS); // chained assignments: a = b = ...
-  }
-
-  /// True when the assignment target \p LHS is the same location on
-  /// every iteration of the innermost loop: a scalar, or an element
-  /// whose base and index variables the loop does not write.
-  bool invariantTarget(const Expr *LHS) const {
-    const Expr *T = ignoreParens(LHS);
-    if (T->kind() == Expr::Kind::DeclRef)
-      return true;
-    bool Invariant = true;
-    forEachDeclRef(T, [&](const DeclRefExpr *Ref) {
-      if (!Ref->Decl || setHas(LoopMod, Ref->Decl))
-        Invariant = false;
-    });
-    return Invariant;
   }
 
   //===-- Sign versioning -------------------------------------------------===//
@@ -1326,7 +954,7 @@ private:
   bool hoisted(const Expr *E) const {
     return !Hoists.empty() && isFloatingOpNode(E) &&
            std::any_of(Hoists.begin(), Hoists.end(),
-                       [&](const Expr *H) { return exprCseEqual(H, E); });
+                       [&](const Expr *H) { return exprEqual(H, E); });
   }
 
   void tallyMuls(const Expr *E, const VarSet &Mod) {
@@ -1380,7 +1008,7 @@ private:
     if (!B ||
         (B->O != BinaryExpr::Op::Add && B->O != BinaryExpr::Op::Sub))
       return;
-    if (exprCseEqual(B->LHS, Target) || exprCseEqual(B->RHS, Target))
+    if (exprEqual(B->LHS, Target) || exprEqual(B->RHS, Target))
       Info.FmaLoopHazards.insert(B);
     markCarriedAddSub(Target, B->LHS);
     markCarriedAddSub(Target, B->RHS);
@@ -1434,7 +1062,7 @@ private:
   /// A pure, load-free int or long expression of variables \p Mod does
   /// not hold.
   bool fixedInt(const Expr *E, const VarSet &Mod) const {
-    if (!isIntOrLong(E->type()) || !isPureExpr(E, /*AllowLoads=*/false))
+    if (!isIntOrLong(E->type()) || !exprIsPureValue(E, /*AllowLoads=*/false))
       return false;
     bool Fixed = true;
     forEachDeclRef(E, [&](const DeclRefExpr *Ref) {
@@ -1505,9 +1133,9 @@ private:
     if (B->O != BinaryExpr::Op::Assign || !Add ||
         Add->O != BinaryExpr::Op::Add || Info.FmaLoopHazards.count(Add))
       return false;
-    if (exprCseEqual(Add->LHS, B->LHS))
+    if (exprEqual(Add->LHS, B->LHS))
       return matchScaledRow(FS, Add->RHS, IV, Mod, K);
-    K.ProductFirst = exprCseEqual(Add->RHS, B->LHS) &&
+    K.ProductFirst = exprEqual(Add->RHS, B->LHS) &&
                      matchScaledRow(FS, Add->LHS, IV, Mod, K);
     return K.ProductFirst;
   }
@@ -1537,7 +1165,7 @@ private:
     const auto *Op = dynCast<BinaryExpr>(ignoreParens(B->RHS));
     if (B->O != BinaryExpr::Op::Assign || !Op ||
         (Op->O != BinaryExpr::Op::Add && Op->O != BinaryExpr::Op::Sub) ||
-        !Info.FmaLoopHazards.count(Op) || !exprCseEqual(Op->LHS, B->LHS))
+        !Info.FmaLoopHazards.count(Op) || !exprEqual(Op->LHS, B->LHS))
       return false;
     K.K = Op->O == BinaryExpr::Op::Add ? RowKernelLoop::Kind::Dot
                                        : RowKernelLoop::Kind::DotSub;
@@ -1564,7 +1192,7 @@ private:
   }
 
   bool isInvariantCandidate(const Expr *E, const VarSet &Mod) {
-    if (!isFloatingOpNode(E) || !isPureExpr(E, /*AllowLoads=*/false))
+    if (!isFloatingOpNode(E) || !exprIsPureValue(E, /*AllowLoads=*/false))
       return false;
     bool Ok = true, AnyRef = false;
     forEachDeclRef(E, [&](const DeclRefExpr *Ref) {
@@ -1581,7 +1209,7 @@ private:
                                std::vector<const Expr *> &Out) {
     if (isInvariantCandidate(E, Mod)) {
       for (const Expr *Seen : Out)
-        if (exprCseEqual(Seen, E))
+        if (exprEqual(Seen, E))
           return;
       Out.push_back(E);
       return; // maximal: don't also hoist the pieces
@@ -1670,7 +1298,7 @@ private:
     forEachChild(E, [&](const Expr *Sub) {
       countPureSubtrees(Sub, Own, Reps, Counts);
     });
-    if (!isFloatingOpNode(E) || !isPureExpr(E, /*AllowLoads=*/true))
+    if (!isFloatingOpNode(E) || !exprIsPureValue(E))
       return;
     bool RefsOwn = false;
     forEachDeclRef(E, [&](const DeclRefExpr *Ref) {
@@ -1680,7 +1308,7 @@ private:
     if (RefsOwn)
       return; // would be emitted before its variable is declared
     for (size_t I = 0; I < Reps.size(); ++I)
-      if (exprCseEqual(Reps[I], E)) {
+      if (exprEqual(Reps[I], E)) {
         ++Counts[I];
         return;
       }
@@ -1691,27 +1319,19 @@ private:
 
 } // namespace
 
-bool igen::exprCseEqual(const Expr *A, const Expr *B) {
-  return cseEqualImpl(A, B);
-}
-
-bool igen::exprIsPureValue(const Expr *E) {
-  return isPureExpr(E, /*AllowLoads=*/true);
-}
-
-void igen::forEachSubexprPruned(const Expr *E,
-                                const std::function<bool(const Expr *)> &Fn) {
-  if (!E || !Fn(E))
-    return;
-  forEachChild(E, [&](const Expr *Sub) { forEachSubexprPruned(Sub, Fn); });
+OptFunctionInfo igen::analyzeFunctionForOpt(const FunctionDecl &F,
+                                            const OptOptions &Opts) {
+  if (!F.Body)
+    return OptFunctionInfo();
+  return analyzeFunctionForOpt(F, Opts, WriteSets(F.Body));
 }
 
 OptFunctionInfo igen::analyzeFunctionForOpt(const FunctionDecl &F,
-                                            const OptOptions &Opts) {
+                                            const OptOptions &Opts,
+                                            const WriteSets &Writes) {
   OptFunctionInfo Info;
   if (!F.Body)
     return Info;
-  const WriteSets Writes(F.Body);
   RangeAnalyzer(Info, Opts, Writes).run(F.Body);
   SyntaxCollector(Info, Writes).run(F.Body);
   return Info;

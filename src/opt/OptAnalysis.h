@@ -26,7 +26,6 @@
 
 #include "frontend/AST.h"
 
-#include <functional>
 #include <limits>
 #include <map>
 #include <unordered_map>
@@ -34,6 +33,8 @@
 #include <vector>
 
 namespace igen {
+
+class WriteSets;
 
 /// A sound bound on the runtime enclosure of a floating expression: every
 /// non-NaN endpoint e of the enclosure satisfies Lo <= e <= Hi, and when
@@ -168,22 +169,11 @@ struct OptFunctionInfo {
 OptFunctionInfo analyzeFunctionForOpt(const FunctionDecl &F,
                                       const OptOptions &Opts);
 
-/// Structural equality for CSE/hoist matching. Unlike
-/// exprStructurallyEqual this compares DeclRefs by their resolved
-/// declaration, so a shadowing variable of the same name never aliases a
-/// hoisted temporary.
-bool exprCseEqual(const Expr *A, const Expr *B);
-
-/// True when \p E is a side-effect-free value computation (memory loads
-/// allowed): safe to re-evaluate or reorder against other pure values.
-bool exprIsPureValue(const Expr *E);
-
-/// Pre-order walk over \p E and its subexpressions. When \p Fn returns
-/// false the node's children are skipped. Lets the transformer count
-/// which CSE occurrences remain visible once enclosing expressions have
-/// been replaced by temporaries.
-void forEachSubexprPruned(const Expr *E,
-                          const std::function<bool(const Expr *)> &Fn);
+/// The same, reading the function's write sets \p Writes instead of
+/// building them.
+OptFunctionInfo analyzeFunctionForOpt(const FunctionDecl &F,
+                                      const OptOptions &Opts,
+                                      const WriteSets &Writes);
 
 } // namespace igen
 

@@ -445,20 +445,10 @@ private:
   }
 
   ExprPtr parseUnary() {
-    if (accept(Tok::Minus)) {
-      auto E = std::make_unique<Expr>();
-      E->K = Expr::Kind::Unary;
-      E->Op = "-";
-      E->LHS = parseUnary();
-      return E;
-    }
-    if (accept(Tok::KwNot)) {
-      auto E = std::make_unique<Expr>();
-      E->K = Expr::Kind::Unary;
-      E->Op = "!";
-      E->LHS = parseUnary();
-      return E;
-    }
+    if (accept(Tok::Minus))
+      return makeUnary("-", parseUnary());
+    if (accept(Tok::KwNot))
+      return makeUnary("!", parseUnary());
     return parsePrimary();
   }
 
@@ -507,6 +497,14 @@ private:
     auto E = std::make_unique<Expr>();
     E->K = Expr::Kind::Var;
     E->Name = Name;
+    return E;
+  }
+
+  ExprPtr makeUnary(std::string Op, ExprPtr Sub) {
+    auto E = std::make_unique<Expr>();
+    E->K = Expr::Kind::Unary;
+    E->Op = std::move(Op);
+    E->LHS = std::move(Sub);
     return E;
   }
 

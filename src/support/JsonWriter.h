@@ -176,7 +176,8 @@ private:
 
   template <typename Int> void appendInteger(Int V) {
     char Buf[24];
-    Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+    const char *End = std::to_chars(Buf, Buf + sizeof(Buf), V).ptr;
+    Out.append(Buf, static_cast<size_t>(End - Buf));
   }
 
   void appendQuoted(std::string_view S) {

@@ -8,7 +8,9 @@
 
 #include "transform/Lowered.h"
 
+#include "analysis/AstQueries.h"
 #include "analysis/BatchLoopAnalysis.h"
+#include "analysis/ReductionAnalysis.h"
 #include "frontend/Sema.h"
 #include "interval/DdInterval.h"
 #include "opt/Movability.h"
@@ -90,27 +92,6 @@ std::string unparseExpr(const Expr *E) {
 // --tier eligibility: can this function be an escalation region?
 //===----------------------------------------------------------------------===//
 
-/// Variable at the base of an Index/Deref lvalue chain, or null when the
-/// chain bottoms out in something other than a plain variable reference
-/// (e.g. pointer arithmetic).
-const VarDecl *memRootDecl(const Expr *E) {
-  E = ignoreParens(E);
-  while (true) {
-    if (const auto *I = dynCast<IndexExpr>(E)) {
-      E = ignoreParens(I->Base);
-      continue;
-    }
-    const auto *U = dynCast<UnaryExpr>(E);
-    if (U && U->O == UnaryExpr::Op::Deref) {
-      E = ignoreParens(U->Sub);
-      continue;
-    }
-    break;
-  }
-  const auto *D = dynCast<DeclRefExpr>(E);
-  return D ? D->Decl : nullptr;
-}
-
 /// Decides whether a function can be compiled as an escalation region.
 /// The wrapper must capture the region's live-ins at entry (params plus
 /// the memory behind pointer params) and be able to re-execute the
@@ -156,7 +137,7 @@ private:
   /// Records a memory access rooted at a variable and scans the chain's
   /// index expressions. \p E is the full Index/Deref chain.
   bool access(const Expr *E, bool IsWrite, bool IsRead) {
-    const VarDecl *Root = memRootDecl(E);
+    const VarDecl *Root = lvalueRoot(E);
     if (!Root)
       return no("unsupported pointer expression");
     if (IsWrite)
@@ -906,7 +887,7 @@ int Transformer::findActiveTemp(const Expr *E) const {
     return -1;
   }
   for (const auto &[Rep, Slot] : ActiveTemps)
-    if (exprCseEqual(Rep, E))
+    if (exprEqual(Rep, E))
       return Slot;
   return -1;
 }
@@ -1622,7 +1603,7 @@ size_t Transformer::emitCseTemps(const Stmt *S) {
       forEachSubexprPruned(Root, [&](const Expr *E) {
         if (findActiveTemp(E) >= 0)
           return false;
-        if (exprCseEqual(E, Rep)) {
+        if (exprEqual(E, Rep)) {
           ++N;
           return false;
         }
@@ -1902,45 +1883,47 @@ void Transformer::emitStmt(const Stmt *S) {
 }
 
 void Transformer::emitFunction(FunctionDecl *F) {
-  // Analyzed once: a --tier function's ddi clone and f64i wrapper lower
-  // the same AST under the same options.
-  if (Opts.OptLevel > 0 && F->Body) {
-    OptOptions OO;
-    // Guard-derived facts require the Exception policy: under Join both
-    // branch bodies execute unconditionally.
-    OO.GuardFacts =
-        Opts.Branches == TransformOptions::BranchPolicy::Exception;
-    OptInfo = analyzeFunctionForOpt(*F, OO);
-  } else {
-    OptInfo = OptFunctionInfo();
-  }
-  if (Opts.Tier && F->Body) {
-    TierEligibility El;
-    if (El.check(*F)) {
-      // Clone first so the wrapper's escalation call sees it defined.
-      TMode = TierMode::DdClone;
-      emitFunctionImpl(F, F->Name + "__dd");
-      Body += '\n';
-      TierMovable = !analyzeMovability(*F).ResultImmovable;
-      TMode = TierMode::Wrapper;
-      emitFunctionImpl(F, F->Name);
-      TMode = TierMode::Off;
-      return;
-    }
+  TierEligibility El;
+  const bool Tier = Opts.Tier && F->Body && El.check(*F);
+  if (Opts.Tier && F->Body && !Tier)
     Diags->warning(F->Loc, "function '" + F->Name +
                                "' is not tier-eligible (" + El.Why +
                                "); emitting the plain f64i translation");
+  // Analyzed once: a --tier function's ddi clone and f64i wrapper lower
+  // the same AST under the same options, and both analyses read one set
+  // of loop write sets.
+  OptInfo = OptFunctionInfo();
+  Reductions = ReductionAnalysisResult();
+  if (F->Body && (Opts.OptLevel > 0 || Opts.EnableReductions)) {
+    const WriteSets Writes(F->Body);
+    if (Opts.OptLevel > 0) {
+      OptOptions OO;
+      // Guard-derived facts require the Exception policy: under Join both
+      // branch bodies execute unconditionally.
+      OO.GuardFacts =
+          Opts.Branches == TransformOptions::BranchPolicy::Exception;
+      OptInfo = analyzeFunctionForOpt(*F, OO, Writes);
+    }
+    if (Opts.EnableReductions)
+      Reductions = analyzeReductions(*F, Writes, *Diags);
   }
+  if (!Tier) {
+    emitFunctionImpl(F, F->Name);
+    return;
+  }
+  // Clone first so the wrapper's escalation call sees it defined.
+  TMode = TierMode::DdClone;
+  emitFunctionImpl(F, F->Name + "__dd");
+  Body += '\n';
+  TierMovable = !analyzeMovability(*F).ResultImmovable;
+  TMode = TierMode::Wrapper;
   emitFunctionImpl(F, F->Name);
+  TMode = TierMode::Off;
 }
 
 void Transformer::emitFunctionImpl(FunctionDecl *F,
                                    const std::string &EmitName) {
   CurFuncName = F->Name;
-  if (Opts.EnableReductions)
-    Reductions = analyzeReductions(F, *Diags);
-  else
-    Reductions = ReductionAnalysisResult();
   UpdateToAcc.clear();
   Renames.clear();
   ActiveTemps.clear();

@@ -30,7 +30,6 @@
 #ifndef IGEN_TRANSFORM_INTERVALTRANSFORM_H
 #define IGEN_TRANSFORM_INTERVALTRANSFORM_H
 
-#include "analysis/ReductionAnalysis.h"
 #include "frontend/AST.h"
 #include "support/Diagnostics.h"
 #include "transform/SiteTable.h"

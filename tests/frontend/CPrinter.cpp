@@ -204,10 +204,13 @@ std::string CPrinter::exprToString(const Expr *E) {
   }
   case Expr::Kind::Cast: {
     const auto *C = cast<CastExpr>(E);
-    return "(" + C->To->cName() + ")" + Sub(C->Sub, 11);
+    const std::string To = C->To->cName();
+    return "(" + To + ")" + Sub(C->Sub, 11);
   }
-  case Expr::Kind::Paren:
-    return "(" + exprToString(cast<ParenExpr>(E)->Sub) + ")";
+  case Expr::Kind::Paren: {
+    const std::string Inner = exprToString(cast<ParenExpr>(E)->Sub);
+    return "(" + Inner + ")";
+  }
   }
   return "?";
 }

@@ -17,7 +17,8 @@
 // random moderate, 1-ulp, straddling, [0, 0], -0.0 and denormal ones; the
 // sign-specialized ops take only operands their preconditions admit.
 // The 128-bit div_p/div_n and the pack sqrt are also compared with the
-// scalar iDivP/iDivN/iSqrt, whose bits they return on every input.
+// scalar iDivP/iDivN/iSqrt, whose bits they return on every input, and
+// the scalar iDiv with the 128-bit div on every grid pair.
 //
 // The widths come from the TU's -m flags, so this file is built once per
 // flag set (see CMakeLists.txt); each build skips on a CPU without its
@@ -80,8 +81,8 @@ std::string show(const Interval &I) {
   return Buf;
 }
 
-/// The specialValues() grid plus random intervals of every class.
-std::vector<Interval> operands() {
+/// The specialValues() grid: every [a, b] with a <= b or a NaN endpoint.
+std::vector<Interval> grid() {
   std::vector<Interval> V;
   int N = 0;
   const double *Sp = test::specialValues(N);
@@ -89,6 +90,12 @@ std::vector<Interval> operands() {
     for (int J = 0; J < N; ++J)
       if (Sp[I] <= Sp[J] || std::isnan(Sp[I]) || std::isnan(Sp[J]))
         V.push_back(Interval::fromEndpoints(Sp[I], Sp[J]));
+  return V;
+}
+
+/// The grid plus random intervals of every class.
+std::vector<Interval> operands() {
+  std::vector<Interval> V = grid();
   Rng R(0xf64);
   for (int K = 0; K < 8; ++K) {
     V.push_back(R.moderateInterval());
@@ -202,8 +209,10 @@ void checkWidth(const char *Name, OpFn Op, const Pre (&Pres)[Arity],
             continue;
           if (++Failures <= 10) {
             std::string Ops;
-            for (size_t K = 0; K < Arity; ++K)
-              Ops += " " + show(T[K]);
+            for (size_t K = 0; K < Arity; ++K) {
+              Ops += ' ';
+              Ops += show(T[K]);
+            }
             ADD_FAILURE() << Name << " x" << W << " lane " << L
                           << (L == Lane ? " (operands" : " (neighbour of")
                           << Ops << " in lane " << Lane << ", "
@@ -355,6 +364,26 @@ TEST_F(F64PackTest, SignedDivisionAndSqrtReturnScalarBits) {
     }
   }
   EXPECT_EQ(Failures, 0) << Pairs << " division pairs";
+}
+
+/// The scalar iDiv screens each endpoint's candidates apart, as the
+/// 128-bit div screens its lanes, so the two agree on every grid pair
+/// ([0, inf] / [2^-1074, 1] is [0, inf] in both, not the entire line).
+TEST_F(F64PackTest, ScalarDivisionReturns128BitBits) {
+  const std::vector<Interval> Grid = grid();
+  RoundUpwardScope Up;
+  int Failures = 0;
+  for (const Interval &X : Grid)
+    for (const Interval &Y : Grid) {
+      const Interval Want = pack::div(IntervalSse::fromInterval(X),
+                                      IntervalSse::fromInterval(Y))
+                                .toInterval();
+      const Interval Got = iDiv(X, Y);
+      if (!sameBits(Got, Want) && ++Failures <= 10)
+        ADD_FAILURE() << show(X) << " / " << show(Y) << ": scalar "
+                      << show(Got) << ", 128-bit " << show(Want);
+    }
+  EXPECT_EQ(Failures, 0) << Grid.size() * Grid.size() << " pairs";
 }
 
 } // namespace

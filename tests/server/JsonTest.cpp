@@ -218,7 +218,8 @@ TEST(JsonParseErrors, StringLimitInsideRun) {
 
 TEST(JsonEscape, RoundTripsThroughParser) {
   std::string Nasty = "a\"b\\c\nd\te\x01f";
-  std::string Quoted = "\"" + jsonEscape(Nasty) + "\"";
+  const std::string Escaped = jsonEscape(Nasty);
+  std::string Quoted = "\"" + Escaped + "\"";
   EXPECT_EQ(parseOk(Quoted).stringValue(), Nasty);
 }
 

@@ -108,8 +108,10 @@ Rendered analyze(std::string_view Src, const char *Fn,
   Lines.clear();
   for (const auto &[Loop, Exprs] : Info.LoopInvariants) {
     std::string L = "loop " + std::to_string(Loop->loc().Line) + ":";
-    for (const Expr *E : Exprs)
-      L += " " + nodeName(E);
+    for (const Expr *E : Exprs) {
+      L += ' ';
+      L += nodeName(E);
+    }
     Lines.push_back(L);
   }
   R.Hoists = sorted(Lines);
@@ -126,8 +128,10 @@ Rendered analyze(std::string_view Src, const char *Fn,
   for (const auto &[Loop, K] : Info.RowKernels) {
     static const char *Kinds[] = {"axpy", "dot", "dotsub"};
     auto row = [](const RowKernelLoop::Row &Row) {
-      return Row.Base->Name + (Row.Offset ? "[" + nodeName(Row.Offset) + " + j]"
-                                          : std::string("[j]"));
+      if (!Row.Offset)
+        return Row.Base->Name + "[j]";
+      const std::string Offset = nodeName(Row.Offset);
+      return Row.Base->Name + "[" + Offset + " + j]";
     };
     Lines.push_back("loop " + std::to_string(Loop->loc().Line) + ": " +
                     Kinds[static_cast<int>(K.K)] + " " + nodeName(K.Scalar) +

@@ -76,7 +76,7 @@ TEST(Profile, OffByDefaultAndByteIdentical) {
 TEST(Profile, InstrumentsEveryScalarOpWithSiteIds) {
   TransformOptions Opts;
   Opts.Profile = true;
-  Opts.ModuleName = "t";
+  Opts.ModuleName = 't';
   ProfileSiteTable Sites;
   std::string Out = compileWith(Kernel, Opts, &Sites);
 

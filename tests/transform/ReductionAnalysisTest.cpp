@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/ReductionAnalysis.h"
+#include "analysis/AstQueries.h"
 #include "frontend/Parser.h"
 #include "frontend/Sema.h"
 
@@ -29,7 +30,7 @@ Analyzed analyze(std::string_view Src, const char *Fn) {
   Sema S(*A.Ctx, A.Diags);
   EXPECT_TRUE(S.run()) << A.Diags.render("test");
   A.F = A.Ctx->TU.findFunction(Fn);
-  A.Result = analyzeReductions(A.F, A.Diags);
+  A.Result = analyzeReductions(*A.F, WriteSets(A.F->Body), A.Diags);
   return A;
 }
 
@@ -195,4 +196,98 @@ TEST(ReductionAnalysis, ExprEqualityHelper) {
                        "f");
   // Structural equality must see y[i+1] == y[i+1].
   EXPECT_EQ(A.Result.Sites.size(), 1u);
+}
+
+// The shapes below were rewritten onto an accumulator although they are
+// no reduction: each plain loop computes something else.
+
+TEST(ReductionAnalysis, ShadowingBlockLocalIsNotThePragmaVariable) {
+  Analyzed A = analyze("double f(double *x, int n) {\n"
+                       "  double s = 0.0;\n"
+                       "  #pragma igen reduce s\n"
+                       "  for (int i = 0; i < n; i++) {\n"
+                       "    double s = x[i];\n"
+                       "    s = s + x[i];\n"
+                       "    x[i] = s;\n"
+                       "  }\n"
+                       "  return s;\n"
+                       "}\n",
+                       "f");
+  EXPECT_TRUE(A.Result.Sites.empty());
+}
+
+TEST(ReductionAnalysis, TargetMovedByAnotherVariableIsNotCarried) {
+  Analyzed A = analyze("void f(double *y, double *x, int n) {\n"
+                       "  int k = 0;\n"
+                       "  #pragma igen reduce y\n"
+                       "  for (int i = 0; i < n; i++) {\n"
+                       "    y[k] = y[k] + x[i];\n"
+                       "    k = k + 1;\n"
+                       "  }\n"
+                       "}\n",
+                       "f");
+  // y[k] moves with k, which the loop writes.
+  EXPECT_TRUE(A.Result.Sites.empty());
+}
+
+TEST(ReductionAnalysis, ReadInTheInnermostLoopIsNotCarried) {
+  Analyzed A = analyze("double f(double *y, double *x, int n) {\n"
+                       "  double s = 0.0;\n"
+                       "  #pragma igen reduce s\n"
+                       "  for (int i = 0; i < n; i++) {\n"
+                       "    s = s + x[i];\n"
+                       "    y[i] = s;\n"
+                       "  }\n"
+                       "  return s;\n"
+                       "}\n",
+                       "f");
+  // y[i] reads the running sum every iteration.
+  EXPECT_TRUE(A.Result.Sites.empty());
+}
+
+TEST(ReductionAnalysis, PragmaNamesTheOuterVariableNotItsShadow) {
+  Analyzed A = analyze("double f(double *x, int n) {\n"
+                       "  double s = 0.0;\n"
+                       "  #pragma igen reduce s\n"
+                       "  for (int i = 0; i < n; i++) {\n"
+                       "    s = s + x[i];\n"
+                       "    {\n"
+                       "      double s = 1.0;\n"
+                       "      s = s + x[i];\n"
+                       "    }\n"
+                       "  }\n"
+                       "  return s;\n"
+                       "}\n",
+                       "f");
+  // The pragma's s is the function's; the block's s is another variable,
+  // so only the first update accumulates.
+  ASSERT_EQ(A.Result.Sites.size(), 1u);
+  const auto *Body = cast<CompoundStmt>(innerLoop(A.F, 1)->Body);
+  EXPECT_EQ(A.Result.Sites[0].Update, Body->Body[0]);
+  EXPECT_EQ(A.Result.Sites[0].AccumLoop, innerLoop(A.F, 1));
+}
+
+TEST(ReductionAnalysis, TermReadingTheTargetIsNotAReduction) {
+  Analyzed A = analyze("double f(double *x, int n) {\n"
+                       "  double s = 1.0;\n"
+                       "  #pragma igen reduce s\n"
+                       "  for (int i = 0; i < n; i++)\n"
+                       "    s += s * x[i];\n"
+                       "  return s;\n"
+                       "}\n",
+                       "f");
+  EXPECT_TRUE(A.Result.Sites.empty());
+}
+
+TEST(ReductionAnalysis, LoadedIndexIsNotCarried) {
+  Analyzed A = analyze("void f(double *y, double *x, int *idx, int n) {\n"
+                       "  #pragma igen reduce y\n"
+                       "  for (int i = 0; i < n; i++) {\n"
+                       "    y[idx[0]] = y[idx[0]] + x[i];\n"
+                       "    idx[0] = i;\n"
+                       "  }\n"
+                       "}\n",
+                       "f");
+  // The element moves with memory the write sets do not track.
+  EXPECT_TRUE(A.Result.Sites.empty());
 }

@@ -142,6 +142,29 @@ TEST(TierTransform, IneligibleFunctionFallsBackWithWarning) {
   EXPECT_THAT(Out, Not(HasSubstr("igen_tier_escalate")));
 }
 
+TEST(TierTransform, ReductionsAnalyzedOncePerFunction) {
+  // The clone and the wrapper lower one analysis: a pragma loop without
+  // a reduction warns once, not once per emitted copy.
+  TransformOptions Opts = tierOpts();
+  Opts.EnableReductions = true;
+  std::string DiagText;
+  std::string Out = compile("double f(double *x, int n) {\n"
+                            "  double s = 0.0;\n"
+                            "  #pragma igen reduce s\n"
+                            "  for (int i = 0; i < n; i++)\n"
+                            "    s = x[i] * 2.0;\n"
+                            "  return s;\n"
+                            "}\n",
+                            Opts, nullptr, &DiagText);
+  EXPECT_THAT(Out, HasSubstr("f__dd"));
+  size_t Warnings = 0;
+  for (size_t At = DiagText.find("no reduction statement");
+       At != std::string::npos;
+       At = DiagText.find("no reduction statement", At + 1))
+    ++Warnings;
+  EXPECT_EQ(Warnings, 1u) << DiagText;
+}
+
 TEST(TierTransform, MixedEligibilityStillNumbersRegionsDensely) {
   ProfileSiteTable Sites;
   std::string Out = compile(

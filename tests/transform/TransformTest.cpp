@@ -866,6 +866,22 @@ TEST(Optimizer, CseWithinOneStatement) {
   EXPECT_THAT(Out, HasSubstr("return ia_fma_f64(_cse2, _cse2, _cse1);"));
 }
 
+TEST(Optimizer, CseKeepsLiteralsThatLowerDifferently) {
+  // 0.25t is the interval [-0.25, 0.25] and 0.25 a point: one temp for
+  // both products would drop the tolerance. The double-double target
+  // lifts the decimal spelling, so 0.1 and 0.10000000000000001 (one
+  // double) are different enclosures too.
+  std::string Out = compile("double f(double a) {\n"
+                            "  return (a * 0.25) * (a * 0.25t);\n"
+                            "}\n"
+                            "double g(double a) {\n"
+                            "  return (a * 0.1) * (a * 0.10000000000000001);\n"
+                            "}\n");
+  EXPECT_THAT(Out, Not(HasSubstr("_cse")));
+  EXPECT_THAT(Out, HasSubstr("ia_set_f64(-0.25000000000000005, "
+                             "0.25000000000000006)"));
+}
+
 TEST(Optimizer, DdTargetStaysGeneric) {
   // The specialized entry points exist for f64 only; dd lowering must
   // not change under -O.
